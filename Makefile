@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-json lint-selftest test race chaos cluster diag fuzz bench-json bench-gate verify
+.PHONY: build vet lint lint-json lint-selftest test race chaos cluster diag fuzz bench-json bench-gate bench-serve verify
 
 build:
 	$(GO) build ./...
@@ -68,13 +68,17 @@ diag:
 # seed corpora (testdata/fuzz): the wire codec's decoders, the archive
 # restore path, and the -fleet spec parser are the surfaces that parse bytes
 # off the network/disk/command line, so they must error — never panic or
-# over-allocate — on arbitrary input. FUZZTIME=5m for a longer local soak.
+# over-allocate — on arbitrary input. FuzzCompressEquivalence is the odd one
+# out: it searches for a block on which the fused host encoder and the
+# all-positions reference disagree (seeded in code from the equivalence
+# table's edge shapes). FUZZTIME=5m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dedup -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu -fuzz FuzzParseFleet -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lzss -fuzz FuzzCompressEquivalence -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per
 # optimization step, including the utilization columns) into BENCH_fig1.json,
@@ -92,6 +96,15 @@ bench-json:
 bench-gate:
 	$(GO) run ./cmd/benchhost > BENCH_host.json
 	$(GO) run ./cmd/benchdiff -base BENCH_baseline.json -new BENCH_host.json
+
+# bench-serve runs one workload of the served-path benchmark (benchmark/,
+# BENCHMARK.json) exactly as the driver does; see benchmark/README.md for the
+# workloads and metrics. TRACE=1 prints the per-layer table instead.
+WORKLOAD ?= serve_batch_unique
+SEED ?= 1
+TRACE ?= 0
+bench-serve:
+	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $(TRACE)
 
 # verify mirrors the test and lint jobs of .github/workflows/ci.yml. The
 # bench-gate job is separate on purpose: benchmark numbers want a quiet

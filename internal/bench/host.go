@@ -213,8 +213,8 @@ func addDedupStages(add func(name, unit string, value, allocs float64), min time
 	sec = hostTime(min, hash)
 	add("dedup_hash", "MB/s", bmb/sec, hostAllocs(8, hash))
 
-	// Stage 4 core: LZSS match-finding over one batch, with the reusable
-	// matcher the compress-stage replicas hold.
+	// GPU kernel body: all-positions LZSS match-finding over one batch (the
+	// host compressors no longer run this; see lzss_compress_block).
 	ml := make([]int32, len(batch.Data))
 	mo := make([]int32, len(batch.Data))
 	m := lzss.NewMatcher()
@@ -222,12 +222,26 @@ func addDedupStages(add func(name, unit string, value, allocs float64), min time
 	sec = hostTime(min, find)
 	add("lzss_find_matches", "MB/s", bmb/sec, hostAllocs(8, find))
 
-	// Stage 4 core, lane-parallel: the same match-finding fanned out across
+	// The same all-positions match-finding fanned out across
 	// DefaultLanes pooled matchers (bit-exact to the sequential pass). The
 	// zero-alloc pin covers the whole spawn/join machinery.
 	findPar := func() { lzss.FindMatchesPar(0, batch.Data, batch.StartPos, ml, mo) }
 	sec = hostTime(min, findPar)
 	add("lzss_find_matches_par", "MB/s", bmb/sec, hostAllocs(8, findPar))
+
+	// Stage 4 on one core: every block of the batch through the fused
+	// greedy encoder the host compress paths run (search only where a token
+	// starts), one matcher, no lanes, into a recycled arena.
+	var arena []byte
+	compressBlock := func() {
+		arena = arena[:0]
+		for k := 0; k < batch.NBlocks(); k++ {
+			lo, hi := batch.Block(k)
+			arena = m.AppendCompress(arena, batch.Data[lo:hi])
+		}
+	}
+	sec = hostTime(min, compressBlock)
+	add("lzss_compress_block", "MB/s", bmb/sec, hostAllocs(8, compressBlock))
 
 	// Stage 4 end-to-end: per-block compression of one batch through the
 	// pipeline's lane-parallel compress stage, every block marked a first

@@ -151,12 +151,18 @@ func (b *Batch) markFirsts(store BlockStore) {
 	store.FirstSightings(b.Hashes, b.firsts)
 }
 
-// compressFirsts LZSS-compresses every first-sighting block into the
-// batch's arena and points Comp[k] at the block's subslice (capacity-capped
-// so downstream code cannot grow one block into the next). Appending into
-// one arena means a warm batch compresses with zero heap allocations: the
-// arena's capacity stabilizes after a few batches.
+// compressFirsts LZSS-compresses every first-sighting block on the CPU; see
+// encodeFirsts for where the bytes land.
 func (b *Batch) compressFirsts(m *lzss.Matcher) {
+	b.encodeFirsts(func(dst []byte, lo, hi int) []byte { return m.AppendCompress(dst, b.Data[lo:hi]) })
+}
+
+// encodeFirsts appends enc's encoding of every first-sighting block
+// [lo, hi) to the batch's arena and points Comp[k] at the block's subslice
+// (capacity-capped so downstream code cannot grow one block into the next).
+// Appending into one arena means a warm batch compresses with zero heap
+// allocations: the arena's capacity stabilizes after a few batches.
+func (b *Batch) encodeFirsts(enc func(dst []byte, lo, hi int) []byte) {
 	n := b.NBlocks()
 	if cap(b.Comp) < n {
 		b.Comp = make([][]byte, n)
@@ -172,7 +178,7 @@ func (b *Batch) compressFirsts(m *lzss.Matcher) {
 		if b.firsts[k] {
 			off[k] = int32(len(arena))
 			lo, hi := b.Block(k)
-			arena = m.AppendCompress(arena, b.Data[lo:hi])
+			arena = enc(arena, lo, hi)
 		}
 	}
 	b.arena = arena

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"io"
+	"slices"
 	"time"
 
 	"streamgpu/internal/des"
@@ -192,22 +193,14 @@ func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch,
 	if n == 0 {
 		return
 	}
-	isFirst := make([]bool, n)
-	store.FirstSightings(b.Hashes, isFirst)
-	var firsts []int
-	for k := 0; k < n; k++ {
-		if isFirst[k] {
-			firsts = append(firsts, k)
-		}
-	}
-	if len(firsts) == 0 {
+	b.markFirsts(store)
+	if !slices.Contains(b.firsts, true) {
 		return
 	}
 	cpu := func() {
-		for _, k := range firsts {
-			lo, hi := b.Block(k)
-			b.Comp[k] = lzss.Compress(b.Data[lo:hi])
-		}
+		m := laneMatchers.Get()
+		b.compressFirsts(m)
+		laneMatchers.Release(m)
 		rep.CPUCompress++
 	}
 	sz := int64(len(b.Data))
@@ -238,10 +231,7 @@ func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch,
 		return
 	}
 	ml, mo := lzss.ReadMatches(hMl.Data, hMo.Data, len(b.Data))
-	for _, k := range firsts {
-		lo, hi := b.Block(k)
-		b.Comp[k] = lzss.EncodeFromMatches(b.Data, lo, hi, ml, mo)
-	}
+	b.encodeFirsts(func(dst []byte, lo, hi int) []byte { return lzss.AppendEncode(dst, b.Data, lo, hi, ml, mo) })
 	rep.GPUCompress++
 }
 

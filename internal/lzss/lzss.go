@@ -8,20 +8,23 @@
 //     longest match strictly inside that position's block and within the
 //     sliding window — this is the work the paper offloads to the GPU as a
 //     single FindMatchKernel call per batch (Listing 3);
-//   - EncodeFromMatches then performs the cheap sequential entropy step on
-//     the CPU, exactly as the paper does ("In CPU, we used the result of
-//     the kernel function to run the compression on each block").
+//   - AppendEncode (EncodeFromMatches) then performs the cheap sequential
+//     entropy step on the CPU, exactly as the paper does ("In CPU, we used
+//     the result of the kernel function to run the compression on each
+//     block"), jumping over every match it emits.
 //
 // Match semantics: a match for position i is a source range [c, c+L) with
 // c in the same block, i-c <= WindowSize, c+L <= i (no self-overlap, as in
 // the paper's kernel which stops the search at the current position), and
 // MinMatch <= L <= MaxMatch. Among longest matches the nearest source wins.
 //
-// Two implementations are provided and tested for exact equivalence: a
-// brute-force reference with the kernel's loop structure (FindMatchesRef)
-// and a hash-chain implementation (FindMatches) used both by the CPU
-// compressor and as the functional body of the GPU kernel, whose *cost
-// model* still charges the brute-force work a real GPU would do.
+// Three implementations are tested for exact equivalence: a brute-force
+// reference with the kernel's loop structure (FindMatchesRef); the
+// all-positions hash-chain FindMatches, the functional body of the GPU
+// kernel, whose *cost model* still charges the brute-force work a real GPU
+// would do; and the host encoder (*Matcher).AppendCompress, which every CPU
+// compress path runs: the same chains, searched only where the greedy
+// encoder starts a token, so no match is computed only to be jumped over.
 package lzss
 
 import (
@@ -109,8 +112,9 @@ func FindMatchesRef(input []byte, startPos []int32, matchLen, matchOff []int32) 
 	}
 }
 
-// Matcher holds the hash-chain tables FindMatches needs, so repeated calls
-// reuse them instead of reallocating ~¾ MB per batch. The zero value is
+// Matcher holds the hash-chain tables FindMatches and AppendCompress share
+// (bucket heads, their epoch stamps, and the per-position chain links), so
+// repeated calls reuse them instead of reallocating. The zero value is
 // ready to use; a Matcher must not be shared between concurrent calls.
 // The streaming runtimes keep one Matcher per compress-stage replica.
 type Matcher struct {
@@ -118,9 +122,6 @@ type Matcher struct {
 	stamp [hashSize]int32
 	prev  []int32
 	epoch int32
-	// Scratch for AppendCompress (standalone single-block encoding).
-	ml, mo []int32
-	one    [1]int32
 }
 
 // NewMatcher returns a fresh Matcher.
@@ -175,14 +176,7 @@ func (m *Matcher) findMatchesRange(input []byte, startPos []int32, k0, k1 int, m
 	for k := k0; k < k1; k++ {
 		lo := int(startPos[k])
 		hi := blockEnd(startPos, k, len(input))
-		if m.epoch == math.MaxInt32 {
-			// Epoch wrap: invalidate every stale stamp explicitly. In
-			// practice unreachable (2^31 blocks), but cheap to be exact.
-			m.stamp = [hashSize]int32{}
-			m.epoch = 0
-		}
-		m.epoch++
-		epoch := m.epoch
+		epoch := m.nextEpoch()
 		for i := lo; i < hi; i++ {
 			best, bestC := 0, -1
 			maxHere := hi - i
@@ -215,13 +209,7 @@ func (m *Matcher) findMatchesRange(input []byte, startPos []int32, k0, k1 int, m
 				}
 				// Insert i for later positions (candidates are strictly
 				// earlier, so insert after searching).
-				if stamp[h] == epoch {
-					prev[i] = head[h]
-				} else {
-					stamp[h] = epoch
-					prev[i] = -1
-				}
-				head[h] = int32(i)
+				m.insert(prev, h, i, epoch)
 			}
 			if best >= MinMatch {
 				matchLen[i] = int32(best)
@@ -232,6 +220,31 @@ func (m *Matcher) findMatchesRange(input []byte, startPos []int32, k0, k1 int, m
 			}
 		}
 	}
+}
+
+// nextEpoch starts a new block: bumping the epoch invalidates every chain
+// bucket stamped by earlier blocks without touching the tables.
+func (m *Matcher) nextEpoch() int32 {
+	if m.epoch == math.MaxInt32 {
+		// Epoch wrap: invalidate every stale stamp explicitly. In
+		// practice unreachable (2^31 blocks), but cheap to be exact.
+		m.stamp = [hashSize]int32{}
+		m.epoch = 0
+	}
+	m.epoch++
+	return m.epoch
+}
+
+// insert pushes position i onto bucket h's chain; a bucket last stamped in
+// an earlier epoch (block) starts a fresh chain.
+func (m *Matcher) insert(prev []int32, h uint32, i int, epoch int32) {
+	if m.stamp[h] == epoch {
+		prev[i] = m.head[h]
+	} else {
+		m.stamp[h] = epoch
+		prev[i] = -1
+	}
+	m.head[h] = int32(i)
 }
 
 // matchLen8 returns the length of the common prefix of input[c:] and
@@ -322,21 +335,73 @@ func Compress(block []byte) []byte {
 	return out
 }
 
-// AppendCompress encodes a single standalone block, appending to dst, using
-// the Matcher's internal match arrays as scratch. With a recycled dst this
-// is the zero-allocation form of Compress.
+// AppendCompress encodes a single standalone block, appending to dst; with a
+// recycled dst it does not allocate. One greedy walk: search the chain only
+// where a token starts, and only insert the positions a match skips. Every
+// position is still inserted in order, so each search sees the chain
+// FindMatches would have built and the output is byte-identical to
+// FindMatches + AppendEncode.
 func (m *Matcher) AppendCompress(dst []byte, block []byte) []byte {
-	if len(block) == 0 {
-		return append(dst, 0)
+	dst = binary.AppendUvarint(dst, uint64(len(block)))
+	hi := len(block)
+	if hi > cap(m.prev) {
+		m.prev = make([]int32, hi)
 	}
-	if len(block) > cap(m.ml) {
-		m.ml = make([]int32, len(block))
-		m.mo = make([]int32, len(block))
+	prev := m.prev[:cap(m.prev)]
+	head, stamp := &m.head, &m.stamp
+	epoch := m.nextEpoch()
+	// Positions at or past hashEnd have fewer than MinMatch bytes left: they
+	// can neither start a match nor be hashed into the chain.
+	hashEnd := hi - MinMatch + 1
+
+	var flags byte
+	nflags, flagPos := 0, -1
+	for i := 0; i < hi; {
+		if nflags == 0 {
+			flagPos = len(dst)
+			dst = append(dst, 0)
+		}
+		best, bestC := 0, -1
+		if i < hashEnd {
+			maxHere := min(hi-i, MaxMatch)
+			h := hash3(block[i], block[i+1], block[i+2])
+			if stamp[h] == epoch {
+				winLo := int32(max(i-WindowSize, 0))
+				for c := head[h]; c >= winLo; c = prev[c] {
+					limit := min(maxHere, i-int(c))
+					if best >= limit || block[int(c)+best] != block[i+best] {
+						continue
+					}
+					if l := matchLen8(block, int(c), i, limit); l > best {
+						best, bestC = l, int(c)
+						if best == maxHere {
+							break
+						}
+					}
+				}
+			}
+			m.insert(prev, h, i, epoch)
+		}
+		if best >= MinMatch {
+			flags |= 1 << uint(nflags)
+			v := uint16(i-bestC-1)<<4 | uint16(best-MinMatch)
+			dst = append(dst, byte(v>>8), byte(v))
+			// Insert-only for the positions the match covers.
+			for j, end := i+1, min(i+best, hashEnd); j < end; j++ {
+				m.insert(prev, hash3(block[j], block[j+1], block[j+2]), j, epoch)
+			}
+			i += best
+		} else {
+			dst = append(dst, block[i])
+			i++
+		}
+		dst[flagPos] = flags
+		nflags++
+		if nflags == 8 {
+			flags, nflags = 0, 0
+		}
 	}
-	ml := m.ml[:len(block)]
-	mo := m.mo[:len(block)]
-	m.FindMatches(block, m.one[:], ml, mo)
-	return AppendEncode(dst, block, 0, len(block), ml, mo)
+	return dst
 }
 
 // ErrCorrupt is returned by Decompress for malformed input.
