@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-json lint-selftest test race chaos cluster diag fuzz bench-json bench-gate bench-serve verify
+.PHONY: build vet lint lint-json lint-selftest test race chaos cluster diag fuzz bench-json bench-gate bench-serve figures-cmp verify
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,27 @@ SEED ?= 1
 TRACE ?= 0
 bench-serve:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $(TRACE)
+
+# figures-cmp makes "virtual time did not move" a command: it builds
+# cmd/figures from BASE (a `git archive` of that revision, unpacked in a
+# temporary directory that is removed afterwards) and from the working tree,
+# runs both over every figure — Fig. 1/4/5 and the Fig. 7 fleet table — at a
+# reduced size, and `cmp`s the two outputs byte for byte. Virtual-time tables
+# are a pure function of the code, so any difference is a change to the
+# simulator's timing, its cost models, or placement. FIGURES_FLAGS= (empty)
+# compares the full default-size figures instead.
+BASE ?= HEAD
+FIGURES_FLAGS ?= -niter 100 -dedup-scale 0.004
+figures-cmp:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/figures.base" ./cmd/figures); \
+	$(GO) build -o "$$tmp/figures.tree" ./cmd/figures; \
+	"$$tmp/figures.base" -fig all $(FIGURES_FLAGS) > "$$tmp/base.txt" 2>/dev/null; \
+	"$$tmp/figures.tree" -fig all $(FIGURES_FLAGS) > "$$tmp/tree.txt" 2>/dev/null; \
+	grep -q 'Fig. 7' "$$tmp/tree.txt" || { echo "figures-cmp: no Fig. 7 table in the output"; exit 1; }; \
+	cmp "$$tmp/base.txt" "$$tmp/tree.txt" || { diff "$$tmp/base.txt" "$$tmp/tree.txt" | head -20; exit 1; }; \
+	echo "figures-cmp: $$(wc -l < "$$tmp/tree.txt") lines of figures identical to $(BASE)"
 
 # verify mirrors the test and lint jobs of .github/workflows/ci.yml. The
 # bench-gate job is separate on purpose: benchmark numbers want a quiet

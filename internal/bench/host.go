@@ -31,6 +31,14 @@ type HostResult struct {
 	Unit        string  `json:"unit"`
 	Value       float64 `json:"value"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Before and BeforeAllocsPerOp are the ledger half of a committed
+	// baseline entry: the same measurement on the same machine at the commit
+	// before the change that claims the entry, written by hand when the
+	// baseline is re-recorded. RunHost never sets them and Diff ignores
+	// them; they are there so a claimed win has its before/after pair next to
+	// the number that ratchets it.
+	Before            float64 `json:"before,omitempty"`
+	BeforeAllocsPerOp float64 `json:"before_allocs_per_op,omitempty"`
 }
 
 // HostReport is the full suite output, the schema committed as
@@ -250,6 +258,17 @@ func addDedupStages(add func(name, unit string, value, allocs float64), min time
 	compress := func() { batch.CompressFirsts(m, lzss.DefaultLanes()) }
 	sec = hostTime(min, compress)
 	add("dedup_compress", "MB/s", bmb/sec, hostAllocs(4, compress))
+
+	// The served GPU path: one batch through Processor.Process on the
+	// simulated device — hash and FindMatch kernels, their copies, and the
+	// encode from the downloaded matches. Wall clock, not virtual time: this
+	// is what a serve_gpu request waits for. The allocation pin covers the
+	// per-batch simulation (DES processes and events, device, stream, buffer
+	// handles); buffers come from the Processor's persistent memory space.
+	gp := dedup.NewProcessor(dedup.GPUOptions{}, true)
+	gpuBatch := func() { gp.Process(batch, allFirsts{}) }
+	sec = hostTime(min, gpuBatch)
+	add("gpu_process_batch", "MB/s", bmb/sec, hostAllocs(8, gpuBatch))
 
 	// Dedup-hint store under contention: GOMAXPROCS goroutines hammering one
 	// sharded store with overlapping batches of hashes. Allocation accounting

@@ -132,23 +132,25 @@ func FragmentInto(input []byte, batchSize int, emit func(*Batch)) {
 // HashBlocks computes the SHA-1 of every block (the CPU path of stage 2),
 // reusing the batch's Hashes capacity when it suffices.
 func (b *Batch) HashBlocks() {
-	n := b.NBlocks()
-	if cap(b.Hashes) < n {
-		b.Hashes = make([][sha1x.Size]byte, n)
+	sha1x.SumBatch(b.Data, b.StartPos, resized(&b.Hashes, b.NBlocks()))
+}
+
+// resized returns *p resized to n entries, reallocating only to grow; the
+// entries are the caller's to fill. It is how every per-batch array —
+// on the Batch and in the GPU path's memory space — keeps its capacity from
+// one batch to the next.
+func resized[T any](p *[]T, n int) []T {
+	if cap(*p) < n {
+		*p = make([]T, n)
 	}
-	b.Hashes = b.Hashes[:n]
-	sha1x.SumBatch(b.Data, b.StartPos, b.Hashes)
+	*p = (*p)[:n]
+	return *p
 }
 
 // markFirsts runs the dedup stage: one batched store lookup fills
 // b.firsts[k] with whether block k's hash was seen here first.
 func (b *Batch) markFirsts(store BlockStore) {
-	n := b.NBlocks()
-	if cap(b.firsts) < n {
-		b.firsts = make([]bool, n)
-	}
-	b.firsts = b.firsts[:n]
-	store.FirstSightings(b.Hashes, b.firsts)
+	store.FirstSightings(b.Hashes, resized(&b.firsts, b.NBlocks()))
 }
 
 // compressFirsts LZSS-compresses every first-sighting block on the CPU; see
@@ -164,14 +166,8 @@ func (b *Batch) compressFirsts(m *lzss.Matcher) {
 // allocations: the arena's capacity stabilizes after a few batches.
 func (b *Batch) encodeFirsts(enc func(dst []byte, lo, hi int) []byte) {
 	n := b.NBlocks()
-	if cap(b.Comp) < n {
-		b.Comp = make([][]byte, n)
-	}
-	b.Comp = b.Comp[:n]
-	if cap(b.compOff) < n {
-		b.compOff = make([]int32, n)
-	}
-	off := b.compOff[:n]
+	resized(&b.Comp, n)
+	off := resized(&b.compOff, n)
 	arena := b.arena[:0]
 	for k := 0; k < n; k++ {
 		off[k] = -1

@@ -118,11 +118,12 @@ func CompressGPU(input []byte, w io.Writer, opt GPUOptions) (Stats, GPUReport, e
 		dev.SetFaultInjector(fault.New(opt.Faults))
 	}
 	var writeErr error
+	ms := newMemSpace()
 	sim.Spawn("dedup-gpu", func(proc *des.Proc) {
 		st := dev.NewStream("")
 		for _, b := range batches {
-			gpuHashBatch(proc, st, dev, b, opt, &rep)
-			gpuCompressBatch(proc, st, dev, b, store, opt, &rep)
+			gpuHashBatch(proc, st, dev, b, ms, opt, &rep)
+			gpuCompressBatch(proc, st, dev, b, ms, store, opt, &rep)
 			if err := writeBatch(b, dw); err != nil {
 				writeErr = err
 				return
@@ -143,43 +144,100 @@ func CompressGPU(input []byte, w io.Writer, opt GPUOptions) (Stats, GPUReport, e
 	return dw.Stats(), rep, nil
 }
 
+// memSpace is one persistent device memory space — the unit the paper's
+// Fig. 5 "2× mem spaces" step cycles across batches: the bytes behind a
+// batch's device buffers, its pinned host staging buffers, and the host-side
+// match scratch of the fast FindMatch kernel. It grows to the largest batch
+// it has served and is attached anew to each batch's device
+// (gpu.MallocOver), so a warm stream offloads without allocating or clearing
+// a buffer. It carries no data from batch to batch: every byte a batch reads
+// from it was written by that batch's own copies and kernels first, which
+// the stale-buffer test checks by poisoning it between batches.
+type memSpace struct {
+	dIn, dSp, dHash, dMl, dMo []byte      // device-buffer backing
+	hSp, hHash, hMl, hMo      gpu.HostBuf // pinned staging
+	pre                       lzss.Matches
+}
+
+func newMemSpace() *memSpace {
+	pinned := gpu.HostBuf{Pinned: true}
+	return &memSpace{hSp: pinned, hHash: pinned, hMl: pinned, hMo: pinned}
+}
+
+// inputs returns the kernel-input slabs (batch bytes, block starts) for a
+// batch of sz bytes in n blocks, zeroed. Zeroed because an upload the
+// injector fails leaves its destination as allocated, and the kernel queued
+// behind it in the same attempt still runs and is timed on what it finds
+// there: zeros keep that doomed attempt's virtual time — and the SHA-1
+// kernel's block bounds — a function of this batch, not of the previous
+// one. The output slabs need no such care: nothing reads them before a
+// kernel of the same attempt has written them.
+func (ms *memSpace) inputs(sz, n int) (in, sp []byte) {
+	in, sp = resized(&ms.dIn, sz), resized(&ms.dSp, n*4)
+	clear(in)
+	clear(sp)
+	return in, sp
+}
+
+// attach allocates one device buffer over each backing slab — all or none —
+// and returns the function that frees them.
+func attach(dev *gpu.Device, bufs []*gpu.Buf, backing ...[]byte) (free func(), err error) {
+	free = func() {
+		for _, b := range bufs {
+			if b != nil {
+				b.Free()
+			}
+		}
+	}
+	for i, s := range backing {
+		if bufs[i], err = dev.MallocOver(s); err != nil {
+			free()
+			return nil, err
+		}
+	}
+	return free, nil
+}
+
 // gpuHashBatch fills b.Hashes, preferring the device SHA-1 kernel and
 // degrading to the CPU path on device loss or an exhausted retry budget.
-func gpuHashBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, opt GPUOptions, rep *GPUReport) {
+func gpuHashBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, ms *memSpace, opt GPUOptions, rep *GPUReport) {
 	n := b.NBlocks()
 	if n == 0 {
-		b.Hashes = nil
+		b.Hashes = b.Hashes[:0]
 		return
 	}
 	cpu := func() {
 		b.HashBlocks()
 		rep.CPUHash++
 	}
-	dIn, dSp, dOut, freeAll, err := mallocN(dev, int64(len(b.Data)), int64(n*4), int64(n*sha1x.Size))
+	sz := len(b.Data)
+	var d [3]*gpu.Buf
+	in, sp := ms.inputs(sz, n)
+	free, err := attach(dev, d[:], in, sp, resized(&ms.dHash, n*sha1x.Size))
 	if err != nil {
 		cpu()
 		return
 	}
-	defer freeAll()
+	defer free()
+	dIn, dSp, dOut := d[0], d[1], d[2]
 	hIn := gpu.WrapHost(b.Data)
-	hSp := gpu.NewPinnedBuf(int64(n * 4))
-	sha1x.PutStartPos(hSp.Data, b.StartPos)
-	hOut := gpu.NewPinnedBuf(int64(n * sha1x.Size))
+	sha1x.PutStartPos(resized(&ms.hSp.Data, n*4), b.StartPos)
+	resized(&ms.hHash.Data, n*sha1x.Size)
 
 	run := func() error {
-		ev1 := st.CopyH2D(proc, dIn, 0, hIn, 0, int64(len(b.Data)))
-		ev2 := st.CopyH2D(proc, dSp, 0, hSp, 0, int64(n*4))
-		evK := st.Launch(proc, sha1x.Kernel.Bind(dIn, dSp, n, len(b.Data), dOut), gpu.Grid1D(n, 64))
-		evC := st.CopyD2H(proc, hOut, 0, dOut, 0, int64(n*sha1x.Size))
+		ev1 := st.CopyH2D(proc, dIn, 0, hIn, 0, int64(sz))
+		ev2 := st.CopyH2D(proc, dSp, 0, &ms.hSp, 0, int64(n*4))
+		evK := st.Launch(proc, sha1x.Kernel.Bind(dIn, dSp, n, sz, dOut), gpu.Grid1D(n, 64))
+		evC := st.CopyD2H(proc, &ms.hHash, 0, dOut, 0, int64(n*sha1x.Size))
 		return gpu.WaitErr(proc, ev1, ev2, evK, evC)
 	}
 	if err := withRetry(proc, opt.maxRetries(), rep, run); err != nil {
 		cpu()
 		return
 	}
-	b.Hashes = make([][sha1x.Size]byte, n)
+	resized(&b.Hashes, n)
 	for k := 0; k < n; k++ {
-		copy(b.Hashes[k][:], hOut.Data[k*sha1x.Size:])
+		copy(b.Hashes[k][:], ms.hHash.Data[k*sha1x.Size:])
 	}
 	rep.GPUHash++
 }
@@ -187,9 +245,9 @@ func gpuHashBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, opt
 // gpuCompressBatch fills b.Comp for the blocks this run sees first,
 // preferring the device match kernel and degrading to the CPU path on
 // device loss or an exhausted retry budget.
-func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, store BlockStore, opt GPUOptions, rep *GPUReport) {
+func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, ms *memSpace, store BlockStore, opt GPUOptions, rep *GPUReport) {
 	n := b.NBlocks()
-	b.Comp = make([][]byte, n)
+	clear(resized(&b.Comp, n))
 	if n == 0 {
 		return
 	}
@@ -203,35 +261,39 @@ func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch,
 		laneMatchers.Release(m)
 		rep.CPUCompress++
 	}
-	sz := int64(len(b.Data))
-	dIn, dSp, dMl, dMo, freeAll, err := malloc4(dev, sz, int64(n*4), sz*4, sz*4)
+	sz := len(b.Data)
+	var d [4]*gpu.Buf
+	in, sp := ms.inputs(sz, n)
+	free, err := attach(dev, d[:], in, sp, resized(&ms.dMl, sz*4), resized(&ms.dMo, sz*4))
 	if err != nil {
 		cpu()
 		return
 	}
-	defer freeAll()
+	defer free()
+	dIn, dSp, dMl, dMo := d[0], d[1], d[2], d[3]
 	hIn := gpu.WrapHost(b.Data)
-	hSp := gpu.NewPinnedBuf(int64(n * 4))
-	sha1x.PutStartPos(hSp.Data, b.StartPos)
-	hMl := gpu.NewPinnedBuf(sz * 4)
-	hMo := gpu.NewPinnedBuf(sz * 4)
-	pre := lzss.Precompute(b.Data, b.StartPos)
+	sha1x.PutStartPos(resized(&ms.hSp.Data, n*4), b.StartPos)
+	resized(&ms.hMl.Data, sz*4)
+	resized(&ms.hMo.Data, sz*4)
+	ms.pre.Fill(b.Data, b.StartPos)
 	spec := lzss.FastKernel()
 
 	run := func() error {
-		ev1 := st.CopyH2D(proc, dIn, 0, hIn, 0, sz)
-		ev2 := st.CopyH2D(proc, dSp, 0, hSp, 0, int64(n*4))
-		evK := st.Launch(proc, spec.Bind(dIn, len(b.Data), dSp, n, dMl, dMo, pre), gpu.Grid1D(len(b.Data), 128))
-		evL := st.CopyD2H(proc, hMl, 0, dMl, 0, sz*4)
-		evO := st.CopyD2H(proc, hMo, 0, dMo, 0, sz*4)
+		ev1 := st.CopyH2D(proc, dIn, 0, hIn, 0, int64(sz))
+		ev2 := st.CopyH2D(proc, dSp, 0, &ms.hSp, 0, int64(n*4))
+		evK := st.Launch(proc, spec.Bind(dIn, sz, dSp, n, dMl, dMo, &ms.pre), gpu.Grid1D(sz, 128))
+		evL := st.CopyD2H(proc, &ms.hMl, 0, dMl, 0, int64(sz*4))
+		evO := st.CopyD2H(proc, &ms.hMo, 0, dMo, 0, int64(sz*4))
 		return gpu.WaitErr(proc, ev1, ev2, evK, evL, evO)
 	}
 	if err := withRetry(proc, opt.maxRetries(), rep, run); err != nil {
 		cpu()
 		return
 	}
-	ml, mo := lzss.ReadMatches(hMl.Data, hMo.Data, len(b.Data))
-	b.encodeFirsts(func(dst []byte, lo, hi int) []byte { return lzss.AppendEncode(dst, b.Data, lo, hi, ml, mo) })
+	// Encode straight from the downloaded little-endian match buffers.
+	b.encodeFirsts(func(dst []byte, lo, hi int) []byte {
+		return lzss.AppendEncode(dst, b.Data, lo, hi, ms.hMl.Data, ms.hMo.Data)
+	})
 	rep.GPUCompress++
 }
 
@@ -251,38 +313,4 @@ func withRetry(proc *des.Proc, maxRetries int, rep *GPUReport, fn func() error) 
 		proc.Wait(backoff)
 		backoff *= 2
 	}
-}
-
-// mallocN allocates three device buffers or none, returning a single
-// release function.
-func mallocN(dev *gpu.Device, n1, n2, n3 int64) (b1, b2, b3 *gpu.Buf, free func(), err error) {
-	bufs := make([]*gpu.Buf, 0, 3)
-	free = func() {
-		for _, b := range bufs {
-			b.Free()
-		}
-	}
-	for _, n := range []int64{n1, n2, n3} {
-		b, err := dev.Malloc(n)
-		if err != nil {
-			free()
-			return nil, nil, nil, nil, err
-		}
-		bufs = append(bufs, b)
-	}
-	return bufs[0], bufs[1], bufs[2], free, nil
-}
-
-// malloc4 is mallocN for four buffers.
-func malloc4(dev *gpu.Device, n1, n2, n3, n4 int64) (b1, b2, b3, b4 *gpu.Buf, free func(), err error) {
-	a, b, c, freeABC, err := mallocN(dev, n1, n2, n3)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	d, err := dev.Malloc(n4)
-	if err != nil {
-		freeABC()
-		return nil, nil, nil, nil, nil, err
-	}
-	return a, b, c, d, func() { freeABC(); d.Free() }, nil
 }

@@ -1,7 +1,7 @@
 package dedup
 
 import (
-	"fmt"
+	"strconv"
 
 	"streamgpu/internal/des"
 	"streamgpu/internal/fault"
@@ -65,6 +65,19 @@ type Processor struct {
 	gpu bool
 	m   *lzss.Matcher
 	rep GPUReport
+
+	// GPU path state, built on first use and kept for the Processor's life:
+	// the one memory space its batches cycle through, and per device index
+	// the metric handles a per-batch device would otherwise look up again.
+	ms        *memSpace
+	devs      []devHandles
+	placedCPU *telemetry.Counter
+}
+
+// devHandles is what the Processor resolves once per device index.
+type devHandles struct {
+	tel            *gpu.Instruments
+	placed, probes *telemetry.Counter // dedup_placed_total{probe="false"|"true"}
 }
 
 // NewProcessor builds a processor. useGPU selects the device path; opt's
@@ -170,17 +183,25 @@ func (p *Processor) processGPU(b *Batch, store BlockStore) {
 	if !route.Device {
 		p.processCPU(b, store)
 		p.rep.Rerouted++
-		p.opt.Metrics.Counter("dedup_placed_total", placeLabels(-1, nil, false)).Add(1)
+		p.countPlaced(&p.placedCPU, "cpu", false)
 		if p.opt.Placed != nil {
 			p.opt.Placed(-1, false, 0)
 		}
 		return
 	}
 
+	if p.ms == nil {
+		p.ms = newMemSpace()
+		p.devs = make([]devHandles, p.opt.devices())
+	}
+	h := &p.devs[devIdx]
 	before := p.rep
 	sim := des.New()
 	dev := gpu.NewDevice(sim, p.opt.specFor(devIdx), devIdx)
-	dev.SetTelemetry(p.opt.Metrics)
+	if h.tel == nil {
+		h.tel = gpu.NewInstruments(p.opt.Metrics, devIdx)
+	}
+	dev.SetInstruments(h.tel)
 	if fc := p.opt.faultsFor(devIdx); fc != (fault.Config{}) {
 		// Decorrelate batches while keeping each schedule reproducible.
 		fc.Seed ^= int64(uint64(b.Seq+1) * 0x9e3779b97f4a7c15)
@@ -189,8 +210,8 @@ func (p *Processor) processGPU(b *Batch, store BlockStore) {
 	done := false
 	sim.Spawn("serve-batch", func(proc *des.Proc) {
 		st := dev.NewStream("")
-		gpuHashBatch(proc, st, dev, b, p.opt, &p.rep)
-		gpuCompressBatch(proc, st, dev, b, store, p.opt, &p.rep)
+		gpuHashBatch(proc, st, dev, b, p.ms, p.opt, &p.rep)
+		gpuCompressBatch(proc, st, dev, b, p.ms, store, p.opt, &p.rep)
 		done = true
 	})
 	end, err := sim.Run()
@@ -222,19 +243,28 @@ func (p *Processor) processGPU(b *Batch, store BlockStore) {
 			p.opt.Health.ObserveService(devIdx, virt, len(b.Data))
 		}
 	}
-	p.opt.Metrics.Counter("dedup_placed_total", placeLabels(devIdx, dev, route.Probe)).Add(1)
+	if route.Probe {
+		p.countPlaced(&h.probes, dev.Name(), true)
+	} else {
+		p.countPlaced(&h.placed, dev.Name(), false)
+	}
 	if p.opt.Placed != nil {
 		p.opt.Placed(devIdx, route.Probe, virt)
 	}
 }
 
+// countPlaced bumps dedup_placed_total{device, probe} through *c, resolving
+// the handle on first use.
+func (p *Processor) countPlaced(c **telemetry.Counter, device string, probe bool) {
+	if *c == nil {
+		*c = p.opt.Metrics.Counter("dedup_placed_total", placeLabels(device, probe))
+	}
+	(*c).Add(1)
+}
+
 // placeLabels builds the dedup_placed_total label set: the device's instance
 // name (or "cpu" for rerouted batches), and whether the batch was a probe
 // sent to a quarantined device rather than regular traffic.
-func placeLabels(devIdx int, dev *gpu.Device, probe bool) telemetry.Labels {
-	name := "cpu"
-	if devIdx >= 0 && dev != nil {
-		name = dev.Name()
-	}
-	return telemetry.Labels{"device": name, "probe": fmt.Sprintf("%v", probe)}
+func placeLabels(device string, probe bool) telemetry.Labels {
+	return telemetry.Labels{"device": device, "probe": strconv.FormatBool(probe)}
 }

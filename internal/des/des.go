@@ -234,7 +234,9 @@ func (p *Proc) yield(why string) {
 func (p *Proc) Wait(d Duration) {
 	s := p.sim
 	s.schedule(s.now.Add(d), func() { s.runProc(p) })
-	p.yield(fmt.Sprintf("wait %v", d))
+	// A timed wait always has its wake-up scheduled, so it can never appear
+	// in a deadlock report: the reason needs no detail worth allocating for.
+	p.yield("wait")
 }
 
 // WaitUntil suspends the process until virtual time t (no-op if t <= now).
@@ -244,7 +246,7 @@ func (p *Proc) WaitUntil(t Time) {
 	}
 	s := p.sim
 	s.schedule(t, func() { s.runProc(p) })
-	p.yield(fmt.Sprintf("until %d", t))
+	p.yield("wait until")
 }
 
 // teardown wakes every parked process so its goroutine unwinds and exits

@@ -38,8 +38,9 @@ func probeDeviceQuery(o Options, p *des.Proc, dev *gpu.Device, res *ProbeResult)
 	return nil
 }
 
-// vecAddKernel is the correctness kernel: c[i] = a[i] + b[i] over bytes.
-var vecAddKernel = &gpu.KernelSpec{
+// VecAddKernel is the correctness kernel: c[i] = a[i] + b[i] over bytes.
+// Args: a, b, c *gpu.Buf, n int.
+var VecAddKernel = &gpu.KernelSpec{
 	Name:          "diag_vecadd",
 	RegsPerThread: 8,
 	Body: func(t gpu.Thread, args []any) int64 {
@@ -74,7 +75,7 @@ func probeVectorAdd(o Options, p *des.Proc, dev *gpu.Device, res *ProbeResult) e
 	st := dev.NewStream("diag-vecadd")
 	evA := st.CopyH2D(p, dA, 0, hA, 0, int64(n))
 	evB := st.CopyH2D(p, dB, 0, hB, 0, int64(n))
-	evK := st.Launch(p, vecAddKernel.Bind(dA, dB, dC, n), gpu.Grid1D(n, 128))
+	evK := st.Launch(p, VecAddKernel.Bind(dA, dB, dC, n), gpu.Grid1D(n, 128))
 	evC := st.CopyD2H(p, hC, 0, dC, 0, int64(n))
 	if err := gpu.WaitErr(p, evA, evB, evK, evC); err != nil {
 		return err
@@ -171,9 +172,9 @@ func specBps(s gpu.DeviceSpec, h2d, pinned bool) float64 {
 	}
 }
 
-// grindKernel increments every byte in place — cheap compute that makes
-// data corruption visible at the end of the grind.
-var grindKernel = &gpu.KernelSpec{
+// GrindKernel increments every byte in place — cheap compute that makes
+// data corruption visible at the end of the grind. Args: buf *gpu.Buf, n int.
+var GrindKernel = &gpu.KernelSpec{
 	Name:          "diag_grind",
 	RegsPerThread: 8,
 	Body: func(t gpu.Thread, args []any) int64 {
@@ -226,7 +227,7 @@ func probeBusGrind(o Options, p *des.Proc, dev *gpu.Device, res *ProbeResult) er
 	for i := 0; i < ops; i++ {
 		b := i % 2
 		evU := stUp.CopyH2D(p, dBuf[b], 0, hSrc, 0, sz)
-		evK := stUp.Launch(p, grindKernel.Bind(dBuf[b], sz), gpu.Grid1D(sz, 128))
+		evK := stUp.Launch(p, GrindKernel.Bind(dBuf[b], sz), gpu.Grid1D(sz, 128))
 		if prevDown != nil {
 			// The previous round's download lands while this round's
 			// upload+kernel are in flight — that concurrency is the grind.

@@ -112,7 +112,7 @@ type Device struct {
 	inj *fault.Injector
 
 	// tel, when set, mirrors device activity into a metrics registry.
-	tel *devTelem
+	tel *Instruments
 
 	// Copy/compute overlap accounting (see markBusy/markIdle). Plain fields:
 	// only simulation processes touch them, and the simulation is cooperative.
@@ -120,6 +120,8 @@ type Device struct {
 	copyHeld     int
 	overlapOpen  bool
 	overlapStart des.Time
+
+	exec execState
 
 	stats Stats
 }
@@ -141,7 +143,7 @@ type Stats struct {
 
 // NewDevice creates a device attached to sim. id distinguishes multiple GPUs.
 func NewDevice(sim *des.Sim, spec DeviceSpec, id int) *Device {
-	name := fmt.Sprintf("gpu%d", id)
+	name := deviceName(id)
 	return &Device{
 		Spec:    spec,
 		ID:      id,
@@ -152,6 +154,9 @@ func NewDevice(sim *des.Sim, spec DeviceSpec, id int) *Device {
 		d2h:     des.NewResource(sim, name+".d2h", 1),
 	}
 }
+
+// deviceName is device id's instance name, the {device} label of its metrics.
+func deviceName(id int) string { return fmt.Sprintf("gpu%d", id) }
 
 // Sim returns the simulation the device belongs to.
 func (d *Device) Sim() *des.Sim { return d.sim }

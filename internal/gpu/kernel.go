@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"streamgpu/internal/des"
 )
@@ -99,11 +100,25 @@ func (t Thread) GlobalLinear() int {
 	return blockLinear*bd.Count() + threadInBlock
 }
 
-// ThreadFunc is a kernel body: it runs once per thread and returns the
-// thread's cost in device cycles. The returned cycles drive the timing
-// model; within a warp the maximum over threads is charged (lockstep
-// execution — warp divergence costs what the slowest lane costs).
+// ThreadFunc is a per-thread kernel body: it returns the thread's cost in
+// device cycles. The returned cycles drive the timing model; within a warp
+// the maximum over threads is charged (lockstep execution — warp divergence
+// costs what the slowest lane costs).
 type ThreadFunc func(t Thread) int64
+
+// Warp is what the executor hands a kernel body: a run of N threads of one
+// warp with consecutive threadIdx.x. The embedded Thread is the run's first
+// thread; the others differ only in Idx.X. A warp of a 1-D block (or of a
+// block whose x extent is a multiple of the warp size) is one run; a warp
+// that spans several rows of a narrow 2-D block arrives as one run per row.
+type Warp struct {
+	Thread
+	N int
+}
+
+// WarpFunc is a warp-granular kernel body: it does the work of every thread
+// in the run and returns the maximum of their cycle costs.
+type WarpFunc func(w Warp) int64
 
 // ExitCost is the conventional cycle cost for a thread that fails its bounds
 // check and returns immediately.
@@ -117,7 +132,27 @@ type Kernel struct {
 	RegsPerThread int
 	// SharedMemPerBlock limits how many blocks fit on an SM. Zero = none.
 	SharedMemPerBlock int64
-	Func              ThreadFunc
+	// Func defines the kernel thread by thread. The executor runs it through
+	// PerThread unless Warp is set.
+	Func ThreadFunc
+	// Warp, when set, is the body the executor runs. It must do what Func
+	// does for every thread of the run (the executor-equivalence test holds
+	// the two to equal results and equal cycles).
+	Warp WarpFunc
+}
+
+// PerThread adapts a per-thread body to the executor's warp granularity:
+// call f for each thread of the run, return the slowest.
+func PerThread(f ThreadFunc) WarpFunc {
+	return func(w Warp) int64 {
+		t := w.Thread
+		var worst int64
+		for i := 0; i < w.N; i++ {
+			worst = max(worst, f(t))
+			t.Idx.X++
+		}
+		return worst
+	}
 }
 
 // residentWarpsPerSM computes the occupancy limit for this kernel on spec:
@@ -162,81 +197,138 @@ type LaunchResult struct {
 	TotalCycles int64
 }
 
-// execute runs the kernel functionally (parallel on the host for speed) and
-// evaluates the cost model. It is invoked by the stream engine when the
-// kernel op reaches the head of its stream.
+// execState is a device's executor scratch, kept across launches so a launch
+// allocates nothing that scales with the grid or the SM count. One launch
+// runs at a time per device: the compute engine serializes kernels and the
+// simulation is cooperative.
+type execState struct {
+	perSM []int64      // divergence-adjusted cycle total per SM
+	lanes [][]int64    // partial per-SM totals of the extra host workers
+	next  atomic.Int64 // first unclaimed block of a fanned-out launch
+	wg    sync.WaitGroup
+}
+
+// zeroed returns *p resized to n zeroed entries, reusing its capacity.
+func zeroed(p *[]int64, n int) []int64 {
+	if cap(*p) < n {
+		*p = make([]int64, n)
+	}
+	*p = (*p)[:n]
+	clear(*p)
+	return *p
+}
+
+// launch is one kernel execution's geometry as the block walk needs it.
+type launch struct {
+	body            WarpFunc
+	bd, gd          Dim3
+	threadsPerBlock int
+	warpSize, sms   int
+}
+
+// run executes blocks [b0, b1) and adds each block's cycles to its SM's
+// entry of acc. Blocks are assigned to SMs round-robin in launch order, as
+// hardware block schedulers do for uniform kernels. A block's threads are
+// walked warp by warp (x fastest); a warp costs its slowest thread.
+func (l *launch) run(b0, b1 int, acc []int64) {
+	w := Warp{Thread: Thread{BlockDim: l.bd, GridDim: l.gd}}
+	for b := b0; b < b1; b++ {
+		w.Block = Dim3{X: b % l.gd.X, Y: (b / l.gd.X) % l.gd.Y, Z: b / (l.gd.X * l.gd.Y)}
+		var blockCycles int64
+		for lo := 0; lo < l.threadsPerBlock; lo += l.warpSize {
+			hi := min(lo+l.warpSize, l.threadsPerBlock)
+			var warpMax int64
+			// The warp's linear range [lo, hi) is one run per block row it
+			// touches.
+			for lin := lo; lin < hi; lin += w.N {
+				w.Idx = Dim3{X: lin % l.bd.X, Y: (lin / l.bd.X) % l.bd.Y, Z: lin / (l.bd.X * l.bd.Y)}
+				w.N = min(l.bd.X-w.Idx.X, hi-lin)
+				if c := l.body(w); c > warpMax {
+					warpMax = c
+				}
+			}
+			blockCycles += warpMax
+		}
+		acc[b%l.sms] += blockCycles
+	}
+}
+
+const (
+	// fanOutThreads is the smallest launch worth spreading over host cores:
+	// below it the goroutine hand-off costs more than the kernel body.
+	fanOutThreads = 1024
+	// chunksPerWorker sizes the block chunks workers claim, so a worker that
+	// drew expensive blocks does not hold the launch up.
+	chunksPerWorker = 8
+)
+
+// execute runs the kernel functionally and evaluates the cost model. It is
+// invoked by the stream engine when the kernel op reaches the head of its
+// stream. Large grids fan out over the host's cores, each worker claiming
+// chunks of blocks from an atomic index; per-SM cycle totals are sums, so
+// the result does not depend on who ran which block.
 func (d *Device) execute(k *Kernel, g Grid) LaunchResult {
 	spec := d.Spec
-	bd := g.Block.norm()
-	gd := g.Grid.norm()
 	nBlocks := g.Blocks()
-	threadsPerBlock := bd.Count()
-	warpsPerBlock := (threadsPerBlock + spec.WarpSize - 1) / spec.WarpSize
-
-	// Per-SM divergence-adjusted cycle totals. Blocks are assigned to SMs
-	// round-robin in launch order, as hardware block schedulers do for
-	// uniform kernels.
-	perSM := make([]int64, spec.SMs)
-	var mu sync.Mutex
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nBlocks {
-		workers = nBlocks
+	l := launch{
+		body:            k.Warp,
+		bd:              g.Block.norm(),
+		gd:              g.Grid.norm(),
+		threadsPerBlock: g.ThreadsPerBlock(),
+		warpSize:        spec.WarpSize,
+		sms:             spec.SMs,
 	}
-	if workers < 1 {
-		workers = 1
+	if l.body == nil {
+		l.body = PerThread(k.Func)
 	}
-	blockCh := make(chan int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]int64, spec.SMs)
-			for b := range blockCh {
-				bz := b / (gd.X * gd.Y)
-				by := (b / gd.X) % gd.Y
-				bx := b % gd.X
-				sm := b % spec.SMs
-				var blockCycles int64
-				// Walk the block's threads warp by warp (x fastest).
-				for w0 := 0; w0 < warpsPerBlock; w0++ {
-					var warpMax int64
-					lo := w0 * spec.WarpSize
-					hi := lo + spec.WarpSize
-					if hi > threadsPerBlock {
-						hi = threadsPerBlock
-					}
-					for lin := lo; lin < hi; lin++ {
-						tx := lin % bd.X
-						ty := (lin / bd.X) % bd.Y
-						tz := lin / (bd.X * bd.Y)
-						c := k.Func(Thread{
-							Idx:      Dim3{X: tx, Y: ty, Z: tz},
-							Block:    Dim3{X: bx, Y: by, Z: bz},
-							BlockDim: bd,
-							GridDim:  gd,
-						})
-						if c > warpMax {
-							warpMax = c
-						}
-					}
-					blockCycles += warpMax
+
+	x := &d.exec
+	perSM := zeroed(&x.perSM, spec.SMs)
+	workers := 1
+	if g.Threads() >= fanOutThreads {
+		workers = min(runtime.GOMAXPROCS(0), nBlocks)
+	}
+	if workers == 1 {
+		l.run(0, nBlocks, perSM)
+	} else {
+		chunk := max(1, nBlocks/(workers*chunksPerWorker))
+		x.next.Store(0)
+		claim := func(acc []int64) {
+			for {
+				b1 := int(x.next.Add(int64(chunk)))
+				if b1-chunk >= nBlocks {
+					return
 				}
-				local[sm] += blockCycles
+				l.run(b1-chunk, min(b1, nBlocks), acc)
 			}
-			mu.Lock()
-			for i, c := range local {
-				perSM[i] += c
+		}
+		for len(x.lanes) < workers-1 {
+			x.lanes = append(x.lanes, nil)
+		}
+		x.wg.Add(workers - 1)
+		for i := 0; i < workers-1; i++ {
+			acc := zeroed(&x.lanes[i], spec.SMs)
+			go func() {
+				defer x.wg.Done()
+				claim(acc)
+			}()
+		}
+		claim(perSM)
+		x.wg.Wait()
+		for _, lane := range x.lanes[:workers-1] {
+			for sm, c := range lane {
+				perSM[sm] += c
 			}
-			mu.Unlock()
-		}()
+		}
 	}
-	for b := 0; b < nBlocks; b++ {
-		blockCh <- b
-	}
-	close(blockCh)
-	wg.Wait()
+	return d.cost(k, g, perSM)
+}
+
+// cost turns a launch's per-SM cycle totals into its LaunchResult.
+func (d *Device) cost(k *Kernel, g Grid, perSM []int64) LaunchResult {
+	spec := d.Spec
+	nBlocks := g.Blocks()
+	warpsPerBlock := (g.ThreadsPerBlock() + spec.WarpSize - 1) / spec.WarpSize
 
 	// Cost model: each SM issues min(ipc, k/depLatency) warp-instructions
 	// per cycle where k is its resident-warp concurrency; the kernel runs

@@ -26,20 +26,40 @@ type Buf struct {
 // caller handles (fall back to CPU, fail over, or shrink the batch), never a
 // library-side panic.
 func (d *Device) Malloc(n int64) (*Buf, error) {
+	if err := d.reserve(n); err != nil {
+		return nil, err
+	}
+	return &Buf{dev: d, data: make([]byte, n)}, nil
+}
+
+// MallocOver is Malloc with the allocation's bytes supplied by the caller:
+// the same accounting and failure modes, but no host allocation — how a
+// memory space that outlives its (per-batch) device is attached to the next
+// one. Like cudaMalloc it promises nothing about the contents; the caller
+// must not touch backing until the buffer is freed.
+func (d *Device) MallocOver(backing []byte) (*Buf, error) {
+	if err := d.reserve(int64(len(backing))); err != nil {
+		return nil, err
+	}
+	return &Buf{dev: d, data: backing}, nil
+}
+
+// reserve accounts n bytes of device memory or says why it cannot.
+func (d *Device) reserve(n int64) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("gpu: malloc of %d bytes", n)
+		return fmt.Errorf("gpu: malloc of %d bytes", n)
 	}
 	if d.Lost() {
-		return nil, fmt.Errorf("gpu: malloc on %s: %w", d.name, fault.ErrDeviceLost)
+		return fmt.Errorf("gpu: malloc on %s: %w", d.name, fault.ErrDeviceLost)
 	}
 	if d.memUsed+n > d.Spec.GlobalMemBytes {
-		return nil, fmt.Errorf("%w: want %d, used %d of %d", ErrOutOfMemory, n, d.memUsed, d.Spec.GlobalMemBytes)
+		return fmt.Errorf("%w: want %d, used %d of %d", ErrOutOfMemory, n, d.memUsed, d.Spec.GlobalMemBytes)
 	}
 	d.memUsed += n
 	if d.memUsed > d.stats.PeakMemUsed {
 		d.stats.PeakMemUsed = d.memUsed
 	}
-	return &Buf{dev: d, data: make([]byte, n)}, nil
+	return nil
 }
 
 // Free releases the allocation. Double-free panics.

@@ -15,18 +15,28 @@ type KernelSpec struct {
 	Name              string
 	RegsPerThread     int
 	SharedMemPerBlock int64
-	// Body runs once per thread; args is the launch-time parameter list.
+	// Body defines the kernel: it runs once per thread; args is the
+	// launch-time parameter list.
 	Body func(t Thread, args []any) int64
+	// Warp, when set, is what launches execute instead of Body: Bind calls
+	// it once with the parameter list, so argument decoding is paid per
+	// launch, and the WarpFunc it returns does Body's work a run of threads
+	// at a time (see Kernel.Warp).
+	Warp func(args []any) WarpFunc
 }
 
 // Bind produces a launchable Kernel with the argument list fixed.
 func (ks *KernelSpec) Bind(args ...any) *Kernel {
 	bound := make([]any, len(args))
 	copy(bound, args)
-	return &Kernel{
+	k := &Kernel{
 		Name:              ks.Name,
 		RegsPerThread:     ks.RegsPerThread,
 		SharedMemPerBlock: ks.SharedMemPerBlock,
 		Func:              func(t Thread) int64 { return ks.Body(t, bound) },
 	}
+	if ks.Warp != nil {
+		k.Warp = ks.Warp(bound)
+	}
+	return k
 }

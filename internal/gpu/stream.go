@@ -84,8 +84,7 @@ func (d *Device) NewStream(name string) *Stream {
 		ops:  des.NewQueue[op](d.sim, name+".ops", 1024),
 	}
 	if d.tel != nil {
-		st.outstanding = d.tel.reg.Gauge("gpu_stream_outstanding_ops",
-			telemetry.Labels{"device": d.name, "stream": name})
+		st.outstanding = d.tel.streamGauge(name)
 	}
 	d.sim.SpawnDaemon(name, st.engine)
 	return st
@@ -222,7 +221,7 @@ func (st *Stream) engine(p *des.Proc) {
 
 // nextEvent creates the completion event for an op.
 func (st *Stream) nextEvent(kind string) *des.Event {
-	return st.dev.sim.NewEvent(fmt.Sprintf("%s.%s", st.name, kind))
+	return st.dev.sim.NewEvent(st.name + "." + kind)
 }
 
 // CopyH2D enqueues a host-to-device copy of n bytes and returns its

@@ -2,6 +2,7 @@ package lzss
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"streamgpu/internal/pool"
@@ -44,18 +45,26 @@ func TestMatcherAppendCompressAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendEncodeMatchesEncodeFromMatches checks the appending encoder
-// emits byte-identical output.
+// TestAppendEncodeMatchesEncodeFromMatches checks the appending encoder,
+// reading the whole batch's matches in the kernel's little-endian layout at
+// batch-absolute indices, emits what EncodeFromMatches builds block by block
+// from the host-form arrays.
 func TestAppendEncodeMatchesEncodeFromMatches(t *testing.T) {
 	input := textLike(32<<10, 3)
 	startPos := []int32{0, 8 << 10, 20 << 10}
-	ml := make([]int32, len(input))
-	mo := make([]int32, len(input))
-	FindMatches(input, startPos, ml, mo)
+	mlHost := make([]int32, len(input))
+	moHost := make([]int32, len(input))
+	FindMatches(input, startPos, mlHost, moHost)
+	ml := make([]byte, 4*len(input))
+	mo := make([]byte, 4*len(input))
+	for i := range mlHost {
+		binary.LittleEndian.PutUint32(ml[4*i:], uint32(mlHost[i]))
+		binary.LittleEndian.PutUint32(mo[4*i:], uint32(moHost[i]))
+	}
 	for k := range startPos {
 		lo := int(startPos[k])
 		hi := blockEnd(startPos, k, len(input))
-		want := EncodeFromMatches(input, lo, hi, ml, mo)
+		want := EncodeFromMatches(input, lo, hi, mlHost, moHost)
 		got := AppendEncode(nil, input, lo, hi, ml, mo)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("block %d: AppendEncode differs from EncodeFromMatches", k)

@@ -12,7 +12,7 @@ func refCompress(block []byte) []byte {
 	ml := make([]int32, len(block))
 	mo := make([]int32, len(block))
 	FindMatchesRef(block, []int32{0}, ml, mo)
-	return AppendEncode(nil, block, 0, len(block), ml, mo)
+	return EncodeFromMatches(block, 0, len(block), ml, mo)
 }
 
 // checkCompressEquivalence asserts m.AppendCompress(block) appends exactly

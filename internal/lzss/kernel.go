@@ -94,31 +94,52 @@ func BruteKernel() *gpu.KernelSpec {
 	}
 }
 
-// Matches carries host-precomputed match arrays into the fast kernel. Build
-// one per batch with Precompute.
+// Matches carries host-precomputed match arrays into the fast kernel. The
+// zero value is ready for Fill; one Matches refilled per batch keeps its
+// arrays.
 type Matches struct {
 	Len []int32
 	Off []int32
 }
 
-// Precompute runs the exact hash-chain matcher on the host for the batch,
-// lane-parallel across cores (bit-identical to the sequential matcher).
-// The result is what the brute-force device scan would produce.
-func Precompute(batch []byte, startPos []int32) *Matches {
-	m := &Matches{
-		Len: make([]int32, len(batch)),
-		Off: make([]int32, len(batch)),
+// Fill runs the exact hash-chain matcher on the host for the batch,
+// lane-parallel across cores (bit-identical to the sequential matcher),
+// growing the arrays only when the batch is larger than any before it. Every
+// entry of Len and Off is overwritten. The result is what the brute-force
+// device scan would produce.
+func (m *Matches) Fill(batch []byte, startPos []int32) {
+	if cap(m.Len) < len(batch) {
+		m.Len = make([]int32, len(batch))
+		m.Off = make([]int32, len(batch))
 	}
+	m.Len, m.Off = m.Len[:len(batch)], m.Off[:len(batch)]
 	FindMatchesPar(0, batch, startPos, m.Len, m.Off)
+}
+
+// Precompute is Fill into a fresh Matches.
+func Precompute(batch []byte, startPos []int32) *Matches {
+	m := new(Matches)
+	m.Fill(batch, startPos)
 	return m
 }
 
-// FastKernel returns the device function used by the experiment harness:
-// functionally it writes the precomputed (bit-identical) match results into
-// the device buffers, while its cost model charges the window scan the
-// brute-force kernel performs — so virtual timing matches BruteKernel
-// without paying its host-side execution cost at megabyte scale. The
-// equivalence of results and the cost band are covered by tests.
+// leInt32 reads entry i of a little-endian int32 device array.
+func leInt32(buf []byte, i int) int {
+	return int(int32(binary.LittleEndian.Uint32(buf[i*4:])))
+}
+
+// FastKernel returns the device function used by the experiment harness and
+// the served GPU path: functionally it writes the precomputed (bit-identical)
+// match results into the device buffers, while its cost model charges the
+// window scan the brute-force kernel performs — so virtual timing matches
+// BruteKernel without paying its host-side execution cost at megabyte scale.
+// The equivalence of results and the cost band are covered by tests.
+//
+// Body defines it per thread. Launches run Warp, which does the same work a
+// warp at a time — arguments decoded once per launch, the block found once
+// per warp and advanced as the positions cross block boundaries — because a
+// 1 MB batch is a million threads and this loop is the served path's wall
+// cost; internal/gpu's executor-equivalence test holds the two equal.
 func FastKernel() *gpu.KernelSpec {
 	return &gpu.KernelSpec{
 		Name:          "lzss_find_match",
@@ -141,33 +162,63 @@ func FastKernel() *gpu.KernelSpec {
 			// Cost: block lookup + window-span scan + extension estimate.
 			// The charged cost is the paper's linear startPos walk; the
 			// host-side lookup itself binary-searches for speed.
-			klo, khi := 0, startPosSize-1
-			for klo < khi {
-				mid := (klo + khi + 1) / 2
-				if int(int32(binary.LittleEndian.Uint32(spBuf[mid*4:]))) <= i {
-					klo = mid
-				} else {
-					khi = mid - 1
-				}
-			}
-			lo := int(int32(binary.LittleEndian.Uint32(spBuf[klo*4:])))
-			winLo := i - WindowSize
-			if winLo < lo {
-				winLo = lo
-			}
-			span := int64(i - winLo)
+			lo := leInt32(spBuf, blockOf(spBuf, startPosSize, i))
+			span := int64(min(i-lo, WindowSize))
 			return 2*int64(startPosSize) + 3*span + 4*int64(pre.Len[i]) + 10
+		},
+		Warp: func(args []any) gpu.WarpFunc {
+			sizeInput := args[1].(int)
+			spBuf := args[2].(*gpu.Buf).Bytes()
+			startPosSize := args[3].(int)
+			mlBuf := args[4].(*gpu.Buf).Bytes()
+			moBuf := args[5].(*gpu.Buf).Bytes()
+			pre := args[6].(*Matches)
+			return func(w gpu.Warp) int64 {
+				i0 := w.GlobalX()
+				i1 := min(i0+w.N, sizeInput)
+				if i0 >= i1 {
+					return gpu.ExitCost
+				}
+				lens, offs := pre.Len[i0:i1], pre.Off[i0:i1]
+				ml, mo := mlBuf[i0*4:i1*4], moBuf[i0*4:i1*4]
+				var worst int64
+				// One block lookup for the run, then block by block: a run
+				// usually sits inside one block, and inside a block the
+				// window span only depends on the distance from its start.
+				for k, i := blockOf(spBuf, startPosSize, i0), i0; i < i1; k++ {
+					lo, end := leInt32(spBuf, k), i1
+					if k+1 < startPosSize {
+						end = min(end, leInt32(spBuf, k+1))
+					}
+					for ; i < end; i++ {
+						j := i - i0
+						l := lens[j]
+						binary.LittleEndian.PutUint32(ml[j*4:], uint32(l))
+						binary.LittleEndian.PutUint32(mo[j*4:], uint32(offs[j]))
+						if c := 3*int64(min(i-lo, WindowSize)) + 4*int64(l); c > worst {
+							worst = c
+						}
+					}
+				}
+				// Threads past sizeInput cost ExitCost, below any in-range
+				// thread's fixed part.
+				return 2*int64(startPosSize) + worst + 10
+			}
 		},
 	}
 }
 
-// ReadMatches deserializes the kernel's int32 output buffers.
-func ReadMatches(mlBuf, moBuf []byte, n int) (matchLen, matchOff []int32) {
-	matchLen = make([]int32, n)
-	matchOff = make([]int32, n)
-	for i := 0; i < n; i++ {
-		matchLen[i] = int32(binary.LittleEndian.Uint32(mlBuf[i*4:]))
-		matchOff[i] = int32(binary.LittleEndian.Uint32(moBuf[i*4:]))
+// blockOf returns the index of the block containing position i: the last
+// startPos entry <= i.
+func blockOf(spBuf []byte, startPosSize, i int) int {
+	klo, khi := 0, startPosSize-1
+	for klo < khi {
+		mid := (klo + khi + 1) / 2
+		if leInt32(spBuf, mid) <= i {
+			klo = mid
+		} else {
+			khi = mid - 1
+		}
 	}
-	return
+	return klo
 }

@@ -8,7 +8,7 @@
 //     longest match strictly inside that position's block and within the
 //     sliding window — this is the work the paper offloads to the GPU as a
 //     single FindMatchKernel call per batch (Listing 3);
-//   - AppendEncode (EncodeFromMatches) then performs the cheap sequential
+//   - AppendEncode then performs the cheap sequential
 //     entropy step on the CPU, exactly as the paper does ("In CPU, we used
 //     the result of the kernel function to run the compression on each
 //     block"), jumping over every match it emits.
@@ -280,23 +280,15 @@ func checkMatchArgs(input []byte, startPos []int32, matchLen, matchOff []int32) 
 	}
 }
 
-// EncodeFromMatches greedily encodes the block [lo, hi) of the batch using
-// the precomputed per-position matches (batch-absolute indices). The output
-// is self-contained: a uvarint of the uncompressed length followed by the
-// token stream.
-func EncodeFromMatches(input []byte, lo, hi int, matchLen, matchOff []int32) []byte {
-	dst := make([]byte, 0, (hi-lo)/2+16+binary.MaxVarintLen64)
-	return AppendEncode(dst, input, lo, hi, matchLen, matchOff)
-}
-
-// AppendEncode is EncodeFromMatches in appending form: the encoded block is
-// appended to dst and the extended slice returned, so hot paths can grow one
-// arena per batch instead of allocating per block. The bytes appended are
-// identical to EncodeFromMatches' output.
-func AppendEncode(dst []byte, input []byte, lo, hi int, matchLen, matchOff []int32) []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(hi-lo))
-	dst = append(dst, hdr[:n]...)
+// AppendEncode greedily encodes the block [lo, hi) of the batch from the
+// per-position matches (batch-absolute indices), reading them where the
+// FindMatch kernel leaves them: matchLen and matchOff are little-endian int32
+// arrays, as downloaded from the device, decoded only where a token starts.
+// The encoded block — a uvarint of the uncompressed length, then the token
+// stream — is appended to dst and the extended slice returned, so a batch
+// grows one arena instead of allocating per block.
+func AppendEncode(dst []byte, input []byte, lo, hi int, matchLen, matchOff []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(hi-lo))
 
 	var flags byte
 	var nflags int
@@ -307,9 +299,9 @@ func AppendEncode(dst []byte, input []byte, lo, hi int, matchLen, matchOff []int
 			flagPos = len(dst)
 			dst = append(dst, 0)
 		}
-		l := int(matchLen[i])
+		l := leInt32(matchLen, i)
 		if l >= MinMatch {
-			d := int(matchOff[i])
+			d := leInt32(matchOff, i)
 			flags |= 1 << uint(nflags)
 			v := uint16(d-1)<<4 | uint16(l-MinMatch)
 			dst = append(dst, byte(v>>8), byte(v))
@@ -325,6 +317,20 @@ func AppendEncode(dst []byte, input []byte, lo, hi int, matchLen, matchOff []int
 		}
 	}
 	return dst
+}
+
+// EncodeFromMatches is AppendEncode for match arrays still in host form, as
+// the experiment harness and the tests hold them: it lays the block's
+// entries out the way the kernel would and returns a fresh encoding.
+func EncodeFromMatches(input []byte, lo, hi int, matchLen, matchOff []int32) []byte {
+	n := hi - lo
+	le := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(le[4*i:], uint32(matchLen[lo+i]))
+		binary.LittleEndian.PutUint32(le[4*(n+i):], uint32(matchOff[lo+i]))
+	}
+	dst := make([]byte, 0, n/2+16+binary.MaxVarintLen64)
+	return AppendEncode(dst, input[lo:hi], 0, n, le[:4*n], le[4*n:])
 }
 
 // Compress encodes a single standalone block.

@@ -264,7 +264,11 @@ func execKernel(t *testing.T, spec *gpu.KernelSpec, data []byte, startPos []int3
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, mo := ReadMatches(mlHost.Data, moHost.Data, len(data))
+	ml, mo := make([]int32, len(data)), make([]int32, len(data))
+	for i := range ml {
+		ml[i] = int32(leInt32(mlHost.Data, i))
+		mo[i] = int32(leInt32(moHost.Data, i))
+	}
 	return ml, mo, end
 }
 
