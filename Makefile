@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-json lint-selftest test race chaos cluster diag fuzz bench-json bench-gate bench-serve figures-cmp verify
+.PHONY: build vet lint lint-json lint-selftest test race chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
 
 build:
 	$(GO) build ./...
@@ -71,7 +71,9 @@ diag:
 # over-allocate — on arbitrary input. FuzzCompressEquivalence is the odd one
 # out: it searches for a block on which the fused host encoder and the
 # all-positions reference disagree (seeded in code from the equivalence
-# table's edge shapes). FUZZTIME=5m for a longer local soak.
+# table's edge shapes); FuzzBoundariesEquivalence does the same for the Rabin
+# chunker's interleaved candidate scan against the sequential rolling window.
+# FUZZTIME=5m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
@@ -79,6 +81,7 @@ fuzz:
 	$(GO) test ./internal/dedup -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu -fuzz FuzzParseFleet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lzss -fuzz FuzzCompressEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rabin -fuzz FuzzBoundariesEquivalence -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per
 # optimization step, including the utilization columns) into BENCH_fig1.json,
@@ -126,6 +129,20 @@ figures-cmp:
 	grep -q 'Fig. 7' "$$tmp/tree.txt" || { echo "figures-cmp: no Fig. 7 table in the output"; exit 1; }; \
 	cmp "$$tmp/base.txt" "$$tmp/tree.txt" || { diff "$$tmp/base.txt" "$$tmp/tree.txt" | head -20; exit 1; }; \
 	echo "figures-cmp: $$(wc -l < "$$tmp/tree.txt") lines of figures identical to $(BASE)"
+
+# bench-compare makes the benchmark's claim method a command
+# (cmd/benchcompare): it builds benchmark/ at BASE (a `git archive`, as
+# figures-cmp does) and from the working tree, runs the two alternately on
+# seeds 1..PAIRS of each WORKLOAD (comma-separated, or all), and prints the
+# per-metric medians, quartiles, pairs won, per-seed compress_ratio equality
+# and failed counts as JSON on stdout, with a readable table on stderr. A
+# pair is two ~13 s runs, so ten pairs of one workload take about 5 minutes.
+# The committed ledger BENCH_serve.json is all six workloads; re-record it
+# with `make bench-compare BASE=<rev> WORKLOAD=all > cmp.json && mv cmp.json
+# BENCH_serve.json`, so a failed run leaves it as it was.
+PAIRS ?= 10
+bench-compare:
+	@$(GO) run ./cmd/benchcompare -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # verify mirrors the test and lint jobs of .github/workflows/ci.yml. The
 # bench-gate job is separate on purpose: benchmark numbers want a quiet

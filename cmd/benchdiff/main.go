@@ -5,7 +5,7 @@
 //	go run ./cmd/benchdiff -base BENCH_baseline.json -new BENCH_host.json
 //
 // Throughput thresholds are normalized by each report's Calib score (the
-// machine's single-thread SHA-1 MB/s), so the committed baseline remains
+// machine's single-thread MB/s on a frozen scalar SHA-1), so the committed baseline remains
 // meaningful on faster or slower hardware. A result fails when its value
 // drops more than -max-regress below the scaled baseline, or when its
 // allocs/op exceeds the baseline count by more than -alloc-slack. Entries

@@ -46,8 +46,8 @@ type HostResult struct {
 type HostReport struct {
 	Schema     string `json:"schema"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Calib is a machine-speed scalar (single-thread SHA-1 MB/s over a fixed
-	// buffer). benchdiff normalizes throughput thresholds by the ratio of
+	// Calib is a machine-speed scalar (single-thread MB/s of a frozen scalar
+	// SHA-1 over a fixed buffer, calibSHA1). benchdiff normalizes throughput thresholds by the ratio of
 	// fresh to baseline Calib, so a committed baseline stays meaningful on
 	// hardware of a different speed.
 	Calib   float64      `json:"calib"`
@@ -125,11 +125,12 @@ func hostAllocs(iters int, fn func()) float64 {
 	return float64(m1.Mallocs-m0.Mallocs) / float64(iters)
 }
 
-// calibScore measures single-thread SHA-1 MB/s over a fixed 1 MiB buffer —
-// the machine-speed normalizer for cross-host baseline comparison.
+// calibScore measures single-thread MB/s of the frozen scalar SHA-1 probe
+// (calibSHA1) over a fixed 1 MiB buffer — the machine-speed normalizer for
+// cross-host baseline comparison.
 func calibScore() float64 {
 	buf := workload.Generate(workload.Spec{Kind: workload.Silesia, Size: 1 << 20, Seed: 9})
-	sec := hostTime(200*time.Millisecond, func() { sha1x.Sum20(buf) })
+	sec := hostTime(200*time.Millisecond, func() { calibSHA1(buf) })
 	return float64(len(buf)) / 1e6 / sec
 }
 

@@ -25,22 +25,44 @@ type Batch struct {
 	Comp   [][]byte // nil entry: block was judged duplicate upstream
 
 	// Recycling state, used by the pooled pipelines (FragmentInto):
-	// pooled marks a batch owned by batchPool, arena is the per-batch
-	// compression output buffer Comp entries subslice, firsts is the
-	// dedup stage's first-sighting verdict per block, and compOff is the
-	// compress stage's offset scratch. laneArenas are the per-lane output
-	// buffers of the lane-parallel compress path (compressFirstsPar). All
-	// survive Release so the next batch reuses their capacity.
-	pooled     bool
-	arena      []byte
-	firsts     []bool
-	compOff    []int32
-	laneArenas [][]byte
+	// pooled marks a batch owned by batchPool, firsts is the dedup stage's
+	// first-sighting verdict per block, and compOff is the compress stage's
+	// offset scratch; both survive Release so the next batch reuses their
+	// capacity. out holds the bytes Comp entries subslice, from the compress
+	// stage until Release.
+	pooled  bool
+	firsts  []bool
+	compOff []int32
+	out     *compOut
+}
+
+// compOut is one batch's compressed output: the arena the sequential and GPU
+// paths encode into (encodeFirsts) and the per-lane arenas of the
+// lane-parallel path (compressFirstsPar). It is pooled apart from the Batch
+// so only batches between compress and write hold one: a batch waiting in
+// the front stages carries its small per-block arrays, not a megabyte of
+// output capacity.
+type compOut struct {
+	arena []byte
+	lanes [][]byte
 }
 
 // batchPool recycles Batch containers (and the slices hanging off them)
-// across the stream — the FastFlow buffer-reuse discipline.
-var batchPool = pool.New[*Batch]("dedup.batch", func() *Batch { return new(Batch) })
+// across the stream — the FastFlow buffer-reuse discipline. compOutPool does
+// the same for their compression arenas.
+var (
+	batchPool   = pool.New[*Batch]("dedup.batch", func() *Batch { return new(Batch) })
+	compOutPool = pool.New[*compOut]("dedup.comp-out", func() *compOut { return new(compOut) })
+)
+
+// output returns the batch's compression arenas, taking a set from
+// compOutPool on the batch's first compression.
+func (b *Batch) output() *compOut {
+	if b.out == nil {
+		b.out = compOutPool.Get()
+	}
+	return b.out
+}
 
 // Release returns a pooled batch (one emitted by FragmentInto) to the free
 // list; the batch and everything reachable from it must not be used
@@ -59,10 +81,10 @@ func (b *Batch) Release() {
 		b.Comp[k] = nil
 	}
 	b.Comp = b.Comp[:0]
-	b.arena = b.arena[:0]
 	b.firsts = b.firsts[:0]
-	for i := range b.laneArenas {
-		b.laneArenas[i] = b.laneArenas[i][:0]
+	if b.out != nil {
+		compOutPool.Release(b.out)
+		b.out = nil
 	}
 	batchPool.Release(b)
 }
@@ -168,7 +190,8 @@ func (b *Batch) encodeFirsts(enc func(dst []byte, lo, hi int) []byte) {
 	n := b.NBlocks()
 	resized(&b.Comp, n)
 	off := resized(&b.compOff, n)
-	arena := b.arena[:0]
+	out := b.output()
+	arena := out.arena[:0]
 	for k := 0; k < n; k++ {
 		off[k] = -1
 		if b.firsts[k] {
@@ -177,7 +200,7 @@ func (b *Batch) encodeFirsts(enc func(dst []byte, lo, hi int) []byte) {
 			arena = enc(arena, lo, hi)
 		}
 	}
-	b.arena = arena
+	out.arena = arena
 	// Subslice only once the arena has stopped growing: offsets survive
 	// reallocation, pointers would not.
 	end := int32(len(arena))

@@ -80,7 +80,7 @@ func (b *Batch) laneCut(i, lanes int) int {
 // arena, recording each block's arena offset in the shared compOff array
 // (disjoint writes: every block belongs to exactly one lane).
 func (b *Batch) compressLane(m *lzss.Matcher, lane, k0, k1 int) {
-	arena := b.laneArenas[lane][:0]
+	arena := b.out.lanes[lane][:0]
 	off := b.compOff
 	for k := k0; k < k1; k++ {
 		off[k] = -1
@@ -90,7 +90,7 @@ func (b *Batch) compressLane(m *lzss.Matcher, lane, k0, k1 int) {
 			arena = m.AppendCompress(arena, b.Data[lo:hi])
 		}
 	}
-	b.laneArenas[lane] = arena
+	b.out.lanes[lane] = arena
 }
 
 // CompressFirsts LZSS-compresses every first-sighting block (per b.firsts,
@@ -125,8 +125,9 @@ func (b *Batch) compressFirstsPar(m *lzss.Matcher, lanes int) {
 		b.compOff = make([]int32, n)
 	}
 	b.compOff = b.compOff[:n]
-	for len(b.laneArenas) < lanes {
-		b.laneArenas = append(b.laneArenas, nil)
+	out := b.output()
+	for len(out.lanes) < lanes {
+		out.lanes = append(out.lanes, nil)
 	}
 
 	sc := laneScratchPool.Get()
@@ -163,7 +164,7 @@ func (b *Batch) compressFirstsPar(m *lzss.Matcher, lanes int) {
 	// (downstream code cannot grow one block into the next).
 	for i := 0; i < spawned; i++ {
 		t := sc.tasks[i]
-		arena := b.laneArenas[t.lane]
+		arena := out.lanes[t.lane]
 		end := int32(len(arena))
 		for k := t.k1 - 1; k >= t.k0; k-- {
 			if b.compOff[k] >= 0 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"streamgpu/internal/lzss"
 	"streamgpu/internal/pool"
 	"streamgpu/internal/rabin"
 )
@@ -85,6 +86,40 @@ func TestFragmentIntoRecycles(t *testing.T) {
 	st := batchPool.Stats()
 	if st.Gets-st.Misses == 0 {
 		t.Fatalf("no batch reuse observed: %+v", st)
+	}
+}
+
+// TestArenasFollowCompress checks a batch holds compression arenas only from
+// its compression to its release: a batch fresh out of FragmentInto, which
+// may wait in the front stages behind a slow compress stage, carries none.
+func TestArenasFollowCompress(t *testing.T) {
+	input := sample(512 << 10)
+	store := Options{}.newStore()
+	m := lzss.NewMatcher()
+	for _, lanes := range []int{1, 3} {
+		rel := compOutPool.Stats().Releases
+		var batches []*Batch
+		FragmentInto(input, 128<<10, func(b *Batch) {
+			if b.out != nil {
+				t.Fatalf("lanes %d, batch %d: holds arenas before compress", lanes, b.Seq)
+			}
+			b.HashBlocks()
+			b.markFirsts(store)
+			b.CompressFirsts(m, lanes)
+			if b.out == nil {
+				t.Fatalf("lanes %d, batch %d: compressed without arenas", lanes, b.Seq)
+			}
+			batches = append(batches, b)
+		})
+		for _, b := range batches {
+			b.Release()
+			if b.out != nil {
+				t.Fatalf("lanes %d: Release kept the arenas", lanes)
+			}
+		}
+		if got := compOutPool.Stats().Releases - rel; got != int64(len(batches)) {
+			t.Fatalf("lanes %d: %d arena sets released for %d batches", lanes, got, len(batches))
+		}
 	}
 }
 

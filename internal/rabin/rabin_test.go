@@ -7,6 +7,65 @@ import (
 	"testing/quick"
 )
 
+// Window is a sequential rolling fingerprint over the last WindowSize bytes:
+// one chain through a ring buffer, the shape the chunker had before its
+// candidate scan and the reference the scan is held to.
+type Window struct {
+	t   *Table
+	fp  uint64
+	win [WindowSize]byte
+	pos int
+}
+
+// NewWindow creates an empty rolling window using the default polynomial.
+func NewWindow() *Window { return &Window{t: defaultTable} }
+
+// Reset clears the window state.
+func (w *Window) Reset() {
+	w.fp = 0
+	w.pos = 0
+	w.win = [WindowSize]byte{}
+}
+
+// Roll slides the window one byte forward and returns the new fingerprint.
+func (w *Window) Roll(b byte) uint64 {
+	out := w.win[w.pos]
+	w.win[w.pos] = b
+	w.pos = (w.pos + 1) % WindowSize
+	w.fp ^= w.t.outT[out]
+	top := byte(w.fp >> w.t.shift)
+	w.fp = ((w.fp << 8) | uint64(b)) ^ w.t.modT[top]
+	return w.fp
+}
+
+// referenceBoundaries is the sequential chunker: one Window rolled over
+// every byte and reset at every cut.
+func referenceBoundaries(c *Chunker, data []byte) []int32 {
+	if len(data) == 0 {
+		return nil
+	}
+	mask := (uint64(1) << c.AvgBits) - 1
+	magic := c.Magic & mask
+	dst := []int32{0}
+	w := Window{t: c.Table}
+	blockStart := 0
+	for i := 0; i < len(data); i++ {
+		fp := w.Roll(data[i])
+		size := i - blockStart + 1
+		if size < c.Min {
+			continue
+		}
+		if fp&mask == magic || size >= c.Max {
+			if i+1 < len(data) {
+				dst = append(dst, int32(i+1))
+				blockStart = i + 1
+				w.Reset()
+			}
+		}
+	}
+	return dst
+}
+
 // naiveFingerprint computes the window fingerprint by long division — the
 // definition Roll must agree with.
 func naiveFingerprint(window []byte, poly uint64) uint64 {

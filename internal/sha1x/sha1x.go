@@ -1,118 +1,33 @@
-// Package sha1x implements SHA-1 from scratch (FIPS 180-4), in two shapes:
+// Package sha1x is the SHA-1 of Dedup's stage 2, in two shapes:
 //
-//   - a conventional incremental hasher (New/Write/Sum) used by the CPU
-//     paths of Dedup, and
-//   - a flat, batch-oriented kernel (KernelSpec) where one GPU thread hashes
-//     one content-defined block of a batch — the paper's Dedup stage 2
-//     ("each GPU thread calculates the SHA-1 of one block").
+//   - SumBatch, which hashes every content-defined block of a batch in one
+//     call — the CPU paths of Dedup — and Sum20 for a single buffer, and
+//   - a flat, batch-oriented kernel (Kernel) where one GPU thread hashes one
+//     block of a batch — the paper's Dedup stage 2 ("each GPU thread
+//     calculates the SHA-1 of one block").
 //
-// SHA-1 is used for content fingerprinting (duplicate detection), not
-// security, exactly as in PARSEC's dedup.
+// Both compute digests with the standard library's crypto/sha1, which runs
+// the platform's assembly; PARSEC's dedup likewise links a library SHA-1.
+// What this package owns is the batch layout (startPos, PutStartPos) and the
+// kernel's device cost model. SHA-1 is used for content fingerprinting
+// (duplicate detection), not security, exactly as in PARSEC's dedup.
 package sha1x
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
-	"hash"
 
 	"streamgpu/internal/gpu"
 )
 
 // Size is the SHA-1 digest length in bytes.
-const Size = 20
+const Size = sha1.Size
 
 // BlockSize is the SHA-1 block length in bytes.
-const BlockSize = 64
-
-const (
-	init0 = 0x67452301
-	init1 = 0xEFCDAB89
-	init2 = 0x98BADCFE
-	init3 = 0x10325476
-	init4 = 0xC3D2E1F0
-)
-
-// Digest is the streaming SHA-1 state. The zero value is not valid; use New.
-type Digest struct {
-	h   [5]uint32
-	x   [BlockSize]byte
-	nx  int
-	len uint64
-}
-
-var _ hash.Hash = (*Digest)(nil)
-
-// New returns a fresh SHA-1 hasher.
-func New() *Digest {
-	d := new(Digest)
-	d.Reset()
-	return d
-}
-
-// Reset restores the initial state.
-func (d *Digest) Reset() {
-	d.h = [5]uint32{init0, init1, init2, init3, init4}
-	d.nx = 0
-	d.len = 0
-}
-
-// Size returns the digest size (20).
-func (d *Digest) Size() int { return Size }
-
-// BlockSize returns the block size (64).
-func (d *Digest) BlockSize() int { return BlockSize }
-
-// Write absorbs p. It never fails.
-func (d *Digest) Write(p []byte) (int, error) {
-	n := len(p)
-	d.len += uint64(n)
-	if d.nx > 0 {
-		c := copy(d.x[d.nx:], p)
-		d.nx += c
-		if d.nx == BlockSize {
-			block(&d.h, d.x[:])
-			d.nx = 0
-		}
-		p = p[c:]
-	}
-	for len(p) >= BlockSize {
-		block(&d.h, p[:BlockSize])
-		p = p[BlockSize:]
-	}
-	if len(p) > 0 {
-		d.nx = copy(d.x[:], p)
-	}
-	return n, nil
-}
-
-// Sum appends the digest of everything written so far to b.
-func (d *Digest) Sum(b []byte) []byte {
-	// Copy the state so Sum does not disturb further writes.
-	dd := *d
-	var tmp [64 + 8]byte
-	tmp[0] = 0x80
-	padLen := 55 - int(dd.len%64)
-	if padLen < 0 {
-		padLen += 64
-	}
-	binary.BigEndian.PutUint64(tmp[1+padLen:], dd.len<<3)
-	dd.Write(tmp[:1+padLen+8])
-	var out [Size]byte
-	for i, v := range dd.h {
-		binary.BigEndian.PutUint32(out[i*4:], v)
-	}
-	return append(b, out[:]...)
-}
+const BlockSize = sha1.BlockSize
 
 // Sum20 computes the SHA-1 of data in one call.
-func Sum20(data []byte) [Size]byte {
-	var h [5]uint32
-	sumInto(&h, data)
-	var out [Size]byte
-	for i, v := range h {
-		binary.BigEndian.PutUint32(out[i*4:], v)
-	}
-	return out
-}
+func Sum20(data []byte) [Size]byte { return sha1.Sum(data) }
 
 // SumBatch hashes every content-defined block of a batch into dst: block i
 // spans [startPos[i], startPos[i+1]) (the last block ends at len(data)) and
@@ -121,77 +36,13 @@ func Sum20(data []byte) [Size]byte {
 // zero heap allocations, so the dedup hash stage can recycle dst across
 // batches.
 func SumBatch(data []byte, startPos []int32, dst [][Size]byte) {
-	var h [5]uint32
 	for i, lo := range startPos {
 		hi := len(data)
 		if i+1 < len(startPos) {
 			hi = int(startPos[i+1])
 		}
-		sumInto(&h, data[lo:hi])
-		for j, v := range h {
-			binary.BigEndian.PutUint32(dst[i][j*4:], v)
-		}
+		dst[i] = sha1.Sum(data[lo:hi])
 	}
-}
-
-// sumInto hashes a complete message into h (one-shot, no streaming state).
-func sumInto(h *[5]uint32, data []byte) {
-	*h = [5]uint32{init0, init1, init2, init3, init4}
-	n := len(data)
-	for len(data) >= BlockSize {
-		block(h, data[:BlockSize])
-		data = data[BlockSize:]
-	}
-	// Final padded block(s).
-	var tail [2 * BlockSize]byte
-	t := copy(tail[:], data)
-	tail[t] = 0x80
-	tl := BlockSize
-	if t+9 > BlockSize {
-		tl = 2 * BlockSize
-	}
-	binary.BigEndian.PutUint64(tail[tl-8:], uint64(n)<<3)
-	for i := 0; i < tl; i += BlockSize {
-		block(h, tail[i:i+BlockSize])
-	}
-}
-
-// block runs the 80-round compression function over one 64-byte chunk.
-func block(h *[5]uint32, p []byte) {
-	var w [80]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = binary.BigEndian.Uint32(p[i*4:])
-	}
-	for i := 16; i < 80; i++ {
-		v := w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]
-		w[i] = v<<1 | v>>31
-	}
-	a, b, c, d, e := h[0], h[1], h[2], h[3], h[4]
-	for i := 0; i < 80; i++ {
-		var f, k uint32
-		switch {
-		case i < 20:
-			f = (b & c) | (^b & d)
-			k = 0x5A827999
-		case i < 40:
-			f = b ^ c ^ d
-			k = 0x6ED9EBA1
-		case i < 60:
-			f = (b & c) | (b & d) | (c & d)
-			k = 0x8F1BBCDC
-		default:
-			f = b ^ c ^ d
-			k = 0xCA62C1D6
-		}
-		t := a<<5 | a>>27
-		t += f + e + k + w[i]
-		e, d, c, b, a = d, c, b<<30|b>>2, a, t
-	}
-	h[0] += a
-	h[1] += b
-	h[2] += c
-	h[3] += d
-	h[4] += e
 }
 
 // roundCycles approximates the device cost of one 64-byte compression:
