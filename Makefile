@@ -47,7 +47,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/testutil/chaos
 
 # cluster runs the 3-node in-process smoke under the race detector: sharded
-# routing (redirect and forward), cluster-wide dedup through two nodes, and
+# routing by redirect, cluster-wide dedup through two nodes, and
 # the failover scenario that kills a node mid-stream via internal/fault and
 # requires every session to complete on the survivors with byte-verified
 # archives and leak-clean teardown (internal/cluster, DESIGN.md §14).

@@ -6,9 +6,11 @@
 //	dedup -graph                                 # print the SPar activity graph
 //	dedup -c -gpu input.dat archive.sgdd         # compress on the simulated GPU
 //
-// The -gpu path runs SHA-1 and LZSS match-finding as simulated device
-// kernels with retry and CPU degradation; the -fault-* knobs drive its
-// seeded fault injector.
+// The parallel path splits each batch's compression across one lane per core
+// (at most 8); -seq is the single-threaded reference. The -gpu path runs
+// SHA-1 and LZSS match-finding as kernels on a simulated device per batch,
+// with retry and CPU degradation; the -fault-* knobs drive its seeded fault
+// injector, and a lost device costs only the batch it was serving.
 package main
 
 import (
@@ -32,8 +34,6 @@ func main() {
 	graph := flag.Bool("graph", false, "print the pipeline's activity graph and exit")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "replicas of the hash+compress stage")
 	batch := flag.Int("batch", dedup.DefaultBatchSize, "fragmentation batch size in bytes")
-	lanes := flag.Int("lzss-lanes", 0, "intra-batch compress lanes (0 = GOMAXPROCS-derived on parallel paths, negative = 1)")
-	storeShards := flag.Int("store-shards", 0, "duplicate-store stripe count, rounded up to a power of two (0 = default)")
 	seq := flag.Bool("seq", false, "use the sequential reference implementation")
 	gpuRT := flag.Bool("gpu", false, "compress on the simulated GPU (hash + match kernels)")
 	timeout := flag.Duration("timeout", 0, "cancel a parallel compress after this long (0 = no limit)")
@@ -71,7 +71,7 @@ func main() {
 	start := time.Now()
 	if *compress {
 		var st dedup.Stats
-		opt := dedup.Options{BatchSize: *batch, Workers: *workers, Lanes: *lanes, StoreShards: *storeShards}
+		opt := dedup.Options{BatchSize: *batch, Workers: *workers}
 		if *metricsAddr != "" {
 			opt.Metrics = telemetry.New()
 			srv, err := telemetry.Serve(*metricsAddr, opt.Metrics)

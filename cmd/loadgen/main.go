@@ -1,6 +1,7 @@
 // Command loadgen drives a running streamd with closed-loop clients and
-// prints a JSON report whose results section is benchdiff-compatible
-// (compare runs with `benchdiff -base old.json -fresh new.json`):
+// prints a JSON report of admission verdict counts and latency percentiles;
+// with -verify it also checks every archive or row against what was sent,
+// and any mismatch exits 1:
 //
 //	loadgen -addr localhost:7070 -clients 16 -requests 64 -verify > run.json
 //	loadgen -addr localhost:7070 -service mandel -clients 8

@@ -11,8 +11,8 @@
 // With -cluster, streamd runs as one node of a consistent-hash sharded
 // cluster (internal/cluster): tenants are placed on nodes by a seeded ring,
 // SWIM-style gossip tracks membership, misplaced connections are redirected
-// (or, with -forward, proxied) to their owner, and the dedup block index is
-// shared cluster-wide. Start the first node bare and point the others at it:
+// to their owner, and the dedup block index is shared cluster-wide. Start
+// the first node bare and point the others at it:
 //
 //	streamd -cluster -addr :7070 -advertise host1:7070
 //	streamd -cluster -addr :7070 -advertise host2:7070 -join host1:7070
@@ -47,8 +47,6 @@ func main() {
 	linger := flag.Duration("linger", 2*time.Millisecond, "max wait for a partial dedup batch to fill before sealing")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "replicas of each processing stage")
 	batch := flag.Int("batch", dedup.DefaultBatchSize, "dedup coalescing target in bytes")
-	lanes := flag.Int("lzss-lanes", 0, "intra-batch compress lanes per worker (0 = GOMAXPROCS-derived, negative = 1)")
-	storeShards := flag.Int("store-shards", 0, "duplicate-store stripe count, rounded up to a power of two (0 = default)")
 	gpuRT := flag.Bool("gpu", false, "process dedup batches on the simulated GPU")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown before forcing")
 	faultSeed := flag.Int64("fault-seed", 0, "gpu: fault injector seed")
@@ -66,7 +64,6 @@ func main() {
 	clusterMode := flag.Bool("cluster", false, "run as a cluster node (consistent-hash sharding + gossip membership)")
 	join := flag.String("join", "", "cluster: comma-separated seed node addresses to gossip with")
 	advertise := flag.String("advertise", "", "cluster: address peers and clients reach this node at (default: the listener's)")
-	forward := flag.Bool("forward", false, "cluster: proxy misplaced connections to their owner instead of redirecting")
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "cluster: virtual nodes per member on the ring")
 	ringSeed := flag.Int64("ring-seed", 0, "cluster: ring layout seed (must match across nodes)")
 	gossipInterval := flag.Duration("gossip-interval", 200*time.Millisecond, "cluster: membership probe period")
@@ -111,8 +108,6 @@ func main() {
 		ProbeInterval:   *probeInterval,
 		ProbeLevel:      *probeLevel,
 		BlindPlacement:  *blindPlacement,
-		Lanes:           *lanes,
-		StoreShards:     *storeShards,
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -129,7 +124,6 @@ func main() {
 			Addr:           *addr,
 			Advertise:      *advertise,
 			Join:           seeds,
-			Forward:        *forward,
 			VNodes:         *vnodes,
 			RingSeed:       *ringSeed,
 			GossipInterval: *gossipInterval,
@@ -138,7 +132,7 @@ func main() {
 			Metrics:        metrics,
 		})
 		check(node.Start())
-		fmt.Printf("streamd cluster node %s (join %q, forward %v)\n", node.Addr(), *join, *forward)
+		fmt.Printf("streamd cluster node %s (join %q)\n", node.Addr(), *join)
 		select {
 		case s := <-sig:
 			fmt.Printf("streamd: %v — stopping node\n", s)

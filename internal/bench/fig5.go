@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"streamgpu/internal/dedup"
 	"streamgpu/internal/des"
@@ -47,11 +48,12 @@ func NewDedupPrep(spec workload.Spec, batchBytes int) *DedupPrep {
 	data := workload.Generate(spec)
 	pr := &DedupPrep{Name: spec.Kind.String(), Size: int64(len(data))}
 	seen := make(map[[sha1x.Size]byte]bool)
-	dedup.Fragment(data, batchBytes, func(b *dedup.Batch) {
+	dedup.FragmentInto(data, batchBytes, func(b *dedup.Batch) {
+		defer b.Release()
 		b.HashBlocks()
 		db := &dedupBatch{
 			data:     b.Data,
-			startPos: b.StartPos,
+			startPos: slices.Clone(b.StartPos),
 			blocks:   b.NBlocks(),
 			matches:  lzss.Precompute(b.Data, b.StartPos),
 		}

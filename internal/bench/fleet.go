@@ -198,12 +198,13 @@ func runFleetMode(cfg FleetConfig, input []byte, label string, blind, derate boo
 	dw := dedup.NewWriter(&arch)
 	store := dedup.NewStore()
 	var runErr error
-	dedup.Fragment(input, batchBytes, func(b *dedup.Batch) {
+	dedup.FragmentInto(input, batchBytes, func(b *dedup.Batch) {
 		p.Process(b, store)
 		processed++
 		if err := b.WriteBlocks(dw); err != nil && runErr == nil {
 			runErr = err
 		}
+		b.Release()
 	})
 	if runErr == nil {
 		runErr = dw.Close()

@@ -134,12 +134,6 @@ func calibScore() float64 {
 	return float64(len(buf)) / 1e6 / sec
 }
 
-// Calib exposes the machine-speed normalizer for other report producers
-// (e.g. the load generator), so their reports can be diffed against
-// baselines recorded on different hosts with the same scaling rule Diff
-// applies to hostbench reports.
-func Calib() float64 { return calibScore() }
-
 // RunHost executes the host-throughput suite and returns the report.
 func RunHost(opt HostOptions) HostReport {
 	rep := HostReport{
@@ -208,12 +202,14 @@ func addDedupStages(add func(name, unit string, value, allocs float64), min time
 	sec := hostTime(min, frag)
 	add("dedup_fragment", "MB/s", mb/sec, hostAllocs(4, frag))
 
-	// A single batch for the per-batch kernels.
+	// A single batch for the per-batch kernels, kept out of the free list.
 	var batch *dedup.Batch
-	dedup.Fragment(input, dedup.DefaultBatchSize, func(b *dedup.Batch) {
+	dedup.FragmentInto(input, dedup.DefaultBatchSize, func(b *dedup.Batch) {
 		if batch == nil {
 			batch = b
+			return
 		}
+		b.Release()
 	})
 	bmb := float64(len(batch.Data)) / 1e6
 

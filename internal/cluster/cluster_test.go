@@ -21,7 +21,7 @@ import (
 // startCluster brings up n in-process nodes on ephemeral ports: node 0
 // bootstraps, the rest join it, and the helper blocks until every node sees
 // all n members and their rings agree. mod tweaks a node's config before
-// start (fault injection, forwarding).
+// start (fault injection).
 func startCluster(t *testing.T, n int, mod func(i int, cfg *cluster.Config)) ([]*cluster.Node, []*telemetry.Registry) {
 	t.Helper()
 	nodes := make([]*cluster.Node, 0, n)
@@ -243,16 +243,15 @@ func TestClusterRouting(t *testing.T) {
 	addrs := []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()}
 
 	rep, err := loadgen.Run(loadgen.Config{
-		Addrs:     addrs,
-		Clients:   6,
-		Requests:  10,
-		Tenants:   6,
-		MinBytes:  1 << 10,
-		MaxBytes:  8 << 10,
-		Seed:      7,
-		Retries:   4,
-		Verify:    true,
-		SkipCalib: true,
+		Addrs:    addrs,
+		Clients:  6,
+		Requests: 10,
+		Tenants:  6,
+		MinBytes: 1 << 10,
+		MaxBytes: 8 << 10,
+		Seed:     7,
+		Retries:  4,
+		Verify:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +289,6 @@ func TestLoadgenFollowsRedirect(t *testing.T) {
 		Seed:        11,
 		Retries:     4,
 		Verify:      true,
-		SkipCalib:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,43 +301,6 @@ func TestLoadgenFollowsRedirect(t *testing.T) {
 	}
 	if rep.Redirects == 0 {
 		t.Fatal("client dialed a non-owner yet followed no redirect")
-	}
-}
-
-// TestClusterForward: with -forward, a non-owner node splices the session to
-// the owner instead of redirecting — v1 clients never see TRedirect, and the
-// hop shows up in the front node's forwarded-connections counter.
-func TestClusterForward(t *testing.T) {
-	testutil.CheckLeaks(t)
-	nodes, regs := startCluster(t, 3, func(i int, cfg *cluster.Config) {
-		cfg.Forward = true
-	})
-	owner := nodes[1].Addr()
-	tenant := tenantOwnedBy(t, nodes[0], owner)
-
-	rep, err := loadgen.Run(loadgen.Config{
-		Addrs:       []string{nodes[0].Addr()}, // only the non-owner is dialed
-		Clients:     2,
-		Requests:    6,
-		Tenants:     1,
-		FirstTenant: tenant,
-		Seed:        13,
-		Retries:     4,
-		Verify:      true,
-		SkipCalib:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RestoreFailures != 0 {
-		t.Fatalf("%d restore failures: %v", rep.RestoreFailures, rep.Errors)
-	}
-	if rep.Redirects != 0 {
-		t.Fatal("forwarding cluster sent a redirect")
-	}
-	fwd := regs[0].Counter("cluster_forwarded_conns_total", telemetry.Labels{}).Value()
-	if fwd < 2 {
-		t.Fatalf("front node forwarded %d conns, want >= 2", fwd)
 	}
 }
 
@@ -443,7 +404,6 @@ func TestClusterFailover(t *testing.T) {
 		Seed:        17,
 		Retries:     6,
 		Verify:      true,
-		SkipCalib:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -26,10 +25,6 @@ type Config struct {
 	// Join lists seed peers to gossip with at startup. Empty bootstraps a
 	// one-node cluster that others join.
 	Join []string
-	// Forward serves non-owned tenants by splicing the connection to the
-	// owner instead of sending TRedirect (the -forward flag; see DESIGN.md
-	// §14 for the tradeoff).
-	Forward bool
 	// VNodes is the ring's virtual-node count per member (DefaultVNodes).
 	VNodes int
 	// RingSeed fixes the ring layout; every node must agree on it.
@@ -87,7 +82,7 @@ func (c Config) indirectK() int {
 }
 
 // Node is one streamd cluster member: a listener that routes client
-// connections by ring ownership (serve, forward, or redirect), a gossip loop
+// connections by ring ownership (serve or redirect), a gossip loop
 // that keeps the membership view converging, an embedded server.Server for
 // the sessions it owns, and a partition of the cluster-wide dedup store.
 type Node struct {
@@ -117,7 +112,6 @@ type Node struct {
 	killed atomic.Bool
 	dead   chan struct{} // closed when the embedded server has shut down
 
-	forwarded *telemetry.Counter
 	redirects *telemetry.Counter
 	gossipRx  *telemetry.Counter
 	gossipTx  *telemetry.Counter
@@ -132,7 +126,6 @@ func NewNode(cfg Config) *Node {
 		cancel:    cancel,
 		conns:     make(map[net.Conn]struct{}),
 		dead:      make(chan struct{}),
-		forwarded: cfg.Metrics.Counter("cluster_forwarded_conns_total", telemetry.Labels{}),
 		redirects: cfg.Metrics.Counter("cluster_redirects_total", telemetry.Labels{}),
 		gossipRx:  cfg.Metrics.Counter("cluster_gossip_messages_total", telemetry.Labels{"dir": "rx"}),
 		gossipTx:  cfg.Metrics.Counter("cluster_gossip_messages_total", telemetry.Labels{"dir": "tx"}),
@@ -380,10 +373,6 @@ func (n *Node) handleConn(conn net.Conn) {
 		case wire.TData:
 			owner := n.ring.Load().OwnerTenant(f.Tenant)
 			if owner != n.self && owner != "" {
-				if n.cfg.Forward {
-					n.forward(conn, br, raw, owner)
-					return
-				}
 				n.redirect(conn, f, owner)
 				continue // client re-dials; drain any further frames
 			}
@@ -410,45 +399,6 @@ func (n *Node) redirect(conn net.Conn, f wire.Frame, owner string) {
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 	_, _ = conn.Write(out)
 	conn.SetWriteDeadline(time.Time{})
-}
-
-// forward splices the client connection to the owning node: the consumed
-// first frame is replayed upstream, then bytes flow both ways until either
-// side closes. The extra hop halves per-node throughput for misplaced
-// sessions but keeps v1 clients (which do not understand TRedirect) working
-// against a cluster.
-func (n *Node) forward(client net.Conn, br *bufio.Reader, raw []byte, owner string) {
-	up, err := net.DialTimeout("tcp", owner, 2*time.Second)
-	if err != nil || !n.track(up) {
-		// Owner unreachable (likely mid-failover): tell the client to back
-		// off and retry; by then the ring will have moved.
-		out := wire.Append(nil, wire.Frame{Type: wire.TReject, Tenant: 0, Seq: 0,
-			Payload: wire.AppendRejectInfo(nil, wire.ReasonOverload, n.cfg.gossipInterval())})
-		_, _ = client.Write(out)
-		return
-	}
-	defer n.untrack(up)
-	n.forwarded.Inc()
-	if _, err := up.Write(raw); err != nil {
-		return
-	}
-	done := make(chan struct{})
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		defer close(done)
-		// Client→owner. Ends when the client closes or either conn is
-		// severed; half-close propagates so the owner sees the TEnd EOF.
-		_, _ = io.Copy(up, br)
-		if tc, ok := up.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-	}()
-	// Owner→client. Ends when the owner finishes the session (TEnd + close).
-	_, _ = io.Copy(client, up)
-	client.Close()
-	up.Close()
-	<-done
 }
 
 // replayConn replays already-consumed bytes (the routed first frame plus the

@@ -2,7 +2,7 @@
 // consistent-hash ring places tenants on nodes, a SWIM-style gossip
 // failure detector keeps every node's view of the membership converging,
 // client connections are routed on the existing wire framing (any node
-// accepts, then serves, forwards, or redirects to the owner), and a
+// accepts, then serves or redirects to the owner), and a
 // content-addressed store dedups blocks cluster-wide instead of per-session.
 //
 // The design follows the FastFlow lesson the ROADMAP cites: the same

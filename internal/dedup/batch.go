@@ -36,14 +36,12 @@ type Batch struct {
 	out     *compOut
 }
 
-// compOut is one batch's compressed output: the arena the sequential and GPU
-// paths encode into (encodeFirsts) and the per-lane arenas of the
-// lane-parallel path (compressFirstsPar). It is pooled apart from the Batch
-// so only batches between compress and write hold one: a batch waiting in
-// the front stages carries its small per-block arrays, not a megabyte of
-// output capacity.
+// compOut is one batch's compressed output: one arena per compress lane,
+// indexed like the lanes of lzss.RunLanes (the sequential and GPU paths use
+// lane 0 alone). It is pooled apart from the Batch so only batches between
+// compress and write hold one: a batch waiting in the front stages carries
+// its small per-block arrays, not a megabyte of output capacity.
 type compOut struct {
-	arena []byte
 	lanes [][]byte
 }
 
@@ -64,10 +62,10 @@ func (b *Batch) output() *compOut {
 	return b.out
 }
 
-// Release returns a pooled batch (one emitted by FragmentInto) to the free
-// list; the batch and everything reachable from it must not be used
-// afterwards. Calling Release on a non-pooled batch is a no-op, so sinks
-// may release unconditionally.
+// Release returns a pooled batch (one from NewStreamBatch or FragmentInto)
+// to the free list; the batch and everything reachable from it must not be
+// used afterwards. Calling Release on a non-pooled batch is a no-op, so
+// sinks may release unconditionally.
 func (b *Batch) Release() {
 	if !b.pooled {
 		return
@@ -102,53 +100,35 @@ func (b *Batch) Block(k int) (lo, hi int) {
 	return lo, hi
 }
 
-// Fragment cuts input into batches of batchSize bytes (the last one may be
-// short) and computes Rabin boundaries for each — the paper's stage 1,
-// always on the CPU. Each call allocates fresh batches the consumer keeps
-// forever; the streaming pipelines use FragmentInto instead.
-func Fragment(input []byte, batchSize int, emit func(*Batch)) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	chunker := rabin.NewChunker()
-	seq := 0
-	for off := 0; off < len(input); off += batchSize {
-		end := off + batchSize
-		if end > len(input) {
-			end = len(input)
-		}
-		data := input[off:end]
-		emit(&Batch{Seq: seq, Data: data, StartPos: chunker.Boundaries(data)})
-		seq++
-	}
-}
-
-// FragmentInto is the recycling form of Fragment: every emitted batch comes
-// from the package free list and its boundary array is computed in place
-// into the batch's recycled StartPos (rabin.AppendBoundaries), so a warm
-// stream fragments without heap allocation. Ownership of each batch
-// transfers to the consumer, which must call (*Batch).Release when the
-// batch has fully left the pipeline.
+// FragmentInto cuts input into batches of batchSize bytes (the last one may
+// be short) and computes Rabin boundaries for each — the paper's stage 1,
+// always on the CPU. Every batch comes from NewStreamBatch, so a warm stream
+// fragments without heap allocation. Ownership of each batch transfers to
+// the consumer, which must call (*Batch).Release when the batch has fully
+// left the pipeline.
 func FragmentInto(input []byte, batchSize int, emit func(*Batch)) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	chunker := rabin.NewChunker()
-	seq := 0
-	for off := 0; off < len(input); off += batchSize {
-		end := off + batchSize
-		if end > len(input) {
-			end = len(input)
-		}
-		data := input[off:end]
-		b := batchPool.Get()
-		b.pooled = true
-		b.Seq = seq
-		b.Data = data
-		b.StartPos = chunker.AppendBoundaries(b.StartPos[:0], data)
-		emit(b)
-		seq++
+	ch := rabin.NewChunker()
+	for seq, off := 0, 0; off < len(input); seq, off = seq+1, off+batchSize {
+		emit(NewStreamBatch(seq, input[off:min(off+batchSize, len(input))], ch))
 	}
+}
+
+// NewStreamBatch builds one pooled batch around data, its boundary array
+// computed in place into the batch's recycled StartPos. The resident server
+// seals coalesced client requests into batches here; FragmentInto cuts a
+// whole input into them. Ownership of the batch transfers to the caller,
+// which must Release it when it has fully left the pipeline; data stays
+// owned by the caller (the batch only references it).
+func NewStreamBatch(seq int, data []byte, ch *rabin.Chunker) *Batch {
+	b := batchPool.Get()
+	b.pooled = true
+	b.Seq = seq
+	b.Data = data
+	b.StartPos = ch.AppendBoundaries(b.StartPos[:0], data)
+	return b
 }
 
 // HashBlocks computes the SHA-1 of every block (the CPU path of stage 2),
@@ -175,24 +155,50 @@ func (b *Batch) markFirsts(store BlockStore) {
 	store.FirstSightings(b.Hashes, resized(&b.firsts, b.NBlocks()))
 }
 
-// compressFirsts LZSS-compresses every first-sighting block on the CPU; see
-// encodeFirsts for where the bytes land.
-func (b *Batch) compressFirsts(m *lzss.Matcher) {
-	b.encodeFirsts(func(dst []byte, lo, hi int) []byte { return m.AppendCompress(dst, b.Data[lo:hi]) })
+// CompressFirsts LZSS-compresses every first-sighting block (per b.firsts,
+// see MarkFirsts) into batch-owned arenas and points Comp[k] at each block's
+// bytes. The blocks are split into up to lanes byte-balanced contiguous
+// lanes compressed concurrently (lzss.RunLanes): lane 0 on m, the caller's
+// own matcher, the others on pooled ones; lanes <= 1 compresses on m alone.
+// The bytes are identical for every lane count, because every block is
+// encoded independently by a deterministic encoder. A warm batch compresses
+// with zero heap allocations.
+func (b *Batch) CompressFirsts(m *lzss.Matcher, lanes int) {
+	lanes = min(lanes, b.NBlocks())
+	b.startComp(lanes)
+	lzss.RunLanes(lanes, m, b.Data, b.StartPos, b)
 }
 
-// encodeFirsts appends enc's encoding of every first-sighting block
-// [lo, hi) to the batch's arena and points Comp[k] at the block's subslice
-// (capacity-capped so downstream code cannot grow one block into the next).
-// Appending into one arena means a warm batch compresses with zero heap
-// allocations: the arena's capacity stabilizes after a few batches.
-func (b *Batch) encodeFirsts(enc func(dst []byte, lo, hi int) []byte) {
+// RunLane implements lzss.LaneBody: it compresses the first-sighting blocks
+// of [k0, k1) on m into lane's arena.
+func (b *Batch) RunLane(m *lzss.Matcher, lane, k0, k1 int) {
+	b.encodeLane(lane, k0, k1, func(dst []byte, lo, hi int) []byte {
+		return m.AppendCompress(dst, b.Data[lo:hi])
+	})
+}
+
+// startComp sizes the per-block outputs for the batch's blocks and makes
+// sure an arena exists for each of up to lanes lanes.
+func (b *Batch) startComp(lanes int) {
 	n := b.NBlocks()
 	resized(&b.Comp, n)
-	off := resized(&b.compOff, n)
+	resized(&b.compOff, n)
 	out := b.output()
-	arena := out.arena[:0]
-	for k := 0; k < n; k++ {
+	for len(out.lanes) < max(lanes, 1) {
+		out.lanes = append(out.lanes, nil)
+	}
+}
+
+// encodeLane appends enc's encoding of every first-sighting block [lo, hi)
+// of [k0, k1) to lane's arena, then points each such block's Comp at its
+// subslice, capacity-capped so downstream code cannot grow one block into
+// the next; duplicates get nil. Appending into one recycled arena means a
+// warm lane encodes with zero heap allocations. It writes only lane's arena
+// and the entries of blocks [k0, k1), so lanes may run concurrently.
+func (b *Batch) encodeLane(lane, k0, k1 int, enc func(dst []byte, lo, hi int) []byte) {
+	arena := b.out.lanes[lane][:0]
+	off := b.compOff
+	for k := k0; k < k1; k++ {
 		off[k] = -1
 		if b.firsts[k] {
 			off[k] = int32(len(arena))
@@ -200,11 +206,12 @@ func (b *Batch) encodeFirsts(enc func(dst []byte, lo, hi int) []byte) {
 			arena = enc(arena, lo, hi)
 		}
 	}
-	out.arena = arena
+	b.out.lanes[lane] = arena
 	// Subslice only once the arena has stopped growing: offsets survive
-	// reallocation, pointers would not.
+	// reallocation, pointers would not. Back to front, so each block is
+	// capped at its successor's start.
 	end := int32(len(arena))
-	for k := n - 1; k >= 0; k-- {
+	for k := k1 - 1; k >= k0; k-- {
 		if off[k] >= 0 {
 			b.Comp[k] = arena[off[k]:end:end]
 			end = off[k]
@@ -245,7 +252,7 @@ type CompSink interface {
 	PublishComp(h [sha1x.Size]byte, comp []byte)
 }
 
-// DefaultStoreShards is the default stripe count of a Store: enough that a
+// DefaultStoreShards is the stripe count of a Store: enough that a
 // farm of compress replicas almost never collides on a stripe (collision
 // probability ~replicas/shards per lookup), small enough that the per-shard
 // maps stay dense.
@@ -274,11 +281,11 @@ type Store struct {
 }
 
 // NewStore creates an empty duplicate store with DefaultStoreShards stripes.
-func NewStore() *Store { return NewStoreSharded(DefaultStoreShards) }
+func NewStore() *Store { return newStoreSharded(DefaultStoreShards) }
 
-// NewStoreSharded creates an empty duplicate store with n stripes, rounded
+// newStoreSharded creates an empty duplicate store with n stripes, rounded
 // up to a power of two (minimum 1).
-func NewStoreSharded(n int) *Store {
+func newStoreSharded(n int) *Store {
 	if n < 1 {
 		n = 1
 	}
@@ -292,9 +299,6 @@ func NewStoreSharded(n int) *Store {
 	}
 	return s
 }
-
-// Shards reports the stripe count.
-func (s *Store) Shards() int { return len(s.shards) }
 
 // shardFor routes h to its stripe. SHA-1 output is uniform, so the low two
 // bytes index up to 2^16 stripes without skew.

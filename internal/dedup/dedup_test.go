@@ -118,7 +118,8 @@ func TestFragmentCoversInput(t *testing.T) {
 	input := sample(2<<20 + 12345) // not a multiple of the batch size
 	var total int
 	var batches int
-	Fragment(input, DefaultBatchSize, func(b *Batch) {
+	FragmentInto(input, DefaultBatchSize, func(b *Batch) {
+		defer b.Release()
 		if b.Seq != batches {
 			t.Errorf("batch seq %d, want %d", b.Seq, batches)
 		}

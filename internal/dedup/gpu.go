@@ -13,7 +13,7 @@ import (
 	"streamgpu/internal/sha1x"
 )
 
-// GPUOptions configures CompressGPU.
+// GPUOptions configures CompressGPU and the GPU Processor.
 type GPUOptions struct {
 	Options
 	// MaxRetries bounds transient-fault retries per stage per batch before
@@ -21,9 +21,8 @@ type GPUOptions struct {
 	MaxRetries int
 	// Faults is the device's injector config; the zero value runs fault-free.
 	Faults fault.Config
-	// Devices is the simulated device pool size for the serving path's
-	// Processor: batches are spread across devices by sequence number
-	// (default 1). CompressGPU ignores it — a one-shot run owns one device.
+	// Devices is the simulated device pool size: batches are spread across
+	// devices by sequence number (default 1).
 	Devices int
 	// FaultsFor, when set, overrides Faults per device on the serving path —
 	// the chaos harness's hook for degrading one device mid-stream. Called
@@ -35,9 +34,8 @@ type GPUOptions struct {
 	// take runs on the CPU fallback, and every device-run outcome (and its
 	// observed service time) is recorded.
 	Health *health.Scoreboard
-	// Fleet, when set, gives each serving-path device its own spec
-	// (heterogeneous pools, gpu.ParseFleet); len(Fleet) overrides Devices.
-	// CompressGPU's one-shot device uses Fleet[0] when present.
+	// Fleet, when set, gives each device its own spec (heterogeneous pools,
+	// gpu.ParseFleet); len(Fleet) overrides Devices.
 	Fleet []gpu.DeviceSpec
 	// BlindPlacement forces sequence-modulo round-robin even when Health is
 	// set (quarantined devices' batches reroute to the CPU instead of other
@@ -96,52 +94,19 @@ type GPUReport struct {
 }
 
 // CompressGPU is the offloaded Dedup pipeline (§IV-B) under the
-// fault-tolerance layer: SHA-1 hashing and LZSS match-finding run as device
-// kernels, transient faults are retried with exponential backoff in virtual
-// time, and a dead device (or an exhausted retry budget) degrades the
-// affected stage to the CPU path. The archive is byte-identical to
-// CompressSeq's regardless of the injected fault schedule, because both
-// kernels are bit-exact against their CPU references and the Writer makes
-// the authoritative stream-order dedup decision either way.
+// fault-tolerance layer: the sequential batch loop over a GPU Processor.
+// Each batch's SHA-1 hashing and LZSS match-finding run as kernels on a
+// simulated device of its own, transient faults are retried with
+// exponential backoff in virtual time, and a dead device (or an exhausted
+// retry budget) degrades the affected stage of that batch to the CPU path —
+// device loss costs one batch, the next gets a fresh device. The archive is
+// byte-identical to CompressSeq's regardless of the injected fault schedule,
+// because both kernels are bit-exact against their CPU references and the
+// Writer makes the authoritative stream-order dedup decision either way.
 func CompressGPU(input []byte, w io.Writer, opt GPUOptions) (Stats, GPUReport, error) {
-	dw := NewWriter(w)
-	store := NewStore()
-	var rep GPUReport
-
-	var batches []*Batch
-	Fragment(input, opt.batchSize(), func(b *Batch) { batches = append(batches, b) })
-
-	sim := des.New()
-	dev := gpu.NewDevice(sim, opt.specFor(0), 0)
-	dev.SetTelemetry(opt.Metrics)
-	if opt.Faults != (fault.Config{}) {
-		dev.SetFaultInjector(fault.New(opt.Faults))
-	}
-	var writeErr error
-	ms := newMemSpace()
-	sim.Spawn("dedup-gpu", func(proc *des.Proc) {
-		st := dev.NewStream("")
-		for _, b := range batches {
-			gpuHashBatch(proc, st, dev, b, ms, opt, &rep)
-			gpuCompressBatch(proc, st, dev, b, ms, store, opt, &rep)
-			if err := writeBatch(b, dw); err != nil {
-				writeErr = err
-				return
-			}
-		}
-	})
-	if _, err := sim.Run(); err != nil {
-		return dw.Stats(), rep, err
-	}
-	rep.DeviceLost = dev.Lost()
-	if writeErr != nil {
-		return dw.Stats(), rep, writeErr
-	}
-	st := dw.Stats()
-	if err := dw.Close(); err != nil {
-		return st, rep, err
-	}
-	return dw.Stats(), rep, nil
+	p := NewProcessor(opt, true)
+	st, err := compressBatches(input, w, opt.batchSize(), p)
+	return st, p.Report(), err
 }
 
 // memSpace is one persistent device memory space — the unit the paper's
@@ -198,9 +163,9 @@ func attach(dev *gpu.Device, bufs []*gpu.Buf, backing ...[]byte) (free func(), e
 	return free, nil
 }
 
-// gpuHashBatch fills b.Hashes, preferring the device SHA-1 kernel and
-// degrading to the CPU path on device loss or an exhausted retry budget.
-func gpuHashBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, ms *memSpace, opt GPUOptions, rep *GPUReport) {
+// gpuHash fills b.Hashes, preferring the device SHA-1 kernel and degrading
+// to the CPU path on device loss or an exhausted retry budget.
+func (p *Processor) gpuHash(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch) {
 	n := b.NBlocks()
 	if n == 0 {
 		b.Hashes = b.Hashes[:0]
@@ -208,8 +173,9 @@ func gpuHashBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, ms 
 	}
 	cpu := func() {
 		b.HashBlocks()
-		rep.CPUHash++
+		p.rep.CPUHash++
 	}
+	ms := p.ms
 	sz := len(b.Data)
 	var d [3]*gpu.Buf
 	in, sp := ms.inputs(sz, n)
@@ -231,7 +197,7 @@ func gpuHashBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, ms 
 		evC := st.CopyD2H(proc, &ms.hHash, 0, dOut, 0, int64(n*sha1x.Size))
 		return gpu.WaitErr(proc, ev1, ev2, evK, evC)
 	}
-	if err := withRetry(proc, opt.maxRetries(), rep, run); err != nil {
+	if err := withRetry(proc, p.opt.maxRetries(), &p.rep, run); err != nil {
 		cpu()
 		return
 	}
@@ -239,13 +205,13 @@ func gpuHashBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, ms 
 	for k := 0; k < n; k++ {
 		copy(b.Hashes[k][:], ms.hHash.Data[k*sha1x.Size:])
 	}
-	rep.GPUHash++
+	p.rep.GPUHash++
 }
 
-// gpuCompressBatch fills b.Comp for the blocks this run sees first,
-// preferring the device match kernel and degrading to the CPU path on
-// device loss or an exhausted retry budget.
-func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, ms *memSpace, store BlockStore, opt GPUOptions, rep *GPUReport) {
+// gpuCompress fills b.Comp for the blocks this run sees first, preferring
+// the device match kernel and degrading to the CPU path — one lane on the
+// Processor's own matcher — on device loss or an exhausted retry budget.
+func (p *Processor) gpuCompress(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, store BlockStore) {
 	n := b.NBlocks()
 	clear(resized(&b.Comp, n))
 	if n == 0 {
@@ -256,11 +222,10 @@ func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch,
 		return
 	}
 	cpu := func() {
-		m := laneMatchers.Get()
-		b.compressFirsts(m)
-		laneMatchers.Release(m)
-		rep.CPUCompress++
+		b.CompressFirsts(p.m, 1)
+		p.rep.CPUCompress++
 	}
+	ms := p.ms
 	sz := len(b.Data)
 	var d [4]*gpu.Buf
 	in, sp := ms.inputs(sz, n)
@@ -286,15 +251,17 @@ func gpuCompressBatch(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch,
 		evO := st.CopyD2H(proc, &ms.hMo, 0, dMo, 0, int64(sz*4))
 		return gpu.WaitErr(proc, ev1, ev2, evK, evL, evO)
 	}
-	if err := withRetry(proc, opt.maxRetries(), rep, run); err != nil {
+	if err := withRetry(proc, p.opt.maxRetries(), &p.rep, run); err != nil {
 		cpu()
 		return
 	}
-	// Encode straight from the downloaded little-endian match buffers.
-	b.encodeFirsts(func(dst []byte, lo, hi int) []byte {
+	// Encode straight from the downloaded little-endian match buffers: the
+	// one-lane case of CompressFirsts' arena loop.
+	b.startComp(1)
+	b.encodeLane(0, 0, n, func(dst []byte, lo, hi int) []byte {
 		return lzss.AppendEncode(dst, b.Data, lo, hi, ms.hMl.Data, ms.hMo.Data)
 	})
-	rep.GPUCompress++
+	p.rep.GPUCompress++
 }
 
 // withRetry runs fn, retrying transient faults with exponential backoff in

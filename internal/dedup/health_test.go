@@ -16,14 +16,13 @@ func runProcessor(t *testing.T, input []byte, p *Processor, batchSize int) []byt
 	var arch bytes.Buffer
 	dw := NewWriter(&arch)
 	store := NewStore()
-	var batches []*Batch
-	Fragment(input, batchSize, func(b *Batch) { batches = append(batches, b) })
-	for _, b := range batches {
+	FragmentInto(input, batchSize, func(b *Batch) {
 		p.Process(b, store)
 		if err := b.WriteBlocks(dw); err != nil {
 			t.Fatal(err)
 		}
-	}
+		b.Release()
+	})
 	if err := dw.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,16 +17,11 @@ type Options struct {
 	Workers int
 	// Lanes is the intra-batch parallelism of the compress stage: each
 	// batch's blocks are split into up to Lanes byte-balanced ranges
-	// compressed concurrently (lzss.FindMatchesPar's partition), bit-exact
-	// to the sequential encoder. 0 derives the count from GOMAXPROCS
-	// (lzss.DefaultLanes) on the parallel paths; CompressSeq stays the
-	// single-threaded reference unless Lanes > 1 is set explicitly.
-	// Negative forces one lane.
+	// compressed concurrently (lzss.RunLanes), bit-exact to the sequential
+	// encoder. 0 derives the count from GOMAXPROCS (lzss.DefaultLanes) on
+	// the parallel paths; CompressSeq stays the single-threaded reference
+	// unless Lanes > 1 is set explicitly. Negative forces one lane.
 	Lanes int
-	// StoreShards is the duplicate store's stripe count (rounded up to a
-	// power of two; default DefaultStoreShards). More stripes cut lock
-	// collisions between replicated compress stages.
-	StoreShards int
 	// Metrics, when set, instruments the run: the SPar pipeline surfaces
 	// per-stage counters, service histograms and queue gauges labelled
 	// {pipeline="dedup"}; the GPU path additionally attaches the device
@@ -62,65 +57,57 @@ func (o Options) lanes() int {
 	return lzss.DefaultLanes()
 }
 
-func (o Options) storeShards() int {
-	if o.StoreShards <= 0 {
-		return DefaultStoreShards
-	}
-	return o.StoreShards
-}
-
-// newStore builds the run's duplicate store with the configured striping.
-func (o Options) newStore() *Store { return NewStoreSharded(o.storeShards()) }
-
 // CompressSeq is the single-threaded reference implementation: fragment,
-// hash, dedup, compress, write — one batch at a time. With Lanes > 1 the
-// batch traversal stays sequential but each batch's compression fans out
-// across lanes (CompressFirsts); the archive bytes are identical either way
-// because the Writer makes the authoritative stream-order dedup decision and
-// per-block encoding is deterministic.
+// hash, write — one batch at a time, with the Writer compressing every first
+// sighting inline. With Lanes > 1 it is the sequential batch loop over a
+// CPU Processor instead, so each batch's compression fans out across lanes
+// (CompressFirsts); the archive bytes are identical either way because the
+// Writer makes the authoritative stream-order dedup decision and per-block
+// encoding is deterministic.
 func CompressSeq(input []byte, w io.Writer, opt Options) (Stats, error) {
-	dw := NewWriter(w)
-	var firstErr error
 	if opt.Lanes > 1 {
-		store := opt.newStore()
-		m := lzss.NewMatcher()
-		Fragment(input, opt.batchSize(), func(b *Batch) {
-			if firstErr != nil {
-				return
-			}
+		return compressBatches(input, w, opt.batchSize(), NewProcessor(GPUOptions{Options: opt}, false))
+	}
+	dw := NewWriter(w)
+	var err error
+	FragmentInto(input, opt.batchSize(), func(b *Batch) {
+		if err == nil {
 			b.HashBlocks()
-			b.markFirsts(store)
-			b.CompressFirsts(m, opt.Lanes)
-			if err := writeBatch(b, dw); err != nil {
-				firstErr = err
-			}
-		})
-	} else {
-		Fragment(input, opt.batchSize(), func(b *Batch) {
-			if firstErr != nil {
-				return
-			}
-			b.HashBlocks()
-			for k := 0; k < b.NBlocks(); k++ {
+			for k := 0; k < b.NBlocks() && err == nil; k++ {
 				lo, hi := b.Block(k)
-				if err := dw.WriteBlock(b.Hashes[k], b.Data[lo:hi], nil); err != nil {
-					firstErr = err
-					return
-				}
+				err = dw.WriteBlock(b.Hashes[k], b.Data[lo:hi], nil)
 			}
-		})
+		}
+		b.Release()
+	})
+	if err != nil {
+		return dw.Stats(), err
 	}
-	if firstErr != nil {
-		return dw.Stats(), firstErr
-	}
-	// The sequential path always compresses inline; that is not a race
+	// The reference path always compresses inline; that is not a race
 	// fallback, so do not report it as one.
 	st := dw.Stats()
 	st.FallbackCompressions = 0
-	if err := dw.Close(); err != nil {
-		return st, err
+	return st, dw.Close()
+}
+
+// compressBatches is the sequential batch loop: fragment the input, let p
+// prepare each batch against one run-wide store, write it, release it — one
+// batch at a time.
+func compressBatches(input []byte, w io.Writer, batchSize int, p *Processor) (Stats, error) {
+	dw := NewWriter(w)
+	store := NewStore()
+	var err error
+	FragmentInto(input, batchSize, func(b *Batch) {
+		if err == nil {
+			p.Process(b, store)
+			err = writeBatch(b, dw)
+		}
+		b.Release()
+	})
+	if err == nil {
+		err = dw.Close()
 	}
-	return st, nil
+	return dw.Stats(), err
 }
 
 // writeBatch is the ordered final-stage body: the authoritative
@@ -136,9 +123,9 @@ func writeBatch(b *Batch, dw *Writer) error {
 }
 
 // compressWorker is a stateful compress-stage replica: each replica owns an
-// lzss.Matcher whose hash-chain tables and match arrays are reused across
-// batches without locking; lanes > 1 additionally fans each batch out
-// across borrowed lane matchers (CompressFirsts).
+// lzss.Matcher whose hash-chain tables are reused across batches without
+// locking; lanes > 1 additionally fans each batch out across pooled lane
+// matchers (CompressFirsts).
 type compressWorker struct {
 	m     *lzss.Matcher
 	lanes int
@@ -173,7 +160,7 @@ func CompressSPar(input []byte, w io.Writer, opt Options) (Stats, error) {
 // context error is returned).
 func CompressSParContext(ctx context.Context, input []byte, w io.Writer, opt Options) (Stats, error) {
 	dw := NewWriter(w)
-	store := opt.newStore()
+	store := NewStore()
 	lanes := opt.lanes()
 
 	ts := core.NewToStream(core.Ordered(), core.Input("input", "batchSize"),

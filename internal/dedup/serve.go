@@ -8,24 +8,8 @@ import (
 	"streamgpu/internal/gpu"
 	"streamgpu/internal/health"
 	"streamgpu/internal/lzss"
-	"streamgpu/internal/rabin"
 	"streamgpu/internal/telemetry"
 )
-
-// NewStreamBatch builds one pooled batch around data for the serving path:
-// the resident server fills 1 MB payload buffers by coalescing client
-// requests and seals each into a batch here, instead of fragmenting a whole
-// input up front the way FragmentInto does. Ownership of the batch transfers
-// to the caller, which must Release it when it has fully left the pipeline;
-// data stays owned by the caller (the batch only references it).
-func NewStreamBatch(seq int, data []byte, ch *rabin.Chunker) *Batch {
-	b := batchPool.Get()
-	b.pooled = true
-	b.Seq = seq
-	b.Data = data
-	b.StartPos = ch.AppendBoundaries(b.StartPos[:0], data)
-	return b
-}
 
 // MarkFirsts runs the dedup-hint stage against store (see markFirsts); it is
 // the exported form used by batch processors outside this package's own
@@ -53,13 +37,13 @@ func (dw *Writer) Flush() error {
 
 // Processor turns one pooled batch into a fully prepared batch (hashes,
 // dedup hints, compressed firsts) for an ordered writer downstream. Each
-// pipeline replica owns one Processor: the CPU path reuses a private
-// lzss.Matcher across batches, and the GPU path offloads the SHA-1 and
+// server pipeline replica owns one, and the sequential batch loop behind
+// CompressGPU and CompressSeq (Lanes > 1) runs one. The CPU path reuses a
+// private lzss.Matcher across batches; the GPU path offloads the SHA-1 and
 // match-finding kernels to a simulated device with per-batch fault
-// injection, retry, and CPU degradation (the recovery ladder of CompressGPU,
-// per batch instead of per run). Either way the downstream Writer makes the
-// authoritative stream-order dedup decision, so the archive bytes are
-// identical to CompressSeq's regardless of path or fault schedule.
+// injection, retry, and CPU degradation. Either way the downstream Writer
+// makes the authoritative stream-order dedup decision, so the archive bytes
+// are identical to CompressSeq's regardless of path or fault schedule.
 type Processor struct {
 	opt GPUOptions
 	gpu bool
@@ -170,10 +154,9 @@ func (p *Processor) place(b *Batch) (int, health.Route) {
 	return devIdx, route
 }
 
-// processGPU runs the batch's kernels on a private simulated device. Unlike
-// CompressGPU, which owns one device for a whole run, the serving path spins
-// one simulation per batch — device loss therefore costs one batch (degraded
-// to the CPU), not the rest of the stream. When a health scoreboard is
+// processGPU runs the batch's kernels on a private simulated device: one
+// simulation per batch, so device loss costs one batch (degraded to the
+// CPU), not the rest of the stream. When a health scoreboard is
 // configured, placement is score-weighted across the pool: a quarantined
 // device gets only probe batches, a batch no device can take reroutes to the
 // CPU, and each device-run outcome (clean, or any fault the recovery ladder
@@ -210,8 +193,8 @@ func (p *Processor) processGPU(b *Batch, store BlockStore) {
 	done := false
 	sim.Spawn("serve-batch", func(proc *des.Proc) {
 		st := dev.NewStream("")
-		gpuHashBatch(proc, st, dev, b, p.ms, p.opt, &p.rep)
-		gpuCompressBatch(proc, st, dev, b, p.ms, store, p.opt, &p.rep)
+		p.gpuHash(proc, st, dev, b)
+		p.gpuCompress(proc, st, dev, b, store)
 		done = true
 	})
 	end, err := sim.Run()

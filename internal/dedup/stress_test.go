@@ -94,7 +94,7 @@ func TestFragmentIntoRecycles(t *testing.T) {
 // may wait in the front stages behind a slow compress stage, carries none.
 func TestArenasFollowCompress(t *testing.T) {
 	input := sample(512 << 10)
-	store := Options{}.newStore()
+	store := NewStore()
 	m := lzss.NewMatcher()
 	for _, lanes := range []int{1, 3} {
 		rel := compOutPool.Stats().Releases
@@ -124,15 +124,14 @@ func TestArenasFollowCompress(t *testing.T) {
 }
 
 // TestReleaseOnPlainBatchIsNoOp guards the unconditional-release contract
-// for batches created by Fragment.
+// for batches built outside the pool.
 func TestReleaseOnPlainBatchIsNoOp(t *testing.T) {
 	input := sample(64 << 10)
-	Fragment(input, 0, func(b *Batch) {
-		b.Release()
-		if b.Data == nil {
-			t.Fatal("Release cleared a non-pooled batch")
-		}
-	})
+	b := &Batch{Data: input, StartPos: rabin.NewChunker().AppendBoundaries(nil, input)}
+	b.Release()
+	if b.Data == nil || b.NBlocks() == 0 {
+		t.Fatal("Release cleared a non-pooled batch")
+	}
 }
 
 // TestSeqAllocsSteadyState pins the sequential host path: after a warm-up

@@ -1,9 +1,8 @@
 // Package loadgen is a closed-loop load generator for the streaming service
 // front-end (internal/server, cmd/streamd): N concurrent clients each keep
 // exactly one request outstanding, drawing payload sizes from a seeded
-// distribution, and the run produces a latency/throughput report in the
-// benchdiff-compatible HostReport schema (internal/bench) plus serving
-// detail — admission verdict counts, percentile latencies, and end-to-end
+// distribution, and the run produces a report of admission verdict counts,
+// percentile latencies, per-node shares (cluster runs), and end-to-end
 // restore verification.
 //
 // Closed-loop matters here: an open-loop generator against a server with
@@ -30,12 +29,10 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"streamgpu/internal/bench"
 	"streamgpu/internal/dedup"
 	"streamgpu/internal/mandel"
 	"streamgpu/internal/server"
@@ -86,9 +83,6 @@ type Config struct {
 	Verify bool
 	// DialTimeout bounds each client's dial (default 5s).
 	DialTimeout time.Duration
-	// SkipCalib omits the machine-speed calibration measurement (useful in
-	// tests where the report is not compared across machines).
-	SkipCalib bool
 }
 
 func (c Config) clients() int {
@@ -174,12 +168,8 @@ func (c Config) backoffCap() time.Duration {
 	return c.BackoffCap
 }
 
-// Report is the run summary. It embeds the benchdiff-comparable fields
-// (schema, calibration, results) and adds serving detail; latency entries
-// appear in Results as inverse rates (1/seconds) so benchdiff's
-// lower-is-a-regression rule applies to them with the right sign.
+// Report is the run summary.
 type Report struct {
-	bench.HostReport
 	Service  string `json:"service"`
 	Clients  int    `json:"clients"`
 	Requests int    `json:"requests_per_client"`
@@ -203,9 +193,7 @@ type Report struct {
 	LatencyP90 float64 `json:"latency_p90_seconds"`
 	LatencyP99 float64 `json:"latency_p99_seconds"`
 	// Nodes breaks accepted traffic down by the node that served it
-	// (cluster runs only). Forwarding is invisible to clients — a forwarded
-	// session tallies under the node dialed, and the hop shows up in that
-	// node's cluster_forwarded_conns_total metric instead.
+	// (cluster runs only).
 	Nodes []NodeReport `json:"nodes,omitempty"`
 	// RestoreFailures counts sessions whose restored archive (dedup) or
 	// recomputed rows (mandel) did not match what was sent. Zero is the
@@ -274,13 +262,6 @@ func Run(cfg Config) (Report, error) {
 		Requests: cfg.requests(),
 		Seconds:  elapsed,
 	}
-	rep.Schema = "streamgpu-loadgen/v1"
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	if !cfg.SkipCalib {
-		rep.Calib = bench.Calib()
-	} else {
-		rep.Calib = 1
-	}
 	var lats []float64
 	nodeTotals := make(map[string]*nodeCounts)
 	for i := range results {
@@ -317,26 +298,9 @@ func Run(cfg Config) (Report, error) {
 		rep.LatencyP90 = stats.Percentile(lats, 90)
 		rep.LatencyP99 = stats.Percentile(lats, 99)
 	}
-	svc := cfg.service().String()
-	addResult := func(name, unit string, v float64) {
-		rep.Results = append(rep.Results, bench.HostResult{
-			Name: "serve/" + svc + "/" + name, Unit: unit, Value: v, AllocsPerOp: -1,
-		})
-	}
-	if elapsed > 0 {
-		addResult("throughput", "MB/s", float64(rep.SentBytes)/1e6/elapsed)
-		addResult("requests", "req/s", float64(rep.Accepted)/elapsed)
-	}
-	if rep.LatencyP50 > 0 {
-		addResult("p50-rate", "1/s", 1/rep.LatencyP50)
-	}
-	if rep.LatencyP99 > 0 {
-		addResult("p99-rate", "1/s", 1/rep.LatencyP99)
-	}
 	if cluster := cfg.addrList(); len(cluster) > 1 {
-		// Per-node columns, named by position in the configured node list so
-		// benchdiff can compare runs across clusters with different ports.
-		// Nodes reached only via redirect (not in the list) sort after.
+		// Nodes in the order of the configured list; nodes reached only via
+		// redirect (not in the list) sort after.
 		order := append([]string(nil), cluster...)
 		inList := make(map[string]bool, len(order))
 		for _, a := range order {
@@ -350,7 +314,7 @@ func Run(cfg Config) (Report, error) {
 		}
 		sort.Strings(extra)
 		order = append(order, extra...)
-		for i, addr := range order {
+		for _, addr := range order {
 			t := nodeTotals[addr]
 			if t == nil {
 				t = &nodeCounts{}
@@ -363,8 +327,6 @@ func Run(cfg Config) (Report, error) {
 				nr.Share = float64(t.accepted) / float64(rep.Accepted)
 			}
 			rep.Nodes = append(rep.Nodes, nr)
-			addResult(fmt.Sprintf("node%d-throughput", i), "MB/s", nr.Throughput)
-			addResult(fmt.Sprintf("node%d-requests", i), "req/s", float64(t.accepted)/elapsed)
 		}
 	}
 	var firstErr error

@@ -166,7 +166,7 @@ func (m *Matcher) FindMatches(input []byte, startPos []int32, matchLen, matchOff
 // written exactly on that union of ranges. Because the chain tables are
 // epoch-invalidated per block, the result for a block never depends on any
 // other block — which is what makes a contiguous block range an independent
-// unit of work (FindMatchesPar's lanes).
+// unit of work (the lanes of RunLanes).
 func (m *Matcher) findMatchesRange(input []byte, startPos []int32, k0, k1 int, matchLen, matchOff []int32) {
 	if len(input) > cap(m.prev) {
 		m.prev = make([]int32, len(input))

@@ -26,34 +26,28 @@ func DefaultLanes() int {
 	return n
 }
 
-// laneTask is one lane's unit of work: a contiguous block range of the batch
-// plus the shared output arrays. run is built once per task (capturing only
-// the task pointer) so spawning a lane is `go t.run()` — a no-argument
-// func value, which the runtime starts without allocating a closure.
+// LaneBody is the work RunLanes fans out: blocks [k0, k1) of a batch on
+// matcher m. lane numbers the non-empty lanes 0, 1, ... in block order. The
+// lanes of one run execute concurrently, so a body may write only what its
+// own blocks or its own lane index own.
+type LaneBody interface {
+	RunLane(m *Matcher, lane, k0, k1 int)
+}
+
+// laneTask is one spawned lane. run is built once per task (capturing only
+// the task pointer) so spawning a lane is `go t.run()` — a no-argument func
+// value, which the runtime starts without allocating a closure.
 type laneTask struct {
-	m        *Matcher
-	input    []byte
-	startPos []int32
-	k0, k1   int
-	matchLen []int32
-	matchOff []int32
-	wg       *sync.WaitGroup
-	run      func()
+	body         LaneBody
+	m            *Matcher
+	lane, k0, k1 int
+	wg           *sync.WaitGroup
+	run          func()
 }
 
-// clear drops the task's references to caller-owned memory so a pooled
-// scratch never pins a batch past the call.
-func (t *laneTask) clear() {
-	t.m = nil
-	t.input = nil
-	t.startPos = nil
-	t.matchLen = nil
-	t.matchOff = nil
-}
-
-// parScratch is the reusable spawn state behind FindMatchesPar: the lane
-// tasks (with their prebuilt run closures) and the join group. Pooled so a
-// warm caller runs the whole fan-out/join with zero heap allocations.
+// parScratch is the reusable spawn state behind RunLanes: the lane tasks
+// (with their prebuilt run closures) and the join group. Pooled so a warm
+// caller runs the whole fan-out/join with zero heap allocations.
 type parScratch struct {
 	tasks []*laneTask
 	wg    sync.WaitGroup
@@ -64,7 +58,7 @@ func (s *parScratch) grow(n int) {
 	for len(s.tasks) < n {
 		t := &laneTask{wg: &s.wg}
 		t.run = func() {
-			t.m.findMatchesRange(t.input, t.startPos, t.k0, t.k1, t.matchLen, t.matchOff)
+			t.body.RunLane(t.m, t.lane, t.k0, t.k1)
 			t.wg.Done()
 		}
 		s.tasks = append(s.tasks, t)
@@ -98,69 +92,91 @@ func laneCut(i, lanes int, input []byte, startPos []int32) int {
 	return lo
 }
 
+// RunLanes splits the blocks of input (starting at startPos) into up to
+// lanes byte-balanced contiguous ranges and runs body once per non-empty
+// range: lane 0 inline on the caller's matcher m, so the caller's core is
+// never idle during the join, and lanes 1..K-1 on their own goroutines with
+// matchers borrowed from the package pool and returned at the join. lanes is
+// capped at maxLanes and at the block count; lanes <= 1 runs body once over
+// every block on m. RunLanes returns when every lane has finished; a warm
+// call performs no heap allocation.
+func RunLanes(lanes int, m *Matcher, input []byte, startPos []int32, body LaneBody) {
+	lanes = min(lanes, maxLanes, len(startPos))
+	if lanes <= 1 {
+		body.RunLane(m, 0, 0, len(startPos))
+		return
+	}
+	sc := parPool.Get()
+	sc.grow(lanes)
+	spawned, k0 := 0, 0
+	for i := 1; i <= lanes; i++ {
+		k1 := laneCut(i, lanes, input, startPos)
+		if k1 <= k0 {
+			continue
+		}
+		t := sc.tasks[spawned]
+		t.body, t.m = body, m
+		if spawned > 0 {
+			t.m = matcherPool.Get()
+		}
+		t.lane, t.k0, t.k1 = spawned, k0, k1
+		spawned++
+		k0 = k1
+	}
+	sc.wg.Add(spawned - 1)
+	for _, t := range sc.tasks[1:spawned] {
+		go t.run()
+	}
+	t0 := sc.tasks[0]
+	body.RunLane(m, 0, t0.k0, t0.k1)
+	sc.wg.Wait()
+	for i, t := range sc.tasks[:spawned] {
+		if i > 0 {
+			matcherPool.Release(t.m)
+		}
+		t.body, t.m = nil, nil
+	}
+	parPool.Release(sc)
+}
+
+// findLanes is FindMatchesPar's lane body: all-positions match-finding over
+// a lane's blocks into the caller's shared match arrays (each lane writes
+// only the positions its blocks cover). Pooled, because a body handed to
+// RunLanes outlives the caller's stack frame in the spawned lanes.
+type findLanes struct {
+	input              []byte
+	startPos           []int32
+	matchLen, matchOff []int32
+}
+
+func (f *findLanes) RunLane(m *Matcher, _, k0, k1 int) {
+	m.findMatchesRange(f.input, f.startPos, k0, k1, f.matchLen, f.matchOff)
+}
+
+var findPool = pool.New[*findLanes]("lzss.find-lanes", func() *findLanes { return new(findLanes) })
+
 // FindMatchesPar computes exactly the bytes (*Matcher).FindMatches computes,
-// split across up to lanes concurrent matchers. Correctness rests on the
-// core property of the match semantics: a match never crosses a startPos
-// boundary, and the chain tables are epoch-invalidated per block, so the
-// per-block output is a pure function of that block's bytes. Partitioning
-// the blocks into contiguous lanes therefore changes scheduling only — each
-// lane writes the disjoint matchLen/matchOff region its blocks own, and the
-// merged result is bit-identical to the sequential pass (proven against the
-// equivalence harness in lzss_par_test.go).
+// split across up to lanes concurrent matchers (RunLanes). Correctness rests
+// on the core property of the match semantics: a match never crosses a
+// startPos boundary, and the chain tables are epoch-invalidated per block, so
+// the per-block output is a pure function of that block's bytes.
+// Partitioning the blocks into contiguous lanes therefore changes scheduling
+// only — each lane writes the disjoint matchLen/matchOff region its blocks
+// own, and the merged result is bit-identical to the sequential pass (proven
+// against the equivalence harness in par_test.go).
 //
-// lanes <= 0 selects DefaultLanes(). The call borrows lane matchers and the
-// spawn scratch from package pools and blocks until every lane finishes; a
-// warm call performs no heap allocation.
+// lanes <= 0 selects DefaultLanes(). Every matcher, including lane 0's, is
+// borrowed from the package pool; a warm call performs no heap allocation.
 func FindMatchesPar(lanes int, input []byte, startPos []int32, matchLen, matchOff []int32) {
 	checkMatchArgs(input, startPos, matchLen, matchOff)
 	if lanes <= 0 {
 		lanes = DefaultLanes()
 	}
-	if lanes > maxLanes {
-		lanes = maxLanes
-	}
-	if lanes > len(startPos) {
-		lanes = len(startPos)
-	}
-	if lanes <= 1 {
-		m := matcherPool.Get()
-		m.findMatchesRange(input, startPos, 0, len(startPos), matchLen, matchOff)
-		matcherPool.Release(m)
-		return
-	}
-
-	sc := parPool.Get()
-	sc.grow(lanes)
-	spawned := 0
-	k0 := 0
-	for i := 0; i < lanes; i++ {
-		k1 := laneCut(i+1, lanes, input, startPos)
-		if k1 <= k0 {
-			continue
-		}
-		t := sc.tasks[spawned]
-		t.m = matcherPool.Get()
-		t.input = input
-		t.startPos = startPos
-		t.k0, t.k1 = k0, k1
-		t.matchLen = matchLen
-		t.matchOff = matchOff
-		spawned++
-		k0 = k1
-	}
-	// Lanes 1..spawned-1 run on their own goroutines; lane 0 runs inline so
-	// the caller's core is never idle during the join.
-	sc.wg.Add(spawned - 1)
-	for i := 1; i < spawned; i++ {
-		go sc.tasks[i].run()
-	}
-	t0 := sc.tasks[0]
-	t0.m.findMatchesRange(t0.input, t0.startPos, t0.k0, t0.k1, t0.matchLen, t0.matchOff)
-	sc.wg.Wait()
-	for i := 0; i < spawned; i++ {
-		t := sc.tasks[i]
-		matcherPool.Release(t.m)
-		t.clear()
-	}
-	parPool.Release(sc)
+	f := findPool.Get()
+	*f = findLanes{input: input, startPos: startPos, matchLen: matchLen, matchOff: matchOff}
+	m := matcherPool.Get()
+	RunLanes(lanes, m, input, startPos, f)
+	matcherPool.Release(m)
+	*f = findLanes{}
+	findPool.Release(f)
 }

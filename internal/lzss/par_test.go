@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -152,27 +154,37 @@ func TestFindMatchesParProperty(t *testing.T) {
 }
 
 // TestLaneCutPartition checks the byte-balanced partitioner yields a
-// monotone, complete cover of the block index space.
+// monotone, complete cover of the block index space whose interior cuts are
+// exact. Blocks every 600 bytes of 48 000 put some lane targets exactly on a
+// block start (the boundary case of the search); every 617 bytes, none.
 func TestLaneCutPartition(t *testing.T) {
-	data := textLike(50_000, 3)
-	startPos := []int32{0}
-	for p := 617; p < len(data); p += 617 {
-		startPos = append(startPos, int32(p))
-	}
-	for lanes := 1; lanes <= maxLanes; lanes++ {
-		prev := 0
-		if laneCut(0, lanes, data, startPos) != 0 {
-			t.Fatalf("lanes=%d: laneCut(0) != 0", lanes)
+	data := textLike(48_000, 3)
+	for _, spacing := range []int{617, 600} {
+		startPos := []int32{0}
+		for p := spacing; p < len(data); p += spacing {
+			startPos = append(startPos, int32(p))
 		}
-		for i := 1; i <= lanes; i++ {
-			c := laneCut(i, lanes, data, startPos)
-			if c < prev {
-				t.Fatalf("lanes=%d: cut %d=%d below previous %d", lanes, i, c, prev)
+		for lanes := 1; lanes <= maxLanes; lanes++ {
+			prev := 0
+			if laneCut(0, lanes, data, startPos) != 0 {
+				t.Fatalf("spacing %d lanes=%d: laneCut(0) != 0", spacing, lanes)
 			}
-			prev = c
-		}
-		if prev != len(startPos) {
-			t.Fatalf("lanes=%d: final cut %d != %d blocks", lanes, prev, len(startPos))
+			for i := 1; i <= lanes; i++ {
+				c := laneCut(i, lanes, data, startPos)
+				if c < prev {
+					t.Fatalf("spacing %d lanes=%d: cut %d=%d below previous %d", spacing, lanes, i, c, prev)
+				}
+				// Interior cuts are exact: the first block starting at or
+				// past the lane's byte share.
+				target := int32(len(data) * i / lanes)
+				if i < lanes && (c == len(startPos) || startPos[c] < target || (c > 0 && startPos[c-1] >= target)) {
+					t.Fatalf("spacing %d lanes=%d: cut %d=%d is not the first block at or past byte %d", spacing, lanes, i, c, target)
+				}
+				prev = c
+			}
+			if prev != len(startPos) {
+				t.Fatalf("spacing %d lanes=%d: final cut %d != %d blocks", spacing, lanes, prev, len(startPos))
+			}
 		}
 	}
 }
@@ -202,6 +214,87 @@ func TestFindMatchesParAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("FindMatchesPar(lanes=%d) allocates %v per batch, want 0", lanes, allocs)
+		}
+	}
+}
+
+// laneRecorder is a LaneBody that counts how often each block is visited
+// and records which matcher ran each lane.
+type laneRecorder struct {
+	visits []atomic.Int32
+	mu     sync.Mutex
+	lanes  map[int]*Matcher
+	spans  map[int][2]int
+}
+
+func (r *laneRecorder) RunLane(m *Matcher, lane, k0, k1 int) {
+	for k := k0; k < k1; k++ {
+		r.visits[k].Add(1)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.lanes[lane]; dup {
+		r.lanes[-1] = m // flags a lane number used twice
+	}
+	r.lanes[lane] = m
+	r.spans[lane] = [2]int{k0, k1}
+}
+
+// TestRunLanesCoversEveryBlockOnce checks the lane runner's contract for
+// every lane count and several block layouts: each block runs in exactly one
+// lane, lanes are numbered 0..K-1 over contiguous ranges in block order,
+// lane 0 runs on the caller's matcher and every other lane on a distinct
+// pooled one, and the lane count never exceeds the request, maxLanes or the
+// block count.
+func TestRunLanesCoversEveryBlockOnce(t *testing.T) {
+	data := textLike(30_000, 5)
+	layouts := map[string][]int32{
+		"one-block":   {0},
+		"two-blocks":  {0, 29_000},
+		"even":        {0, 3000, 6000, 9000, 12000, 15000, 18000, 21000, 24000, 27000},
+		"skewed":      {0, 1, 2, 3, 4, 20_000},
+		"empty-input": nil,
+	}
+	for name, sp := range layouts {
+		input := data
+		if sp == nil {
+			input = nil
+		}
+		for lanes := -1; lanes <= maxLanes+2; lanes++ {
+			caller := NewMatcher()
+			r := &laneRecorder{visits: make([]atomic.Int32, len(sp)), lanes: map[int]*Matcher{}, spans: map[int][2]int{}}
+			RunLanes(lanes, caller, input, sp, r)
+			for k := range sp {
+				if v := r.visits[k].Load(); v != 1 {
+					t.Fatalf("%s lanes=%d: block %d ran %d times", name, lanes, k, v)
+				}
+			}
+			if _, dup := r.lanes[-1]; dup {
+				t.Fatalf("%s lanes=%d: a lane number ran twice", name, lanes)
+			}
+			if r.lanes[0] != caller {
+				t.Fatalf("%s lanes=%d: lane 0 did not run on the caller's matcher", name, lanes)
+			}
+			want := max(1, min(lanes, maxLanes, len(sp)))
+			if len(r.lanes) > want {
+				t.Fatalf("%s lanes=%d: %d lanes ran, at most %d allowed", name, lanes, len(r.lanes), want)
+			}
+			seen := map[*Matcher]bool{}
+			next := 0
+			for lane := 0; lane < len(r.lanes); lane++ {
+				m, ok := r.lanes[lane]
+				if !ok || seen[m] {
+					t.Fatalf("%s lanes=%d: lanes not numbered 0..%d on distinct matchers", name, lanes, len(r.lanes)-1)
+				}
+				seen[m] = true
+				if sp := r.spans[lane]; sp[0] != next || (len(r.lanes) > 1 && sp[1] <= sp[0]) {
+					t.Fatalf("%s lanes=%d: lane %d spans %v, want a non-empty range from %d", name, lanes, lane, sp, next)
+				}
+				next = r.spans[lane][1]
+			}
+			if next != len(sp) {
+				t.Fatalf("%s lanes=%d: lanes end at block %d of %d", name, lanes, next, len(sp))
+			}
 		}
 	}
 }

@@ -111,15 +111,6 @@ type Config struct {
 	// and nodes. Archive bytes are unaffected either way: each session's
 	// Writer still makes the authoritative stream-order decision.
 	Store dedup.BlockStore
-	// Lanes is the intra-batch compress parallelism of the dedup workers
-	// (-lzss-lanes): each batch's blocks split into byte-balanced lanes
-	// compressed concurrently, bit-exact to the sequential encoder. 0
-	// derives the count from GOMAXPROCS; negative forces one lane.
-	Lanes int
-	// StoreShards stripes the per-session duplicate stores (-store-shards;
-	// rounded up to a power of two, default dedup.DefaultStoreShards).
-	// Ignored when Store injects a shared store.
-	StoreShards int
 }
 
 func (c Config) maxInflight() int {
@@ -478,11 +469,7 @@ func (s *Server) waitCtx(ctx context.Context, wg *sync.WaitGroup) bool {
 // canceled (forced drain).
 func (s *Server) startPipelines() {
 	gopt := dedup.GPUOptions{
-		Options: dedup.Options{
-			Metrics:     s.cfg.Metrics,
-			Lanes:       s.cfg.Lanes,
-			StoreShards: s.cfg.StoreShards,
-		},
+		Options:        dedup.Options{Metrics: s.cfg.Metrics},
 		MaxRetries:     s.cfg.MaxRetries,
 		Faults:         s.cfg.Faults,
 		Devices:        s.cfg.devices(),
@@ -659,8 +646,10 @@ func (s *Server) dedupSink(item any, _ func(any)) {
 			if i > 0 {
 				payload = nil
 			}
-			sess.sendResult(wire.SvcDedup, c.seq, c.tenant, payload)
+			// Observe first: once the result is on the wire the client may
+			// offer its next request, which must see this sample and slot.
 			s.observeDone(wire.SvcDedup, c.tenant, len(payload), now.Sub(c.t0))
+			sess.sendResult(wire.SvcDedup, c.seq, c.tenant, payload)
 		}
 	}
 	j.batch.Release()
@@ -684,8 +673,8 @@ func (s *Server) mandelCompute(item any, emit func(any)) {
 // mandelSink responds to completed row-range requests in order.
 func (s *Server) mandelSink(item any, _ func(any)) {
 	mj := item.(*mandelJob)
-	mj.sess.sendResult(wire.SvcMandel, mj.seq, mj.tenant, mj.out)
 	s.observeDone(wire.SvcMandel, mj.tenant, len(mj.out), time.Since(mj.t0))
+	mj.sess.sendResult(wire.SvcMandel, mj.seq, mj.tenant, mj.out)
 	s.payloads.Release(mj.out)
 	mj.sess.jobDone(1)
 }

@@ -43,16 +43,15 @@ func TestSoakServeUnderRace(t *testing.T) {
 
 	for _, svc := range []wire.Svc{wire.SvcDedup, wire.SvcMandel} {
 		rep, err := loadgen.Run(loadgen.Config{
-			Addr:      ln.Addr().String(),
-			Service:   svc,
-			Clients:   64,
-			Requests:  10,
-			Tenants:   8,
-			MinBytes:  256,
-			MaxBytes:  32 << 10,
-			Seed:      7,
-			Verify:    true,
-			SkipCalib: true,
+			Addr:     ln.Addr().String(),
+			Service:  svc,
+			Clients:  64,
+			Requests: 10,
+			Tenants:  8,
+			MinBytes: 256,
+			MaxBytes: 32 << 10,
+			Seed:     7,
+			Verify:   true,
 		})
 		if err != nil {
 			t.Fatalf("%s: loadgen: %v (errors: %v)", svc, err, rep.Errors)

@@ -128,7 +128,6 @@ func (r *Runner) Fleets(cfgs ...loadgen.Config) []loadgen.Report {
 	for i := range cfgs {
 		cfg := cfgs[i]
 		cfg.Addr = r.addr
-		cfg.SkipCalib = true
 		if cfg.Seed == 0 {
 			cfg.Seed = r.nextSeed()
 		}
