@@ -71,8 +71,11 @@ diag:
 # over-allocate — on arbitrary input. FuzzCompressEquivalence is the odd one
 # out: it searches for a block on which the fused host encoder and the
 # all-positions reference disagree (seeded in code from the equivalence
-# table's edge shapes); FuzzBoundariesEquivalence does the same for the Rabin
-# chunker's interleaved candidate scan against the sequential rolling window.
+# table's edge shapes); FuzzFillEquivalence searches for a batch on which the
+# GPU path's warp-exact match fill misses a token start or a warp's cost
+# (seeded in code from its exactness table); FuzzBoundariesEquivalence does
+# the same for the Rabin chunker's interleaved candidate scan against the
+# sequential rolling window.
 # FUZZTIME=5m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
@@ -81,6 +84,7 @@ fuzz:
 	$(GO) test ./internal/dedup -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu -fuzz FuzzParseFleet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lzss -fuzz FuzzCompressEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lzss -fuzz FuzzFillEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rabin -fuzz FuzzBoundariesEquivalence -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per

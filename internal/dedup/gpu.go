@@ -240,7 +240,7 @@ func (p *Processor) gpuCompress(proc *des.Proc, st *gpu.Stream, dev *gpu.Device,
 	sha1x.PutStartPos(resized(&ms.hSp.Data, n*4), b.StartPos)
 	resized(&ms.hMl.Data, sz*4)
 	resized(&ms.hMo.Data, sz*4)
-	ms.pre.Fill(b.Data, b.StartPos)
+	ms.pre.Fill(b.Data, b.StartPos, dev.Spec.WarpSize)
 	spec := lzss.FastKernel()
 
 	run := func() error {

@@ -75,6 +75,24 @@ func startPosBuf(t *testing.T, dev *gpu.Device, sp []int32) *gpu.Buf {
 	return b
 }
 
+// lzN is the FindMatch cases' batch, cut by blockStarts(lzN, 9).
+const lzN = 3000
+
+// lzCase is a FindMatch kernel over a seeded batch; matches, when set, makes
+// the fast kernel's last argument from the batch and its block starts.
+func lzCase(name string, ks *gpu.KernelSpec, matches func([]byte, []int32) *lzss.Matches) equivCase {
+	lzStarts := blockStarts(lzN, 9)
+	return equivCase{name, lzN, func(t *testing.T, dev *gpu.Device) (*gpu.Kernel, []*gpu.Buf) {
+		in := seeded(t, dev, lzN, 5)
+		ml, mo := malloc(t, dev, lzN*4), malloc(t, dev, lzN*4)
+		args := []any{in, lzN, startPosBuf(t, dev, lzStarts), len(lzStarts), ml, mo}
+		if matches != nil {
+			args = append(args, matches(in.Bytes(), lzStarts))
+		}
+		return ks.Bind(args...), []*gpu.Buf{ml, mo}
+	}}
+}
+
 func equivCases() []equivCase {
 	const dim = 1100 // ≥ 1024 threads per row: row launches fan out too
 	p := mandel.Params{Dim: dim, Niter: 48, InitA: -2.0, InitB: -1.25, Range: 2.5}
@@ -96,20 +114,6 @@ func equivCases() []equivCase {
 	direct := func(img *gpu.Buf) []any { return []any{row, p, img, iterCycles} }
 	cached := func(img *gpu.Buf) []any { return []any{row, img, iterCycles} }
 
-	const lzN = 3000
-	lzStarts := blockStarts(lzN, 9)
-	lzCase := func(name string, ks *gpu.KernelSpec, fast bool) equivCase {
-		return equivCase{name, lzN, func(t *testing.T, dev *gpu.Device) (*gpu.Kernel, []*gpu.Buf) {
-			in := seeded(t, dev, lzN, 5)
-			ml, mo := malloc(t, dev, lzN*4), malloc(t, dev, lzN*4)
-			args := []any{in, lzN, startPosBuf(t, dev, lzStarts), len(lzStarts), ml, mo}
-			if fast {
-				args = append(args, lzss.Precompute(in.Bytes(), lzStarts))
-			}
-			return ks.Bind(args...), []*gpu.Buf{ml, mo}
-		}}
-	}
-
 	const shaN = 40000
 	shaStarts := blockStarts(shaN, 40) // ~1400 blocks of 1..240 bytes
 
@@ -128,8 +132,8 @@ func equivCases() []equivCase {
 			out := malloc(t, dev, len(shaStarts)*sha1x.Size)
 			return sha1x.Kernel.Bind(seeded(t, dev, shaN, 6), startPosBuf(t, dev, shaStarts), len(shaStarts), shaN, out), []*gpu.Buf{out}
 		}},
-		lzCase("lzss.BruteKernel", lzss.BruteKernel(), false),
-		lzCase("lzss.FastKernel", lzss.FastKernel(), true),
+		lzCase("lzss.BruteKernel", lzss.BruteKernel(), nil),
+		lzCase("lzss.FastKernel", lzss.FastKernel(), lzss.Precompute),
 		{"diag.VecAddKernel", 2500, func(t *testing.T, dev *gpu.Device) (*gpu.Kernel, []*gpu.Buf) {
 			c := malloc(t, dev, 2500)
 			return diag.VecAddKernel.Bind(seeded(t, dev, 2500, 7), seeded(t, dev, 2500, 8), c, 2500), []*gpu.Buf{c}
@@ -357,5 +361,30 @@ func TestExecutorEquivalenceCatchesMutants(t *testing.T) {
 	// above prove nothing.
 	if d := launchBoth(t, fast, gpu.Grid1D(fast.x, 128), func(k *gpu.Kernel) { k.Warp = gpu.PerThread(k.Func) }); d != "" {
 		t.Errorf("unmutated body through the mutation hook: %s", d)
+	}
+}
+
+// TestFilledFastKernel is the served GPU path's launch: the fast kernel over
+// Fill's warp-exact matches on Grid1D(x, 128). Through the executor it must
+// equal the thread-by-thread reference, and it must cost exactly what the
+// same launch over Precompute's all-positions matches costs.
+func TestFilledFastKernel(t *testing.T) {
+	filled := lzCase("lzss.FastKernel/Fill", lzss.FastKernel(), func(in []byte, sp []int32) *lzss.Matches {
+		m := new(lzss.Matches)
+		m.Fill(in, sp, gpu.TitanXPSpec().WarpSize)
+		return m
+	})
+	pre := lzCase("lzss.FastKernel", lzss.FastKernel(), lzss.Precompute)
+	g := gpu.Grid1D(lzN, 128)
+	if d := launchBoth(t, filled, g, nil); d != "" {
+		t.Error(d)
+	}
+	launch := func(c equivCase) gpu.LaunchResult {
+		dev := gpu.NewDevice(des.New(), gpu.TitanXPSpec(), 0)
+		k, _ := c.build(t, dev)
+		return execute(t, dev, k, g)
+	}
+	if got, want := launch(filled), launch(pre); got != want {
+		t.Errorf("over Fill's matches %+v, over Precompute's %+v", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package lzss
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"streamgpu/internal/gpu"
 )
@@ -94,32 +95,22 @@ func BruteKernel() *gpu.KernelSpec {
 	}
 }
 
-// Matches carries host-precomputed match arrays into the fast kernel. The
-// zero value is ready for Fill; one Matches refilled per batch keeps its
-// arrays.
+// Matches carries host-computed match arrays into the fast kernel. The zero
+// value is ready for Fill; one Matches refilled per batch keeps its arrays.
 type Matches struct {
 	Len []int32
 	Off []int32
+	// warp is the warp width Fill made the arrays exact for; 0 (Precompute)
+	// means exact at every position.
+	warp int
 }
 
-// Fill runs the exact hash-chain matcher on the host for the batch,
-// lane-parallel across cores (bit-identical to the sequential matcher),
-// growing the arrays only when the batch is larger than any before it. Every
-// entry of Len and Off is overwritten. The result is what the brute-force
-// device scan would produce.
-func (m *Matches) Fill(batch []byte, startPos []int32) {
-	if cap(m.Len) < len(batch) {
-		m.Len = make([]int32, len(batch))
-		m.Off = make([]int32, len(batch))
-	}
-	m.Len, m.Off = m.Len[:len(batch)], m.Off[:len(batch)]
-	FindMatchesPar(0, batch, startPos, m.Len, m.Off)
-}
-
-// Precompute is Fill into a fresh Matches.
+// Precompute returns the all-positions matches of the batch — what the
+// brute-force device scan would produce, and FindMatchesPar does — for
+// launches of any geometry.
 func Precompute(batch []byte, startPos []int32) *Matches {
-	m := new(Matches)
-	m.Fill(batch, startPos)
+	m := &Matches{Len: make([]int32, len(batch)), Off: make([]int32, len(batch))}
+	FindMatchesPar(0, batch, startPos, m.Len, m.Off)
 	return m
 }
 
@@ -129,11 +120,14 @@ func leInt32(buf []byte, i int) int {
 }
 
 // FastKernel returns the device function used by the experiment harness and
-// the served GPU path: functionally it writes the precomputed (bit-identical)
-// match results into the device buffers, while its cost model charges the
-// window scan the brute-force kernel performs — so virtual timing matches
-// BruteKernel without paying its host-side execution cost at megabyte scale.
-// The equivalence of results and the cost band are covered by tests.
+// the served GPU path: functionally it writes the host-computed match arrays
+// into the device buffers, while its cost model charges the window scan the
+// brute-force kernel performs — so virtual timing matches BruteKernel without
+// paying its host-side execution cost at megabyte scale. Over Precompute's
+// arrays every byte it writes is BruteKernel's; over Fill's, the bytes at
+// token starts and every warp's charge are, and a run of threads that is not
+// whole warps of the filled width panics. The equivalence of results and the
+// cost band are covered by tests.
 //
 // Body defines it per thread. Launches run Warp, which does the same work a
 // warp at a time — arguments decoded once per launch, the block found once
@@ -178,6 +172,9 @@ func FastKernel() *gpu.KernelSpec {
 				i1 := min(i0+w.N, sizeInput)
 				if i0 >= i1 {
 					return gpu.ExitCost
+				}
+				if pre.warp > 0 && (i0%pre.warp != 0 || (w.N%pre.warp != 0 && i0+w.N < sizeInput)) {
+					panic(fmt.Sprintf("lzss: FastKernel warp [%d, %d) is not whole %d-lane warps, the width its matches were filled for", i0, i0+w.N, pre.warp))
 				}
 				lens, offs := pre.Len[i0:i1], pre.Off[i0:i1]
 				ml, mo := mlBuf[i0*4:i1*4], moBuf[i0*4:i1*4]

@@ -20,11 +20,19 @@
 //
 // Three implementations are tested for exact equivalence: a brute-force
 // reference with the kernel's loop structure (FindMatchesRef); the
-// all-positions hash-chain FindMatches, the functional body of the GPU
-// kernel, whose *cost model* still charges the brute-force work a real GPU
-// would do; and the host encoder (*Matcher).AppendCompress, which every CPU
-// compress path runs: the same chains, searched only where the greedy
-// encoder starts a token, so no match is computed only to be jumped over.
+// all-positions hash-chain FindMatches (and its lane-parallel
+// FindMatchesPar), whose *cost model* in FastKernel still charges the
+// brute-force work a real GPU would do; and the host encoder
+// (*Matcher).AppendCompress, which every CPU compress path runs: the same
+// chains, searched only where the greedy encoder starts a token, so no match
+// is computed only to be jumped over.
+//
+// The served GPU path feeds FastKernel from (*Matches).Fill, which is exact
+// only where the kernel's output is read: at every token start (what the
+// encoder reads back) and in every warp's maximum cost (what virtual time
+// reads), with the real block starts and with the all-zero ones a kernel
+// sees behind a failed upload. Elsewhere it stores a valid shorter match.
+// Precompute keeps the all-positions arrays for launches of any geometry.
 package lzss
 
 import (
@@ -179,33 +187,10 @@ func (m *Matcher) findMatchesRange(input []byte, startPos []int32, k0, k1 int, m
 		epoch := m.nextEpoch()
 		for i := lo; i < hi; i++ {
 			best, bestC := 0, -1
-			maxHere := hi - i
-			if maxHere > MaxMatch {
-				maxHere = MaxMatch
-			}
-			if maxHere >= MinMatch {
+			if hi-i >= MinMatch {
 				h := hash3(input[i], input[i+1], input[i+2])
 				if stamp[h] == epoch {
-					winLo := i - WindowSize
-					if winLo < lo {
-						winLo = lo
-					}
-					for c := head[h]; c >= int32(winLo); c = prev[c] {
-						limit := maxHere
-						if d := i - int(c); limit > d {
-							limit = d
-						}
-						if best >= limit || input[int(c)+best] != input[i+best] {
-							continue
-						}
-						l := matchLen8(input, int(c), i, limit)
-						if l > best {
-							best, bestC = l, int(c)
-							if best == maxHere {
-								break
-							}
-						}
-					}
+					best, bestC = longest(input, prev, head[h], i, lo, hi)
 				}
 				// Insert i for later positions (candidates are strictly
 				// earlier, so insert after searching).
@@ -263,6 +248,31 @@ func matchLen8(input []byte, c, i, limit int) int {
 		l++
 	}
 	return l
+}
+
+// longest walks the hash chain from candidate c for position i of block
+// [lo, hi) and returns the longest match, nearest first (bestC is -1 when
+// none). It is the one chain search: FindMatches runs it at every position,
+// AppendCompress and Fill where a token starts, and Fill where a position
+// could set its warp's cost. A best below MinMatch is not the raw longest
+// match: candidates whose first three bytes hash elsewhere were never
+// visited.
+func longest(input []byte, prev []int32, c int32, i, lo, hi int) (best, bestC int) {
+	maxHere := min(hi-i, MaxMatch)
+	bestC = -1
+	for winLo := int32(max(i-WindowSize, lo)); c >= winLo; c = prev[c] {
+		limit := min(maxHere, i-int(c))
+		if best >= limit || input[int(c)+best] != input[i+best] {
+			continue
+		}
+		if l := matchLen8(input, int(c), i, limit); l > best {
+			best, bestC = l, int(c)
+			if best == maxHere {
+				break
+			}
+		}
+	}
+	return best, bestC
 }
 
 func checkMatchArgs(input []byte, startPos []int32, matchLen, matchOff []int32) {
@@ -369,22 +379,9 @@ func (m *Matcher) AppendCompress(dst []byte, block []byte) []byte {
 		}
 		best, bestC := 0, -1
 		if i < hashEnd {
-			maxHere := min(hi-i, MaxMatch)
 			h := hash3(block[i], block[i+1], block[i+2])
 			if stamp[h] == epoch {
-				winLo := int32(max(i-WindowSize, 0))
-				for c := head[h]; c >= winLo; c = prev[c] {
-					limit := min(maxHere, i-int(c))
-					if best >= limit || block[int(c)+best] != block[i+best] {
-						continue
-					}
-					if l := matchLen8(block, int(c), i, limit); l > best {
-						best, bestC = l, int(c)
-						if best == maxHere {
-							break
-						}
-					}
-				}
+				best, bestC = longest(block, prev, head[h], i, 0, hi)
 			}
 			m.insert(prev, h, i, epoch)
 		}

@@ -190,15 +190,63 @@ func TestBruteKernelMatchesRef(t *testing.T) {
 	}
 }
 
+// TestFastKernelMatchesBrute launches the fast kernel over Precompute's
+// matches, which must leave the brute-force kernel's bytes at every position,
+// and over Fill's, which must leave them at every greedy token start — all
+// the encoder reads — and cost exactly what the Precompute launch costs.
 func TestFastKernelMatchesBrute(t *testing.T) {
 	data := textLike(6_000, 10)
 	startPos := []int32{0, 1_000, 4_096}
-	pre := Precompute(data, startPos)
-	fastLen, fastOff := runKernel(t, FastKernel(), data, startPos, pre)
 	bruteLen, bruteOff := runKernel(t, BruteKernel(), data, startPos, nil)
+	preLen, preOff, _, preRes := execKernel(t, FastKernel(), data, startPos, Precompute(data, startPos))
+	var filled Matches
+	filled.Fill(data, startPos, gpu.TitanXPSpec().WarpSize)
+	fillLen, fillOff, _, fillRes := execKernel(t, FastKernel(), data, startPos, &filled)
 	for i := range data {
-		if fastLen[i] != bruteLen[i] || fastOff[i] != bruteOff[i] {
-			t.Fatalf("pos %d: fast=(%d,%d) brute=(%d,%d)", i, fastLen[i], fastOff[i], bruteLen[i], bruteOff[i])
+		if preLen[i] != bruteLen[i] || preOff[i] != bruteOff[i] {
+			t.Fatalf("pos %d: fast=(%d,%d) brute=(%d,%d)", i, preLen[i], preOff[i], bruteLen[i], bruteOff[i])
+		}
+	}
+	for k := range startPos {
+		for i := int(startPos[k]); i < blockEnd(startPos, k, len(data)); i += max(1, int(bruteLen[i])) {
+			if fillLen[i] != bruteLen[i] || fillOff[i] != bruteOff[i] {
+				t.Fatalf("token start %d: filled=(%d,%d) brute=(%d,%d)", i, fillLen[i], fillOff[i], bruteLen[i], bruteOff[i])
+			}
+		}
+	}
+	if fillRes != preRes {
+		t.Fatalf("launch over Fill's matches %+v, over Precompute's %+v", fillRes, preRes)
+	}
+}
+
+// TestFastKernelRejectsPartialWarps: Fill's matches are exact per whole
+// warp, so the kernel refuses a run that starts inside one, or stops inside
+// one short of the batch end; the batch's tail warp may be partial.
+func TestFastKernelRejectsPartialWarps(t *testing.T) {
+	data := textLike(1_000, 12)
+	startPos := []int32{0, 300}
+	var filled Matches
+	filled.Fill(data, startPos, 32)
+	dev := gpu.NewDevice(des.New(), gpu.TitanXPSpec(), 0)
+	sp := mustMalloc(dev, int64(len(startPos)*4))
+	defer sp.Free()
+	sha1x.PutStartPos(sp.Bytes(), startPos)
+	k := FastKernel().Bind(mustMalloc(dev, int64(len(data))), len(data), sp, len(startPos),
+		mustMalloc(dev, int64(len(data)*4)), mustMalloc(dev, int64(len(data)*4)), &filled)
+	run := func(x0, n int) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		k.Warp(gpu.Warp{Thread: gpu.Thread{Idx: gpu.Dim3{X: x0}, BlockDim: gpu.Dim3{X: 1024}}, N: n})
+		return false
+	}
+	for _, c := range []struct {
+		x0, n int
+		want  bool
+	}{
+		{0, 32, false}, {64, 64, false}, {992, 32, false}, {992, 8, false}, // whole warps; the tail
+		{100, 32, true}, {32, 16, true}, {48, 16, true}, // Grid1D(n, 100) and Grid1D(n, 48) cuts
+	} {
+		if got := run(c.x0, c.n); got != c.want {
+			t.Errorf("run [%d, %d): panicked %v, want %v", c.x0, c.x0+c.n, got, c.want)
 		}
 	}
 }
@@ -219,22 +267,23 @@ func TestFastKernelCostNearBrute(t *testing.T) {
 // runKernel executes a FindMatch kernel variant on the simulated GPU.
 func runKernel(t *testing.T, spec *gpu.KernelSpec, data []byte, startPos []int32, pre *Matches) ([]int32, []int32) {
 	t.Helper()
-	ml, mo, _ := execKernel(t, spec, data, startPos, pre)
+	ml, mo, _, _ := execKernel(t, spec, data, startPos, pre)
 	return ml, mo
 }
 
 func kernelTime(t *testing.T, spec *gpu.KernelSpec, data []byte, startPos []int32, pre *Matches) des.Time {
 	t.Helper()
-	_, _, end := execKernel(t, spec, data, startPos, pre)
+	_, _, end, _ := execKernel(t, spec, data, startPos, pre)
 	return end
 }
 
-func execKernel(t *testing.T, spec *gpu.KernelSpec, data []byte, startPos []int32, pre *Matches) ([]int32, []int32, des.Time) {
+func execKernel(t *testing.T, spec *gpu.KernelSpec, data []byte, startPos []int32, pre *Matches) ([]int32, []int32, des.Time, gpu.LaunchResult) {
 	t.Helper()
 	sim := des.New()
 	dev := gpu.NewDevice(sim, gpu.TitanXPSpec(), 0)
 	mlHost := gpu.NewPinnedBuf(int64(len(data) * 4))
 	moHost := gpu.NewPinnedBuf(int64(len(data) * 4))
+	var res gpu.LaunchResult
 	sim.Spawn("host", func(p *des.Proc) {
 		dIn := mustMalloc(dev, int64(len(data)))
 		dSp := mustMalloc(dev, int64(len(startPos)*4))
@@ -243,22 +292,23 @@ func execKernel(t *testing.T, spec *gpu.KernelSpec, data []byte, startPos []int3
 		spBytes := make([]byte, len(startPos)*4)
 		sha1x.PutStartPos(spBytes, startPos)
 		st := dev.NewStream("")
-		evs := []*des.Event{
-			st.CopyH2D(p, dIn, 0, gpu.WrapHost(data), 0, int64(len(data))),
-			st.CopyH2D(p, dSp, 0, gpu.WrapHost(spBytes), 0, int64(len(spBytes))),
-		}
 		args := []any{dIn, len(data), dSp, len(startPos), dMl, dMo}
 		if pre != nil {
 			args = append(args, pre)
 		}
-		evs = append(evs,
-			st.Launch(p, spec.Bind(args...), gpu.Grid1D(len(data), 128)),
+		evs := []*des.Event{
+			st.CopyH2D(p, dIn, 0, gpu.WrapHost(data), 0, int64(len(data))),
+			st.CopyH2D(p, dSp, 0, gpu.WrapHost(spBytes), 0, int64(len(spBytes))),
+		}
+		evK := st.Launch(p, spec.Bind(args...), gpu.Grid1D(len(data), 128))
+		evs = append(evs, evK,
 			st.CopyD2H(p, mlHost, 0, dMl, 0, int64(len(data)*4)),
 			st.CopyD2H(p, moHost, 0, dMo, 0, int64(len(data)*4)),
 		)
 		if err := gpu.WaitErr(p, evs...); err != nil {
 			panic(err)
 		}
+		res = evK.Wait(p).(gpu.LaunchResult)
 	})
 	end, err := sim.Run()
 	if err != nil {
@@ -269,7 +319,7 @@ func execKernel(t *testing.T, spec *gpu.KernelSpec, data []byte, startPos []int3
 		ml[i] = int32(leInt32(mlHost.Data, i))
 		mo[i] = int32(leInt32(moHost.Data, i))
 	}
-	return ml, mo, end
+	return ml, mo, end, res
 }
 
 // Property: compress/decompress is the identity on arbitrary bytes.
