@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-json lint-selftest test race chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
+.PHONY: build vet lint lint-json lint-selftest test race ff-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,12 @@ test:
 # new concurrency never lands unchecked.
 race:
 	$(GO) test -race ./...
+
+# ff-stress repeats the stream runtime's tests under the race detector. A
+# lost wake-up in the queues' park/wake protocol is a hang that one run in
+# many hits, so the repetition, not the single pass in `race`, is the check.
+ff-stress:
+	$(GO) test -race -count=50 ./internal/ff/ ./internal/core/
 
 # chaos runs the overload/failure-injection scenarios (internal/testutil/chaos)
 # under the race detector at full depth: hog-vs-small tenant isolation SLOs,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
@@ -373,38 +374,57 @@ func TestNodeFaultKill(t *testing.T) {
 	}
 }
 
-// TestClusterFailover kills a node mid-stream via the fault injector while
-// loadgen drives verified sessions against the full cluster: every session
-// must complete on the survivors with clean restores, at least one client
-// must have failed over a severed connection, and the survivors must agree
-// the node is gone.
+// TestClusterFailover kills a node mid-stream while loadgen drives verified
+// sessions against the full cluster: every session must complete on the
+// survivors with clean restores, at least one client must have failed over
+// a severed connection, and the survivors must agree the node is gone. The
+// kill is timed by an event — the doomed node has answered some of its
+// tenant's requests, so clients are attached and mid-run — not by an
+// operation count, which background gossip reaches before clients attach
+// or after a fast run has finished. TestNodeFaultKill covers the
+// injector's kill.
 func TestClusterFailover(t *testing.T) {
 	testutil.CheckLeaks(t)
-	nodes, _ := startCluster(t, 3, func(i int, cfg *cluster.Config) {
-		if i == 2 {
-			// Background gossip burns ~2 ops per interval on this node, so the
-			// kill lands a few hundred milliseconds in — after clients have
-			// attached, while the run is still going.
-			cfg.Faults = fault.Config{Seed: 9, KillAfterOps: 60}
-		}
-	})
+	nodes, regs := startCluster(t, 3, nil)
 	addrs := []string{nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()}
 	// Anchor the tenant range so the doomed node owns the first tenant:
 	// clients on that tenant are connected to it when it dies.
 	tenant := tenantOwnedBy(t, nodes[0], nodes[2].Addr())
+	served := regs[2].Counter("server_requests_total", telemetry.Labels{
+		"svc": "dedup", "tenant": strconv.FormatUint(uint64(tenant), 10),
+		"verdict": "accepted", "reason": "none"})
 
-	rep, err := loadgen.Run(loadgen.Config{
-		Addrs:       addrs,
-		Clients:     8,
-		Requests:    200,
-		Tenants:     3,
-		FirstTenant: tenant,
-		MinBytes:    1 << 10,
-		MaxBytes:    4 << 10,
-		Seed:        17,
-		Retries:     6,
-		Verify:      true,
-	})
+	type result struct {
+		rep loadgen.Report
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := loadgen.Run(loadgen.Config{
+			Addrs:       addrs,
+			Clients:     8,
+			Requests:    200,
+			Tenants:     3,
+			FirstTenant: tenant,
+			MinBytes:    1 << 10,
+			MaxBytes:    4 << 10,
+			Seed:        17,
+			Retries:     6,
+			Verify:      true,
+		})
+		done <- result{rep, err}
+	}()
+	for served.Value() < 10 {
+		select {
+		case res := <-done:
+			t.Fatalf("the run ended (err %v) after %d of the doomed node's requests, before the kill",
+				res.err, served.Value())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	nodes[2].Kill()
+	res := <-done
+	rep, err := res.rep, res.err
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,6 @@ type options struct {
 	outputs     []string
 	ordered     bool
 	queueCap    int
-	onDemand    bool
 	offload     bool
 	metrics     *telemetry.Registry
 	metricsName string
@@ -123,10 +122,6 @@ func Ordered() Option { return func(o *options) { o.ordered = true } }
 // QueueCap sets the communication queue capacity of the generated graph.
 func QueueCap(n int) Option { return func(o *options) { o.queueCap = n } }
 
-// OnDemand selects on-demand task scheduling for replicated stages
-// (SPar's -spar_ondemand flag).
-func OnDemand() Option { return func(o *options) { o.onDemand = true } }
-
 // Telemetry attaches a metrics registry to the region: the generated graph
 // reports per-stage item counters, service-time histograms and queue-depth
 // gauges into reg, labelled {pipeline=name, stage=<source|stage name>}. A
@@ -151,7 +146,6 @@ type ToStream struct {
 	inputs      []string
 	stages      []*StageDef
 	ordered     bool
-	onDemand    bool
 	queueCap    int
 	metrics     *telemetry.Registry
 	metricsName string
@@ -159,8 +153,8 @@ type ToStream struct {
 	err         error
 }
 
-// NewToStream opens a streaming region. Options Input, Ordered, OnDemand
-// and QueueCap apply to the whole region.
+// NewToStream opens a streaming region. Options Input, Ordered and QueueCap
+// apply to the whole region.
 func NewToStream(opts ...Option) *ToStream {
 	var o options
 	for _, op := range opts {
@@ -169,7 +163,6 @@ func NewToStream(opts ...Option) *ToStream {
 	return &ToStream{
 		inputs:      o.inputs,
 		ordered:     o.ordered,
-		onDemand:    o.onDemand,
 		queueCap:    o.queueCap,
 		metrics:     o.metrics,
 		metricsName: o.metricsName,
@@ -390,9 +383,6 @@ func (t *ToStream) RunContext(ctx context.Context, source func(emit func(any))) 
 		var fopts []ff.FarmOpt
 		if t.ordered {
 			fopts = append(fopts, ff.Ordered())
-		}
-		if t.onDemand {
-			fopts = append(fopts, ff.OnDemand())
 		}
 		stages = append(stages, ff.NewFarm(workers, fopts...))
 	}

@@ -80,14 +80,12 @@ func TestBatchOpsConcurrent(t *testing.T) {
 	go func() {
 		buf := make([]int, 32)
 		expect := 0
-		var b backoff
 		for expect < total {
 			n := q.TryPopN(buf)
 			if n == 0 {
-				b.wait()
-				continue
+				buf[0] = q.Pop()
+				n = 1
 			}
-			b.reset()
 			for i := 0; i < n; i++ {
 				if buf[i] != expect {
 					done <- fmt.Errorf("popped %d, want %d", buf[i], expect)
@@ -100,7 +98,6 @@ func TestBatchOpsConcurrent(t *testing.T) {
 	}()
 	buf := make([]int, 32)
 	sent := 0
-	var b backoff
 	for sent < total {
 		n := len(buf)
 		if total-sent < n {
@@ -111,10 +108,9 @@ func TestBatchOpsConcurrent(t *testing.T) {
 		}
 		pushed := q.TryPushN(buf[:n])
 		if pushed == 0 {
-			b.wait()
-			continue
+			q.Push(buf[0])
+			pushed = 1
 		}
-		b.reset()
 		sent += pushed
 	}
 	if err := <-done; err != nil {

@@ -28,7 +28,6 @@ type Farm struct {
 	emitter   Node
 	collector Node
 	ordered   bool
-	onDemand  bool
 }
 
 // FarmOpt configures a Farm.
@@ -45,10 +44,6 @@ func WithCollector(n Node) FarmOpt { return func(f *Farm) { f.collector = n } }
 // Ordered makes the farm emit results in input order (ff_OFarm), the mode
 // Mandelbrot's display stage and Dedup's reorder stage need.
 func Ordered() FarmOpt { return func(f *Farm) { f.ordered = true } }
-
-// OnDemand switches scheduling from round-robin to on-demand: tasks go to
-// the first worker with queue space, balancing skewed workloads.
-func OnDemand() FarmOpt { return func(f *Farm) { f.onDemand = true } }
 
 // NewFarm builds a farm over the given worker nodes.
 func NewFarm(workers []Node, opts ...FarmOpt) *Farm {
@@ -75,14 +70,14 @@ func (f *Farm) start(pl *Pipeline, tm *stageTelem, in, out *SPSC[any], wg *sync.
 	nw := len(f.workers)
 	wqs := make([]*SPSC[any], nw) // emitter -> worker i
 	for i := range wqs {
-		wqs[i] = NewSPSC[any](pl.queueCap, pl.spinning)
+		wqs[i] = NewSPSC[any](pl.queueCap, false)
 	}
 	// All workers fan into one MPMC collector queue: the collector pops
 	// bursts from a single ring instead of polling nw SPSC queues, so an
 	// idle worker costs it nothing and a hot worker's results are never
 	// stuck behind an empty queue in the round-robin. Capacity preserves the
 	// per-worker budget of the old cqs.
-	cq := NewMPMC[any](pl.queueCap*nw, pl.spinning)
+	cq := NewMPMC[any](pl.queueCap*nw, false)
 	tm.registerFarmQueueGauges(wqs, cq)
 
 	// --- emitter ---
@@ -116,26 +111,13 @@ func (f *Farm) runEmitter(pl *Pipeline, tm *stageTelem, in *SPSC[any], wqs []*SP
 	next := 0
 	schedule := func(v any) {
 		if pl.Canceled() {
+			tm.dropped(1)
 			return
 		}
 		tm.itemIn()
 		if f.ordered {
 			v = seqIn{seq: seq, val: v}
 			seq++
-		}
-		if f.onDemand {
-			var b backoff
-			b.spin = pl.spinning
-			for {
-				if wqs[next].TryPush(v) {
-					next = (next + 1) % len(wqs)
-					return
-				}
-				next = (next + 1) % len(wqs)
-				if next == 0 {
-					b.wait()
-				}
-			}
 		}
 		wqs[next].Push(v)
 		next = (next + 1) % len(wqs)
@@ -314,7 +296,11 @@ serve:
 func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworkers int, out *SPSC[any]) {
 	col := f.collector
 	send := func(v any) {
-		if out != nil && !pl.Canceled() {
+		switch {
+		case out == nil:
+		case pl.Canceled():
+			tm.dropped(1)
+		default:
 			out.Push(v)
 			tm.itemOut()
 		}
@@ -329,6 +315,7 @@ func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworker
 	}
 	handle := func(v any) {
 		if pl.Canceled() {
+			tm.dropped(1)
 			return
 		}
 		if col != nil {
@@ -364,16 +351,13 @@ func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworker
 	}
 
 	eos := 0
-	var b backoff
-	b.spin = pl.spinning
 	var burst [burstCap]any
 	for eos < nworkers {
 		got := cq.TryPopN(burst[:])
 		if got == 0 {
-			b.wait()
-			continue
+			burst[0], _ = cq.PopWait() // cq is never closed: PopWait returns an item
+			got = 1
 		}
-		b.reset()
 		for j := 0; j < got; j++ {
 			v := burst[j]
 			burst[j] = nil
@@ -392,7 +376,14 @@ func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworker
 	}
 	if f.ordered {
 		flush()
-		if len(buffered) > 0 && !pl.Canceled() {
+		switch {
+		case len(buffered) == 0:
+		case pl.Canceled():
+			// Sequences behind a gap a canceled worker left: never handled.
+			for _, vals := range buffered {
+				tm.dropped(int64(len(vals)))
+			}
+		default:
 			pl.reportErr(fmt.Errorf("ff: ordered farm lost %d sequences", len(buffered)))
 		}
 	}

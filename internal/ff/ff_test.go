@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSPSCBasic(t *testing.T) {
@@ -325,36 +324,6 @@ func TestFarmOrderedWithGoOn(t *testing.T) {
 	}
 	if want := n - (n+2)/3; count != want {
 		t.Fatalf("got %d items, want %d", count, want)
-	}
-}
-
-func TestFarmOnDemandBalancesSkew(t *testing.T) {
-	// One poison-slow worker; on-demand scheduling should route most work
-	// to the others while round-robin would assign it 1/4 of all tasks.
-	const n = 400
-	items := make([]int, n)
-	var slowCount atomic.Int32
-	workers := make([]Node, 4)
-	for i := range workers {
-		i := i
-		workers[i] = F(func(task any) any {
-			if i == 0 {
-				slowCount.Add(1)
-				time.Sleep(2 * time.Millisecond)
-			}
-			return task
-		})
-	}
-	p := NewPipeline(
-		SliceSource(items),
-		NewFarm(workers, OnDemand()),
-		Sink(func(any) {}),
-	).SetQueueCap(2)
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := slowCount.Load(); got >= n/4 {
-		t.Errorf("slow worker got %d of %d tasks; on-demand should starve it below the round-robin share %d", got, n, n/4)
 	}
 }
 

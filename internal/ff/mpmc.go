@@ -29,15 +29,22 @@ type mpmcSlot[T any] struct {
 // fence out late pushes — callers stop their producers first, as the
 // server's drain path does.
 type MPMC[T any] struct {
-	buf    []mpmcSlot[T]
-	mask   uint64
-	_      cacheLinePad
-	head   atomic.Uint64 // next ring position to pop
-	_      cacheLinePad
-	tail   atomic.Uint64 // next ring position to push
-	_      cacheLinePad
-	closed atomic.Bool
-	spin   bool
+	buf  []mpmcSlot[T]
+	mask uint64
+	// The waiters share the read-mostly line: every push reads notEmpty's
+	// count and every pop notFull's, and only a parking goroutine writes.
+	notEmpty waiter // parks consumers; woken by every publish
+	notFull  waiter // parks producers; woken by every freed slot
+	_        cacheLinePad
+	head     atomic.Uint64 // next ring position to pop
+	_        cacheLinePad
+	tail     atomic.Uint64 // next ring position to push
+	_        cacheLinePad
+	closed   atomic.Bool
+	// done is closed by the first Close: a broadcast to every parked
+	// PopWait, however many there are.
+	done chan struct{}
+	spin bool
 }
 
 // NewMPMC creates a queue with capacity rounded up to a power of two
@@ -51,7 +58,8 @@ func NewMPMC[T any](capacity int, spinning bool) *MPMC[T] {
 	for c < capacity {
 		c <<= 1
 	}
-	q := &MPMC[T]{buf: make([]mpmcSlot[T], c), mask: uint64(c - 1), spin: spinning}
+	q := &MPMC[T]{buf: make([]mpmcSlot[T], c), mask: uint64(c - 1), spin: spinning,
+		notEmpty: newWaiter(), notFull: newWaiter(), done: make(chan struct{})}
 	for i := range q.buf {
 		q.buf[i].seq.Store(uint64(i))
 	}
@@ -81,6 +89,7 @@ func (q *MPMC[T]) TryPush(v T) bool {
 			if q.tail.CompareAndSwap(t, t+1) {
 				s.val = v
 				s.seq.Store(t + 1)
+				q.notEmpty.wake()
 				return true
 			}
 			continue // lost the claim; reload tail
@@ -104,6 +113,7 @@ func (q *MPMC[T]) TryPop() (v T, ok bool) {
 				var zero T
 				s.val = zero // release the reference for GC
 				s.seq.Store(h + uint64(len(q.buf)))
+				q.notFull.wake()
 				return v, true
 			}
 			continue
@@ -146,6 +156,7 @@ func (q *MPMC[T]) TryPushN(vs []T) int {
 				s.val = vs[i]
 				s.seq.Store(t + i + 1)
 			}
+			q.notEmpty.wake()
 			return int(c)
 		}
 	}
@@ -179,28 +190,28 @@ func (q *MPMC[T]) TryPopN(dst []T) int {
 				s.val = zero // release the reference for GC
 				s.seq.Store(h + i + uint64(len(q.buf)))
 			}
+			q.notFull.wake()
 			return int(c)
 		}
 	}
 }
 
-// Push blocks (with backoff) until v is enqueued.
+// Push blocks (spin, yield, park) until v is enqueued.
 func (q *MPMC[T]) Push(v T) {
-	var b backoff
-	b.spin = q.spin
+	b := backoff{spin: q.spin}
 	for !q.TryPush(v) {
-		b.wait()
+		if b.wait() {
+			q.notFull.park(q.hasRoom, nil)
+		}
 	}
 }
 
 // PushCtx blocks until v is enqueued or ctx is done, reporting whether the
 // push happened. This is the bounded-admission producer call: a full queue
-// exerts backpressure through the backoff ramp, and cancellation (drain,
-// disconnect) unblocks the producer without leaking the item into the
-// stream.
+// exerts backpressure by parking the producer, and cancellation (drain,
+// disconnect) unblocks it without leaking the item into the stream.
 func (q *MPMC[T]) PushCtx(ctx context.Context, v T) bool {
-	var b backoff
-	b.spin = q.spin
+	b := backoff{spin: q.spin}
 	for {
 		if q.TryPush(v) {
 			return true
@@ -208,14 +219,21 @@ func (q *MPMC[T]) PushCtx(ctx context.Context, v T) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		b.wait()
+		if b.wait() {
+			q.notFull.park(q.hasRoom, ctx.Done())
+		}
 	}
 }
 
-// Close marks the stream ended for PopWait. It does not prevent further
-// pushes; callers must stop their producers first (elements pushed before
-// Close remain poppable — PopWait drains the queue before reporting end).
-func (q *MPMC[T]) Close() { q.closed.Store(true) }
+// Close marks the stream ended for PopWait and wakes every parked PopWait.
+// It does not prevent further pushes; callers must stop their producers
+// first (elements pushed before Close remain poppable — PopWait drains the
+// queue before reporting end).
+func (q *MPMC[T]) Close() {
+	if q.closed.CompareAndSwap(false, true) {
+		close(q.done)
+	}
+}
 
 // Closed reports whether Close has been called.
 func (q *MPMC[T]) Closed() bool { return q.closed.Load() }
@@ -223,8 +241,7 @@ func (q *MPMC[T]) Closed() bool { return q.closed.Load() }
 // PopWait blocks until an element is available (returning it with true) or
 // the queue is closed and drained (returning the zero value and false).
 func (q *MPMC[T]) PopWait() (T, bool) {
-	var b backoff
-	b.spin = q.spin
+	b := backoff{spin: q.spin}
 	for {
 		if v, ok := q.TryPop(); ok {
 			return v, true
@@ -238,6 +255,22 @@ func (q *MPMC[T]) PopWait() (T, bool) {
 			var zero T
 			return zero, false
 		}
-		b.wait()
+		if b.wait() {
+			q.notEmpty.park(q.nonEmpty, q.done)
+		}
 	}
+}
+
+// nonEmpty reports whether the head slot is published, the condition a
+// TryPop needs.
+func (q *MPMC[T]) nonEmpty() bool {
+	h := q.head.Load()
+	return q.buf[h&q.mask].seq.Load() >= h+1
+}
+
+// hasRoom reports whether the tail slot is free, the condition a TryPush
+// needs.
+func (q *MPMC[T]) hasRoom() bool {
+	t := q.tail.Load()
+	return q.buf[t&q.mask].seq.Load() >= t
 }

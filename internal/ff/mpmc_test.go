@@ -99,99 +99,109 @@ func TestMPMCBurstSingleThread(t *testing.T) {
 // exactly-once delivery of every value, and (b) per-consumer streams from
 // any single producer are strictly increasing — the FIFO property the
 // Vyukov protocol guarantees (claims are ordered by ring position, and one
-// producer's pushes take increasing positions). Run under -race in CI.
+// producer's pushes take increasing positions). The capacity-2 runs keep
+// both sides waiting on nearly every item, long enough for many waits to
+// park, so a lost wake-up hangs them. Run under -race in CI.
 func TestMPMCGrid(t *testing.T) {
 	perProducer := 2000
 	if testing.Short() {
 		perProducer = 500
 	}
-	for _, np := range []int{1, 2, 4} {
-		for _, nc := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("p%dxc%d", np, nc), func(t *testing.T) {
-				q := NewMPMC[uint64](64, false)
-				var pwg, cwg sync.WaitGroup
-				// Producers: half push singly, half in bursts, so both claim
-				// paths run against each other.
-				for p := 0; p < np; p++ {
-					p := p
-					pwg.Add(1)
-					go func() {
-						defer pwg.Done()
-						if p%2 == 0 {
-							for i := 0; i < perProducer; i++ {
-								q.Push(uint64(p)<<32 | uint64(i))
-							}
-							return
-						}
-						buf := make([]uint64, 7)
-						i := 0
-						for i < perProducer {
-							n := len(buf)
-							if perProducer-i < n {
-								n = perProducer - i
-							}
-							for j := 0; j < n; j++ {
-								buf[j] = uint64(p)<<32 | uint64(i+j)
-							}
-							pushed := q.TryPushN(buf[:n])
-							if pushed == 0 {
-								var b backoff
-								b.wait()
-							}
-							i += pushed
-						}
-					}()
+	for _, capacity := range []int{64, 2} {
+		for _, np := range []int{1, 2, 4} {
+			for _, nc := range []int{1, 2, 4} {
+				name := fmt.Sprintf("p%dxc%d", np, nc)
+				if capacity != 64 {
+					name += fmt.Sprintf("_cap%d", capacity)
 				}
-				got := make([][]uint64, nc)
-				for c := 0; c < nc; c++ {
-					c := c
-					cwg.Add(1)
-					go func() {
-						defer cwg.Done()
-						burst := make([]uint64, 5)
-						for {
-							// Alternate burst pops with blocking pops so both
-							// consumer claim paths are exercised.
-							if n := q.TryPopN(burst); n > 0 {
-								got[c] = append(got[c], burst[:n]...)
-								continue
-							}
-							v, ok := q.PopWait()
-							if !ok {
-								return
-							}
-							got[c] = append(got[c], v)
-						}
-					}()
-				}
-				pwg.Wait()
-				q.Close()
-				cwg.Wait()
+				t.Run(name, func(t *testing.T) { mpmcGrid(t, capacity, np, nc, perProducer) })
+			}
+		}
+	}
+}
 
-				seen := make(map[uint64]int, np*perProducer)
-				for c := 0; c < nc; c++ {
-					last := make([]int64, np)
-					for i := range last {
-						last[i] = -1
-					}
-					for _, v := range got[c] {
-						seen[v]++
-						p, i := int(v>>32), int64(v&0xffffffff)
-						if i <= last[p] {
-							t.Fatalf("consumer %d: producer %d value %d arrived after %d (FIFO violation)", c, p, i, last[p])
-						}
-						last[p] = i
-					}
+func mpmcGrid(t *testing.T, capacity, np, nc, perProducer int) {
+	q := NewMPMC[uint64](capacity, false)
+	var pwg, cwg sync.WaitGroup
+	// Producers: half push singly, half in bursts, so both claim
+	// paths run against each other.
+	for p := 0; p < np; p++ {
+		p := p
+		pwg.Add(1)
+		go func() {
+			defer pwg.Done()
+			if p%2 == 0 {
+				for i := 0; i < perProducer; i++ {
+					q.Push(uint64(p)<<32 | uint64(i))
 				}
-				if len(seen) != np*perProducer {
-					t.Fatalf("received %d distinct values, want %d", len(seen), np*perProducer)
+				return
+			}
+			buf := make([]uint64, 7)
+			i := 0
+			for i < perProducer {
+				n := len(buf)
+				if perProducer-i < n {
+					n = perProducer - i
 				}
-				for v, n := range seen {
-					if n != 1 {
-						t.Fatalf("value %x delivered %d times, want exactly once", v, n)
-					}
+				for j := 0; j < n; j++ {
+					buf[j] = uint64(p)<<32 | uint64(i+j)
 				}
-			})
+				pushed := q.TryPushN(buf[:n])
+				if pushed == 0 {
+					q.Push(buf[0])
+					pushed = 1
+				}
+				i += pushed
+			}
+		}()
+	}
+	got := make([][]uint64, nc)
+	for c := 0; c < nc; c++ {
+		c := c
+		cwg.Add(1)
+		go func() {
+			defer cwg.Done()
+			burst := make([]uint64, 5)
+			for {
+				// Alternate burst pops with blocking pops so both
+				// consumer claim paths are exercised.
+				if n := q.TryPopN(burst); n > 0 {
+					got[c] = append(got[c], burst[:n]...)
+					continue
+				}
+				v, ok := q.PopWait()
+				if !ok {
+					return
+				}
+				got[c] = append(got[c], v)
+			}
+		}()
+	}
+	pwg.Wait()
+	q.Close()
+	cwg.Wait()
+
+	seen := make(map[uint64]int, np*perProducer)
+	for c := 0; c < nc; c++ {
+		last := make([]int64, np)
+		for i := range last {
+			last[i] = -1
+		}
+		for _, v := range got[c] {
+			seen[v]++
+			p, i := int(v>>32), int64(v&0xffffffff)
+			if i <= last[p] {
+				t.Fatalf("consumer %d: producer %d value %d arrived after %d (FIFO violation)", c, p, i, last[p])
+			}
+			last[p] = i
+		}
+	}
+	if len(seen) != np*perProducer {
+		t.Fatalf("received %d distinct values, want %d", len(seen), np*perProducer)
+	}
+	for v, n := range seen {
+		if n != 1 {
+			t.Fatalf("value %x delivered %d times, want exactly once", v, n)
 		}
 	}
 }

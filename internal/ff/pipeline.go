@@ -34,7 +34,6 @@ type stage interface {
 type Pipeline struct {
 	stages   []stage
 	queueCap int
-	spinning bool
 	tel      *pipeTelem
 
 	// canceled aborts the stream: sources stop emitting, other stages drop
@@ -83,7 +82,7 @@ func (p *Pipeline) start(outer *Pipeline, _ *stageTelem, in, out *SPSC[any], wg 
 		cap = outer.queueCap
 	}
 	for i := range queues {
-		queues[i] = NewSPSC[any](cap, outer.spinning)
+		queues[i] = NewSPSC[any](cap, false)
 	}
 	p.registerQueueGauges(queues)
 	for i, s := range p.stages {
@@ -104,13 +103,6 @@ func (p *Pipeline) SetQueueCap(n int) *Pipeline {
 		n = 2
 	}
 	p.queueCap = n
-	return p
-}
-
-// SetSpinning selects non-blocking (busy-wait) queue mode; default is
-// blocking mode.
-func (p *Pipeline) SetSpinning(on bool) *Pipeline {
-	p.spinning = on
 	return p
 }
 
@@ -162,7 +154,7 @@ func (p *Pipeline) RunContext(ctx context.Context) error {
 	n := len(p.stages)
 	queues := make([]*SPSC[any], n-1)
 	for i := range queues {
-		queues[i] = NewSPSC[any](p.queueCap, p.spinning)
+		queues[i] = NewSPSC[any](p.queueCap, false)
 	}
 	p.registerQueueGauges(queues)
 	var wg sync.WaitGroup
@@ -266,7 +258,11 @@ func endSafe(pl *Pipeline, n Node, where string) {
 func runNode(pl *Pipeline, tm *stageTelem, n Node, in, out *SPSC[any]) {
 	where := fmt.Sprintf("node %T", n)
 	send := func(v any) {
-		if out != nil && !pl.Canceled() {
+		switch {
+		case out == nil:
+		case pl.Canceled():
+			tm.dropped(1)
+		default:
 			out.Push(v)
 			tm.itemOut()
 		}

@@ -1,23 +1,19 @@
 // Package ff is a FastFlow-style stream-parallel runtime: pipelines and
 // farms of nodes running on dedicated goroutines, connected by bounded
-// lock-free single-producer/single-consumer queues.
+// lock-free queues.
 //
 // The architecture follows FastFlow's building-block model [Aldinucci et
-// al.]: every node owns a thread of execution; communication topologies
-// (pipeline, farm, ordered farm) are composed from SPSC channels only —
-// a farm's emitter owns one queue per worker and its collector gathers from
-// one queue per worker, so no queue ever has two producers or two
-// consumers. The runtime supports blocking and spinning modes, round-robin
-// and on-demand task scheduling, and an ordered farm that restores input
-// order at the collector (used by Mandelbrot's display stage and Dedup's
-// reorder stage).
+// al.]: every node owns a thread of execution; pipeline stages are joined
+// by SPSC queues, a farm's emitter owns one SPSC queue per worker, and the
+// workers fan into one MPMC queue that the collector pops in bursts. A
+// blocked queue call spins, yields, then parks until the opposite
+// operation wakes it (blocking mode) or keeps yielding (spinning mode).
+// Farms schedule round-robin, and an ordered farm restores input order at
+// the collector (used by Mandelbrot's display stage and Dedup's reorder
+// stage).
 package ff
 
-import (
-	"runtime"
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // cacheLinePad separates hot atomics to avoid false sharing between the
 // producer and consumer cores.
@@ -30,19 +26,23 @@ type cacheLinePad struct{ _ [64]byte }
 type SPSC[T any] struct {
 	buf  []T
 	mask uint64
-	_    cacheLinePad
-	head atomic.Uint64 // next slot to read (consumer-owned)
-	_    cacheLinePad
-	tail atomic.Uint64 // next slot to write (producer-owned)
-	_    cacheLinePad
+	// The waiters share the read-mostly line: every push reads notEmpty's
+	// count and every pop notFull's, and only a parking goroutine writes.
+	notEmpty waiter // parks the consumer
+	notFull  waiter // parks the producer
+	_        cacheLinePad
+	head     atomic.Uint64 // next slot to read (consumer-owned)
+	_        cacheLinePad
+	tail     atomic.Uint64 // next slot to write (producer-owned)
+	_        cacheLinePad
 	// spin selects the wait strategy for the blocking Push/Pop helpers.
 	spin bool
 }
 
 // NewSPSC creates a queue with capacity rounded up to a power of two
 // (minimum 2). spinning selects busy-wait backoff for the blocking helpers;
-// otherwise they yield and briefly sleep under contention (FastFlow's
-// blocking mode).
+// otherwise they spin, yield, then park until the other side wakes them
+// (FastFlow's blocking mode).
 func NewSPSC[T any](capacity int, spinning bool) *SPSC[T] {
 	if capacity < 2 {
 		capacity = 2
@@ -51,7 +51,8 @@ func NewSPSC[T any](capacity int, spinning bool) *SPSC[T] {
 	for c < capacity {
 		c <<= 1
 	}
-	return &SPSC[T]{buf: make([]T, c), mask: uint64(c - 1), spin: spinning}
+	return &SPSC[T]{buf: make([]T, c), mask: uint64(c - 1), spin: spinning,
+		notEmpty: newWaiter(), notFull: newWaiter()}
 }
 
 // Cap reports the queue capacity.
@@ -71,6 +72,7 @@ func (q *SPSC[T]) TryPush(v T) bool {
 	}
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
+	q.notEmpty.wake()
 	return true
 }
 
@@ -84,6 +86,7 @@ func (q *SPSC[T]) TryPop() (v T, ok bool) {
 	var zero T
 	q.buf[h&q.mask] = zero // release the reference for GC
 	q.head.Store(h + 1)
+	q.notFull.wake()
 	return v, true
 }
 
@@ -105,6 +108,7 @@ func (q *SPSC[T]) TryPushN(vs []T) int {
 		q.buf[(t+i)&q.mask] = vs[i]
 	}
 	q.tail.Store(t + n)
+	q.notEmpty.wake()
 	return int(n)
 }
 
@@ -128,63 +132,35 @@ func (q *SPSC[T]) TryPopN(dst []T) int {
 		q.buf[idx] = zero // release the reference for GC
 	}
 	q.head.Store(h + n)
+	q.notFull.wake()
 	return int(n)
 }
 
-// Push blocks (with backoff) until v is enqueued.
+// Push blocks (spin, yield, park) until v is enqueued.
 func (q *SPSC[T]) Push(v T) {
-	var b backoff
-	b.spin = q.spin
+	b := backoff{spin: q.spin}
 	for !q.TryPush(v) {
-		b.wait()
+		if b.wait() {
+			q.notFull.park(q.hasRoom, nil)
+		}
 	}
 }
 
-// Pop blocks (with backoff) until an element is available.
+// Pop blocks (spin, yield, park) until an element is available.
 func (q *SPSC[T]) Pop() T {
-	var b backoff
-	b.spin = q.spin
+	b := backoff{spin: q.spin}
 	for {
 		if v, ok := q.TryPop(); ok {
 			return v
 		}
-		b.wait()
-	}
-}
-
-// maxParkSleep caps the adaptive park interval: long enough that an idle
-// stage costs next to nothing, short enough that wake-up latency stays well
-// under a stage service time.
-const maxParkSleep = 512 * time.Microsecond
-
-// backoff implements the graduated wait strategy: spin, then yield, then —
-// in blocking mode — park with exponentially growing sleeps (1µs doubling
-// to maxParkSleep). A fixed sleep either burns CPU on an idle queue or adds
-// a full sleep of latency to a nearly-ready one; the doubling ramp adapts
-// to whichever case this wait turns out to be. Spinning mode never sleeps,
-// trading CPU for latency as FastFlow's non-blocking mode does.
-type backoff struct {
-	n     int
-	sleep time.Duration
-	spin  bool
-}
-
-func (b *backoff) wait() {
-	switch {
-	case b.n < 64:
-		// busy spin
-	case b.spin || b.n < 192:
-		runtime.Gosched()
-	default:
-		if b.sleep == 0 {
-			b.sleep = time.Microsecond
-		}
-		time.Sleep(b.sleep)
-		if b.sleep < maxParkSleep {
-			b.sleep *= 2
+		if b.wait() {
+			q.notEmpty.park(q.nonEmpty, nil)
 		}
 	}
-	b.n++
 }
 
-func (b *backoff) reset() { b.n = 0; b.sleep = 0 }
+func (q *SPSC[T]) nonEmpty() bool { return q.tail.Load() != q.head.Load() }
+
+func (q *SPSC[T]) hasRoom() bool {
+	return q.tail.Load()-q.head.Load() < uint64(len(q.buf))
+}

@@ -83,35 +83,49 @@ func TestPipelineTelemetry(t *testing.T) {
 }
 
 // TestPipelineTelemetryDrops cancels mid-stream and checks dropped items are
-// accounted for: every emitted item is either delivered or counted dropped.
+// accounted for: every emitted item is either delivered or counted dropped,
+// exactly once, at the stage that discarded it — the source included, which
+// discards the item it produced as the cancel landed.
 func TestPipelineTelemetryDrops(t *testing.T) {
-	reg := telemetry.New()
-	emitted := 0
-	var p *Pipeline
-	src := Source(func() (any, bool) {
-		if emitted >= 100 {
-			return nil, false
-		}
-		emitted++
-		if emitted == 10 {
-			p.Cancel()
-		}
-		return emitted, true
-	})
-	delivered := 0
-	p = NewPipeline(src, F(func(v any) any { return v }), Sink(func(any) { delivered++ }))
-	p.SetTelemetry(reg, "drops")
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var droppedTotal int64
-	for _, name := range []string{"s1", "s2"} {
-		droppedTotal += reg.Counter("ff_stage_dropped_total",
-			telemetry.Labels{"pipeline": "drops", "stage": name}).Value()
-	}
-	if int64(delivered)+droppedTotal < int64(emitted)-1 {
-		t.Errorf("emitted %d, delivered %d, dropped %d: items unaccounted for",
-			emitted, delivered, droppedTotal)
+	id := func(v any) any { return v }
+	for _, tc := range []struct {
+		name   string
+		middle func() any
+	}{
+		{"node", func() any { return F(id) }},
+		{"farm", func() any { return NewFarm([]Node{F(id), F(id)}) }},
+		{"ordered_farm", func() any { return NewFarm([]Node{F(id), F(id)}, Ordered()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.New()
+			emitted := 0
+			var p *Pipeline
+			src := Source(func() (any, bool) {
+				if emitted >= 100 {
+					return nil, false
+				}
+				emitted++
+				if emitted == 10 {
+					p.Cancel()
+				}
+				return emitted, true
+			})
+			delivered := 0
+			p = NewPipeline(src, tc.middle(), Sink(func(any) { delivered++ }))
+			p.SetTelemetry(reg, "drops")
+			if err := p.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var droppedTotal int64
+			for _, name := range []string{"s0", "s1", "s2"} {
+				droppedTotal += reg.Counter("ff_stage_dropped_total",
+					telemetry.Labels{"pipeline": "drops", "stage": name}).Value()
+			}
+			if int64(delivered)+droppedTotal != int64(emitted) {
+				t.Errorf("emitted %d, delivered %d, dropped %d: want delivered + dropped == emitted",
+					emitted, delivered, droppedTotal)
+			}
+		})
 	}
 }
 
