@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-json lint-selftest test race ff-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
+.PHONY: build vet lint lint-json lint-selftest test race ff-stress serve-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,14 @@ race:
 # many hits, so the repetition, not the single pass in `race`, is the check.
 ff-stress:
 	$(GO) test -race -count=50 ./internal/ff/ ./internal/core/
+
+# serve-stress repeats the serving layer's drain tests under the race
+# detector: graceful and forced Shutdown, the soak, the observe-before-result
+# ordering and ServeConn racing a drain. A session that slips past a drain,
+# or work a stopped pipeline source leaves queued, shows only under
+# repetition.
+serve-stress:
+	$(GO) test -race -count=20 -run 'Shutdown|Soak|ResultFollowsObserve|ServeConn' ./internal/server/
 
 # chaos runs the overload/failure-injection scenarios (internal/testutil/chaos)
 # under the race detector at full depth: hog-vs-small tenant isolation SLOs,

@@ -3,7 +3,7 @@
 // code path acquires A then B while another acquires B then A, the two can
 // deadlock under concurrency even though each path is locally correct. The
 // serving layer's lock chains (session locks feeding the qos scheduler's
-// lane lock, dispatcher vs. admission) are exactly where this bites.
+// lane lock, pipeline source vs. admission) are exactly where this bites.
 //
 // How it works (the first consumer of the interprocedural engine, see
 // DESIGN.md §13): per function, a forward dataflow over the CFG tracks the

@@ -1,9 +1,6 @@
 package ff
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // mpmcSlot is one cell of the MPMC ring. seq is the slot's generation
 // stamp — the Vyukov bounded-queue protocol: a slot at ring position p is
@@ -19,15 +16,14 @@ type mpmcSlot[T any] struct {
 }
 
 // MPMC is a bounded lock-free multi-producer/multi-consumer ring queue —
-// the fan-in primitive that lets N farm workers feed one collector (and N
-// session readers feed one dispatcher) without per-producer SPSC queues to
-// poll. Any number of goroutines may call the producer methods
-// (TryPush/TryPushN/Push/PushCtx) and any number the consumer methods
-// (TryPop/TryPopN/PopWait) concurrently.
+// the fan-in primitive that lets N farm workers feed one collector without
+// per-producer SPSC queues to poll. Any number of goroutines may call the
+// producer methods (TryPush/TryPushN/Push) and any number the consumer
+// methods (TryPop/TryPopN/PopWait) concurrently.
 //
 // Close is a producer-side end-of-stream signal for PopWait; it does not
-// fence out late pushes — callers stop their producers first, as the
-// server's drain path does.
+// fence out late pushes — callers stop their producers first. (The farm
+// collector's queue is never closed: workers end their streams with EOS.)
 type MPMC[T any] struct {
 	buf  []mpmcSlot[T]
 	mask uint64
@@ -206,25 +202,6 @@ func (q *MPMC[T]) Push(v T) {
 	}
 }
 
-// PushCtx blocks until v is enqueued or ctx is done, reporting whether the
-// push happened. This is the bounded-admission producer call: a full queue
-// exerts backpressure by parking the producer, and cancellation (drain,
-// disconnect) unblocks it without leaking the item into the stream.
-func (q *MPMC[T]) PushCtx(ctx context.Context, v T) bool {
-	b := backoff{spin: q.spin}
-	for {
-		if q.TryPush(v) {
-			return true
-		}
-		if ctx.Err() != nil {
-			return false
-		}
-		if b.wait() {
-			q.notFull.park(q.hasRoom, ctx.Done())
-		}
-	}
-}
-
 // Close marks the stream ended for PopWait and wakes every parked PopWait.
 // It does not prevent further pushes; callers must stop their producers
 // first (elements pushed before Close remain poppable — PopWait drains the
@@ -234,9 +211,6 @@ func (q *MPMC[T]) Close() {
 		close(q.done)
 	}
 }
-
-// Closed reports whether Close has been called.
-func (q *MPMC[T]) Closed() bool { return q.closed.Load() }
 
 // PopWait blocks until an element is available (returning it with true) or
 // the queue is closed and drained (returning the zero value and false).

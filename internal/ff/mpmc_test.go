@@ -1,7 +1,6 @@
 package ff
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -215,9 +214,6 @@ func TestMPMCCloseDrain(t *testing.T) {
 		q.Push(i)
 	}
 	q.Close()
-	if !q.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
 	for i := 0; i < 10; i++ {
 		v, ok := q.PopWait()
 		if !ok || v != i {
@@ -258,27 +254,5 @@ func TestMPMCCloseDrain(t *testing.T) {
 	}
 	if sum != total {
 		t.Fatalf("drained %d elements, want %d", sum, total)
-	}
-}
-
-func TestMPMCPushCtx(t *testing.T) {
-	q := NewMPMC[int](2, false)
-	if !q.PushCtx(context.Background(), 1) {
-		t.Fatal("PushCtx failed with room available")
-	}
-	q.Push(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if q.PushCtx(ctx, 3) {
-		t.Fatal("PushCtx succeeded on full queue with canceled context")
-	}
-	// A consumer freeing a slot must unblock a waiting PushCtx.
-	done := make(chan bool)
-	go func() { done <- q.PushCtx(context.Background(), 4) }()
-	if v, ok := q.TryPop(); !ok || v != 1 {
-		t.Fatalf("TryPop = (%d, %v), want (1, true)", v, ok)
-	}
-	if !<-done {
-		t.Fatal("PushCtx failed after space freed")
 	}
 }

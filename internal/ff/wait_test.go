@@ -1,7 +1,6 @@
 package ff
 
 import (
-	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -151,24 +150,6 @@ func TestMPMCCloseWakesParkedPopWait(t *testing.T) {
 		if awaitReturn(t, got, "PopWait") {
 			t.Fatal("PopWait on a closed empty queue returned an item")
 		}
-	}
-}
-
-func TestMPMCCancelWakesParkedPushCtx(t *testing.T) {
-	q := NewMPMC[int](2, false)
-	q.Push(1)
-	q.Push(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	got := make(chan bool)
-	go func() { got <- q.PushCtx(ctx, 3) }()
-	awaitParked(t, &q.notFull, 1)
-	cancel()
-	if awaitReturn(t, got, "PushCtx") {
-		t.Fatal("PushCtx reported a push into a full queue after cancel")
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len() = %d after a canceled PushCtx, want 2", q.Len())
 	}
 }
 

@@ -9,12 +9,12 @@
 // tenant sees indiscriminate rejects. The FastFlow lesson (farms that
 // resize and shed load *selectively*) applied at the service boundary is
 // exactly weighted fair queuing: each tenant owns a bounded FIFO lane, the
-// dispatcher drains lanes by deficit round-robin so a tenant's share of the
-// pipeline tracks its weight regardless of how much it offers, and token
-// buckets bound the rate at which any single tenant may claim admission in
-// the first place. Costs are in bytes of work (request payload for dedup,
-// output pixels for mandel), not request counts, so a tenant cannot cheat
-// fairness by packing its load into fewer, larger requests.
+// pipeline's source drains lanes by deficit round-robin so a tenant's share
+// of the pipeline tracks its weight regardless of how much it offers, and
+// token buckets bound the rate at which any single tenant may claim
+// admission in the first place. Costs are in bytes of work (request payload
+// for dedup, output pixels for mandel), not request counts, so a tenant
+// cannot cheat fairness by packing its load into fewer, larger requests.
 //
 // Everything here is clock-injected and single-purpose so the scheduler's
 // fairness properties are unit-testable without a live server: see

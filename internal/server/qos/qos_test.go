@@ -310,7 +310,7 @@ func TestSchedBlocksUntilEnqueue(t *testing.T) {
 			t.Fatalf("got %d, want 7", got)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("dispatcher never woke")
+		t.Fatal("the consumer parked in Next never woke")
 	}
 	s.Close()
 }

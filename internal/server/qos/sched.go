@@ -16,10 +16,10 @@ type Item struct {
 	// regardless of queue age (e.g. a sealed dedup batch, whose bytes are
 	// already part of the session's archive stream).
 	Deadline time.Time
-	// Run dispatches the item. It may block (the pipeline submit is the
-	// backpressure point) and is responsible for its own cancellation
-	// cleanup — the scheduler calls it exactly once, from the dispatcher
-	// goroutine, or calls Expire/Drop instead.
+	// Run dispatches the item. It may block (an emit into a full pipeline
+	// queue is the backpressure point). The scheduler's consumer calls it
+	// exactly once — in the serving layer, the resident pipeline's source
+	// goroutine — unless Expire or Drop is called instead.
 	Run func()
 	// Expire is called (instead of Run) when Deadline passed while the
 	// item was queued. May be nil when Deadline is zero.
@@ -55,7 +55,7 @@ func (l *lane) pop() Item {
 // Sched is a deficit-round-robin scheduler over per-tenant FIFO lanes.
 //
 // Fairness model: each tenant with queued work occupies a slot in the
-// round-robin ring. When the dispatcher's turn reaches a tenant, the
+// round-robin ring. When the consumer's turn reaches a tenant, the
 // tenant's deficit is credited quantum × weight cost units, and its queued
 // items are dispatched head-first while the deficit covers their cost; the
 // unspent remainder carries over to the tenant's next turn, so an item
@@ -63,10 +63,11 @@ func (l *lane) pop() Item {
 // starving (the classic DRR guarantee). A tenant whose lane empties
 // forfeits its deficit — idle tenants bank nothing.
 //
-// Enqueue may be called from any goroutine; Next is intended for a single
-// dispatcher goroutine. Per-lane FIFO order is preserved end to end, which
-// is what lets the serving layer keep one session's batches in archive
-// order while interleaving sessions fairly.
+// Enqueue may be called from any goroutine and never blocks; Next is
+// intended for a single consumer goroutine (the serving layer's pipeline
+// source). Per-lane FIFO order is preserved end to end, which is what lets
+// the serving layer keep one session's batches in archive order while
+// interleaving sessions fairly.
 type Sched struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -143,8 +144,8 @@ func (s *Sched) Depth() int {
 }
 
 // Close stops the scheduler: Next drains the remaining items (calling their
-// Drop instead of Run — the dispatcher is shutting down) and then reports
-// done. Idempotent.
+// Drop instead of Run — the consumer is shutting down) and then reports
+// done, on every later call too. Idempotent.
 func (s *Sched) Close() {
 	s.mu.Lock()
 	s.closed = true

@@ -18,9 +18,10 @@
 // Graceful drain reuses the fault-tolerance layer's RunContext cancellation
 // paths: Shutdown stops the accept loop, lets sessions flush and their
 // in-flight batches drain through the pipeline, then ends the resident
-// ToStream regions by closing their sources; if the caller's context
-// expires first, the shared context is canceled and the ff runtime's
-// cancel+drain machinery aborts the streams without deadlock.
+// ToStream regions by closing the fair schedulers that are their sources;
+// if the caller's context expires first, the shared context is canceled and
+// the ff runtime's cancel+drain machinery aborts the streams without
+// deadlock.
 package server
 
 import (
@@ -37,7 +38,6 @@ import (
 	"streamgpu/internal/dedup"
 	"streamgpu/internal/diag"
 	"streamgpu/internal/fault"
-	"streamgpu/internal/ff"
 	"streamgpu/internal/gpu"
 	"streamgpu/internal/health"
 	"streamgpu/internal/mandel"
@@ -189,18 +189,19 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	jobs  *ff.MPMC[*job]
-	mjobs *ff.MPMC[*mandelJob]
-
-	// The DRR schedulers sit between the sessions and the bounded job
-	// channels: sessions enqueue into per-tenant lanes, one dispatcher
-	// goroutine per service drains lanes fairly and forwards into the
-	// channel (the blocking send is still the backpressure point). Queue
-	// depth is bounded by the admission window — every scheduled item holds
-	// admitted requests — so the lanes cannot grow without bound.
+	// The DRR schedulers are the resident pipelines' sources: sessions
+	// enqueue into per-tenant lanes, and each pipeline's source goroutine
+	// drains its scheduler fairly and emits the items (an emit into a full
+	// first stage queue is the backpressure point). Queue depth is bounded
+	// by the admission window — every scheduled item holds admitted
+	// requests — so the lanes cannot grow without bound.
 	dedupSched  *qos.Sched
 	mandelSched *qos.Sched
-	dispWG      sync.WaitGroup
+	// emitDedup and emitMandel are the pipelines' emit functions. Each
+	// source goroutine stores its own before its first Next, and only that
+	// goroutine runs the items that call it.
+	emitDedup  func(any)
+	emitMandel func(any)
 
 	adm    *admission
 	est    *estimator
@@ -236,16 +237,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:    cfg,
-		ctx:    ctx,
-		cancel: cancel,
-		// The job queues are the bounded admission queues feeding the
-		// resident pipelines: capacity tracks the admission window, so a
-		// full window exerts backpressure on session readers (and through
-		// them, TCP) instead of buffering without bound. MPMC because many
-		// dispatch/drop paths push while one pipeline source pops in bursts.
-		jobs:     ff.NewMPMC[*job](cfg.maxInflight(), false),
-		mjobs:    ff.NewMPMC[*mandelJob](cfg.maxInflight(), false),
+		cfg:      cfg,
+		ctx:      ctx,
+		cancel:   cancel,
 		payloads: pool.NewBytes("server.payload"),
 		sessions: make(map[*session]struct{}),
 		done:     make(chan struct{}),
@@ -339,17 +333,9 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("server: accept: %w", err)
 		}
-		sess := newSession(s, conn)
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			continue
+		if sess := s.register(conn); sess != nil {
+			go sess.run()
 		}
-		s.sessions[sess] = struct{}{}
-		s.mu.Unlock()
-		s.sessWG.Add(1)
-		go sess.run()
 	}
 }
 
@@ -361,18 +347,30 @@ func (s *Server) Serve(ln net.Listener) error {
 // is the owner.
 func (s *Server) ServeConn(conn net.Conn) bool {
 	s.Start()
+	sess := s.register(conn)
+	if sess == nil {
+		return false
+	}
+	sess.run()
+	return true
+}
+
+// register adds a session for conn to the live set, or closes conn and
+// returns nil when the server is draining. The session joins sessWG under
+// the lock Shutdown takes to set draining, so a Shutdown either keeps the
+// session out or waits for it.
+func (s *Server) register(conn net.Conn) *session {
 	sess := newSession(s, conn)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		conn.Close()
-		return false
+		return nil
 	}
 	s.sessions[sess] = struct{}{}
-	s.mu.Unlock()
 	s.sessWG.Add(1)
-	sess.run()
-	return true
+	s.mu.Unlock()
+	return sess
 }
 
 // Shutdown drains the server: stop accepting, let sessions flush and their
@@ -420,24 +418,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	// Sessions are gone, so nothing enqueues anymore. Closing the
-	// schedulers lets the dispatchers drain what remains (graceful drain
-	// leaves the lanes empty — every session waited for its jobs; forced
-	// drain settles leftovers through their Drop callbacks), then exit.
+	// schedulers ends the resident ToStream regions through their normal
+	// EOS path: each source's Next reports done once its lanes are settled
+	// (graceful drain finds them empty — every session waited for its jobs).
 	s.dedupSched.Close()
 	s.mandelSched.Close()
-	s.dispWG.Wait() //streamvet:ignore ctxprop Close unblocks the dispatchers' cond.Wait and they drain bounded lanes, so this wait is finite by construction
-
-	// All producers are gone: closing the sources ends the resident
-	// ToStream regions through their normal EOS path (PopWait drains what
-	// remains, then reports end-of-stream).
-	s.jobs.Close()
-	s.mjobs.Close()
 	if !s.waitCtx(ctx, &s.pipeWG) {
 		forced = ctx.Err()
 		s.cancel()
 		s.pipeWG.Wait() //streamvet:ignore ctxprop ctx already expired on this path; cancel aborts the resident streams through the ff cancel+drain path
 	}
 	s.cancel()
+	// A canceled source may have stopped before its scheduler emptied; Next
+	// on a closed scheduler settles what is left through each item's Drop.
+	s.dedupSched.Next()
+	s.mandelSched.Next()
 
 	s.pipeMu.Lock()
 	for _, err := range s.pipeErrs {
@@ -465,8 +460,8 @@ func (s *Server) waitCtx(ctx context.Context, wg *sync.WaitGroup) bool {
 }
 
 // startPipelines launches the two resident ToStream regions. Each runs
-// until its source channel closes (graceful drain) or the shared context is
-// canceled (forced drain).
+// until its scheduler is closed and drained (graceful drain) or the shared
+// context is canceled (forced drain).
 func (s *Server) startPipelines() {
 	gopt := dedup.GPUOptions{
 		Options:        dedup.Options{Metrics: s.cfg.Metrics},
@@ -487,17 +482,17 @@ func (s *Server) startPipelines() {
 		go s.probeLoop()
 	}
 
-	// One dispatcher per service pulls items from the fair scheduler and
-	// runs them (a blocking forward into the bounded job channel). Expired
-	// and dropped items are settled inside Next.
-	s.dispWG.Add(2)
-	go s.dispatch(s.dedupSched)
-	go s.dispatch(s.mandelSched)
-
 	dedupTS := core.NewToStream(core.Ordered(),
 		core.Telemetry(s.cfg.Metrics, "serve-dedup")).
 		StageWorkers(func() core.Worker {
-			return &dedupWorker{p: dedup.NewProcessor(gopt, useGPU)}
+			// Each replica hashes, dedup-marks and compresses batches on
+			// its own Processor, against the batch's session store.
+			p := dedup.NewProcessor(gopt, useGPU)
+			return core.FnWorker(func(item any, emit func(any)) {
+				j := item.(*job)
+				p.Process(j.batch, j.sess.store)
+				emit(j)
+			})
 		}, core.Replicate(s.cfg.workers()), core.Name("process")).
 		Stage(s.dedupSink, core.Name("write+respond"))
 
@@ -510,39 +505,32 @@ func (s *Server) startPipelines() {
 	go func() {
 		defer s.pipeWG.Done()
 		err := dedupTS.RunContext(s.ctx, func(emit func(any)) {
-			mpmcSource(s.jobs, emit)
+			s.emitDedup = emit
+			runSched(s.dedupSched)
 		})
 		s.recordPipeErr(err)
 	}()
 	go func() {
 		defer s.pipeWG.Done()
 		err := mandelTS.RunContext(s.ctx, func(emit func(any)) {
-			mpmcSource(s.mjobs, emit)
+			s.emitMandel = emit
+			runSched(s.mandelSched)
 		})
 		s.recordPipeErr(err)
 	}()
 }
 
-// mpmcSource feeds a resident pipeline from its admission queue: burst pops
-// while the queue has backlog (one claim per burst instead of per job),
-// blocking pops when it runs dry, until the queue is closed and drained.
-func mpmcSource[T any](q *ff.MPMC[T], emit func(any)) {
-	var burst [16]T
+// runSched is a resident pipeline's source loop: it runs the fair
+// scheduler's items in DRR order — each emits its job into the pipeline —
+// until the scheduler is closed and drained. Expired items are settled
+// inside Next, on this goroutine.
+func runSched(sched *qos.Sched) {
 	for {
-		n := q.TryPopN(burst[:])
-		if n == 0 {
-			v, ok := q.PopWait()
-			if !ok {
-				return
-			}
-			emit(v)
-			continue
+		it, ok := sched.Next()
+		if !ok {
+			return
 		}
-		var zero T
-		for i := 0; i < n; i++ {
-			emit(burst[i])
-			burst[i] = zero
-		}
+		it.Run()
 	}
 }
 
@@ -583,41 +571,10 @@ func (s *Server) probeCycle() {
 	s.scores.Tick()
 }
 
-// dispatch is one service's scheduler-drain loop.
-func (s *Server) dispatch(sched *qos.Sched) {
-	defer s.dispWG.Done()
-	for {
-		it, ok := sched.Next()
-		if !ok {
-			return
-		}
-		it.Run()
-	}
-}
-
 func (s *Server) recordPipeErr(err error) {
 	s.pipeMu.Lock()
 	s.pipeErrs = append(s.pipeErrs, err)
 	s.pipeMu.Unlock()
-}
-
-// dedupWorker is one replica of the shared batch-processing stage.
-type dedupWorker struct {
-	p *dedup.Processor
-}
-
-// Init implements core.Worker.
-func (w *dedupWorker) Init() error { return nil }
-
-// End implements core.Worker.
-func (w *dedupWorker) End() {}
-
-// Process implements core.Worker: hash, dedup-mark and compress one batch
-// against its session's store.
-func (w *dedupWorker) Process(item any, emit func(any)) {
-	j := item.(*job)
-	w.p.Process(j.batch, j.sess.store)
-	emit(j)
 }
 
 // dedupSink is the serial ordered tail of the dedup pipeline: it appends
@@ -654,7 +611,7 @@ func (s *Server) dedupSink(item any, _ func(any)) {
 	}
 	j.batch.Release()
 	s.payloads.Release(j.data)
-	sess.jobDone(len(j.done))
+	sess.jobDone()
 }
 
 // mandelCompute is one replica of the Mandelbrot row farm.
@@ -676,7 +633,7 @@ func (s *Server) mandelSink(item any, _ func(any)) {
 	s.observeDone(wire.SvcMandel, mj.tenant, len(mj.out), time.Since(mj.t0))
 	mj.sess.sendResult(wire.SvcMandel, mj.seq, mj.tenant, mj.out)
 	s.payloads.Release(mj.out)
-	mj.sess.jobDone(1)
+	mj.sess.jobDone()
 }
 
 // mandelParams maps a validated request onto the paper's complex-plane

@@ -58,10 +58,9 @@ type session struct {
 	fw  *wire.Writer
 
 	// Staging state, guarded by mu. The linger timer and the read loop both
-	// seal batches; sealing submits to the shared pipeline *under mu* so
-	// batch sequence numbers enter the (ordered) pipeline in order — the
-	// sink never takes mu, so holding it across a blocking submit cannot
-	// deadlock.
+	// seal batches; sealing enqueues into the fair scheduler *under mu* so
+	// batch sequence numbers enter the session's lane, and so the (ordered)
+	// pipeline, in order. Enqueue never blocks.
 	mu       sync.Mutex
 	cur      []byte // pooled staging buffer; nil when empty
 	pending  []completion
@@ -252,7 +251,7 @@ func (sess *session) handleData(f wire.Frame) bool {
 func (sess *session) stageMandel(f wire.Frame, mreq MandelReq, cost int, deadline time.Duration) {
 	s := sess.srv
 	mj := &mandelJob{sess: sess, seq: f.Seq, tenant: f.Tenant, t0: time.Now(), req: mreq}
-	sess.addOutstanding(1)
+	sess.addOutstanding()
 	var expiry time.Time
 	if deadline > 0 {
 		expiry = mj.t0.Add(deadline)
@@ -260,22 +259,15 @@ func (sess *session) stageMandel(f wire.Frame, mreq MandelReq, cost int, deadlin
 	s.mandelSched.Enqueue(f.Tenant, qos.Item{
 		Cost:     cost,
 		Deadline: expiry,
-		Run: func() {
-			// Blocking push with backpressure; a forced drain (context
-			// cancel) unblocks it and the job is settled here instead.
-			if !s.mjobs.PushCtx(s.ctx, mj) {
-				s.releaseAdmitted(mj.tenant)
-				sess.dropJob(1)
-			}
-		},
+		Run:      func() { s.emitMandel(mj) },
 		Expire: func() {
 			s.releaseAdmitted(mj.tenant)
 			sess.sendReject(wire.SvcMandel, mj.tenant, mj.seq, wire.ReasonDeadline, 0)
-			sess.dropJob(1)
+			sess.jobDone()
 		},
 		Drop: func() {
 			s.releaseAdmitted(mj.tenant)
-			sess.dropJob(1)
+			sess.jobDone()
 		},
 	})
 }
@@ -330,9 +322,9 @@ func (sess *session) stageDedup(f wire.Frame) {
 
 // sealLocked turns the staging buffer into a pooled batch and hands it to
 // the fair scheduler. Called with mu held; enqueueing under mu keeps batch
-// order equal to sequence order within the session's lane, and the
-// dispatcher's blocking forward into the bounded job channel is what turns
-// a full admission queue into backpressure. Sealed batches carry no
+// order equal to sequence order within the session's lane. The lanes are
+// bounded by the admission window, and the pipeline source's emit into a
+// full first queue is the backpressure point. Sealed batches carry no
 // deadline: their bytes are already part of the session's archive stream
 // and must reach the writer or the stream is corrupt.
 func (sess *session) sealLocked(trigger string) {
@@ -352,25 +344,21 @@ func (sess *session) sealLocked(trigger string) {
 	m := s.cfg.Metrics
 	m.Counter("server_batches_sealed_total", telemetry.Labels{"trigger": trigger}).Inc()
 	m.Counter("server_batch_bytes_total", telemetry.Labels{}).Add(int64(len(j.data)))
-	sess.addOutstanding(1)
-	discard := func() {
-		// Forced drain: the pipeline is going away, recycle and give up on
-		// the batch's requests (the client is being disconnected anyway).
-		j.batch.Release()
-		s.payloads.Release(j.data)
-		for _, c := range j.done {
-			s.releaseAdmitted(c.tenant)
-		}
-		sess.dropJob(1)
-	}
+	sess.addOutstanding()
 	s.dedupSched.Enqueue(sess.qosTenant, qos.Item{
 		Cost: len(j.data),
-		Run: func() {
-			if !s.jobs.PushCtx(s.ctx, j) {
-				discard()
+		Run:  func() { s.emitDedup(j) },
+		Drop: func() {
+			// Forced drain: the pipeline is going away, recycle and give up
+			// on the batch's requests (the client is being disconnected
+			// anyway).
+			j.batch.Release()
+			s.payloads.Release(j.data)
+			for _, c := range j.done {
+				s.releaseAdmitted(c.tenant)
 			}
+			sess.jobDone()
 		},
-		Drop: discard,
 	})
 }
 
@@ -445,28 +433,18 @@ func (sess *session) closeDrainedLocked() {
 	}
 }
 
-// addOutstanding registers n submitted jobs.
-func (sess *session) addOutstanding(n int) {
+// addOutstanding registers one submitted job.
+func (sess *session) addOutstanding() {
 	sess.cmu.Lock()
-	sess.outstanding += n
+	sess.outstanding++
 	sess.cmu.Unlock()
 }
 
-// jobDone is called by a sink after fully processing one job; nDone is the
-// number of requests it answered (informational only).
-func (sess *session) jobDone(int) {
+// jobDone un-registers one job: a sink answered it, or the scheduler
+// settled it through Expire or Drop.
+func (sess *session) jobDone() {
 	sess.cmu.Lock()
 	sess.outstanding--
-	if sess.ended && sess.outstanding == 0 {
-		sess.closeDrainedLocked()
-	}
-	sess.cmu.Unlock()
-}
-
-// dropJob un-registers a job that was never submitted (forced drain).
-func (sess *session) dropJob(n int) {
-	sess.cmu.Lock()
-	sess.outstanding -= n
 	if sess.ended && sess.outstanding == 0 {
 		sess.closeDrainedLocked()
 	}
