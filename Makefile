@@ -61,12 +61,14 @@ chaos:
 	$(GO) test -race -count=1 ./internal/testutil/chaos
 
 # cluster runs the 3-node in-process smoke under the race detector: sharded
-# routing by redirect, cluster-wide dedup through two nodes, and
-# the failover scenario that kills a node mid-stream via internal/fault and
-# requires every session to complete on the survivors with byte-verified
-# archives and leak-clean teardown (internal/cluster, DESIGN.md §14).
+# routing by redirect, cluster-wide dedup through two nodes, the store's
+# exactly-one-first-sighting tests (concurrent sighters on three stores,
+# fail-open, one Query per hash per batch), and the failover scenario that
+# kills a node mid-stream via internal/fault and requires every session to
+# complete on the survivors with byte-verified archives and leak-clean
+# teardown (internal/cluster, DESIGN.md §14).
 cluster:
-	$(GO) test -race -count=1 -run 'TestCluster|TestRedirect|TestLoadgen|TestNodeFault' ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestCluster|TestRedirect|TestLoadgen|TestNodeFault|TestStore' ./internal/cluster
 
 # diag is the fleet-diagnostics smoke: the probe suite (quick level) must
 # pass on a 3-device heterogeneous fleet under the race detector, the
@@ -80,9 +82,11 @@ diag:
 
 # fuzz gives each fuzz target a short randomized run on top of the committed
 # seed corpora (testdata/fuzz): the wire codec's decoders, the archive
-# restore path, and the -fleet spec parser are the surfaces that parse bytes
-# off the network/disk/command line, so they must error — never panic or
-# over-allocate — on arbitrary input. FuzzCompressEquivalence is the odd one
+# restore path, the cluster store's TStore peer handler and the -fleet spec
+# parser are the surfaces that parse bytes off the network/disk/command
+# line, so they must error — never panic or over-allocate — on arbitrary
+# input (FuzzStoreRPC also holds the handler to its reply layout and its
+# reservation: a hash queried twice reads "known" the second time). FuzzCompressEquivalence is the odd one
 # out: it searches for a block on which the fused host encoder and the
 # all-positions reference disagree (seeded in code from the equivalence
 # table's edge shapes); FuzzFillEquivalence searches for a batch on which the
@@ -96,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dedup -fuzz FuzzRestore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -fuzz FuzzStoreRPC -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu -fuzz FuzzParseFleet -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lzss -fuzz FuzzCompressEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lzss -fuzz FuzzFillEquivalence -fuzztime $(FUZZTIME)

@@ -293,6 +293,8 @@ func (allFirsts) FirstSightings(hashes [][sha1x.Size]byte, dst []bool) {
 	}
 }
 
+func (allFirsts) Exchange(*dedup.Batch) {}
+
 // storeContended measures the sharded duplicate store's lookup rate under
 // contention: GOMAXPROCS goroutines each sweeping the same pre-inserted hash
 // set, so every probe contends on stripe locks without mutating the table.

@@ -3,36 +3,32 @@ package cluster
 import (
 	"sync"
 
+	"streamgpu/internal/dedup"
 	"streamgpu/internal/sha1x"
 	"streamgpu/internal/telemetry"
 )
 
-// Store is the cluster-wide content-addressed block index. The sha1 key
-// space is partitioned across nodes by the ring (OwnerHash); each node keeps
-// the authoritative seen-set for its partition plus a local cache of
-// everything it has observed. It implements dedup.BlockStore, so a server
-// plugged into it answers "have we seen this block?" cluster-wide instead of
-// per-node, and dedup.CompSource/CompSink, so a block compressed once on any
-// node ships its compressed body to later sighters instead of being
-// recompressed.
+// Store is the cluster-wide content-addressed block index: a routing and
+// body-cache decorator over the node's striped dedup.Store. The sha1 key
+// space is partitioned across nodes by the ring (OwnerHash); the local table
+// is the authoritative seen-set for this node's partition and a cache of
+// every other hash this node has observed. As a dedup.BlockStore it answers
+// "have we seen this block?" cluster-wide instead of per-node, and its
+// Exchange ships a block compressed once on any node to later sighters
+// instead of having it recompressed.
 //
 // Correctness does not depend on the store at all: per-session dedup.Writer
 // makes the authoritative stream-order decision, LZSS is deterministic, and
 // content addressing keys on the raw bytes — so a lost RPC, a stale ring, or
 // a cold new owner only costs duplicate compression work, never archive
-// bytes. That is what lets the RPC paths fail open (treat as first) with no
-// recovery protocol.
+// bytes. That is what lets the RPC paths fail open (keep the local verdict)
+// with no recovery protocol.
 type Store struct {
-	self string
-	// ownerOf maps a hash to its partition owner under the current ring;
-	// swapped by the node on membership change.
-	ownerOf func(h [sha1x.Size]byte) string
-	// rpc issues one TStore request to addr and returns the response payload.
-	rpc func(addr string, req []byte) ([]byte, error)
+	local *dedup.Store // the node's one first-sighting table
 
 	mu     sync.Mutex
-	seen   map[[sha1x.Size]byte]struct{} // blocks known to the cluster (local view)
-	blocks map[[sha1x.Size]byte][]byte   // compressed bodies cached locally
+	r      route                       // routing hooks, swapped by Bind
+	blocks map[[sha1x.Size]byte][]byte // compressed bodies cached locally
 
 	lookupLocal  *telemetry.Counter // duplicate known before asking anyone
 	lookupRemote *telemetry.Counter // duplicate discovered via a partition owner
@@ -47,8 +43,8 @@ type Store struct {
 // self-owned (single-node mode).
 func NewStore(self string, reg *telemetry.Registry) *Store {
 	return &Store{
-		self:         self,
-		seen:         make(map[[sha1x.Size]byte]struct{}),
+		r:            route{self: self},
+		local:        dedup.NewStore(),
 		blocks:       make(map[[sha1x.Size]byte][]byte),
 		lookupLocal:  reg.Counter("cluster_store_lookups_total", telemetry.Labels{"result": "local"}),
 		lookupRemote: reg.Counter("cluster_store_lookups_total", telemetry.Labels{"result": "remote"}),
@@ -64,9 +60,30 @@ func NewStore(self string, reg *telemetry.Registry) *Store {
 // with lookups).
 func (s *Store) Bind(ownerOf func(h [sha1x.Size]byte) string, rpc func(addr string, req []byte) ([]byte, error)) {
 	s.mu.Lock()
-	s.ownerOf = ownerOf
-	s.rpc = rpc
+	s.r.ownerOf = ownerOf
+	s.r.rpc = rpc
 	s.mu.Unlock()
+}
+
+// route is the node's view of the partition: ownerOf maps a hash to its
+// owner under the current ring, and rpc issues one TStore request to addr
+// and returns the response payload. Readers copy it under Store.mu.
+type route struct {
+	self    string
+	ownerOf func(h [sha1x.Size]byte) string
+	rpc     func(addr string, req []byte) ([]byte, error)
+}
+
+// remote returns h's partition owner when that is another node reachable
+// over rpc, and "" when h resolves on this node.
+func (r route) remote(h [sha1x.Size]byte) string {
+	if r.ownerOf == nil || r.rpc == nil {
+		return ""
+	}
+	if owner := r.ownerOf(h); owner != r.self {
+		return owner
+	}
+	return ""
 }
 
 // Blocks reports the local cache size (for the cluster_store_blocks gauge).
@@ -90,34 +107,32 @@ const (
 )
 
 // FirstSightings implements dedup.BlockStore: dst[i] is true iff hashes[i]
-// is a cluster-wide first sighting. Owned hashes are resolved (and reserved)
-// under the local lock; remote-owned unknowns are batched into one Query RPC
-// per owner. The owner marks queried unknowns as seen atomically, so exactly
-// one node cluster-wide wins each first sighting even when two nodes query
-// concurrently. An unreachable owner degrades that batch to "first" — we
-// compress locally and lose nothing but the shortcut.
+// is a cluster-wide first sighting. The whole batch is recorded in the local
+// table first, so a repeat within the batch or a hash seen here before is a
+// duplicate without touching the network. Hashes new here and owned
+// elsewhere are batched into one Query RPC per owner; the owner records
+// queried unknowns in its own table atomically, so exactly one node
+// cluster-wide wins each first sighting even when two nodes query
+// concurrently. An unreachable owner keeps the local verdict (fail open) —
+// we compress locally and lose nothing but the shortcut.
 func (s *Store) FirstSightings(hashes [][sha1x.Size]byte, dst []bool) {
 	type pending struct {
-		idx    []int
-		hashes [][sha1x.Size]byte
+		idx []int
+		req []byte
 	}
 	var remote map[string]*pending
 
+	s.local.FirstSightings(hashes, dst)
 	s.mu.Lock()
-	ownerOf, rpc := s.ownerOf, s.rpc
+	r := s.r
+	s.mu.Unlock()
 	for i, h := range hashes {
-		if _, ok := s.seen[h]; ok {
-			dst[i] = false
+		if !dst[i] {
 			s.lookupLocal.Inc()
 			continue
 		}
-		owner := s.self
-		if ownerOf != nil {
-			owner = ownerOf(h)
-		}
-		if owner == s.self || owner == "" || rpc == nil {
-			s.seen[h] = struct{}{}
-			dst[i] = true
+		owner := r.remote(h)
+		if owner == "" {
 			s.lookupFirst.Inc()
 			continue
 		}
@@ -126,52 +141,52 @@ func (s *Store) FirstSightings(hashes [][sha1x.Size]byte, dst []bool) {
 		}
 		p := remote[owner]
 		if p == nil {
-			p = &pending{}
+			p = &pending{req: []byte{storeQuery}}
 			remote[owner] = p
 		}
 		p.idx = append(p.idx, i)
-		p.hashes = append(p.hashes, h)
+		p.req = append(p.req, h[:]...)
 	}
-	s.mu.Unlock()
 
 	for owner, p := range remote {
-		req := make([]byte, 1, 1+len(p.hashes)*sha1x.Size)
-		req[0] = storeQuery
-		for _, h := range p.hashes {
-			req = append(req, h[:]...)
-		}
-		resp, err := rpc(owner, req)
-		if err != nil || len(resp) < 1+len(p.hashes) || resp[0] != storeQueryResp {
-			// Fail open: claim the sighting locally. Worst case two nodes
-			// both compress the block; the archives are unaffected.
-			s.mu.Lock()
-			for _, i := range p.idx {
-				s.seen[hashes[i]] = struct{}{}
-				dst[i] = true
-			}
-			s.mu.Unlock()
+		resp, err := r.rpc(owner, p.req)
+		if err != nil || len(resp) < 1+len(p.idx) || resp[0] != storeQueryResp {
+			// Fail open: the local first sighting stands. Worst case two
+			// nodes both compress the block; the archives are unaffected.
 			s.lookupFailed.Add(int64(len(p.idx)))
 			continue
 		}
-		known := resp[1:]
-		s.mu.Lock()
 		for j, i := range p.idx {
-			s.seen[hashes[i]] = struct{}{}
-			if known[j] == 1 {
+			if resp[1+j] == 1 {
 				dst[i] = false
 				s.lookupRemote.Inc()
 			} else {
-				dst[i] = true
 				s.lookupFirst.Inc()
 			}
 		}
-		s.mu.Unlock()
 	}
 }
 
-// PublishComp implements dedup.CompSink: cache the compressed body locally
-// and push it to the partition owner so other nodes' fetches find it. comp
-// is only valid during the call (batch arenas recycle), so it is copied.
+// Exchange implements dedup.BlockStore's post-compression hook: publish
+// every block the batch compressed, and fill Comp for every other block
+// whose compressed body this node holds or can fetch from the block's
+// owner. Fetched bodies are byte-identical to what local compression would
+// have produced (LZSS is deterministic and content addressing keys on the
+// raw bytes), so the downstream Writer's output does not depend on which
+// node compressed a block first.
+func (s *Store) Exchange(b *dedup.Batch) {
+	for k, comp := range b.Comp {
+		if comp != nil {
+			s.PublishComp(b.Hashes[k], comp)
+		} else if body, ok := s.FetchComp(b.Hashes[k]); ok {
+			b.Comp[k] = body
+		}
+	}
+}
+
+// PublishComp caches a compressed body locally and pushes it to the
+// partition owner so other nodes' fetches find it. comp is only valid
+// during the call (batch arenas recycle), so it is copied.
 func (s *Store) PublishComp(h [sha1x.Size]byte, comp []byte) {
 	body := append([]byte(nil), comp...)
 	s.mu.Lock()
@@ -180,14 +195,11 @@ func (s *Store) PublishComp(h [sha1x.Size]byte, comp []byte) {
 		return
 	}
 	s.blocks[h] = body
-	ownerOf, rpc := s.ownerOf, s.rpc
+	r := s.r
 	s.mu.Unlock()
 
-	owner := s.self
-	if ownerOf != nil {
-		owner = ownerOf(h)
-	}
-	if owner == s.self || owner == "" || rpc == nil {
+	owner := r.remote(h)
+	if owner == "" {
 		return
 	}
 	req := make([]byte, 1, 1+sha1x.Size+len(body))
@@ -195,40 +207,37 @@ func (s *Store) PublishComp(h [sha1x.Size]byte, comp []byte) {
 	req = append(req, h[:]...)
 	req = append(req, body...)
 	// Best-effort: a lost put only means later fetches miss and recompress.
-	_, _ = rpc(owner, req)
+	_, _ = r.rpc(owner, req)
 }
 
-// FetchComp implements dedup.CompSource: return the compressed body of a
-// block some node already compressed. Local cache first, then the partition
-// owner. A miss (reservation won elsewhere but the body not yet published)
-// returns ok=false and the caller compresses inline.
+// FetchComp returns the compressed body of a block some node already
+// compressed: local cache first, then the partition owner. The body stays
+// valid and immutable. A miss (reservation won elsewhere but the body not
+// yet published) returns ok=false and the Writer compresses inline.
 func (s *Store) FetchComp(h [sha1x.Size]byte) ([]byte, bool) {
 	s.mu.Lock()
-	if body, ok := s.blocks[h]; ok {
-		s.mu.Unlock()
+	body, ok := s.blocks[h]
+	r := s.r
+	s.mu.Unlock()
+	if ok {
 		s.fetchHit.Inc()
 		return body, true
 	}
-	ownerOf, rpc := s.ownerOf, s.rpc
-	s.mu.Unlock()
 
-	owner := s.self
-	if ownerOf != nil {
-		owner = ownerOf(h)
-	}
-	if owner == s.self || owner == "" || rpc == nil {
+	owner := r.remote(h)
+	if owner == "" {
 		s.fetchMiss.Inc()
 		return nil, false
 	}
 	req := make([]byte, 1, 1+sha1x.Size)
 	req[0] = storeFetch
 	req = append(req, h[:]...)
-	resp, err := rpc(owner, req)
+	resp, err := r.rpc(owner, req)
 	if err != nil || len(resp) < 2 || resp[0] != storeFetchResp || resp[1] != 1 {
 		s.fetchMiss.Inc()
 		return nil, false
 	}
-	body := append([]byte(nil), resp[2:]...)
+	body = append([]byte(nil), resp[2:]...)
 	s.mu.Lock()
 	if _, ok := s.blocks[h]; !ok {
 		s.blocks[h] = body
@@ -254,26 +263,20 @@ func (s *Store) HandleRPC(req []byte) []byte {
 		n := len(body) / sha1x.Size
 		resp := make([]byte, 1+n)
 		resp[0] = storeQueryResp
-		var h [sha1x.Size]byte
-		s.mu.Lock()
 		for i := 0; i < n; i++ {
-			copy(h[:], body[i*sha1x.Size:])
-			if _, ok := s.seen[h]; ok {
+			// Recording a queried hash is the reservation: the querier is
+			// about to compress this block, so the next asker sees a
+			// duplicate.
+			if !s.local.FirstSighting([sha1x.Size]byte(body[i*sha1x.Size:])) {
 				resp[1+i] = 1
-			} else {
-				// Reservation: the querier is about to compress this block;
-				// record it so the next asker sees a duplicate.
-				s.seen[h] = struct{}{}
 			}
 		}
-		s.mu.Unlock()
 		return resp
 	case storeFetch:
 		if len(req) < 1+sha1x.Size {
 			return nil
 		}
-		var h [sha1x.Size]byte
-		copy(h[:], req[1:])
+		h := [sha1x.Size]byte(req[1:])
 		s.mu.Lock()
 		body, ok := s.blocks[h]
 		s.mu.Unlock()
@@ -288,15 +291,14 @@ func (s *Store) HandleRPC(req []byte) []byte {
 		if len(req) < 1+sha1x.Size {
 			return nil
 		}
-		var h [sha1x.Size]byte
-		copy(h[:], req[1:])
+		h := [sha1x.Size]byte(req[1:])
 		body := append([]byte(nil), req[1+sha1x.Size:]...)
 		s.mu.Lock()
 		if _, ok := s.blocks[h]; !ok {
 			s.blocks[h] = body
 		}
-		s.seen[h] = struct{}{}
 		s.mu.Unlock()
+		s.local.FirstSighting(h)
 		return []byte{storePutResp}
 	default:
 		return nil

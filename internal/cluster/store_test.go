@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"streamgpu/internal/cluster"
@@ -10,18 +12,30 @@ import (
 	"streamgpu/internal/telemetry"
 )
 
+// storeQuery is the TStore Query subtype (payload[0]); its body is the
+// queried hashes back to back.
+const storeQuery = 1
+
 // testCluster wires N Stores together in-process: ownership comes from a
 // real ring over the store names, and the "network" is a direct call into
-// the owner's HandleRPC. fail simulates a severed link from one node.
+// the owner's HandleRPC. fail simulates a severed link from one node;
+// queried counts every hash that crossed the wire in a Query.
 type testCluster struct {
 	stores map[string]*cluster.Store
 	ring   *cluster.Ring
 	fail   map[string]bool // node whose outbound RPCs error
+
+	mu      sync.Mutex
+	queried map[[sha1x.Size]byte]int
 }
 
 func newTestCluster(t *testing.T, names ...string) *testCluster {
 	t.Helper()
-	tc := &testCluster{stores: make(map[string]*cluster.Store), fail: make(map[string]bool)}
+	tc := &testCluster{
+		stores:  make(map[string]*cluster.Store),
+		fail:    make(map[string]bool),
+		queried: make(map[[sha1x.Size]byte]int),
+	}
 	tc.ring = cluster.NewRing(3, 0, names)
 	for _, name := range names {
 		tc.stores[name] = cluster.NewStore(name, telemetry.New())
@@ -33,6 +47,13 @@ func newTestCluster(t *testing.T, names ...string) *testCluster {
 			func(addr string, req []byte) ([]byte, error) {
 				if tc.fail[self] {
 					return nil, errors.New("link down")
+				}
+				if req[0] == storeQuery {
+					tc.mu.Lock()
+					for body := req[1:]; len(body) > 0; body = body[sha1x.Size:] {
+						tc.queried[[sha1x.Size]byte(body)]++
+					}
+					tc.mu.Unlock()
 				}
 				return tc.stores[addr].HandleRPC(req), nil
 			},
@@ -150,5 +171,99 @@ func TestStoreFailOpen(t *testing.T) {
 		if f {
 			t.Fatalf("hash %d: locally-seen hash reported as first while degraded", i)
 		}
+	}
+}
+
+// TestStoreFailOpenRepeat: a remote-owned hash repeated inside one batch
+// while the owner is unreachable is still one first sighting — the local
+// table resolves the repeat before the failed Query can matter.
+func TestStoreFailOpenRepeat(t *testing.T) {
+	tc := newTestCluster(t, "a", "b")
+	h := tc.pickHashes("b", 1)[0]
+	tc.fail["a"] = true
+	if got := sightings(tc.stores["a"], [][sha1x.Size]byte{h, h}); !got[0] || got[1] {
+		t.Fatalf("[h, h] with the owner down = %v, want [true false]", got)
+	}
+}
+
+// TestStoreQueryOncePerBatch: with the link up, each distinct remote-owned
+// hash crosses the wire once per batch, however often the batch repeats it,
+// and only the first occurrence is a first sighting.
+func TestStoreQueryOncePerBatch(t *testing.T) {
+	tc := newTestCluster(t, "a", "b")
+	hs := tc.pickHashes("b", 3)
+	batch := [][sha1x.Size]byte{hs[0], hs[1], hs[0], hs[2], hs[1], hs[0]}
+	got := sightings(tc.stores["a"], batch)
+	want := []bool{true, true, false, true, false, false}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sightings = %v, want %v", got, want)
+		}
+	}
+	for i, h := range hs {
+		if n := tc.queried[h]; n != 1 {
+			t.Fatalf("hash %d crossed the wire %d times, want 1", i, n)
+		}
+	}
+}
+
+// TestStoreOneFirstPerHash: several goroutines on each of three stores
+// sight overlapping hash sets, with repeats inside their batches, all RPCs
+// succeeding. Across every call exactly one sighting of each distinct hash
+// is first, whichever node owns it and whichever node sees it first.
+func TestStoreOneFirstPerHash(t *testing.T) {
+	const (
+		universe = 256
+		workers  = 4 // per store
+		batches  = 16
+		batchLen = 64
+	)
+	tc := newTestCluster(t, "a", "b", "c")
+	hs := make([][sha1x.Size]byte, universe)
+	for i := range hs {
+		hs[i] = hashOf([]byte{byte(i), byte(i >> 8), 0xF1})
+	}
+
+	var (
+		mu     sync.Mutex
+		firsts = make(map[[sha1x.Size]byte]int)
+		wg     sync.WaitGroup
+	)
+	for si, name := range []string{"a", "b", "c"} {
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(s *cluster.Store, seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				batch := make([][sha1x.Size]byte, batchLen)
+				for n := 0; n < batches; n++ {
+					for i := range batch {
+						// A narrow window per batch makes in-batch repeats
+						// common; a moving window makes the sets overlap.
+						batch[i] = hs[(n*universe/batches+rng.Intn(batchLen/2))%universe]
+					}
+					got := sightings(s, batch)
+					mu.Lock()
+					for i, h := range batch {
+						n := firsts[h] // recorded even at 0: a hash with no first fails
+						if got[i] {
+							n++
+						}
+						firsts[h] = n
+					}
+					mu.Unlock()
+				}
+			}(tc.stores[name], int64(si*workers+w+1))
+		}
+	}
+	wg.Wait()
+
+	for h, n := range firsts {
+		if n != 1 {
+			t.Fatalf("hash %x: %d first sightings across the cluster, want 1", h[:4], n)
+		}
+	}
+	if len(firsts) < universe/2 {
+		t.Fatalf("only %d distinct hashes sighted; the workload did not overlap as intended", len(firsts))
 	}
 }

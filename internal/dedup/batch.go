@@ -226,30 +226,18 @@ func (b *Batch) encodeLane(lane, k0, k1 int, enc func(dst []byte, lo, hi int) []
 // It is a processing-time hint — the archive Writer still makes the
 // authoritative stream-order decision — so an implementation may be a
 // process-local table (*Store) or span a whole cluster (internal/cluster's
-// content-addressed store) without affecting archive bytes.
+// content-addressed store, a decorator over a *Store) without affecting
+// archive bytes.
 type BlockStore interface {
 	// FirstSightings records every hash and fills dst[i] with whether
 	// hashes[i] was new to the store. dst must be at least as long as hashes.
 	FirstSightings(hashes [][sha1x.Size]byte, dst []bool)
-}
-
-// CompSource is an optional BlockStore extension: a store that can supply
-// the compressed body of a previously published block, so a duplicate block
-// costs a lookup instead of a recompression. The returned slice must stay
-// valid and immutable after the call (implementations return stable copies).
-// Correctness does not depend on it — a miss just falls back to the archive
-// Writer's inline compression, and LZSS is deterministic, so archive bytes
-// are identical either way.
-type CompSource interface {
-	FetchComp(h [sha1x.Size]byte) ([]byte, bool)
-}
-
-// CompSink is the publishing half: a processor hands every block it
-// compressed to the sink so later sightings anywhere in the store's scope
-// can fetch instead of recompress. comp is only valid during the call
-// (batch arenas are recycled); implementations must copy.
-type CompSink interface {
-	PublishComp(h [sha1x.Size]byte, comp []byte)
+	// Exchange runs once per batch after compression. A store that shares
+	// compressed bodies may publish the blocks the batch compressed and fill
+	// the nil Comp entries whose bodies it already holds; each filled entry
+	// must stay valid and immutable. LZSS is deterministic, so a filled
+	// entry holds the bytes local compression would have produced.
+	Exchange(b *Batch)
 }
 
 // DefaultStoreShards is the stripe count of a Store: enough that a
@@ -337,6 +325,10 @@ func (s *Store) FirstSightings(hashes [][sha1x.Size]byte, dst []bool) {
 		dst[i] = !dup
 	}
 }
+
+// Exchange implements BlockStore: a process-local table holds no
+// compressed bodies, so there is nothing to share.
+func (*Store) Exchange(*Batch) {}
 
 // Len reports the number of distinct hashes seen.
 func (s *Store) Len() int {

@@ -77,17 +77,15 @@ func (p *Processor) Report() GPUReport { return p.rep }
 // Process prepares b in place: hash every block, consult store for the
 // first-sighting hint, and compress the hinted-first blocks. It never fails;
 // the GPU path degrades to the CPU path on faults, and a quarantined
-// device's batches are rerouted to the CPU outright. When store is a
-// content-addressed cluster store (CompSource/CompSink), freshly compressed
-// blocks are published and known-elsewhere blocks are fetched instead of
-// left for the Writer's inline fallback.
+// device's batches are rerouted to the CPU outright. The store's Exchange
+// hook then sees the compressed batch.
 func (p *Processor) Process(b *Batch, store BlockStore) {
 	if p.gpu {
 		p.processGPU(b, store)
 	} else {
 		p.processCPU(b, store)
 	}
-	p.exchange(b, store)
+	store.Exchange(b)
 }
 
 // processCPU is the reference path: always correct, never consulted by the
@@ -97,35 +95,6 @@ func (p *Processor) processCPU(b *Batch, store BlockStore) {
 	b.HashBlocks()
 	b.markFirsts(store)
 	b.CompressFirsts(p.m, p.opt.lanes())
-}
-
-// exchange is the cluster-store hook: publish every block this processor
-// compressed, and try to fetch the compressed body of every block the store
-// had already seen (here or on another node). A plain *Store implements
-// neither interface, so the single-node paths pay two type assertions and
-// nothing else. Fetched bodies are byte-identical to what local compression
-// would have produced (LZSS is deterministic and content-addressing keys on
-// the raw bytes), so the downstream Writer's output does not depend on which
-// node compressed a block first.
-func (p *Processor) exchange(b *Batch, store BlockStore) {
-	src, hasSrc := store.(CompSource)
-	sink, hasSink := store.(CompSink)
-	if !hasSrc && !hasSink {
-		return
-	}
-	for k := range b.Comp {
-		if b.Comp[k] != nil {
-			if hasSink {
-				sink.PublishComp(b.Hashes[k], b.Comp[k])
-			}
-			continue
-		}
-		if hasSrc {
-			if comp, ok := src.FetchComp(b.Hashes[k]); ok {
-				b.Comp[k] = comp
-			}
-		}
-	}
 }
 
 // deviceFor spreads batches across the simulated device pool by sequence
