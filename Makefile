@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build vet lint lint-json lint-selftest test race ff-stress serve-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
+.PHONY: build vet loc lint lint-json lint-selftest test race ff-stress serve-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the line-budget figure ROADMAP item 6 tracks: non-test Go,
+# testdata excluded.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # lint runs streamvet, the repository's own analyzer suite (cmd/streamvet):
 # the pipeline and GPU API contracts as machine checks, over all packages
@@ -21,10 +26,10 @@ lint:
 lint-json:
 	$(GO) run ./cmd/streamvet -json ./... > STREAMVET.json
 
-# lint-selftest runs the analysis engine tests (call graph, dataflow solver,
-# suppression driver) and every analyzer's flagged/clean fixtures under the
-# race detector: the shared loader, fact store, and per-Program caches are
-# mutable state that analyzer tests exercise concurrently.
+# lint-selftest runs the analysis engine tests (call graph, summary table,
+# dataflow solver, suppression driver) and every analyzer's fixtures under
+# the race detector: the shared loader and the per-Program caches (call
+# graph, CFGs, summary tables) are mutable state the analyzer tests share.
 lint-selftest:
 	$(GO) test -race -count=1 ./internal/analysis/...
 

@@ -9,13 +9,13 @@
 //	faultseed  fault.Config in tests must set Seed
 //	metriclabel  telemetry metric registrations must use non-empty,
 //	           kind-consistent names and one call site per series
-//	poolrelease  pool.Get values must be released or escape
 //	deadlinecheck  qos.Sched.Enqueue callers must consult the request
 //	           deadline or document the exemption
 //	lockorder  lock acquisition order must be consistent across the program
 //	ctxprop    ctx-receiving functions must thread ctx to blocking work
 //	goleak     spawned goroutines must have a reachable channel release path
-//	escapepool pool.Get values must reach Release on every path, through callees
+//	escapepool pool.Get values must be kept and reach Release on every path,
+//	           through callees
 //
 // Diagnostics can be suppressed per line with a mandatory reason:
 //
@@ -50,7 +50,6 @@ import (
 	"streamgpu/internal/analysis/gpuwait"
 	"streamgpu/internal/analysis/lockorder"
 	"streamgpu/internal/analysis/metriclabel"
-	"streamgpu/internal/analysis/poolrelease"
 	"streamgpu/internal/analysis/runerr"
 	"streamgpu/internal/analysis/stagesend"
 )
@@ -66,7 +65,6 @@ var suite = []*analysis.Analyzer{
 	gpuwait.Analyzer,
 	lockorder.Analyzer,
 	metriclabel.Analyzer,
-	poolrelease.Analyzer,
 	runerr.Analyzer,
 	stagesend.Analyzer,
 }

@@ -1,12 +1,16 @@
 // Package analysis is a self-contained reimplementation of the core of
 // golang.org/x/tools/go/analysis, built only on the standard library.
 //
-// The repo's pipeline and GPU layers rely on conventions the compiler cannot
-// check: completion events must be waited on, device buffers freed, Run
-// errors handled, stage-body channel sends cancellable, fault injectors
-// seeded. Each convention is encoded as an Analyzer (see the sibling
-// packages gpuwait, gpufree, runerr, stagesend and faultseed) and enforced
-// over the whole tree by cmd/streamvet.
+// The repo's pipeline, GPU and serving layers rely on conventions the
+// compiler cannot check: completion events must be waited on, device
+// buffers freed, pooled values released, Run errors handled, stage-body
+// channel sends cancellable, fault injectors seeded, metrics registered
+// once, deadlines consulted, locks ordered, contexts threaded, goroutines
+// given a way out. Each convention is encoded as an Analyzer in a sibling
+// package — gpuwait, gpufree, escapepool, runerr, stagesend, faultseed,
+// metriclabel, deadlinecheck, lockorder, ctxprop and goleak — and enforced
+// over the whole tree by cmd/streamvet. The interprocedural ones build on
+// the sibling callgraph and dataflow packages.
 //
 // The x/tools module is deliberately not imported — the build must work from
 // a bare Go toolchain with no module downloads — so this package provides
@@ -19,8 +23,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"streamgpu/internal/analysis/facts"
 )
 
 // Analyzer describes one static check. It mirrors the x/tools type of the
@@ -44,8 +46,9 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Program is the whole analysis run: every loaded package in
-	// topological import order, the shared fact store, and a cache for
-	// program-wide structures like the call graph. Set by the driver.
+	// topological import order and a cache for program-wide structures
+	// like the call graph and the analyzers' summary tables. Set by the
+	// driver.
 	Program *Program
 
 	// Report delivers one diagnostic; set by the driver.
@@ -55,25 +58,6 @@ type Pass struct {
 // Reportf reports a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ExportObjectFact attaches a fact to obj in the program-wide store. Since
-// the driver analyzes packages callee-first, facts exported here are
-// visible when the object's callers are analyzed.
-func (p *Pass) ExportObjectFact(obj types.Object, f facts.Fact) {
-	p.Program.Facts().Export(obj, f)
-}
-
-// ImportObjectFact copies the fact of ptr's type attached to obj into ptr,
-// reporting whether one existed.
-func (p *Pass) ImportObjectFact(obj types.Object, ptr facts.Fact) bool {
-	return p.Program.Facts().Import(obj, ptr)
-}
-
-// AllObjectFacts returns every exported fact of example's type, for
-// whole-program post-processing (lockorder's cycle detection).
-func (p *Pass) AllObjectFacts(example facts.Fact) []facts.ObjectFact {
-	return p.Program.Facts().All(example)
 }
 
 // Diagnostic is one finding. Position is resolved against the pass Fset.

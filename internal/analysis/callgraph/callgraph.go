@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"streamgpu/internal/analysis"
+	"streamgpu/internal/analysis/dataflow"
 )
 
 // EdgeKind says how a call site was resolved.
@@ -137,6 +138,8 @@ type Graph struct {
 	sites map[*ast.CallExpr][]*Edge
 	// order lists every node with a body in deterministic order.
 	order []*Node
+	// cfgs caches each node's control-flow graph (see CFG).
+	cfgs map[*Node]*dataflow.CFG
 }
 
 // Node returns the graph node for fn (normalizing generic instantiations
@@ -186,6 +189,7 @@ func Build(pkgs []*analysis.Package) *Graph {
 			nodes: make(map[*types.Func]*Node),
 			lits:  make(map[*ast.FuncLit]*Node),
 			sites: make(map[*ast.CallExpr][]*Edge),
+			cfgs:  make(map[*Node]*dataflow.CFG),
 		},
 		pkgs:   pkgs,
 		stores: make(map[*types.Var][]funcTarget),

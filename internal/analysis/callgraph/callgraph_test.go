@@ -4,6 +4,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 	"streamgpu/internal/analysis/callgraph"
 )
 
-// load type-checks the fixture package and builds its call graph.
-func load(t *testing.T) *callgraph.Graph {
+// loadPkg type-checks the fixture package.
+func loadPkg(t *testing.T) *analysis.Package {
 	t.Helper()
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -22,7 +23,13 @@ func load(t *testing.T) *callgraph.Graph {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	return callgraph.Build([]*analysis.Package{pkg})
+	return pkg
+}
+
+// load type-checks the fixture package and builds its call graph.
+func load(t *testing.T) *callgraph.Graph {
+	t.Helper()
+	return callgraph.Build([]*analysis.Package{loadPkg(t)})
 }
 
 // label renders one edge as "Callee/kind" with +go/+defer markers, using
@@ -136,4 +143,46 @@ func findFunc(t *testing.T, g *callgraph.Graph, name string) *callgraph.Node {
 	}
 	t.Fatalf("function %s not in graph", name)
 	return nil
+}
+
+// TestSummaries solves a reach summary — the callees a function may reach,
+// transitively — over the fixture package.
+func TestSummaries(t *testing.T) {
+	pkg := loadPkg(t)
+	pass := &analysis.Pass{
+		Analyzer: &analysis.Analyzer{Name: "reach"},
+		Pkg:      pkg.Types,
+		Program:  analysis.NewProgram([]*analysis.Package{pkg}),
+	}
+	sums := callgraph.SummariesOf[[]string](pass)
+	calls := 0
+	nodes := sums.Solve(pass, func(n *callgraph.Node) []string {
+		calls++
+		var reach []string
+		for _, e := range n.Out {
+			reach = append(reach, label(e))
+			reach = append(reach, sums.Get(e.Callee)...)
+		}
+		sort.Strings(reach)
+		return slices.Compact(reach)
+	}, slices.Equal[[]string])
+
+	// One round finds each direct edge, a second carries work from pong
+	// to ping and from the literal to viaLit, and a third changes nothing:
+	// the loop stops there, short of the round cap.
+	if rounds := calls / len(nodes); rounds != 3 || calls%len(nodes) != 0 {
+		t.Errorf("summarize ran %d times over %d functions, want 3 full rounds", calls, len(nodes))
+	}
+	for _, c := range []struct {
+		fn   string
+		want []string
+	}{
+		{"ping", []string{"ping/static", "pong/static", "work/static"}},
+		{"pong", []string{"ping/static", "pong/static", "work/static"}},
+		{"viaLit", []string{"lit/funcvalue", "work/static"}},
+	} {
+		if got := sums.Get(findFunc(t, sums.Graph, c.fn)); !slices.Equal(got, c.want) {
+			t.Errorf("summary of %s = %v, want %v", c.fn, got, c.want)
+		}
+	}
 }

@@ -14,8 +14,8 @@ import (
 // message — so repeated runs diff cleanly).
 //
 // Packages are visited in topological import order under one shared
-// Program, which is what lets interprocedural analyzers consume facts
-// about callees exported while their packages were analyzed earlier.
+// Program, which is what lets interprocedural analyzers read the summaries
+// of callees solved while their packages were analyzed earlier.
 // Suppression directives (see suppress.go) are applied before returning:
 // covered diagnostics come back with Suppressed set rather than dropped,
 // so every consumer — text, JSON, CI — sees the same list and chooses its

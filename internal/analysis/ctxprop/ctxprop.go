@@ -14,9 +14,9 @@
 //     alternative (a second case or default);
 //   - context.Background() or context.TODO() passed to a ctx-taking callee,
 //     detaching the callee from the caller's cancellation;
-//   - a call to a function that takes no ctx and (by its exported summary,
-//     computed interprocedurally callee-first) unconditionally blocks on a
-//     channel or wait — cancellation cannot reach it.
+//   - a call to a function that takes no ctx and (by its summary, computed
+//     interprocedurally callee-first) unconditionally blocks on a channel
+//     or wait — cancellation cannot reach it.
 //
 // Receives whose channel is a call result (<-ctx.Done(), <-time.After(d))
 // are exempt: the first is the cancellation mechanism itself and the
@@ -44,56 +44,20 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// BlocksFact marks a ctx-less function that unconditionally blocks on a
-// channel or wait — directly or through a ctx-less callee.
-type BlocksFact struct {
-	// Op describes the blocking operation, for the caller's diagnostic
+// blocking is the summary of a ctx-less function that unconditionally
+// blocks on a channel or wait — directly or through a ctx-less callee; nil
+// for every other function.
+type blocking struct {
+	// op describes the blocking operation, for the caller's diagnostic
 	// ("receive on ch", "(*sync.WaitGroup).Wait").
-	Op string
+	op string
 }
 
-// AFact brands BlocksFact for the facts store.
-func (*BlocksFact) AFact() {}
-
 func run(pass *analysis.Pass) error {
-	g := callgraph.Of(pass)
-	litBlocks := pass.Program.Cached("ctxprop.lits", func() any {
-		return make(map[*callgraph.Node]*BlocksFact)
-	}).(map[*callgraph.Node]*BlocksFact)
-
-	var nodes []*callgraph.Node
-	for _, n := range g.Funcs() {
-		if n.Pkg != nil && n.Pkg.Types == pass.Pkg && n.Body() != nil {
-			nodes = append(nodes, n)
-		}
-	}
-
-	a := &analyzer{pass: pass, graph: g, litBlocks: litBlocks, local: make(map[*callgraph.Node]*BlocksFact)}
-
-	// Summary fixpoint: which ctx-less functions of this package block.
-	for range [5]int{} {
-		changed := false
-		for _, n := range nodes {
-			f := a.blocks(n)
-			if (f == nil) != (a.local[n] == nil) {
-				a.local[n] = f
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for _, n := range nodes {
-		if a.local[n] == nil {
-			continue
-		}
-		if n.Func != nil {
-			pass.ExportObjectFact(n.Func, a.local[n])
-		} else {
-			litBlocks[n] = a.local[n]
-		}
-	}
+	a := &analyzer{pass: pass, sums: callgraph.SummariesOf[*blocking](pass)}
+	// Only whether a function blocks matters to callers: the first
+	// operation found stays the one named.
+	nodes := a.sums.Solve(pass, a.blocks, func(x, y *blocking) bool { return (x == nil) == (y == nil) })
 
 	// Report inside ctx-receiving functions.
 	for _, n := range nodes {
@@ -105,50 +69,33 @@ func run(pass *analysis.Pass) error {
 }
 
 type analyzer struct {
-	pass      *analysis.Pass
-	graph     *callgraph.Graph
-	litBlocks map[*callgraph.Node]*BlocksFact
-	local     map[*callgraph.Node]*BlocksFact
-}
-
-// summary returns the callee's blocking summary, nil when unknown or
-// non-blocking.
-func (a *analyzer) summary(n *callgraph.Node) *BlocksFact {
-	if f, ok := a.local[n]; ok {
-		return f
-	}
-	if n.Func != nil {
-		var f BlocksFact
-		if a.pass.ImportObjectFact(n.Func, &f) {
-			return &f
-		}
-		return nil
-	}
-	return a.litBlocks[n]
+	pass *analysis.Pass
+	sums *callgraph.Summaries[*blocking]
 }
 
 // blocks computes whether a ctx-less function unconditionally blocks. A
-// ctx-receiving function never exports the fact: callers that pass it
-// their ctx have done their part, and its own body is checked directly.
-func (a *analyzer) blocks(n *callgraph.Node) *BlocksFact {
+// ctx-receiving function is never summarized as blocking: callers that
+// pass it their ctx have done their part, and its own body is checked
+// directly.
+func (a *analyzer) blocks(n *callgraph.Node) *blocking {
 	if n.Func != nil && hasCtxParam(n.Func) {
 		return nil
 	}
-	var found *BlocksFact
+	var found *blocking
 	a.walkBlocking(n.Body(), func(op blockingOp) {
 		if found == nil && !op.guarded {
-			found = &BlocksFact{Op: op.desc}
+			found = &blocking{op: op.desc}
 		}
 	}, func(call *ast.CallExpr) {
 		if found != nil {
 			return
 		}
-		for _, e := range a.graph.Callees(call) {
+		for _, e := range a.sums.Graph.Callees(call) {
 			if e.Go {
 				continue
 			}
-			if f := a.summary(e.Callee); f != nil {
-				found = &BlocksFact{Op: f.Op}
+			if f := a.sums.Get(e.Callee); f != nil {
+				found = &blocking{op: f.op}
 				return
 			}
 		}
@@ -184,13 +131,13 @@ func (a *analyzer) check(n *callgraph.Node) {
 		if fn != nil && hasCtxParam(fn) {
 			return // ctx was threadable; Background misuse handled above
 		}
-		for _, e := range a.graph.Callees(call) {
+		for _, e := range a.sums.Graph.Callees(call) {
 			if e.Go {
 				continue
 			}
-			if f := a.summary(e.Callee); f != nil {
+			if f := a.sums.Get(e.Callee); f != nil {
 				a.pass.Reportf(call.Pos(),
-					"function receives a ctx but calls %s, which blocks (%s) and takes no ctx: cancellation cannot reach it", e.Callee.Name(), f.Op)
+					"function receives a ctx but calls %s, which blocks (%s) and takes no ctx: cancellation cannot reach it", e.Callee.Name(), f.op)
 				return
 			}
 		}

@@ -1,32 +1,36 @@
-// Package escapepool defines the interprocedural, path-sensitive upgrade of
-// poolrelease: a value from pool.Get must reach a Release along EVERY path
-// through the acquiring function — including paths that run through callees.
+// Package escapepool defines the analyzer enforcing the free-list
+// ownership contract: a value from a pool.Pool or pool.Slices Get must be
+// kept and reach a Release along EVERY path through the acquiring function
+// — including paths that run through callees — or escape it (returned,
+// stored, sent, or handed to a callee that takes ownership). A dropped
+// container turns every later Get into a fresh allocation, and the pool's
+// gets/releases counters drift apart without any test failing.
 //
-// poolrelease is deliberately flow-insensitive: one Release anywhere in the
-// function discharges the contract, and handing the value to any helper
-// counts as an ownership transfer. That leaves two real leak shapes unseen:
+// Four findings, at the Get:
 //
-//   - the early-return leak: Release on the happy path, a bare return on the
-//     error path — the pool's gets/releases counters drift only under
-//     faults, exactly when nobody is watching;
-//   - the borrowing-helper leak: the value is passed to a callee that merely
-//     reads it (so poolrelease says "escaped, fine") and then dropped —
-//     nobody ever releases.
+//   - the value is discarded, or assigned to _;
+//   - the value is never released and never leaves the function: every
+//     use borrows it in place (fields, methods other than Release,
+//     indexing, reslicing, reassignment);
+//   - the early-return leak: Release on the happy path, a bare return on
+//     the error path — the counters drift only under faults, exactly when
+//     nobody is watching;
+//   - the borrowing-helper leak: the value is passed to a callee that
+//     merely reads it and then dropped — nobody ever releases.
 //
-// escapepool runs a forward must-analysis over the dataflow CFG. Each
-// tracked value is live, released, escaped, or mixed (released on some
-// joined paths only); defers are applied at the exit block. Calls consult
-// per-parameter summaries computed callee-first over the whole program and
-// exported as facts: a callee that always releases its parameter counts as
-// a release, one that releases conditionally makes the value mixed, one
-// that stores or returns it is an escape (silent, matching poolrelease),
-// and one that only borrows it leaves the caller still responsible.
+// The last two come from a forward must-analysis over the dataflow CFG.
+// Each tracked value is live, released, escaped, or mixed (released on
+// some joined paths only); defers are applied at the exit block. Calls
+// consult per-parameter summaries computed callee-first over the whole
+// program: a callee that always releases its parameter counts as a
+// release, one that releases conditionally makes the value mixed, one
+// that stores or returns it is an escape (silent), and one that only
+// borrows it leaves the caller still responsible.
 //
-// Precision bias, shared with poolrelease: escapes are forgiving. A callee
-// whose body the analyzer cannot see, a send, a store, an interface call
-// with disagreeing implementations — all silently end tracking. The
-// analyzer's findings are therefore high-confidence; its silence is not a
-// proof of correctness.
+// Precision bias: escapes are forgiving. A callee whose body the analyzer
+// cannot see, a send, a store, an interface call with disagreeing
+// implementations — all silently end tracking. The analyzer's findings are
+// therefore high-confidence; its silence is not a proof of correctness.
 package escapepool
 
 import (
@@ -40,12 +44,13 @@ import (
 
 const poolPkg = "streamgpu/internal/pool"
 
-// Analyzer flags pooled values that miss Release on some path.
+// Analyzer flags pooled values that are dropped or miss Release on some
+// path.
 var Analyzer = &analysis.Analyzer{
 	Name: "escapepool",
-	Doc: "a value from pool.Get must reach Release on every path through the acquiring " +
-		"function and its callees; early returns and borrow-only helpers that drop the " +
-		"value leak it from the free list exactly when error paths run",
+	Doc: "a value from pool.Get must be kept and reach Release on every path through the " +
+		"acquiring function and its callees, or escape it; discarded values, early returns " +
+		"and borrow-only helpers that drop the value leak it from the free list",
 	Run: run,
 }
 
@@ -64,15 +69,12 @@ const (
 	ActEscapes
 )
 
-// PoolFact is a function's per-parameter ownership summary.
-type PoolFact struct {
+// summary is a function's per-parameter ownership summary.
+type summary struct {
 	Params []ParamAct
 }
 
-// AFact brands PoolFact for the facts store.
-func (*PoolFact) AFact() {}
-
-func (f *PoolFact) equal(g *PoolFact) bool {
+func (f *summary) equal(g *summary) bool {
 	if (f == nil) != (g == nil) {
 		return false
 	}
@@ -157,99 +159,23 @@ func set(st state, v *types.Var, s absState) state {
 	return out
 }
 
-// pkgState is the per-run shared state, cached on the Program so every
-// package's pass sees the same literal summaries and CFGs.
-type pkgState struct {
-	lits map[*callgraph.Node]*PoolFact
-	cfgs map[*callgraph.Node]*dataflow.CFG
-}
-
 func run(pass *analysis.Pass) error {
-	g := callgraph.Of(pass)
-	shared := pass.Program.Cached("escapepool.state", func() any {
-		return &pkgState{
-			lits: make(map[*callgraph.Node]*PoolFact),
-			cfgs: make(map[*callgraph.Node]*dataflow.CFG),
-		}
-	}).(*pkgState)
-
-	var nodes []*callgraph.Node
-	for _, n := range g.Funcs() {
-		if n.Pkg != nil && n.Pkg.Types == pass.Pkg && n.Body() != nil {
-			nodes = append(nodes, n)
-		}
-	}
-
-	a := &analyzer{pass: pass, graph: g, shared: shared, local: make(map[*callgraph.Node]*PoolFact)}
-
-	// Summary fixpoint within the package; callees in other packages are
-	// already summarized (topological order) and reached through facts.
-	for range [5]int{} {
-		changed := false
-		for _, n := range nodes {
-			f := a.summarize(n)
-			if !f.equal(a.local[n]) {
-				a.local[n] = f
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for _, n := range nodes {
-		f := a.local[n]
-		if f == nil || len(f.Params) == 0 {
-			continue
-		}
-		if n.Func != nil {
-			pass.ExportObjectFact(n.Func, f)
-		} else {
-			shared.lits[n] = f
-		}
-	}
-
-	for _, n := range nodes {
+	a := &analyzer{pass: pass, sums: callgraph.SummariesOf[*summary](pass)}
+	for _, n := range a.sums.Solve(pass, a.summarize, (*summary).equal) {
 		a.emit(n)
 	}
 	return nil
 }
 
+// analyzer carries one package pass's context. A nil summary (a
+// placeholder, or a function not analyzed yet) counts as an escape.
 type analyzer struct {
-	pass   *analysis.Pass
-	graph  *callgraph.Graph
-	shared *pkgState
-	local  map[*callgraph.Node]*PoolFact
-}
-
-func (a *analyzer) cfg(n *callgraph.Node) *dataflow.CFG {
-	if c, ok := a.shared.cfgs[n]; ok {
-		return c
-	}
-	c := dataflow.New(n.Body())
-	a.shared.cfgs[n] = c
-	return c
-}
-
-// summary returns the callee's parameter summary, nil when unknown.
-func (a *analyzer) summary(n *callgraph.Node) *PoolFact {
-	if f, ok := a.local[n]; ok {
-		return f
-	}
-	if n.Func != nil {
-		var f PoolFact
-		if a.pass.ImportObjectFact(n.Func, &f) {
-			return &f
-		}
-		return nil
-	}
-	return a.shared.lits[n]
+	pass *analysis.Pass
+	sums *callgraph.Summaries[*summary]
 }
 
 // solved is the result of one function's ownership analysis.
 type solved struct {
-	cfg *dataflow.CFG
-	res dataflow.Result[state]
 	// acquired maps each Get-bound variable to its Get call, in the order
 	// the calls appear.
 	acquired map[*types.Var]*ast.CallExpr
@@ -263,9 +189,8 @@ type solved struct {
 
 // solve runs the forward must-analysis over one function.
 func (a *analyzer) solve(n *callgraph.Node, params []*types.Var) *solved {
-	cfg := a.cfg(n)
+	cfg := a.sums.Graph.CFG(n)
 	s := &solved{
-		cfg:        cfg,
 		acquired:   make(map[*types.Var]*ast.CallExpr),
 		borrowedBy: make(map[*types.Var]string),
 	}
@@ -273,14 +198,14 @@ func (a *analyzer) solve(n *callgraph.Node, params []*types.Var) *solved {
 	for _, p := range params {
 		boundary[p] = stLive
 	}
-	s.res = dataflow.Forward(cfg, dataflow.Problem[state]{
+	res := dataflow.Forward(cfg, dataflow.Problem[state]{
 		Init:     func() state { return nil },
 		Boundary: func() state { return boundary },
 		Join:     joinStates,
 		Equal:    statesEqual,
 		Transfer: func(nd ast.Node, st state) state { return a.transfer(s, nd, st) },
 	})
-	s.exit = s.res.In[cfg.Exit]
+	s.exit = res.In[cfg.Exit]
 	for _, d := range cfg.Defers {
 		s.exit = a.applyDefer(s, d, s.exit)
 	}
@@ -305,7 +230,7 @@ func (a *analyzer) transfer(s *solved, nd ast.Node, st state) state {
 			}
 			id, ok := as.Lhs[i].(*ast.Ident)
 			if !ok || id.Name == "_" {
-				continue // discarded/untracked: poolrelease's finding
+				continue // discarded or untracked: emit reports a blank
 			}
 			v := lhsVar(info, id)
 			if v == nil {
@@ -394,11 +319,14 @@ func (a *analyzer) applyDefer(s *solved, d *ast.DeferStmt, st state) state {
 	return st
 }
 
-// useKind classifies one identifier occurrence, mirroring poolrelease.
+// useKind classifies one identifier occurrence.
 type useKind uint8
 
 const (
-	useBorrow useKind = iota
+	useBorrow useKind = iota // read or reassigned in place
+	// useRead is ranged over, called, or passed to len/cap: a borrow to
+	// the path analysis, but not an in-place use to onlyBorrowed.
+	useRead
 	useRelease
 	useEscape
 	useCall // passed as an argument; argIndex/call say where
@@ -410,10 +338,9 @@ type use struct {
 	argIndex int
 }
 
-// classify decides what one identifier occurrence means for ownership. It
-// mirrors poolrelease's classification, except that passing the value to a
-// callee is not an automatic escape — the caller consults the callee's
-// summary instead.
+// classify decides what one identifier occurrence means for ownership.
+// Passing the value to a callee is not an automatic escape: the caller
+// consults the callee's summary instead.
 func (a *analyzer) classify(id *ast.Ident, stack []ast.Node) use {
 	if len(stack) == 0 {
 		return use{kind: useEscape}
@@ -447,15 +374,15 @@ func (a *analyzer) classify(id *ast.Ident, stack []ast.Node) use {
 		return use{kind: useEscape}
 	case *ast.RangeStmt:
 		if p.X == ast.Expr(id) {
-			return use{kind: useBorrow} // ranging reads elements in place
+			return use{kind: useRead} // ranging reads elements in place
 		}
 		return use{kind: useEscape}
 	case *ast.CallExpr:
 		if p.Fun == ast.Expr(id) {
-			return use{kind: useBorrow} // calling a tracked func value: not pooled
+			return use{kind: useRead} // calling a tracked func value: not pooled
 		}
 		if isLenCap(a.pass.TypesInfo, p) {
-			return use{kind: useBorrow}
+			return use{kind: useRead}
 		}
 		for i, arg := range p.Args {
 			if ast.Unparen(arg) == ast.Expr(id) {
@@ -500,9 +427,9 @@ func calleeName(info *types.Info, call *ast.CallExpr) string {
 // calleeAct resolves what the callees of one call do with the argument at
 // argIndex. Unknown bodies, go statements, variadic overflow, and summary
 // disagreement between possible targets all degrade to ActEscapes —
-// forgiving, matching poolrelease.
+// forgiving.
 func (a *analyzer) calleeAct(call *ast.CallExpr, argIndex int) ParamAct {
-	edges := a.graph.Callees(call)
+	edges := a.sums.Graph.Callees(call)
 	if len(edges) == 0 {
 		return ActEscapes
 	}
@@ -512,7 +439,7 @@ func (a *analyzer) calleeAct(call *ast.CallExpr, argIndex int) ParamAct {
 		if e.Go {
 			return ActEscapes
 		}
-		f := a.summary(e.Callee)
+		f := a.sums.Get(e.Callee)
 		if f == nil || argIndex >= len(f.Params) {
 			return ActEscapes
 		}
@@ -542,13 +469,13 @@ func isVariadicOverflow(n *callgraph.Node, argIndex int) bool {
 }
 
 // summarize computes one function's per-parameter summary.
-func (a *analyzer) summarize(n *callgraph.Node) *PoolFact {
+func (a *analyzer) summarize(n *callgraph.Node) *summary {
 	params := paramVars(a.pass.TypesInfo, n)
 	if len(params) == 0 {
-		return &PoolFact{}
+		return &summary{}
 	}
 	s := a.solve(n, params)
-	f := &PoolFact{Params: make([]ParamAct, len(params))}
+	f := &summary{Params: make([]ParamAct, len(params))}
 	for i, p := range params {
 		switch s.exit[p] {
 		case stReleased:
@@ -567,8 +494,19 @@ func (a *analyzer) summarize(n *callgraph.Node) *PoolFact {
 // emit reports this function's findings from a final solve.
 func (a *analyzer) emit(n *callgraph.Node) {
 	s := a.solve(n, paramVars(a.pass.TypesInfo, n))
+	// A variable bound in a literal may be declared, and used, anywhere in
+	// the enclosing declaration.
+	outer := n
+	for outer.Parent != nil {
+		outer = outer.Parent
+	}
 	for _, v := range s.order {
 		call := s.acquired[v]
+		if a.onlyBorrowed(outer.Body(), v) {
+			a.pass.Reportf(call.Pos(),
+				"pooled value %s is never released and does not escape; return it to its pool with Release", v.Name())
+			continue
+		}
 		switch s.exit[v] {
 		case stMixed:
 			a.pass.Reportf(call.Pos(),
@@ -578,10 +516,48 @@ func (a *analyzer) emit(n *callgraph.Node) {
 				a.pass.Reportf(call.Pos(),
 					"pooled value %s is passed to %s, which only borrows it, and is never released; the caller still owns it", v.Name(), callee)
 			}
-			// A live value never passed anywhere is poolrelease's finding;
-			// reporting it here too would double every diagnostic.
 		}
 	}
+
+	// Gets whose value no variable ever holds.
+	info := a.pass.TypesInfo
+	ast.Inspect(n.Body(), func(nd ast.Node) bool {
+		switch nd := nd.(type) {
+		case *ast.FuncLit:
+			return false // its own graph node
+		case *ast.ExprStmt:
+			if call, ok := nd.X.(*ast.CallExpr); ok && isPoolGet(info, call) {
+				a.pass.Reportf(call.Pos(), "pooled value from Get is discarded without Release")
+			}
+		case *ast.AssignStmt:
+			if len(nd.Lhs) != len(nd.Rhs) {
+				return true
+			}
+			for i, rhs := range nd.Rhs {
+				id, isIdent := nd.Lhs[i].(*ast.Ident)
+				call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
+				if isIdent && id.Name == "_" && isCall && isPoolGet(info, call) {
+					a.pass.Reportf(call.Pos(), "pooled value from Get is assigned to _ and is lost to the free list; keep it and Release it")
+				}
+			}
+		}
+		return true
+	})
+}
+
+// onlyBorrowed reports whether every use of v in body, nested function
+// literals included, borrows it in place: no call, range, return, store or
+// Release ever sees it. Such a value can never leave the function or go
+// back to its pool on any path.
+func (a *analyzer) onlyBorrowed(body *ast.BlockStmt, v *types.Var) bool {
+	only := true
+	analysis.WithStack(body, func(nd ast.Node, stack []ast.Node) bool {
+		if id, ok := nd.(*ast.Ident); ok && a.pass.TypesInfo.Uses[id] == v && a.classify(id, stack).kind != useBorrow {
+			only = false
+		}
+		return only
+	})
+	return only
 }
 
 // paramVars lists the function's parameter objects in declaration order.
@@ -640,7 +616,8 @@ func isPoolGet(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isPoolMethod reports whether fn's receiver is one of the pool package's
-// free-list types (shared contract with poolrelease).
+// free-list types (including the Bytes and Int32s aliases, which share the
+// Slices methods).
 func isPoolMethod(fn *types.Func) bool {
 	recv := analysis.ReceiverNamed(fn)
 	if recv == nil {

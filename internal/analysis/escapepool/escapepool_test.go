@@ -12,7 +12,7 @@ import (
 )
 
 func TestAnalyzer(t *testing.T) {
-	analysistest.Run(t, escapepool.Analyzer, "testdata/flagged", "testdata/clean")
+	analysistest.Run(t, escapepool.Analyzer, "testdata/flagged", "testdata/clean", "testdata/unreleased", "testdata/released")
 }
 
 // TestCrossPackageSummary loads two fixture packages as one program. The

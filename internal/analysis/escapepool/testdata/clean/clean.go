@@ -1,6 +1,6 @@
 // Fixture: pooled values whose every path releases or hands off ownership —
 // including releases that happen inside callees and defers, which the
-// flow-insensitive checker cannot credit.
+// path analysis must credit.
 package fixture
 
 import (

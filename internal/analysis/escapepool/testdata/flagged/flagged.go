@@ -1,4 +1,4 @@
-// Fixture: the two leak shapes poolrelease cannot see — a Release missing
+// Fixture: the two path-sensitive leak shapes — a Release missing
 // on some paths only, and a value handed to a borrow-only helper and then
 // dropped.
 package fixture
@@ -16,7 +16,7 @@ var (
 )
 
 // earlyReturn releases on the happy path but leaks on the error path —
-// flow-insensitive checking is satisfied by the one Release.
+// a single Release anywhere does not cover every path.
 func earlyReturn(fail bool) error {
 	b := bufs.Get(64) // want `released on some paths but not all`
 	if fail {

@@ -9,12 +9,12 @@
 // DESIGN.md §13): per function, a forward dataflow over the CFG tracks the
 // set of locks that may be held at each point. Direct Lock/RLock calls add
 // a lock, Unlock/RUnlock remove it, and a deferred Unlock keeps the lock
-// held to the end of the function. Calls apply the callee's exported
-// summary fact (what it acquires, still holds at return, and releases),
-// computed callee-first — package topological order across packages, a
-// small fixpoint within one. Every acquisition made while other locks are
-// held contributes held→acquired edges to one program-wide graph; an edge
-// that closes a cycle is reported at the acquisition that closed it.
+// held to the end of the function. Calls apply the callee's summary (what
+// it acquires, still holds at return, and releases), computed callee-first
+// — package topological order across packages, a small fixpoint within
+// one. Every acquisition made while other locks are held contributes
+// held→acquired edges to one program-wide graph; an edge that closes a
+// cycle is reported at the acquisition that closed it.
 //
 // Lock identity is type-based: "pkg.Type.field" for a mutex field (or
 // embedded mutex), "pkg.var" for a package-level mutex. Two instances of
@@ -52,19 +52,16 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// LockFact is the exported per-function summary: the lock identities the
-// function may acquire while running (transitively), those still held when
-// it returns, and those it may release on the caller's behalf.
-type LockFact struct {
+// summary is one function's lock behaviour: the lock identities it may
+// acquire while running (transitively), those still held when it returns,
+// and those it may release on the caller's behalf.
+type summary struct {
 	Acquires []string
 	Holds    []string
 	Releases []string
 }
 
-// AFact brands LockFact for the facts store.
-func (*LockFact) AFact() {}
-
-func (f *LockFact) equal(g *LockFact) bool {
+func (f *summary) equal(g *summary) bool {
 	if g == nil {
 		return false
 	}
@@ -88,11 +85,6 @@ type state struct {
 	edges map[string]map[string]edgeSite
 	// reported dedupes cycles by canonical key.
 	reported map[string]bool
-	// lits holds summaries for function literals, which have no
-	// types.Object to attach a fact to.
-	lits map[*callgraph.Node]*LockFact
-	// cfgs caches per-function CFGs across fixpoint iterations.
-	cfgs map[*callgraph.Node]*dataflow.CFG
 }
 
 type edgeSite struct {
@@ -100,54 +92,15 @@ type edgeSite struct {
 	fn  string
 }
 
-func getState(pass *analysis.Pass) *state {
-	return pass.Program.Cached("lockorder.state", func() any {
+func run(pass *analysis.Pass) error {
+	st := pass.Program.Cached("lockorder.state", func() any {
 		return &state{
 			edges:    make(map[string]map[string]edgeSite),
 			reported: make(map[string]bool),
-			lits:     make(map[*callgraph.Node]*LockFact),
-			cfgs:     make(map[*callgraph.Node]*dataflow.CFG),
 		}
 	}).(*state)
-}
-
-func run(pass *analysis.Pass) error {
-	g := callgraph.Of(pass)
-	st := getState(pass)
-
-	// This package's functions (declared and literals), in graph order.
-	var nodes []*callgraph.Node
-	for _, n := range g.Funcs() {
-		if n.Pkg != nil && n.Pkg.Types == pass.Pkg && n.Body() != nil {
-			nodes = append(nodes, n)
-		}
-	}
-
-	a := &analyzer{pass: pass, graph: g, st: st, local: make(map[*callgraph.Node]*LockFact)}
-
-	// Fixpoint over this package's summaries: mutual recursion within a
-	// package converges in a few rounds; cross-package facts are already
-	// final (topological order).
-	for range [5]int{} {
-		changed := false
-		for _, n := range nodes {
-			sum := a.summarize(n)
-			if !sum.equal(a.local[n]) {
-				a.local[n] = sum
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for _, n := range nodes {
-		if n.Func != nil {
-			pass.ExportObjectFact(n.Func, a.local[n])
-		} else {
-			st.lits[n] = a.local[n]
-		}
-	}
+	a := &analyzer{pass: pass, st: st, sums: callgraph.SummariesOf[*summary](pass)}
+	nodes := a.sums.Solve(pass, a.summarize, (*summary).equal)
 
 	// Emission: walk each function once with its solved held-sets,
 	// recording edges and reporting cycles/double-locks.
@@ -157,44 +110,19 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// analyzer carries one package pass's context.
+// analyzer carries one package pass's context. A nil summary (a
+// placeholder, or a function not analyzed yet) counts as acquiring
+// nothing.
 type analyzer struct {
-	pass  *analysis.Pass
-	graph *callgraph.Graph
-	st    *state
-	local map[*callgraph.Node]*LockFact
+	pass *analysis.Pass
+	st   *state
+	sums *callgraph.Summaries[*summary]
 }
 
 // held maps lock key -> receiver expression text at acquisition ("" when
 // merged paths disagree or the lock came from a callee summary). The
 // expression text only powers the same-receiver double-lock check.
 type held map[string]string
-
-func (a *analyzer) cfg(n *callgraph.Node) *dataflow.CFG {
-	c, ok := a.st.cfgs[n]
-	if !ok {
-		c = dataflow.New(n.Body())
-		a.st.cfgs[n] = c
-	}
-	return c
-}
-
-// summary returns the callee's summary: local fixpoint value for
-// same-package nodes, exported fact otherwise. Nil means unknown
-// (unanalyzed or out-of-program) — treated as acquiring nothing.
-func (a *analyzer) summary(n *callgraph.Node) *LockFact {
-	if s, ok := a.local[n]; ok {
-		return s
-	}
-	if n.Func != nil {
-		var f LockFact
-		if a.pass.ImportObjectFact(n.Func, &f) {
-			return &f
-		}
-		return nil
-	}
-	return a.st.lits[n]
-}
 
 // problem builds the held-set dataflow problem for one function.
 func (a *analyzer) problem(n *callgraph.Node) dataflow.Problem[held] {
@@ -252,11 +180,11 @@ func (a *analyzer) apply(h held, op mutexOp, call *ast.CallExpr) held {
 	case opUnlock, opRUnlock:
 		delete(cp, op.key)
 	case opCall:
-		for _, e := range a.graph.Callees(call) {
+		for _, e := range a.sums.Graph.Callees(call) {
 			if e.Go {
 				continue // other goroutine: no ordering with our held set
 			}
-			sum := a.summary(e.Callee)
+			sum := a.sums.Get(e.Callee)
 			if sum == nil {
 				continue
 			}
@@ -273,9 +201,9 @@ func (a *analyzer) apply(h held, op mutexOp, call *ast.CallExpr) held {
 	return cp
 }
 
-// summarize computes one function's LockFact from its solved dataflow.
-func (a *analyzer) summarize(n *callgraph.Node) *LockFact {
-	cfg := a.cfg(n)
+// summarize computes one function's summary from its solved dataflow.
+func (a *analyzer) summarize(n *callgraph.Node) *summary {
+	cfg := a.sums.Graph.CFG(n)
 	res := dataflow.Forward(cfg, a.problem(n))
 
 	acq := make(map[string]bool)
@@ -289,11 +217,11 @@ func (a *analyzer) summarize(n *callgraph.Node) *LockFact {
 				case opUnlock, opRUnlock:
 					rel[op.key] = true
 				case opCall:
-					for _, e := range a.graph.Callees(call) {
+					for _, e := range a.sums.Graph.Callees(call) {
 						if e.Go {
 							continue
 						}
-						if sum := a.summary(e.Callee); sum != nil {
+						if sum := a.sums.Get(e.Callee); sum != nil {
 							for _, k := range sum.Acquires {
 								acq[k] = true
 							}
@@ -321,13 +249,13 @@ func (a *analyzer) summarize(n *callgraph.Node) *LockFact {
 			acq[op.key] = true
 		}
 	}
-	return &LockFact{Acquires: sortedKeys(acq), Holds: sortedHeld(holds), Releases: sortedKeys(rel)}
+	return &summary{Acquires: sortedKeys(acq), Holds: sortedHeld(holds), Releases: sortedKeys(rel)}
 }
 
 // emit replays one function with its solved held-sets, recording
 // acquisition edges and reporting.
 func (a *analyzer) emit(n *callgraph.Node) {
-	cfg := a.cfg(n)
+	cfg := a.sums.Graph.CFG(n)
 	res := dataflow.Forward(cfg, a.problem(n))
 	name := n.Name()
 	for _, blk := range cfg.Blocks {
@@ -345,11 +273,11 @@ func (a *analyzer) emit(n *callgraph.Node) {
 						a.addEdge(from, op.key, call.Pos(), name)
 					}
 				case opCall:
-					for _, e := range a.graph.Callees(call) {
+					for _, e := range a.sums.Graph.Callees(call) {
 						if e.Go {
 							continue
 						}
-						sum := a.summary(e.Callee)
+						sum := a.sums.Get(e.Callee)
 						if sum == nil {
 							continue
 						}

@@ -4,27 +4,24 @@ import (
 	"go/token"
 	"sort"
 	"sync"
-
-	"streamgpu/internal/analysis/facts"
 )
 
 // Program is the whole set of packages of one analysis run, shared by every
 // pass. Interprocedural analyzers use it two ways: Pkgs gives the program
 // view (for building the call graph over everything the run loaded), and
-// the fact store carries per-object summaries between passes.
+// Cached holds what outlives one pass — the call graph and each analyzer's
+// table of per-function summaries (callgraph.Summaries).
 //
 // Pkgs is in topological import order — a package appears after every
 // package it imports. Because the driver visits packages in this order, an
-// analyzer that exports a fact about a function has already run on the
-// function's package by the time any caller's package is analyzed; that
-// callee-before-caller ordering is the backbone of the summary-based
-// interprocedural analyzers (lockorder, ctxprop, goleak, escapepool).
+// analyzer has summarized a function by the time any caller's package is
+// analyzed; that callee-before-caller ordering is the backbone of the
+// summary-based interprocedural analyzers (lockorder, ctxprop,
+// escapepool).
 type Program struct {
 	Fset *token.FileSet
 	// Pkgs is every loaded package in topological import order.
 	Pkgs []*Package
-
-	facts *facts.Store
 
 	mu    sync.Mutex
 	cache map[string]any
@@ -40,17 +37,14 @@ func NewProgram(pkgs []*Package) *Program {
 	return &Program{
 		Fset:  fset,
 		Pkgs:  topoSort(pkgs),
-		facts: facts.NewStore(),
 		cache: make(map[string]any),
 	}
 }
 
-// Facts exposes the program-wide fact store (see the facts package).
-func (p *Program) Facts() *facts.Store { return p.facts }
-
-// Cached memoizes an expensive program-wide structure under key — in
-// practice the call graph, which every interprocedural analyzer needs but
-// must only be built once per run.
+// Cached memoizes an expensive program-wide structure under key — the call
+// graph, which every interprocedural analyzer needs but must only be built
+// once per run, and state an analyzer carries from one package's pass to
+// the next.
 func (p *Program) Cached(key string, build func() any) any {
 	p.mu.Lock()
 	v, ok := p.cache[key]

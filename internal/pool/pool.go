@@ -9,8 +9,8 @@
 // every Get must be balanced by exactly one Release once the value is no
 // longer referenced, and releasing a value while any alias is still live is
 // a use-after-release bug (the dedup race stress test exercises exactly
-// this contract under -race). The streamvet analyzer `poolrelease` flags
-// Gets that can never reach a Release.
+// this contract under -race). The streamvet analyzer `escapepool` flags
+// Gets that miss a Release on some path.
 //
 // Every pool counts gets, misses (a Get that had to allocate) and releases;
 // SetTelemetry exposes the counts as gauges so reuse effectiveness is
