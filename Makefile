@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet loc lint lint-json lint-selftest test race ff-stress serve-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
+.PHONY: build vet loc knobs lint lint-json lint-selftest test race ff-stress serve-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,15 @@ vet:
 # testdata excluded.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
+
+# knobs prints each command's flag count (the "  -name" lines of its -h
+# output): the operator-facing surface ROADMAP item 6 tracks beside loc.
+knobs:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/...; \
+	for b in "$$tmp"/*; do \
+		printf '%-13s %s\n' "$$(basename "$$b")" "$$("$$b" -h 2>&1 | grep -c '^  -' || true)"; \
+	done
 
 # lint runs streamvet, the repository's own analyzer suite (cmd/streamvet):
 # the pipeline and GPU API contracts as machine checks, over all packages

@@ -6,7 +6,7 @@
 //	streamd -addr :7070 -metrics-addr :7071 -max-inflight 128
 //	streamd -addr :7070 -gpu -fault-kernel 0.01     # GPU path with faults
 //	streamd -tenant-weights default:4,9:1:2.5e5 -default-deadline 100ms
-//	streamd -gpu -gpus 4 -quarantine-threshold 0.5  # health-aware device pool
+//	streamd -gpu -fleet 'titanxp*4' -probe-interval 1s  # health-aware device pool
 //
 // With -cluster, streamd runs as one node of a consistent-hash sharded
 // cluster (internal/cluster): tenants are placed on nodes by a seeded ring,
@@ -34,7 +34,6 @@ import (
 	"streamgpu/internal/dedup"
 	"streamgpu/internal/fault"
 	"streamgpu/internal/gpu"
-	"streamgpu/internal/health"
 	"streamgpu/internal/server"
 	"streamgpu/internal/server/qos"
 	"streamgpu/internal/telemetry"
@@ -55,12 +54,8 @@ func main() {
 	faultKill := flag.Int("fault-kill-after", 0, "gpu: kill the device after N operations")
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant QoS table: tenant:weight[:rate[:burst]],... (tenant may be 'default')")
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline for requests that carry none on the wire (0 = off)")
-	gpus := flag.Int("gpus", 1, "gpu: simulated device pool size")
-	fleetSpec := flag.String("fleet", "", "gpu: heterogeneous fleet spec, e.g. 'titanxp*2,titanxp@clock=0.7@gen=2' (overrides -gpus)")
-	quarThreshold := flag.Float64("quarantine-threshold", 0, "gpu: fault rate over the health window that quarantines a device (0 = default 0.5)")
+	fleetSpec := flag.String("fleet", "", "gpu: device pool spec, e.g. 'titanxp*2,titanxp@clock=0.7@gen=2' (default one titanxp)")
 	probeInterval := flag.Duration("probe-interval", 0, "gpu: run background diag probes this often and feed the health scoreboard (0 = off)")
-	probeLevel := flag.Int("probe-level", 1, "gpu: background probe run level 1..3")
-	blindPlacement := flag.Bool("blind-placement", false, "gpu: route batches by sequence modulo instead of health-score-weighted placement")
 	clusterMode := flag.Bool("cluster", false, "run as a cluster node (consistent-hash sharding + gossip membership)")
 	join := flag.String("join", "", "cluster: comma-separated seed node addresses to gossip with")
 	advertise := flag.String("advertise", "", "cluster: address peers and clients reach this node at (default: the listener's)")
@@ -102,12 +97,8 @@ func main() {
 		Metrics:         metrics,
 		QoS:             table,
 		DefaultDeadline: *defaultDeadline,
-		Devices:         *gpus,
 		Fleet:           fleet,
-		Health:          health.Config{Threshold: *quarThreshold},
 		ProbeInterval:   *probeInterval,
-		ProbeLevel:      *probeLevel,
-		BlindPlacement:  *blindPlacement,
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -151,7 +151,7 @@ func runFleetMode(cfg FleetConfig, input []byte, label string, blind, derate boo
 	derateFrom := totalBatches / 2
 
 	sb := health.New(health.Config{
-		Devices: len(fleet), Window: 8, MinSamples: 4, Threshold: 0.5,
+		Devices: len(fleet), Window: 8, MinSamples: 4,
 		ProbeEvery: 4, ReadmitAfter: 2,
 	})
 	for i, spec := range fleet {

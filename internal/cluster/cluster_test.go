@@ -235,6 +235,23 @@ func TestRedirectVerdict(t *testing.T) {
 	}
 }
 
+// TestClusterPayloadCap: the node's router reads a session's frames with the
+// embedded server's own payload cap, so a request the server accepts
+// standalone (here 1.5 MiB under a 2 MiB batch, above the wire's 1 MiB
+// default) is served through the cluster too.
+func TestClusterPayloadCap(t *testing.T) {
+	testutil.CheckLeaks(t)
+	nodes, _ := startCluster(t, 1, func(_ int, cfg *cluster.Config) {
+		cfg.Server.BatchSize = 2 << 20
+	})
+	payload := workload.Generate(workload.Spec{Kind: workload.Large, Size: 3 << 19, Seed: 9})
+	c := dialNode(t, nodes[0].Addr())
+	archive := c.serveDedup(1, payload)
+	if !bytes.Equal(restore(t, archive), payload) {
+		t.Fatal("cluster-served archive does not restore to the input")
+	}
+}
+
 // TestClusterRouting: loadgen against the full node list completes every
 // session with verified restores, and the per-node breakdown accounts for
 // all accepted traffic.

@@ -38,8 +38,6 @@ type Config struct {
 	// SuspectTimeout is the refutation window before Suspect becomes Dead
 	// (default 4× GossipInterval).
 	SuspectTimeout time.Duration
-	// IndirectK is the helper count for indirect probes (default 2).
-	IndirectK int
 	// Faults injects node-level faults: every accepted connection, gossip
 	// tick, and served peer RPC consults the injector, and DeviceLost kills
 	// the whole node (abrupt crash, as peers see it). Zero injects nothing.
@@ -74,12 +72,8 @@ func (c Config) suspectTimeout() time.Duration {
 	return 4 * c.gossipInterval()
 }
 
-func (c Config) indirectK() int {
-	if c.IndirectK <= 0 {
-		return 2
-	}
-	return c.IndirectK
-}
+// indirectK is the helper count for indirect probes.
+const indirectK = 2
 
 // Node is one streamd cluster member: a listener that routes client
 // connections by ring ownership (serve or redirect), a gossip loop
@@ -356,9 +350,8 @@ func (n *Node) acceptLoop(ln net.Listener) {
 func (n *Node) handleConn(conn net.Conn) {
 	defer n.untrack(conn)
 	br := bufio.NewReaderSize(conn, 1<<16)
-	maxPayload := n.cfg.Server.MaxPayload
 	for {
-		raw, err := wire.ReadRaw(br, maxPayload)
+		raw, err := wire.ReadRaw(br, n.srv.MaxPayload())
 		if err != nil {
 			return
 		}
@@ -442,7 +435,7 @@ func (n *Node) servePeer(conn net.Conn, br *bufio.Reader, raw []byte, f wire.Fra
 			return
 		}
 		var err error
-		raw, err = wire.ReadRaw(br, n.cfg.Server.MaxPayload)
+		raw, err = wire.ReadRaw(br, n.srv.MaxPayload())
 		if err != nil {
 			return
 		}
@@ -503,7 +496,7 @@ func (n *Node) gossipLoop() {
 		alive := n.ping(target) == nil
 		if !alive {
 			n.detMu.Lock()
-			helpers := n.det.IndirectTargets(target, n.cfg.indirectK())
+			helpers := n.det.IndirectTargets(target, indirectK)
 			n.detMu.Unlock()
 			for _, h := range helpers {
 				if n.pingReq(h, target) {

@@ -3,7 +3,6 @@ package dedup
 import (
 	"io"
 	"slices"
-	"time"
 
 	"streamgpu/internal/des"
 	"streamgpu/internal/fault"
@@ -21,9 +20,6 @@ type GPUOptions struct {
 	MaxRetries int
 	// Faults is the device's injector config; the zero value runs fault-free.
 	Faults fault.Config
-	// Devices is the simulated device pool size: batches are spread across
-	// devices by sequence number (default 1).
-	Devices int
 	// FaultsFor, when set, overrides Faults per device on the serving path —
 	// the chaos harness's hook for degrading one device mid-stream. Called
 	// once per batch with the batch's device index.
@@ -34,8 +30,8 @@ type GPUOptions struct {
 	// take runs on the CPU fallback, and every device-run outcome (and its
 	// observed service time) is recorded.
 	Health *health.Scoreboard
-	// Fleet, when set, gives each device its own spec (heterogeneous pools,
-	// gpu.ParseFleet); len(Fleet) overrides Devices.
+	// Fleet is the simulated device pool, one spec per device (gpu.ParseFleet
+	// builds it); empty is one reference Titan XP.
 	Fleet []gpu.DeviceSpec
 	// BlindPlacement forces sequence-modulo round-robin even when Health is
 	// set (quarantined devices' batches reroute to the CPU instead of other
@@ -48,15 +44,7 @@ type GPUOptions struct {
 	Placed func(dev int, probe bool, virtualSeconds float64)
 }
 
-func (o GPUOptions) devices() int {
-	if len(o.Fleet) > 0 {
-		return len(o.Fleet)
-	}
-	if o.Devices <= 0 {
-		return 1
-	}
-	return o.Devices
-}
+func (o GPUOptions) devices() int { return max(len(o.Fleet), 1) }
 
 // specFor resolves device dev's hardware spec.
 func (o GPUOptions) specFor(dev int) gpu.DeviceSpec {
@@ -197,7 +185,9 @@ func (p *Processor) gpuHash(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *
 		evC := st.CopyD2H(proc, &ms.hHash, 0, dOut, 0, int64(n*sha1x.Size))
 		return gpu.WaitErr(proc, ev1, ev2, evK, evC)
 	}
-	if err := withRetry(proc, p.opt.maxRetries(), &p.rep, run); err != nil {
+	retries, err := gpu.Retry(proc, p.opt.maxRetries(), run)
+	p.rep.Retries += retries
+	if err != nil {
 		cpu()
 		return
 	}
@@ -251,7 +241,9 @@ func (p *Processor) gpuCompress(proc *des.Proc, st *gpu.Stream, dev *gpu.Device,
 		evO := st.CopyD2H(proc, &ms.hMo, 0, dMo, 0, int64(sz*4))
 		return gpu.WaitErr(proc, ev1, ev2, evK, evL, evO)
 	}
-	if err := withRetry(proc, p.opt.maxRetries(), &p.rep, run); err != nil {
+	retries, err := gpu.Retry(proc, p.opt.maxRetries(), run)
+	p.rep.Retries += retries
+	if err != nil {
 		cpu()
 		return
 	}
@@ -262,22 +254,4 @@ func (p *Processor) gpuCompress(proc *des.Proc, st *gpu.Stream, dev *gpu.Device,
 		return lzss.AppendEncode(dst, b.Data, lo, hi, ms.hMl.Data, ms.hMo.Data)
 	})
 	p.rep.GPUCompress++
-}
-
-// withRetry runs fn, retrying transient faults with exponential backoff in
-// virtual time up to maxRetries. Device loss is returned immediately.
-func withRetry(proc *des.Proc, maxRetries int, rep *GPUReport, fn func() error) error {
-	backoff := des.Duration(50 * time.Microsecond)
-	for attempt := 0; ; attempt++ {
-		err := fn()
-		if err == nil {
-			return nil
-		}
-		if fault.IsDeviceLost(err) || attempt >= maxRetries {
-			return err
-		}
-		rep.Retries++
-		proc.Wait(backoff)
-		backoff *= 2
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamgpu/internal/fault"
+	"streamgpu/internal/gpu"
 	"streamgpu/internal/health"
 )
 
@@ -39,13 +40,13 @@ func TestProcessorQuarantineReroutes(t *testing.T) {
 	var faultRate atomic.Value
 	faultRate.Store(0.9)
 	sb := health.New(health.Config{
-		Devices: 2, Window: 8, MinSamples: 4, Threshold: 0.5,
+		Devices: 2, Window: 8, MinSamples: 4,
 		ProbeEvery: 4, ReadmitAfter: 2,
 	})
 	opt := GPUOptions{
 		Options:    Options{BatchSize: batchSize},
 		MaxRetries: 1,
-		Devices:    2,
+		Fleet:      []gpu.DeviceSpec{gpu.TitanXPSpec(), gpu.TitanXPSpec()},
 		Health:     sb,
 		// This test pins the blind-placement semantics: a quarantined
 		// device's batches reroute to the CPU. Score-weighted placement

@@ -24,7 +24,7 @@ func TestProcessorPlacementShedsToHealthyDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := health.New(health.Config{
-		Devices: 2, Window: 8, MinSamples: 4, Threshold: 0.5,
+		Devices: 2, Window: 8, MinSamples: 4,
 		ProbeEvery: 4, ReadmitAfter: 2,
 	})
 	opt := GPUOptions{
@@ -81,13 +81,12 @@ func TestProcessorAllQuarantinedFallsBackToCPU(t *testing.T) {
 	input := sample(128 << 10)
 	const batchSize = 8 << 10
 	sb := health.New(health.Config{
-		Devices: 1, Window: 4, MinSamples: 4, Threshold: 0.5,
+		Devices: 1, Window: 4, MinSamples: 4,
 		ProbeEvery: 8, ReadmitAfter: 3,
 	})
 	opt := GPUOptions{
 		Options:    Options{BatchSize: batchSize},
 		MaxRetries: 1,
-		Devices:    1,
 		Health:     sb,
 		Faults:     fault.Config{Seed: 3, TransferRate: 0.95, KernelRate: 0.95},
 	}

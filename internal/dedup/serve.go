@@ -98,7 +98,7 @@ func (p *Processor) processCPU(b *Batch, store BlockStore) {
 }
 
 // deviceFor spreads batches across the simulated device pool by sequence
-// number, so a multi-device server exercises (and scores) every device.
+// number: blind placement, Fig. 7's baseline.
 func (p *Processor) deviceFor(b *Batch) int {
 	n := p.opt.devices()
 	if n == 1 {
@@ -108,8 +108,8 @@ func (p *Processor) deviceFor(b *Batch) int {
 }
 
 // place picks the batch's device. Without a scoreboard (or with
-// BlindPlacement) it is the legacy sequence-modulo spread, filtered through
-// Route when a scoreboard exists; with one, Place makes the score-weighted
+// BlindPlacement) it is the sequence-modulo spread, filtered through Route
+// when a scoreboard exists; with one, Place makes the score-weighted
 // decision for the whole pool. A zero Route means the CPU fallback.
 func (p *Processor) place(b *Batch) (int, health.Route) {
 	if p.opt.Health != nil && !p.opt.BlindPlacement {

@@ -65,9 +65,6 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// VectorLen is the vector_add element count (default 64Ki).
 	VectorLen int
-	// SweepSizes are the bandwidth transfer sizes in bytes (default 256KiB,
-	// 1MiB, 4MiB); the largest is the one reported.
-	SweepSizes []int
 	// GrindOps is the bus-grind iteration count (default 24).
 	GrindOps int
 	// Tolerance is the fraction of the spec bandwidth a transfer must
@@ -91,13 +88,6 @@ func (o Options) vectorLen() int {
 		return 64 << 10
 	}
 	return o.VectorLen
-}
-
-func (o Options) sweepSizes() []int {
-	if len(o.SweepSizes) == 0 {
-		return []int{256 << 10, 1 << 20, 4 << 20}
-	}
-	return o.SweepSizes
 }
 
 func (o Options) grindOps() int {

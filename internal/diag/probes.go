@@ -94,6 +94,10 @@ func probeVectorAdd(o Options, p *des.Proc, dev *gpu.Device, res *ProbeResult) e
 	return nil
 }
 
+// sweepSizes are the bandwidth probe's transfer sizes in bytes, ascending;
+// the largest is the one reported.
+var sweepSizes = [...]int{256 << 10, 1 << 20, 4 << 20}
+
 // probeBandwidth is the PCIe sweep: each size × direction × memory kind is
 // timed through the virtual clock and must achieve Tolerance × the device's
 // own spec. Because the bar is the device's spec, a derated fleet entry
@@ -101,11 +105,10 @@ func probeVectorAdd(o Options, p *des.Proc, dev *gpu.Device, res *ProbeResult) e
 // declared link fails.
 func probeBandwidth(o Options, p *des.Proc, dev *gpu.Device, res *ProbeResult) error {
 	tol := o.tolerance()
-	sizes := o.sweepSizes()
 	for _, pinned := range []bool{true, false} {
 		for _, h2d := range []bool{true, false} {
 			var achieved float64
-			for _, sz := range sizes {
+			for _, sz := range sweepSizes {
 				var host *gpu.HostBuf
 				if pinned {
 					host = gpu.NewPinnedBuf(int64(sz))

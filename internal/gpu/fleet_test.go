@@ -14,9 +14,16 @@ func TestParseFleetExpandsAndModifies(t *testing.T) {
 	if len(fleet) != 4 {
 		t.Fatalf("devices = %d, want 4", len(fleet))
 	}
+	// titanxp*N is N reference boards: every field but the display name is
+	// TitanXPSpec's, so it describes the same pool as the empty fleet's
+	// default, N times over.
 	stock := TitanXPSpec()
-	if fleet[0].SMs != stock.SMs || fleet[1].ClockHz != stock.ClockHz {
-		t.Fatalf("stock entries modified: %+v", fleet[0])
+	for i := 0; i < 2; i++ {
+		got := fleet[i]
+		got.Name = stock.Name
+		if got != stock {
+			t.Fatalf("stock entry %d differs from TitanXPSpec: %+v", i, fleet[i])
+		}
 	}
 	derated := fleet[2]
 	if got, want := derated.ClockHz, stock.ClockHz*0.6; math.Abs(got-want) > 1 {

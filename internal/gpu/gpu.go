@@ -207,6 +207,21 @@ func WaitErr(p *des.Proc, evs ...*des.Event) error {
 	return first
 }
 
+// Retry runs fn, retrying transient faults with exponential backoff in
+// virtual time (50µs, doubling) up to maxRetries times; device loss is
+// returned at once. It reports how many retries it took and fn's last error.
+func Retry(p *des.Proc, maxRetries int, fn func() error) (retries int, err error) {
+	backoff := des.Duration(50 * time.Microsecond)
+	for ; ; retries++ {
+		err = fn()
+		if err == nil || fault.IsDeviceLost(err) || retries >= maxRetries {
+			return retries, err
+		}
+		p.Wait(backoff)
+		backoff *= 2
+	}
+}
+
 // transferTime returns the virtual duration of moving n bytes in the given
 // direction with the given host-memory kind.
 func (d *Device) transferTime(n int64, h2d bool, pinned bool) des.Duration {

@@ -15,10 +15,10 @@
 //     device that *became* slow bleeds score.
 //
 // The score drives two decisions with hysteresis between them: quarantine
-// enters at or below QuarantineScore (or on the legacy fault-rate threshold,
-// or immediately on a failed diagnostic probe) and exits only when a clean
+// enters at or below quarantineScore (or on the fault-rate threshold, or
+// immediately on a failed diagnostic probe) and exits only when a clean
 // probe streak meets ReadmitAfter AND the score has recovered past
-// ReadmitScore — a boundary-score device cannot flap. Place() spreads
+// readmitScore — a boundary-score device cannot flap. Place() spreads
 // batches across healthy devices by smooth weighted round-robin on their
 // scores, so a degrading device bleeds share before it ever trips
 // quarantine.
@@ -37,11 +37,34 @@ package health
 
 import "sync"
 
-// svcAlpha is the EWMA weight of one new service-time observation.
-const svcAlpha = 0.25
-
-// probeAlpha is the EWMA weight of one new probe outcome.
-const probeAlpha = 0.3
+// The model's fixed constants. Only the window and probe cadence vary
+// between callers (Config); these hold everywhere.
+const (
+	// svcAlpha is the EWMA weight of one new service-time observation.
+	svcAlpha = 0.25
+	// probeAlpha is the EWMA weight of one new probe outcome.
+	probeAlpha = 0.3
+	// faultWeight, probeWeight and serviceWeight blend the three signals
+	// into the score; signals with no data yet drop out and the rest
+	// renormalize.
+	faultWeight   = 0.5
+	probeWeight   = 0.25
+	serviceWeight = 0.25
+	// threshold is the windowed fault rate at or above which a device is
+	// quarantined.
+	threshold = 0.5
+	// quarantineScore quarantines a device whose composite score falls to
+	// or below it once MinSamples is met.
+	quarantineScore = 0.35
+	// readmitScore is the score a quarantined device must recover past
+	// before a clean probe streak may re-admit it. Keeping it above
+	// quarantineScore is the hysteresis band.
+	readmitScore = 0.6
+	// decayFactor is how fast an idle device's score drifts back toward
+	// neutral per Tick: the per-Tick multiplier on its distance from
+	// healthy.
+	decayFactor = 0.5
+)
 
 // Config sizes a Scoreboard. The zero value tracks one device with the
 // documented defaults.
@@ -55,33 +78,13 @@ type Config struct {
 	// rate (or the composite score) can trip quarantine — a single early
 	// fault must not condemn a device (default 8).
 	MinSamples int
-	// Threshold is the windowed fault rate at or above which a device is
-	// quarantined (default 0.5).
-	Threshold float64
 	// ProbeEvery routes every Nth batch of a quarantined device to the
 	// device anyway as a health probe; the rest go to the CPU (default 8).
 	ProbeEvery int
 	// ReadmitAfter is the number of consecutive clean probes required to
 	// re-admit a quarantined device (default 3). Re-admission additionally
-	// requires the score to have recovered past ReadmitScore.
+	// requires the score to have recovered past readmitScore.
 	ReadmitAfter int
-	// FaultWeight, ProbeWeight and ServiceWeight blend the three signals
-	// into the score; signals with no data yet drop out and the rest
-	// renormalize (defaults 0.5, 0.25, 0.25).
-	FaultWeight   float64
-	ProbeWeight   float64
-	ServiceWeight float64
-	// QuarantineScore quarantines a device whose composite score falls to
-	// or below it once MinSamples is met (default 0.35).
-	QuarantineScore float64
-	// ReadmitScore is the score a quarantined device must recover past
-	// before a clean probe streak may re-admit it (default 0.6). Keeping it
-	// above QuarantineScore is the hysteresis band.
-	ReadmitScore float64
-	// DecayFactor is how fast an idle device's score drifts back toward
-	// neutral per Tick, in (0, 1): the per-Tick multiplier on its distance
-	// from healthy (default 0.5; smaller decays faster).
-	DecayFactor float64
 	// OnTransition, when set, is called (outside the scoreboard lock) after
 	// a device is quarantined or re-admitted — the server's metrics hook.
 	OnTransition func(dev int, quarantined bool)
@@ -111,13 +114,6 @@ func (c Config) minSamples() int {
 	return c.MinSamples
 }
 
-func (c Config) threshold() float64 {
-	if c.Threshold <= 0 {
-		return 0.5
-	}
-	return c.Threshold
-}
-
 func (c Config) probeEvery() int {
 	if c.ProbeEvery <= 0 {
 		return 8
@@ -130,48 +126,6 @@ func (c Config) readmitAfter() int {
 		return 3
 	}
 	return c.ReadmitAfter
-}
-
-func (c Config) faultWeight() float64 {
-	if c.FaultWeight <= 0 {
-		return 0.5
-	}
-	return c.FaultWeight
-}
-
-func (c Config) probeWeight() float64 {
-	if c.ProbeWeight <= 0 {
-		return 0.25
-	}
-	return c.ProbeWeight
-}
-
-func (c Config) serviceWeight() float64 {
-	if c.ServiceWeight <= 0 {
-		return 0.25
-	}
-	return c.ServiceWeight
-}
-
-func (c Config) quarantineScore() float64 {
-	if c.QuarantineScore <= 0 {
-		return 0.35
-	}
-	return c.QuarantineScore
-}
-
-func (c Config) readmitScore() float64 {
-	if c.ReadmitScore <= 0 {
-		return 0.6
-	}
-	return c.ReadmitScore
-}
-
-func (c Config) decayFactor() float64 {
-	if c.DecayFactor <= 0 || c.DecayFactor >= 1 {
-		return 0.5
-	}
-	return c.DecayFactor
 }
 
 // Route is the scoreboard's verdict for one batch.
@@ -274,23 +228,23 @@ func (d *device) probeObserve(pass bool) {
 
 // score blends the signals that have data into [0, 1]; a device nothing has
 // been observed about is presumed healthy.
-func (d *device) score(cfg Config) float64 {
+func (d *device) score() float64 {
 	num, den := 0.0, 0.0
 	if d.filled > 0 {
-		num += cfg.faultWeight() * (1 - d.faultRate())
-		den += cfg.faultWeight()
+		num += faultWeight * (1 - d.faultRate())
+		den += faultWeight
 	}
 	if d.probeSamples > 0 {
-		num += cfg.probeWeight() * d.probeHealth
-		den += cfg.probeWeight()
+		num += probeWeight * d.probeHealth
+		den += probeWeight
 	}
 	if d.svcSamples > 0 {
 		h := 1.0
 		if d.svcRatio > 1 {
 			h = 1 / d.svcRatio
 		}
-		num += cfg.serviceWeight() * h
-		den += cfg.serviceWeight()
+		num += serviceWeight * h
+		den += serviceWeight
 	}
 	if den == 0 {
 		return 1
@@ -404,7 +358,7 @@ func (s *Scoreboard) Place() (dev int, r Route) {
 		if d.quarantined {
 			continue
 		}
-		w := 1 + int(d.score(s.cfg)*100)
+		w := 1 + int(d.score()*100)
 		d.wrr += w
 		total += w
 		if best == -1 || d.wrr > s.devs[best].wrr {
@@ -506,7 +460,7 @@ func (s *Scoreboard) probeWhileQuarantinedLocked(d *device, pass bool) bool {
 		return false
 	}
 	d.cleanProbes++
-	if d.cleanProbes >= s.cfg.readmitAfter() && d.score(s.cfg) >= s.cfg.readmitScore() {
+	if d.cleanProbes >= s.cfg.readmitAfter() && d.score() >= readmitScore {
 		d.quarantined = false
 		d.readmits++
 		d.reset()
@@ -522,7 +476,7 @@ func (s *Scoreboard) maybeQuarantineLocked(d *device) bool {
 	if d.filled < s.cfg.minSamples() {
 		return false
 	}
-	if d.faultRate() < s.cfg.threshold() && d.score(s.cfg) > s.cfg.quarantineScore() {
+	if d.faultRate() < threshold && d.score() > quarantineScore {
 		return false
 	}
 	d.quarantined = true
@@ -587,15 +541,14 @@ func (s *Scoreboard) ObserveService(i int, seconds float64, bytes int) {
 func (s *Scoreboard) Tick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f := s.cfg.decayFactor()
 	for _, d := range s.devs {
 		if d.opsSinceTick == 0 {
 			d.decayWindow()
 			if d.svcSamples > 0 {
-				d.svcRatio = 1 + (d.svcRatio-1)*f
+				d.svcRatio = 1 + (d.svcRatio-1)*decayFactor
 			}
 			if d.probeSamples > 0 {
-				d.probeHealth = 1 - (1-d.probeHealth)*f
+				d.probeHealth = 1 - (1-d.probeHealth)*decayFactor
 			}
 		}
 		d.opsSinceTick = 0
@@ -606,7 +559,7 @@ func (s *Scoreboard) Tick() {
 func (s *Scoreboard) Score(i int) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dev(i).score(s.cfg)
+	return s.dev(i).score()
 }
 
 // Quarantined reports device i's current state.
@@ -650,7 +603,7 @@ func (s *Scoreboard) Snapshot() []DeviceStats {
 	for i, d := range s.devs {
 		out[i] = DeviceStats{
 			Quarantined: d.quarantined,
-			Score:       d.score(s.cfg),
+			Score:       d.score(),
 			Ops:         d.totalOps,
 			Faults:      d.totalFaults,
 			Probes:      d.totalProbes,

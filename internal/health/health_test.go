@@ -13,7 +13,7 @@ func feed(s *Scoreboard, dev, n int, faulted bool) {
 }
 
 func TestQuarantineTripsOnFaultRate(t *testing.T) {
-	s := New(Config{Window: 10, MinSamples: 10, Threshold: 0.5})
+	s := New(Config{Window: 10, MinSamples: 10})
 	feed(s, 0, 5, false)
 	feed(s, 0, 4, true)
 	if s.Quarantined(0) {
@@ -29,7 +29,7 @@ func TestQuarantineTripsOnFaultRate(t *testing.T) {
 }
 
 func TestHealthyDeviceStaysBelowThreshold(t *testing.T) {
-	s := New(Config{Window: 10, MinSamples: 4, Threshold: 0.5})
+	s := New(Config{Window: 10, MinSamples: 4})
 	for i := 0; i < 100; i++ {
 		s.Record(0, Route{Device: true}, i%4 == 0) // 25% fault rate
 	}
@@ -39,7 +39,7 @@ func TestHealthyDeviceStaysBelowThreshold(t *testing.T) {
 }
 
 func TestSlidingWindowForgets(t *testing.T) {
-	s := New(Config{Window: 8, MinSamples: 8, Threshold: 0.5})
+	s := New(Config{Window: 8, MinSamples: 8})
 	feed(s, 0, 3, true)   // old faults...
 	feed(s, 0, 20, false) // ...evicted by a clean run
 	s.Record(0, Route{Device: true}, true)
@@ -51,7 +51,7 @@ func TestSlidingWindowForgets(t *testing.T) {
 func TestQuarantineRoutingAndReadmission(t *testing.T) {
 	var transitions []bool
 	s := New(Config{
-		Window: 4, MinSamples: 4, Threshold: 0.5,
+		Window: 4, MinSamples: 4,
 		ProbeEvery: 3, ReadmitAfter: 2,
 		OnTransition: func(dev int, q bool) { transitions = append(transitions, q) },
 	})
@@ -95,7 +95,7 @@ func TestQuarantineRoutingAndReadmission(t *testing.T) {
 }
 
 func TestFailedProbeResetsStreak(t *testing.T) {
-	s := New(Config{Window: 4, MinSamples: 4, Threshold: 0.5, ProbeEvery: 1, ReadmitAfter: 2})
+	s := New(Config{Window: 4, MinSamples: 4, ProbeEvery: 1, ReadmitAfter: 2})
 	feed(s, 0, 4, true)
 	probe := func(faulted bool) {
 		r := s.Route(0)
@@ -117,7 +117,7 @@ func TestFailedProbeResetsStreak(t *testing.T) {
 }
 
 func TestDevicesIndependent(t *testing.T) {
-	s := New(Config{Devices: 3, Window: 4, MinSamples: 4, Threshold: 0.5})
+	s := New(Config{Devices: 3, Window: 4, MinSamples: 4})
 	feed(s, 1, 4, true)
 	if s.Quarantined(0) || !s.Quarantined(1) || s.Quarantined(2) {
 		t.Fatalf("quarantine leaked across devices: %v %v %v",
@@ -129,7 +129,7 @@ func TestDevicesIndependent(t *testing.T) {
 }
 
 func TestReroutedBatchesNotRecorded(t *testing.T) {
-	s := New(Config{Window: 4, MinSamples: 4, Threshold: 0.5})
+	s := New(Config{Window: 4, MinSamples: 4})
 	for i := 0; i < 10; i++ {
 		s.Record(0, Route{}, true) // CPU outcomes say nothing about the device
 	}
@@ -151,7 +151,7 @@ func TestOutOfRangeDeviceClamps(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := New(Config{Devices: 4, Window: 16, MinSamples: 8, Threshold: 0.5, ProbeEvery: 2, ReadmitAfter: 2})
+	s := New(Config{Devices: 4, Window: 16, MinSamples: 8, ProbeEvery: 2, ReadmitAfter: 2})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g

@@ -44,7 +44,7 @@ func TestScoreComponents(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(Config{Window: 16, MinSamples: 8, Threshold: 0.5})
+			s := New(Config{Window: 16, MinSamples: 8})
 			tc.feed(s)
 			if got := s.Score(0); got < tc.min || got > tc.max {
 				t.Fatalf("score = %v, want [%v, %v]", got, tc.min, tc.max)
@@ -61,18 +61,18 @@ func TestScoreComponents(t *testing.T) {
 func TestHysteresisNoFlapOnBoundaryScore(t *testing.T) {
 	var transitions int
 	s := New(Config{
-		Window: 8, MinSamples: 4, Threshold: 0.5,
+		Window: 8, MinSamples: 4,
 		ProbeEvery: 1, ReadmitAfter: 2,
-		QuarantineScore: 0.35, ReadmitScore: 0.9,
 		OnTransition: func(int, bool) { transitions++ },
 	})
 	feed(s, 0, 8, true)
 	if !s.Quarantined(0) || transitions != 1 {
 		t.Fatalf("not quarantined after all-fault window (transitions %d)", transitions)
 	}
-	// Clean probes build a streak well past ReadmitAfter, but the window is
-	// still majority-fault, so the score sits in the band below 0.9: the
-	// device must stay quarantined — streak alone is not enough.
+	// Clean probes build a streak past ReadmitAfter, but the window is
+	// still majority-fault, so the score sits in the band below readmitScore
+	// (0.42, 0.50, 0.58): the device must stay quarantined — streak alone is
+	// not enough.
 	for i := 0; i < 3; i++ {
 		r := s.Route(0)
 		if !r.Probe {
@@ -105,11 +105,10 @@ func TestHysteresisNoFlapOnBoundaryScore(t *testing.T) {
 func TestReadmitAfterExactlyNCleanProbes(t *testing.T) {
 	const n = 3
 	s := New(Config{
-		Window: 32, MinSamples: 4, Threshold: 0.5,
-		ProbeEvery: 1, ReadmitAfter: n,
+		Window: 32, MinSamples: 4,
 		// A large window over mostly-clean history keeps the score above
-		// ReadmitScore throughout, isolating the streak condition.
-		ReadmitScore: 0.6,
+		// readmitScore throughout, isolating the streak condition.
+		ProbeEvery: 1, ReadmitAfter: n,
 	})
 	feed(s, 0, 24, false)
 	feed(s, 0, 4, true) // 4/28 clean history, then a fault burst
@@ -161,10 +160,10 @@ func TestReadmitAfterExactlyNCleanProbes(t *testing.T) {
 // a device's placement share forever, and ticks must not touch devices that
 // saw traffic.
 func TestIdleScoreDecays(t *testing.T) {
-	s := New(Config{Devices: 2, Window: 8, MinSamples: 8, Threshold: 0.9, DecayFactor: 0.5})
+	s := New(Config{Devices: 2, Window: 8, MinSamples: 8})
 	for i := 0; i < 8; i++ {
-		s.Record(0, Route{Device: true}, i%2 == 0) // 50% faults, below the 0.9 threshold
-		s.Record(1, Route{Device: true}, i%2 == 0)
+		s.Record(0, Route{Device: true}, i%3 == 0) // 3 of 8 faults, below the 0.5 threshold
+		s.Record(1, Route{Device: true}, i%3 == 0)
 	}
 	start := s.Score(0)
 	if start >= 0.75 {
@@ -172,7 +171,7 @@ func TestIdleScoreDecays(t *testing.T) {
 	}
 	prev := start
 	for tick := 0; tick < 8; tick++ {
-		s.Record(1, Route{Device: true}, tick%2 == 0) // device 1 stays busy
+		s.Record(1, Route{Device: true}, tick%3 == 0) // device 1 stays busy, window unchanged
 		s.Tick()
 		got := s.Score(0)
 		if got < prev-1e-12 {
@@ -189,7 +188,7 @@ func TestIdleScoreDecays(t *testing.T) {
 
 	// Service slowness decays too: a device observed 4x slow drifts back
 	// toward 1 while idle instead of being condemned by one bad spell.
-	s2 := New(Config{DecayFactor: 0.5})
+	s2 := New(Config{})
 	s2.SetBaseline(0, 1e-9)
 	for i := 0; i < 64; i++ {
 		s2.ObserveService(0, 4e-9*1024, 1024)
@@ -234,12 +233,11 @@ func TestHeterogeneousSpecNormalization(t *testing.T) {
 // score, order is deterministic, and a quarantined device receives exactly
 // its probe cadence.
 func TestPlaceWeightsByScore(t *testing.T) {
-	s := New(Config{Devices: 2, Window: 8, MinSamples: 8, Threshold: 0.9})
-	// Device 1 at ~half score via a half-faulted window (threshold 0.9
-	// keeps it un-quarantined).
-	for i := 0; i < 8; i++ {
-		s.Record(1, Route{Device: true}, i%2 == 0)
-	}
+	s := New(Config{Devices: 2})
+	// Device 1 at half score via the service signal alone: serving at 2× its
+	// baseline, with no window entries to trip quarantine.
+	s.SetBaseline(1, 1e-9)
+	s.ObserveService(1, 2e-9*1024, 1024)
 	counts := map[int]int{}
 	for i := 0; i < 300; i++ {
 		dev, r := s.Place()
@@ -256,7 +254,7 @@ func TestPlaceWeightsByScore(t *testing.T) {
 
 	// Quarantine device 1: placement must send it exactly every
 	// ProbeEvery-th opportunity as a probe and everything else to device 0.
-	s2 := New(Config{Devices: 2, Window: 4, MinSamples: 4, Threshold: 0.5, ProbeEvery: 4, ReadmitAfter: 99})
+	s2 := New(Config{Devices: 2, Window: 4, MinSamples: 4, ProbeEvery: 4, ReadmitAfter: 99})
 	feed(s2, 1, 4, true)
 	if !s2.Quarantined(1) {
 		t.Fatal("setup: device 1 not quarantined")
@@ -287,7 +285,7 @@ func TestPlaceWeightsByScore(t *testing.T) {
 // TestPlaceAllQuarantined: with the whole pool quarantined, Place yields the
 // CPU fallback between probes and never wedges.
 func TestPlaceAllQuarantined(t *testing.T) {
-	s := New(Config{Devices: 2, Window: 4, MinSamples: 4, Threshold: 0.5, ProbeEvery: 3, ReadmitAfter: 99})
+	s := New(Config{Devices: 2, Window: 4, MinSamples: 4, ProbeEvery: 3, ReadmitAfter: 99})
 	feed(s, 0, 4, true)
 	feed(s, 1, 4, true)
 	cpu, probes := 0, map[int]int{}

@@ -2,7 +2,6 @@ package mandel
 
 import (
 	"fmt"
-	"time"
 
 	"streamgpu/internal/des"
 	"streamgpu/internal/fault"
@@ -180,27 +179,19 @@ func RunGPUFT(p Params, cfg FTConfig) (*Image, FTReport, error) {
 }
 
 // runFTBatch executes one batch on one device, retrying transient faults
-// with exponential backoff in virtual time. It returns nil on success, a
-// device-lost error when the device died, or the last transient error when
-// the retry budget is exhausted.
+// with exponential backoff in virtual time (gpu.Retry). It returns nil on
+// success, a device-lost error when the device died, or the last transient
+// error when the retry budget is exhausted.
 func runFTBatch(proc *des.Proc, st *gpu.Stream, d *gpu.Device, cfg FTConfig,
 	p Params, batch, rows int, dImg *gpu.Buf, h *gpu.HostBuf, rep *FTReport) error {
-	backoff := des.Duration(50 * time.Microsecond)
-	for attempt := 0; ; attempt++ {
+	retries, err := gpu.Retry(proc, cfg.maxRetries(), func() error {
 		evK := st.Launch(proc, BatchKernel.Bind(batch, cfg.batchSize(), p, dImg, cfg.iterCycles()),
 			gpu.Grid1D(rows*p.Dim, 128))
 		evC := st.CopyD2H(proc, h, 0, dImg, 0, int64(rows*p.Dim))
-		err := gpu.WaitErr(proc, evK, evC)
-		if err == nil {
-			return nil
-		}
-		if fault.IsDeviceLost(err) || attempt >= cfg.maxRetries() {
-			return err
-		}
-		rep.Retries++
-		proc.Wait(backoff)
-		backoff *= 2
-	}
+		return gpu.WaitErr(proc, evK, evC)
+	})
+	rep.Retries += retries
+	return err
 }
 
 // cpuBatch computes one batch of rows on the host — the degradation path.

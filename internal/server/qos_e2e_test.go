@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamgpu/internal/fault"
+	"streamgpu/internal/gpu"
 	"streamgpu/internal/health"
 	"streamgpu/internal/server"
 	"streamgpu/internal/server/qos"
@@ -131,21 +132,19 @@ func TestOverloadRejectReason(t *testing.T) {
 func TestQuarantineEndToEnd(t *testing.T) {
 	testutil.CheckLeaks(t)
 	srv, addr := startServer(t, server.Config{
-		Linger:  time.Millisecond,
-		GPU:     true,
-		Devices: 2,
-		// Pin sequence-modulo routing: this test asserts the quarantine
-		// machinery itself, which needs the bad device to keep receiving
-		// batches until MinSamples is reached. Score-weighted placement
-		// (the default) starves it first and has its own tests.
-		BlindPlacement: true,
+		Linger: time.Millisecond,
+		GPU:    true,
+		Fleet:  []gpu.DeviceSpec{gpu.TitanXPSpec(), gpu.TitanXPSpec()},
 		DeviceFaults: func(dev int) fault.Config {
 			if dev == 1 {
 				return fault.Config{Seed: 7, TransferRate: 0.95, KernelRate: 0.95}
 			}
 			return fault.Config{Seed: 1}
 		},
-		Health: health.Config{Window: 8, MinSamples: 4, Threshold: 0.5, ProbeEvery: 4, ReadmitAfter: 2},
+		// MinSamples 1: the bad device's first faulted batch trips
+		// quarantine, before score-weighted placement starves it of the
+		// batches a larger sample would need.
+		Health: health.Config{Window: 8, MinSamples: 1, ProbeEvery: 4, ReadmitAfter: 2},
 	})
 	data := workload.Generate(workload.Spec{Kind: workload.Linux, Size: 200 << 10, Seed: 17})
 	var chunks [][]byte

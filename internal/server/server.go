@@ -68,8 +68,6 @@ type Config struct {
 	// GPU offloads dedup batch processing to the simulated device (per-batch
 	// kernels with retry and CPU degradation).
 	GPU bool
-	// MaxRetries bounds per-batch transient-fault retries on the GPU path.
-	MaxRetries int
 	// Faults configures the GPU path's fault injector; the zero value
 	// injects nothing.
 	Faults fault.Config
@@ -82,12 +80,9 @@ type Config struct {
 	// DefaultDeadline applies to requests that carry no deadline of their
 	// own (-default-deadline). 0 disables deadline admission for them.
 	DefaultDeadline time.Duration
-	// Devices is the simulated GPU pool size for the dedup path (default
-	// 1). Batches spread across devices by sequence number.
-	Devices int
-	// Fleet, when non-empty, is the heterogeneous per-device spec list
-	// (-fleet; gpu.ParseFleet builds it). Its length overrides Devices and
-	// its specs seed the health scoreboard's service-time baselines.
+	// Fleet is the simulated GPU pool for the dedup path, one spec per
+	// device (-fleet; gpu.ParseFleet builds it); empty is one Titan XP. The
+	// specs seed the health scoreboard's service-time baselines.
 	Fleet []gpu.DeviceSpec
 	// Health configures the per-device quarantine scoreboard; the zero
 	// value uses the documented defaults. Only consulted when GPU is set.
@@ -97,11 +92,6 @@ type Config struct {
 	// (quarantined devices re-admit after clean probe cycles). 0 disables
 	// background probing. Only consulted when GPU is set.
 	ProbeInterval time.Duration
-	// ProbeLevel is the background probes' diag run level (1..3, default 1).
-	ProbeLevel int
-	// BlindPlacement disables score-weighted placement and falls back to
-	// sequence-modulo device routing — the figures baseline.
-	BlindPlacement bool
 	// DeviceFaults, when set, overrides Faults per device — the chaos
 	// harness's hook for degrading one device mid-stream.
 	DeviceFaults func(dev int) fault.Config
@@ -146,39 +136,6 @@ func (c Config) maxPayload() int {
 		return c.MaxPayload
 	}
 	return c.batchSize()
-}
-
-func (c Config) devices() int {
-	if len(c.Fleet) > 0 {
-		return len(c.Fleet)
-	}
-	if c.Devices <= 0 {
-		return 1
-	}
-	return c.Devices
-}
-
-// fleet resolves the per-device spec list: the explicit Fleet, or Devices
-// copies of the reference Titan XP.
-func (c Config) fleet() []gpu.DeviceSpec {
-	if len(c.Fleet) > 0 {
-		return c.Fleet
-	}
-	fl := make([]gpu.DeviceSpec, c.devices())
-	for i := range fl {
-		fl[i] = gpu.TitanXPSpec()
-	}
-	return fl
-}
-
-func (c Config) probeLevel() int {
-	if c.ProbeLevel < diag.LevelQuick {
-		return diag.LevelQuick
-	}
-	if c.ProbeLevel > diag.LevelLong {
-		return diag.LevelLong
-	}
-	return c.ProbeLevel
 }
 
 // Server is a resident streaming service. Create with New, run with Serve,
@@ -250,7 +207,10 @@ func New(cfg Config) *Server {
 	s.dedupSched = qos.NewSched(cfg.batchSize(), weight, nil)
 	s.mandelSched = qos.NewSched(cfg.batchSize(), weight, nil)
 	if cfg.GPU {
-		s.fleet = cfg.fleet()
+		s.fleet = cfg.Fleet
+		if len(s.fleet) == 0 {
+			s.fleet = []gpu.DeviceSpec{gpu.TitanXPSpec()}
+		}
 		s.probeStop = make(chan struct{})
 		hc := cfg.Health
 		hc.Devices = len(s.fleet)
@@ -287,6 +247,10 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
+
+// MaxPayload is the cap on one request frame's payload that sessions
+// enforce; a router reading frames ahead of the server must apply the same.
+func (s *Server) MaxPayload() int { return s.cfg.maxPayload() }
 
 // Health exposes the device scoreboard (nil when the GPU path is off) — the
 // chaos harness asserts quarantine and re-admission through it.
@@ -464,14 +428,11 @@ func (s *Server) waitCtx(ctx context.Context, wg *sync.WaitGroup) bool {
 // context is canceled (forced drain).
 func (s *Server) startPipelines() {
 	gopt := dedup.GPUOptions{
-		Options:        dedup.Options{Metrics: s.cfg.Metrics},
-		MaxRetries:     s.cfg.MaxRetries,
-		Faults:         s.cfg.Faults,
-		Devices:        s.cfg.devices(),
-		Fleet:          s.cfg.Fleet,
-		BlindPlacement: s.cfg.BlindPlacement,
-		FaultsFor:      s.cfg.DeviceFaults,
-		Health:         s.scores,
+		Options:   dedup.Options{Metrics: s.cfg.Metrics},
+		Faults:    s.cfg.Faults,
+		Fleet:     s.fleet,
+		FaultsFor: s.cfg.DeviceFaults,
+		Health:    s.scores,
 	}
 	useGPU := s.cfg.GPU
 	if useGPU && s.cfg.ProbeInterval > 0 {
@@ -558,7 +519,6 @@ func (s *Server) probeLoop() {
 // probeCycle runs one diag pass and feeds the scoreboard.
 func (s *Server) probeCycle() {
 	rep := diag.Run(diag.Options{
-		Level:     s.cfg.probeLevel(),
 		Fleet:     s.fleet,
 		FaultsFor: s.cfg.DeviceFaults,
 		Metrics:   s.cfg.Metrics,

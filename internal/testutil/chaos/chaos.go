@@ -56,12 +56,13 @@ func Start(tb testing.TB, seed int64, cfg server.Config) *Runner {
 		rng:      rand.New(rand.NewSource(seed)),
 		serveErr: make(chan error, 1),
 	}
-	devs := cfg.Devices
-	if len(cfg.Fleet) > 0 {
-		devs = len(cfg.Fleet)
+	if cfg.GPU {
+		cfg.DeviceFaults = r.faultsFor
 	}
-	if devs <= 0 {
-		devs = 1
+	r.srv = server.New(cfg)
+	devs := 1
+	if h := r.srv.Health(); h != nil {
+		devs = h.Devices()
 	}
 	r.faults = make([]atomic.Value, devs)
 	for i := range r.faults {
@@ -69,10 +70,6 @@ func Start(tb testing.TB, seed int64, cfg server.Config) *Runner {
 		fc.Seed = seed + int64(i)
 		r.faults[i].Store(fc)
 	}
-	if cfg.GPU {
-		cfg.DeviceFaults = r.faultsFor
-	}
-	r.srv = server.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatalf("chaos: listen: %v", err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"streamgpu/internal/fault"
+	"streamgpu/internal/gpu"
 	"streamgpu/internal/health"
 	"streamgpu/internal/loadgen"
 	"streamgpu/internal/server"
@@ -43,7 +44,7 @@ func TestIsolationSLO(t *testing.T) {
 		Linger:      time.Millisecond,
 		MaxInflight: 32,
 		GPU:         true,
-		Devices:     2,
+		Fleet:       []gpu.DeviceSpec{gpu.TitanXPSpec(), gpu.TitanXPSpec()},
 		Faults:      fault.Config{Seed: 11, TransferRate: 0.1, KernelRate: 0.1},
 		QoS: qos.Table{
 			// Small tenants: weight 4, unlimited rate. The hog (tenant 9):
@@ -101,10 +102,10 @@ func TestIsolationSLO(t *testing.T) {
 func TestQuarantineMidStream(t *testing.T) {
 	testutil.CheckLeaks(t)
 	r := chaos.Start(t, 2, server.Config{
-		Linger:  time.Millisecond,
-		GPU:     true,
-		Devices: 2,
-		Health:  health.Config{Window: 8, MinSamples: 4, Threshold: 0.5, ProbeEvery: 2, ReadmitAfter: 2},
+		Linger: time.Millisecond,
+		GPU:    true,
+		Fleet:  []gpu.DeviceSpec{gpu.TitanXPSpec(), gpu.TitanXPSpec()},
+		Health: health.Config{Window: 8, MinSamples: 4, ProbeEvery: 2, ReadmitAfter: 2},
 	})
 	requests := chaos.ScaledRequests(24, 8)
 

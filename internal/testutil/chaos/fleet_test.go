@@ -58,7 +58,7 @@ func TestFleetDerateShedsAndReadmits(t *testing.T) {
 		BatchSize: 8 << 10, // ~one batch per request, so the scoreboard sees real traffic
 		Metrics:   reg,
 		Health: health.Config{
-			Window: 8, MinSamples: 4, Threshold: 0.5,
+			Window: 8, MinSamples: 4,
 			ProbeEvery: 2, ReadmitAfter: 2,
 		},
 	})
@@ -157,7 +157,7 @@ func TestFleetPlacementPreservesOrder(t *testing.T) {
 				BatchSize:  4 << 10,
 				MaxPayload: 64 << 10,
 				Health: health.Config{
-					Window: 8, MinSamples: 4, Threshold: 0.5,
+					Window: 8, MinSamples: 4,
 					ProbeEvery: 2, ReadmitAfter: 2,
 				},
 			})
