@@ -68,7 +68,7 @@ func NewDedupPrep(spec workload.Spec, batchBytes int) *DedupPrep {
 			seen[b.Hashes[k]] = true
 			db.uniqueBlocks++
 			db.uniqueBytes += int64(hi - lo)
-			comp := lzss.EncodeFromMatches(b.Data, lo, hi, db.matches.Len, db.matches.Off)
+			comp := lzss.AppendEncode(nil, b.Data, lo, hi, db.matches.Len, db.matches.Off)
 			w := len(comp)
 			if w >= hi-lo {
 				w = hi - lo // stored raw
@@ -313,8 +313,8 @@ func (dp *DedupPrep) RunGPU(cal Calibration, v DedupVariant) des.Time {
 					hMl := hostBuf(int64(bl * 4))
 					hMo := hostBuf(int64(bl * 4))
 					blockMatches := &lzss.Matches{
-						Len: b.matches.Len[lo:hi],
-						Off: b.matches.Off[lo:hi],
+						Len: b.matches.Len[4*lo : 4*hi],
+						Off: b.matches.Off[4*lo : 4*hi],
 					}
 					st.q.launch(p, spec, gpu.Grid1D(bl, 128),
 						st.dData.raw, bl, st.dSp.raw, 1, dMl.raw, dMo.raw, blockMatches)

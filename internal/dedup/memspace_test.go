@@ -16,16 +16,10 @@ import (
 // its recovery counters, or indexes out of range.
 func (ms *memSpace) poison() {
 	for _, p := range []*[]byte{&ms.dIn, &ms.dSp, &ms.dHash, &ms.dMl, &ms.dMo,
-		&ms.hSp.Data, &ms.hHash.Data, &ms.hMl.Data, &ms.hMo.Data} {
+		&ms.hSp.Data, &ms.hHash.Data, &ms.hMl.Data, &ms.hMo.Data, &ms.pre.Len, &ms.pre.Off} {
 		s := (*p)[:cap(*p)]
 		for i := range s {
 			s[i] = 0xA5
-		}
-	}
-	for _, p := range []*[]int32{&ms.pre.Len, &ms.pre.Off} {
-		s := (*p)[:cap(*p)]
-		for i := range s {
-			s[i] = -0x5A5A5A5B // 0xA5A5A5A5
 		}
 	}
 }

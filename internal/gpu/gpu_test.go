@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -642,4 +643,65 @@ func mustMalloc(d *Device, n int64) *Buf {
 		panic(err)
 	}
 	return b
+}
+
+// TestBindReadsBuffersAtExecution binds a warp kernel after an upload to
+// its input is enqueued but before it has run: Bind calls the Warp factory
+// at enqueue, so the factory sees the buffer as allocated, while the
+// WarpFunc it returns runs at execution and sees the uploaded bytes — in its
+// results and in its cycles.
+func TestBindReadsBuffersAtExecution(t *testing.T) {
+	const n = 256
+	host := NewPinnedBuf(n)
+	for i := range host.Data {
+		host.Data[i] = byte(1 + i%5)
+	}
+	out := NewPinnedBuf(n)
+	var atBind []byte
+	spec := &KernelSpec{
+		Name: "double",
+		Body: func(th Thread, args []any) int64 {
+			in, dst := args[0].(*Buf).Bytes(), args[1].(*Buf).Bytes()
+			i := th.GlobalX()
+			dst[i] = 2 * in[i]
+			return int64(in[i])
+		},
+		Warp: func(args []any) WarpFunc {
+			in, dst := args[0].(*Buf), args[1].(*Buf) // captured, not read
+			atBind = append([]byte(nil), in.Bytes()...)
+			return func(w Warp) int64 {
+				var worst int64
+				for i := w.GlobalX(); i < w.GlobalX()+w.N; i++ {
+					dst.Bytes()[i] = 2 * in.Bytes()[i]
+					worst = max(worst, int64(in.Bytes()[i]))
+				}
+				return worst
+			}
+		},
+	}
+	var res LaunchResult
+	runOnDevice(t, func(p *des.Proc, d *Device) {
+		in, dst := mustMalloc(d, n), mustMalloc(d, n)
+		defer in.Free()
+		defer dst.Free()
+		st := d.NewStream("s")
+		evs := []*des.Event{st.CopyH2D(p, in, 0, host, 0, n)}
+		evK := st.Launch(p, spec.Bind(in, dst), Grid1D(n, 32))
+		evs = append(evs, evK, st.CopyD2H(p, out, 0, dst, 0, n))
+		if err := WaitErr(p, evs...); err != nil {
+			panic(err)
+		}
+		res = evK.Wait(p).(LaunchResult)
+	})
+	if slices.ContainsFunc(atBind, func(b byte) bool { return b != 0 }) {
+		t.Errorf("the Warp factory ran after the upload; it saw %v", atBind[:8])
+	}
+	for i := range out.Data {
+		if want := 2 * host.Data[i]; out.Data[i] != want {
+			t.Fatalf("out[%d] = %d, want %d", i, out.Data[i], want)
+		}
+	}
+	if want := int64(n/32) * 5; res.TotalCycles != want {
+		t.Errorf("launch charged %d cycles, want %d: every warp's slowest lane reads 5", res.TotalCycles, want)
+	}
 }

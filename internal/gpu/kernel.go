@@ -137,7 +137,10 @@ type Kernel struct {
 	Func ThreadFunc
 	// Warp, when set, is the body the executor runs. It must do what Func
 	// does for every thread of the run (the executor-equivalence test holds
-	// the two to equal results and equal cycles).
+	// the two to equal results and equal cycles). It runs when the launch
+	// executes, after the operations ahead of it on the stream, so it is
+	// where buffer contents are read; a KernelSpec's Warp factory, which
+	// built it at enqueue, must not read them.
 	Warp WarpFunc
 }
 

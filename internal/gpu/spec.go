@@ -21,7 +21,9 @@ type KernelSpec struct {
 	// Warp, when set, is what launches execute instead of Body: Bind calls
 	// it once with the parameter list, so argument decoding is paid per
 	// launch, and the WarpFunc it returns does Body's work a run of threads
-	// at a time (see Kernel.Warp).
+	// at a time (see Kernel.Warp). Bind runs when the launch is enqueued,
+	// before the copies enqueued ahead of it on the stream have executed:
+	// the factory may capture buffers but must not read their contents.
 	Warp func(args []any) WarpFunc
 }
 

@@ -280,6 +280,11 @@ func checkMatchArgs(input []byte, startPos []int32, matchLen, matchOff []int32) 
 		panic(fmt.Sprintf("lzss: match arrays too short: %d/%d for %d bytes",
 			len(matchLen), len(matchOff), len(input)))
 	}
+	checkStarts(input, startPos)
+}
+
+// checkStarts panics unless startPos cuts input into non-empty blocks.
+func checkStarts(input []byte, startPos []int32) {
 	for k, s := range startPos {
 		if int(s) > len(input) || (k > 0 && s <= startPos[k-1]) || s < 0 {
 			panic(fmt.Sprintf("lzss: bad startPos[%d]=%d", k, s))

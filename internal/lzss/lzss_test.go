@@ -193,15 +193,16 @@ func TestBruteKernelMatchesRef(t *testing.T) {
 // TestFastKernelMatchesBrute launches the fast kernel over Precompute's
 // matches, which must leave the brute-force kernel's bytes at every position,
 // and over Fill's, which must leave them at every greedy token start — all
-// the encoder reads — and cost exactly what the Precompute launch costs.
+// the encoder reads — and cost exactly what the Precompute launch costs on
+// every startPos slab (checkFilledLaunches), here and over the fill table.
 func TestFastKernelMatchesBrute(t *testing.T) {
 	data := textLike(6_000, 10)
 	startPos := []int32{0, 1_000, 4_096}
 	bruteLen, bruteOff := runKernel(t, BruteKernel(), data, startPos, nil)
-	preLen, preOff, _, preRes := execKernel(t, FastKernel(), data, startPos, Precompute(data, startPos))
+	preLen, preOff := runKernel(t, FastKernel(), data, startPos, Precompute(data, startPos))
 	var filled Matches
 	filled.Fill(data, startPos, gpu.TitanXPSpec().WarpSize)
-	fillLen, fillOff, _, fillRes := execKernel(t, FastKernel(), data, startPos, &filled)
+	fillLen, fillOff := runKernel(t, FastKernel(), data, startPos, &filled)
 	for i := range data {
 		if preLen[i] != bruteLen[i] || preOff[i] != bruteOff[i] {
 			t.Fatalf("pos %d: fast=(%d,%d) brute=(%d,%d)", i, preLen[i], preOff[i], bruteLen[i], bruteOff[i])
@@ -214,8 +215,39 @@ func TestFastKernelMatchesBrute(t *testing.T) {
 			}
 		}
 	}
-	if fillRes != preRes {
-		t.Fatalf("launch over Fill's matches %+v, over Precompute's %+v", fillRes, preRes)
+	checkFilledLaunches(t, data, startPos)
+	for _, c := range fillCases() {
+		if len(c.input) > 0 {
+			t.Run(c.name, func(t *testing.T) { checkFilledLaunches(t, c.input, c.startPos) })
+		}
+	}
+}
+
+// checkFilledLaunches launches the fast kernel over Fill's and over
+// Precompute's matches of the batch on each startPos slab a launch may read
+// — the real starts; the all-zero slab behind a failed upload; and neither,
+// every other interior start dropped, so some warps see their real blocks
+// and the rest do not — and requires equal launch results.
+func checkFilledLaunches(t *testing.T, data []byte, startPos []int32) {
+	t.Helper()
+	var filled Matches
+	filled.Fill(data, startPos, gpu.TitanXPSpec().WarpSize)
+	pre := Precompute(data, startPos)
+	var neither []int32
+	for k, s := range startPos {
+		if k%2 == 0 {
+			neither = append(neither, s)
+		}
+	}
+	for _, slab := range []struct {
+		name string
+		sp   []int32
+	}{{"real", startPos}, {"zero", make([]int32, len(startPos))}, {"neither", neither}} {
+		_, _, _, fillRes := execKernel(t, FastKernel(), data, slab.sp, &filled)
+		_, _, _, preRes := execKernel(t, FastKernel(), data, slab.sp, pre)
+		if fillRes != preRes {
+			t.Fatalf("%s startPos: launch over Fill's matches %+v, over Precompute's %+v", slab.name, fillRes, preRes)
+		}
 	}
 }
 
