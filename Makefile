@@ -61,9 +61,10 @@ ff-stress:
 # detector: graceful and forced Shutdown, the soak, the observe-before-result
 # ordering and ServeConn racing a drain. A session that slips past a drain,
 # or work a stopped pipeline source leaves queued, shows only under
-# repetition.
+# repetition. The three reject tests hold a request staged only because its
+# successor arrived in the same write, so they repeat here too.
 serve-stress:
-	$(GO) test -race -count=20 -run 'Shutdown|Soak|ResultFollowsObserve|ServeConn' ./internal/server/
+	$(GO) test -race -count=20 -run 'Shutdown|Soak|ResultFollowsObserve|ServeConn|TestAdmissionReject$$|TestDeadlineReject|TestOverloadRejectReason' ./internal/server/
 
 # chaos runs the overload/failure-injection scenarios (internal/testutil/chaos)
 # under the race detector at full depth: hog-vs-small tenant isolation SLOs,

@@ -2,10 +2,12 @@ package dedup
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"streamgpu/internal/pool"
 	"streamgpu/internal/workload"
 )
 
@@ -224,6 +226,41 @@ func TestWriterForcedFallback(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), raw) {
 		t.Fatal("fallback block restore mismatch")
+	}
+}
+
+// TestWriterAllocs: a warm WriteBlock allocates nothing for any record
+// kind. Each run of U and R re-writes the same hash as a first occurrence
+// (the table is cleared, keeping its capacity); D references it. The
+// record header used to escape through bufio.Writer.Write: 1 alloc per
+// record of every kind.
+func TestWriterAllocs(t *testing.T) {
+	if pool.RaceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	raw := bytes.Repeat([]byte("allocs"), 200)
+	comp := raw[:100]
+	hash := [20]byte{7}
+	for _, tc := range []struct {
+		kind  string
+		write func(dw *Writer) error
+	}{
+		{"U", func(dw *Writer) error { clear(dw.written); return dw.WriteBlock(hash, raw, comp) }},
+		{"R", func(dw *Writer) error { clear(dw.written); return dw.WriteBlock(hash, comp, raw) }},
+		{"D", func(dw *Writer) error { return dw.WriteBlock(hash, raw, nil) }},
+	} {
+		dw := NewWriter(io.Discard)
+		if err := dw.WriteBlock(hash, raw, comp); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { err = tc.write(dw) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s record: %v allocs per WriteBlock, want 0", tc.kind, allocs)
+		}
 	}
 }
 

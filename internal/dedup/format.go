@@ -66,6 +66,9 @@ type Writer struct {
 	// once warm.
 	m       *lzss.Matcher
 	scratch []byte
+	// hdr is writeRecord's scratch: a local array would escape through
+	// bufio.Writer.Write and cost one allocation per record.
+	hdr [1 + binary.MaxVarintLen64]byte
 }
 
 // NewWriter creates an archive writer over w.
@@ -116,10 +119,9 @@ func (dw *Writer) WriteBlock(hash [sha1x.Size]byte, raw []byte, comp []byte) err
 // writeRecord emits tag + uvarint + optional payload, returning bytes
 // written.
 func (dw *Writer) writeRecord(tag byte, v uint64, payload []byte) (int, error) {
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = tag
-	n := 1 + binary.PutUvarint(hdr[1:], v)
-	if _, err := dw.w.Write(hdr[:n]); err != nil {
+	dw.hdr[0] = tag
+	n := 1 + binary.PutUvarint(dw.hdr[1:], v)
+	if _, err := dw.w.Write(dw.hdr[:n]); err != nil {
 		return 0, err
 	}
 	if payload != nil {

@@ -9,7 +9,8 @@ import (
 
 // tenantLabels identifies one tenant's series of a per-service metric.
 // Tenant IDs come from the client, so their cardinality is bounded by the
-// deployment's tenant population, not by request volume.
+// deployment's tenant population, not by request volume. Building the map
+// allocates, so callers build it only when Config.Metrics is set.
 func tenantLabels(svc wire.Svc, tenant uint32) telemetry.Labels {
 	return telemetry.Labels{"svc": svc.String(), "tenant": strconv.FormatUint(uint64(tenant), 10)}
 }
@@ -28,7 +29,9 @@ func verdictLabels(svc wire.Svc, tenant uint32, verdict string, reason wire.Reas
 // countVerdict is the single call site of the per-tenant admission verdict
 // counter (one call site per series keeps the label set coherent).
 func (s *Server) countVerdict(svc wire.Svc, tenant uint32, verdict string, reason wire.Reason) {
-	s.cfg.Metrics.Counter("server_requests_total", verdictLabels(svc, tenant, verdict, reason)).Inc()
+	if m := s.cfg.Metrics; m != nil {
+		m.Counter("server_requests_total", verdictLabels(svc, tenant, verdict, reason)).Inc()
+	}
 }
 
 // quarantineTransition is the health scoreboard's metrics hook.

@@ -74,17 +74,18 @@ func TestDeadlineReject(t *testing.T) {
 	payload := bytes.Repeat([]byte("warm"), 64)
 
 	// Warm the estimator: a completed request gives it a service-time
-	// sample (the p50 of anything real is astronomically above 1ns).
+	// sample (the p50 of anything real is astronomically above 1ns). A lone
+	// request is sealed as soon as it is read.
 	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 0, Payload: payload})
-	c.send(wire.Frame{Type: wire.TFlush})
 	if f := c.next(); f.Type != wire.TResult || f.Seq != 0 {
 		t.Fatalf("warmup got %s (seq %d), want result", f.Type, f.Seq)
 	}
 
-	// Hold one request in the window (long linger keeps it staged), then
-	// offer a request that can only wait longer than its 1ns deadline.
-	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 1, Payload: payload})
-	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 2, Payload: payload, Deadline: time.Nanosecond})
+	// Hold one request in the window (the next frame is in hand when it is
+	// staged, and the long linger keeps it staged), then offer a request
+	// that can only wait longer than its 1ns deadline.
+	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 1, Payload: payload},
+		wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 2, Payload: payload, Deadline: time.Nanosecond})
 	f := c.next()
 	if f.Seq != 2 {
 		t.Fatalf("got %s for seq %d, want reject of seq 2", f.Type, f.Seq)
@@ -108,8 +109,10 @@ func TestOverloadRejectReason(t *testing.T) {
 	_, addr := startServer(t, server.Config{MaxInflight: 1, Linger: time.Minute})
 	c := dialClient(t, addr)
 	payload := bytes.Repeat([]byte("req"), 100)
-	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 0, Payload: payload})
-	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 2, Seq: 1, Payload: payload})
+	// One write: the second frame is in hand when the first is staged, so
+	// the first stays staged and holds the window.
+	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 0, Payload: payload},
+		wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 2, Seq: 1, Payload: payload})
 
 	f := c.next()
 	if f.Seq != 1 {

@@ -10,10 +10,11 @@
 // which sessions exert TCP backpressure, and above which requests are
 // fast-fail rejected with a TReject frame — never queued without bound,
 // never a goroutine per item. Small client payloads are coalesced across
-// requests into the pooled 1 MB dedup.Batch containers (the PR 4 free
-// lists), sealed when full, when a client flushes, or when the max-linger
-// deadline expires, so device-sized batches stay full under small-request
-// traffic while latency stays bounded.
+// requests into the pooled 1 MB dedup.Batch containers, sealed when full,
+// as soon as no more of the session is arriving, when a client flushes, or
+// when the linger bound on a slow arriving frame expires, so batches fill
+// from whatever the clients have already sent and no request waits on a
+// byte that is not on its way.
 //
 // Graceful drain reuses the fault-tolerance layer's RunContext cancellation
 // paths: Shutdown stops the accept loop, lets sessions flush and their
@@ -54,10 +55,10 @@ type Config struct {
 	// not-yet-answered requests above which new requests are rejected with
 	// TReject instead of queued (default 64).
 	MaxInflight int
-	// Linger bounds how long a partially filled dedup batch may wait for
-	// more client bytes before it is sealed and submitted anyway
-	// (default 2ms). <= 0 keeps the default; coalescing cannot be disabled,
-	// only bounded, because a partial batch must eventually flush.
+	// Linger bounds how long a partially filled dedup batch may wait for a
+	// later frame whose first bytes have already arrived (default 2ms). A
+	// batch with no later byte in hand is sealed at once, so Linger only
+	// caps a slow frame. <= 0 keeps the default.
 	Linger time.Duration
 	// Workers replicates the batch-processing stage (default GOMAXPROCS).
 	Workers int
@@ -172,6 +173,7 @@ type Server struct {
 	inflight atomic.Int64
 
 	payloads *pool.Bytes
+	jobs     *pool.Pool[*job]
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -201,6 +203,7 @@ func New(cfg Config) *Server {
 		sessions: make(map[*session]struct{}),
 		done:     make(chan struct{}),
 	}
+	s.jobs = pool.New("server.job", s.newJob)
 	s.adm = newAdmission(cfg.QoS, cfg.maxInflight(), nil)
 	s.est = newEstimator()
 	weight := cfg.QoS.Weight
@@ -569,8 +572,7 @@ func (s *Server) dedupSink(item any, _ func(any)) {
 			sess.sendResult(wire.SvcDedup, c.seq, c.tenant, payload)
 		}
 	}
-	j.batch.Release()
-	s.payloads.Release(j.data)
+	s.recycleJob(j)
 	sess.jobDone()
 }
 
@@ -611,9 +613,10 @@ func mandelParams(r MandelReq) mandel.Params {
 func (s *Server) observeDone(svc wire.Svc, tenant uint32, respBytes int, d time.Duration) {
 	s.releaseAdmitted(tenant)
 	s.est.observe(svc, d)
-	m := s.cfg.Metrics
-	m.Counter("server_response_bytes_total", tenantLabels(svc, tenant)).Add(int64(respBytes))
-	m.Histogram("server_service_seconds", nil, tenantLabels(svc, tenant)).ObserveDuration(d)
+	if m := s.cfg.Metrics; m != nil {
+		m.Counter("server_response_bytes_total", tenantLabels(svc, tenant)).Add(int64(respBytes))
+		m.Histogram("server_service_seconds", nil, tenantLabels(svc, tenant)).ObserveDuration(d)
+	}
 }
 
 // releaseAdmitted returns one admitted request's shared-window slot and

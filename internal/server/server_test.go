@@ -64,10 +64,15 @@ func dialClient(t *testing.T, addr string) *client {
 	return &client{t: t, conn: conn, fw: wire.NewWriter(conn), fr: wire.NewReader(conn, 8<<20)}
 }
 
-func (c *client) send(f wire.Frame) {
+// send writes frames back to back and flushes once, so several frames
+// reach the server in one write: each but the last is read while the next
+// one's bytes are already in hand.
+func (c *client) send(fs ...wire.Frame) {
 	c.t.Helper()
-	if err := c.fw.Write(f); err != nil {
-		c.t.Fatalf("send %s: %v", f.Type, err)
+	for _, f := range fs {
+		if err := c.fw.Write(f); err != nil {
+			c.t.Fatalf("send %s: %v", f.Type, err)
+		}
 	}
 	if err := c.fw.Flush(); err != nil {
 		c.t.Fatalf("flush: %v", err)
@@ -139,16 +144,17 @@ func TestServeDedupEndToEnd(t *testing.T) {
 }
 
 // TestAdmissionReject: with a one-request window and a long linger, the
-// first request holds the window open (its batch stays staged), so the
-// second is fast-failed with TReject — and a client flush then completes
-// the first normally.
+// first request holds the window open (both frames arrive in one write, so
+// the second is in hand when the first is staged, and the first's batch
+// stays staged), so the second is fast-failed with TReject — and a client
+// flush then completes the first normally.
 func TestAdmissionReject(t *testing.T) {
 	testutil.CheckLeaks(t)
 	_, addr := startServer(t, server.Config{MaxInflight: 1, Linger: time.Minute})
 	c := dialClient(t, addr)
 	payload := bytes.Repeat([]byte("req"), 100)
-	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 0, Payload: payload})
-	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 1, Payload: payload})
+	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 0, Payload: payload},
+		wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 1, Payload: payload})
 
 	f := c.next()
 	if f.Type != wire.TReject || f.Seq != 1 {

@@ -26,15 +26,48 @@ type completion struct {
 	t0     time.Time
 }
 
-// job is one sealed dedup batch flowing through the shared pipeline.
+// job is one dedup batch: staged in its session until sealed, then flowing
+// through the shared pipeline. Jobs are pooled, so item's Run and Drop
+// closures are built once per job and done keeps its capacity.
 type job struct {
 	sess  *session
-	batch *dedup.Batch
+	batch *dedup.Batch // set when the job is sealed
 	// data is the pooled payload buffer batch.Data aliases; the sink
 	// returns it to the server's byte pool after the batch is written.
 	data []byte
 	// done lists the requests this batch completes, in arrival order.
 	done []completion
+	item qos.Item
+}
+
+// newJob builds a job whose scheduler item runs or drops that job.
+func (s *Server) newJob() *job {
+	j := &job{}
+	j.item = qos.Item{
+		Run: func() { s.emitDedup(j) },
+		Drop: func() {
+			// Forced drain: the pipeline is going away, recycle and give up
+			// on the batch's requests (the client is being disconnected
+			// anyway).
+			for _, c := range j.done {
+				s.releaseAdmitted(c.tenant)
+			}
+			sess := j.sess
+			s.recycleJob(j)
+			sess.jobDone()
+		},
+	}
+	return j
+}
+
+// recycleJob returns a sealed job's batch, payload buffer and the job itself
+// to their pools once the job has left the pipeline.
+func (s *Server) recycleJob(j *job) {
+	j.batch.Release()
+	s.payloads.Release(j.data)
+	j.sess, j.batch, j.data = nil, nil, nil
+	j.done = j.done[:0]
+	s.jobs.Release(j)
 }
 
 // mandelJob is one row-range request flowing through the Mandelbrot farm.
@@ -62,8 +95,7 @@ type session struct {
 	// batch sequence numbers enter the session's lane, and so the (ordered)
 	// pipeline, in order. Enqueue never blocks.
 	mu       sync.Mutex
-	cur      []byte // pooled staging buffer; nil when empty
-	pending  []completion
+	staged   *job // the partial batch; nil when nothing is staged
 	batchSeq int
 	chunker  *rabin.Chunker
 	linger   *time.Timer
@@ -151,7 +183,9 @@ loop:
 		}
 		switch f.Type {
 		case wire.TData:
-			if !sess.handleData(f) {
+			// Bytes of a later frame already in hand mean the client is
+			// still sending: its next request may join the staged batch.
+			if !sess.handleData(f, fr.Buffered() > 0) {
 				break loop
 			}
 		case wire.TFlush:
@@ -168,7 +202,8 @@ loop:
 }
 
 // handleData validates, admits and stages one request. It returns false on
-// a fatal protocol error.
+// a fatal protocol error. arriving reports whether bytes of a later frame
+// were already read when f was.
 //
 // Admission is a four-stage machine:
 //
@@ -182,7 +217,7 @@ loop:
 // estimated queue wait already exceeds the deadline it carries — doing the
 // work would only produce an answer nobody is waiting for. Every rejection
 // ships a reason and a retry-after hint in the TReject payload.
-func (sess *session) handleData(f wire.Frame) bool {
+func (sess *session) handleData(f wire.Frame, arriving bool) bool {
 	s := sess.srv
 	if len(f.Payload) == 0 {
 		sess.fail(errors.New("empty request payload"))
@@ -206,8 +241,10 @@ func (sess *session) handleData(f wire.Frame) bool {
 		sess.fail(fmt.Errorf("unknown service %d", uint8(f.Svc)))
 		return false
 	}
-	s.cfg.Metrics.Counter("server_request_bytes_total", tenantLabels(f.Svc, f.Tenant)).
-		Add(int64(len(f.Payload)))
+	if m := s.cfg.Metrics; m != nil {
+		m.Counter("server_request_bytes_total", tenantLabels(f.Svc, f.Tenant)).
+			Add(int64(len(f.Payload)))
+	}
 
 	deadline := f.Deadline
 	if deadline <= 0 {
@@ -237,7 +274,7 @@ func (sess *session) handleData(f wire.Frame) bool {
 
 	switch f.Svc {
 	case wire.SvcDedup:
-		sess.stageDedup(f)
+		sess.stageDedup(f, arriving)
 	case wire.SvcMandel:
 		sess.stageMandel(f, mreq, cost, deadline)
 	}
@@ -275,6 +312,7 @@ func (sess *session) stageMandel(f wire.Frame, mreq MandelReq, cost int, deadlin
 // Seal triggers, recorded per batch for the coalescing metrics.
 const (
 	sealFull  = "full"
+	sealIdle  = "idle"
 	sealLing  = "linger"
 	sealFlush = "flush"
 	sealEnd   = "end"
@@ -282,10 +320,13 @@ const (
 
 // stageDedup appends one accepted request's bytes to the session's staging
 // buffer, sealing every batch it fills. The request's completion is
-// attached to the batch holding its final byte; if that batch stays
-// partial, the completion waits in pending for the seal that eventually
-// ships it (next request, client flush, linger expiry, or stream end).
-func (sess *session) stageDedup(f wire.Frame) {
+// attached to the batch holding its final byte. If that batch stays partial
+// and nothing more of the session is arriving, it is sealed at once: no
+// later request could join it before this one is answered. Otherwise the
+// completion waits in the staged job for the seal that ships it (a later
+// request, client flush, linger expiry, or stream end); the linger bounds
+// how long a slow later frame can hold it.
+func (sess *session) stageDedup(f wire.Frame, arriving bool) {
 	s := sess.srv
 	batchSize := s.cfg.batchSize()
 	c := completion{seq: f.Seq, tenant: f.Tenant, t0: time.Now()}
@@ -298,18 +339,22 @@ func (sess *session) stageDedup(f wire.Frame) {
 		sess.qosTenantSet = true
 	}
 	for {
-		if sess.cur == nil {
-			sess.cur = s.payloads.Get(batchSize)[:0]
+		if sess.staged == nil {
+			j := s.jobs.Get()
+			j.sess = sess
+			j.data = s.payloads.Get(batchSize)[:0]
+			sess.staged = j
 		}
-		take := batchSize - len(sess.cur)
+		j := sess.staged
+		take := batchSize - len(j.data)
 		if take > len(payload) {
 			take = len(payload)
 		}
-		sess.cur = append(sess.cur, payload[:take]...)
+		j.data = append(j.data, payload[:take]...)
 		payload = payload[take:]
 		if len(payload) == 0 {
-			sess.pending = append(sess.pending, c)
-			if len(sess.cur) == batchSize {
+			j.done = append(j.done, c)
+			if len(j.data) == batchSize {
 				sess.sealLocked(sealFull)
 			}
 			break
@@ -317,49 +362,35 @@ func (sess *session) stageDedup(f wire.Frame) {
 		// The request continues past this batch: seal without completion.
 		sess.sealLocked(sealFull)
 	}
+	if !arriving {
+		sess.sealLocked(sealIdle)
+	}
 	sess.armLingerLocked()
 }
 
-// sealLocked turns the staging buffer into a pooled batch and hands it to
-// the fair scheduler. Called with mu held; enqueueing under mu keeps batch
-// order equal to sequence order within the session's lane. The lanes are
-// bounded by the admission window, and the pipeline source's emit into a
-// full first queue is the backpressure point. Sealed batches carry no
+// sealLocked turns the staged job's buffer into a pooled batch and hands the
+// job to the fair scheduler. Called with mu held; enqueueing under mu keeps
+// batch order equal to sequence order within the session's lane. The lanes
+// are bounded by the admission window, and the pipeline source's emit into
+// a full first queue is the backpressure point. Sealed batches carry no
 // deadline: their bytes are already part of the session's archive stream
 // and must reach the writer or the stream is corrupt.
 func (sess *session) sealLocked(trigger string) {
-	if len(sess.cur) == 0 {
+	j := sess.staged
+	if j == nil {
 		return
 	}
 	s := sess.srv
-	j := &job{
-		sess:  sess,
-		batch: dedup.NewStreamBatch(sess.batchSeq, sess.cur, sess.chunker),
-		data:  sess.cur,
-		done:  sess.pending,
-	}
+	sess.staged = nil
+	j.batch = dedup.NewStreamBatch(sess.batchSeq, j.data, sess.chunker)
+	j.item.Cost = len(j.data)
 	sess.batchSeq++
-	sess.cur = nil
-	sess.pending = nil
-	m := s.cfg.Metrics
-	m.Counter("server_batches_sealed_total", telemetry.Labels{"trigger": trigger}).Inc()
-	m.Counter("server_batch_bytes_total", telemetry.Labels{}).Add(int64(len(j.data)))
+	if m := s.cfg.Metrics; m != nil {
+		m.Counter("server_batches_sealed_total", telemetry.Labels{"trigger": trigger}).Inc()
+		m.Counter("server_batch_bytes_total", telemetry.Labels{}).Add(int64(len(j.data)))
+	}
 	sess.addOutstanding()
-	s.dedupSched.Enqueue(sess.qosTenant, qos.Item{
-		Cost: len(j.data),
-		Run:  func() { s.emitDedup(j) },
-		Drop: func() {
-			// Forced drain: the pipeline is going away, recycle and give up
-			// on the batch's requests (the client is being disconnected
-			// anyway).
-			j.batch.Release()
-			s.payloads.Release(j.data)
-			for _, c := range j.done {
-				s.releaseAdmitted(c.tenant)
-			}
-			sess.jobDone()
-		},
-	})
+	s.dedupSched.Enqueue(sess.qosTenant, j.item)
 }
 
 // flushPartial seals the partial batch outside the data path (client flush,
@@ -374,7 +405,7 @@ func (sess *session) flushPartial(trigger string) {
 // staged. Called with mu held.
 func (sess *session) armLingerLocked() {
 	d := sess.srv.cfg.linger()
-	if sess.cur == nil {
+	if sess.staged == nil {
 		if sess.linger != nil {
 			sess.linger.Stop()
 		}
@@ -452,15 +483,15 @@ func (sess *session) jobDone() {
 }
 
 // takeArchiveDelta removes and returns the archive bytes produced since the
-// previous call. Only the sink (or finish, after the drain barrier) calls
-// it.
+// previous call. The delta aliases sess.out's storage, so it is valid only
+// until the next archive write; sendFrame copies it into the wire writer.
+// Only the sink (or finish, after the drain barrier) calls it.
 func (sess *session) takeArchiveDelta() []byte {
-	if sess.out.Len() == 0 {
+	delta := sess.out.Bytes()
+	sess.out.Reset()
+	if len(delta) == 0 {
 		return nil
 	}
-	delta := make([]byte, sess.out.Len())
-	copy(delta, sess.out.Bytes())
-	sess.out.Reset()
 	return delta
 }
 

@@ -425,6 +425,9 @@ type Reader struct {
 	r   *bufio.Reader
 	max int
 	buf []byte
+	// pfx is the header scratch: a local array would escape through
+	// io.ReadFull and cost one allocation per frame.
+	pfx [prefixLen + headerLen + extLen]byte
 }
 
 // NewReader wraps r with the given payload cap (<= 0 selects
@@ -446,17 +449,21 @@ func (fr *Reader) Peek() error {
 	return err
 }
 
+// Buffered reports how many bytes of later frames the reader already holds:
+// bytes the connection has delivered that no Next has consumed yet.
+func (fr *Reader) Buffered() int { return fr.r.Buffered() }
+
 // Next reads one frame. io.EOF is returned verbatim at a clean frame
 // boundary; a partial frame returns an ErrFrame-wrapped error.
 func (fr *Reader) Next() (Frame, error) {
-	var pfx [prefixLen + headerLen + extLen]byte
+	pfx := fr.pfx[:]
 	if _, err := io.ReadFull(fr.r, pfx[:prefixLen]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
 		return Frame{}, fmt.Errorf("%w: truncated length prefix: %v", ErrFrame, err)
 	}
-	n := binary.BigEndian.Uint32(pfx[:])
+	n := binary.BigEndian.Uint32(pfx)
 	if n < headerLen {
 		return Frame{}, fmt.Errorf("%w: declared length %d below header size", ErrFrame, n)
 	}

@@ -253,6 +253,27 @@ func TestReaderHostileLengthNoAlloc(t *testing.T) {
 	}
 }
 
+// TestReaderNextAllocs: a warm Next of a frame that fits the reader's
+// buffer allocates nothing. The header scratch used to escape through
+// io.ReadFull: 1 alloc per frame.
+func TestReaderNextAllocs(t *testing.T) {
+	const runs = 100
+	enc := Append(nil, Frame{Type: TData, Svc: SvcDedup, Tenant: 3, Seq: 9,
+		Deadline: time.Second, Payload: bytes.Repeat([]byte("n"), 4<<10)})
+	fr := NewReader(bytes.NewReader(bytes.Repeat(enc, runs+2)), 0)
+	if _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(runs, func() { _, err = fr.Next() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocs per Next, want 0", allocs)
+	}
+}
+
 func TestRedirectInfo(t *testing.T) {
 	for _, tc := range []struct {
 		after time.Duration
