@@ -43,7 +43,7 @@ func main() {
 	addr := flag.String("addr", ":7070", "listen address for the stream protocol")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address")
 	maxInflight := flag.Int("max-inflight", 64, "admission high-water mark: accepted requests in flight before TReject")
-	linger := flag.Duration("linger", 2*time.Millisecond, "max wait of a partial dedup batch for a frame already arriving; with nothing arriving it seals at once")
+	linger := flag.Duration("linger", 2*time.Millisecond, "max wait of a partial dedup batch for the session's next frame; a session with nothing arriving and nothing being served seals at once")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "replicas of each processing stage")
 	batch := flag.Int("batch", dedup.DefaultBatchSize, "dedup coalescing target in bytes")
 	gpuRT := flag.Bool("gpu", false, "process dedup batches on the simulated GPU")

@@ -11,10 +11,10 @@
 // fast-fail rejected with a TReject frame — never queued without bound,
 // never a goroutine per item. Small client payloads are coalesced across
 // requests into the pooled 1 MB dedup.Batch containers, sealed when full,
-// as soon as no more of the session is arriving, when a client flushes, or
-// when the linger bound on a slow arriving frame expires, so batches fill
-// from whatever the clients have already sent and no request waits on a
-// byte that is not on its way.
+// as soon as the session is idle (no later frame in hand, no batch of it
+// being served), when a client flushes, or when the linger bound expires.
+// Requests that arrive while a batch is served share the next one, so
+// batches grow with the load and a lone request waits for nothing.
 //
 // Graceful drain reuses the fault-tolerance layer's RunContext cancellation
 // paths: Shutdown stops the accept loop, lets sessions flush and their
@@ -55,10 +55,11 @@ type Config struct {
 	// not-yet-answered requests above which new requests are rejected with
 	// TReject instead of queued (default 64).
 	MaxInflight int
-	// Linger bounds how long a partially filled dedup batch may wait for a
-	// later frame whose first bytes have already arrived (default 2ms). A
-	// batch with no later byte in hand is sealed at once, so Linger only
-	// caps a slow frame. <= 0 keeps the default.
+	// Linger bounds how long a partially filled dedup batch waits for the
+	// session's next frame (default 2ms). A batch stays staged only while a
+	// later frame is already in the reader's buffer or an earlier batch of
+	// the session is being served; otherwise it is sealed at once. <= 0
+	// keeps the default.
 	Linger time.Duration
 	// Workers replicates the batch-processing stage (default GOMAXPROCS).
 	Workers int
@@ -572,6 +573,7 @@ func (s *Server) dedupSink(item any, _ func(any)) {
 			sess.sendResult(wire.SvcDedup, c.seq, c.tenant, payload)
 		}
 	}
+	sess.batchDone()
 	s.recycleJob(j)
 	sess.jobDone()
 }

@@ -52,6 +52,9 @@ func (s *Server) newJob() *job {
 			for _, c := range j.done {
 				s.releaseAdmitted(c.tenant)
 			}
+			// Enqueue calls Drop under sess.mu once the scheduler is
+			// closed, so serving is left as is: finish seals what is
+			// staged.
 			sess := j.sess
 			s.recycleJob(j)
 			sess.jobDone()
@@ -90,12 +93,15 @@ type session struct {
 	wmu sync.Mutex // serializes response frames (sinks and read loop both write)
 	fw  *wire.Writer
 
-	// Staging state, guarded by mu. The linger timer and the read loop both
-	// seal batches; sealing enqueues into the fair scheduler *under mu* so
+	// Staging state, guarded by mu. The read loop, the linger timer and the
+	// sink (batchDone) all seal batches; sealing enqueues into the fair scheduler *under mu* so
 	// batch sequence numbers enter the session's lane, and so the (ordered)
 	// pipeline, in order. Enqueue never blocks.
-	mu       sync.Mutex
-	staged   *job // the partial batch; nil when nothing is staged
+	mu     sync.Mutex
+	staged *job // the partial batch; nil when nothing is staged
+	// serving counts the session's sealed batches the sink has not yet
+	// written. While one is being served, a partial batch stays staged.
+	serving  int
 	batchSeq int
 	chunker  *rabin.Chunker
 	linger   *time.Timer
@@ -183,8 +189,11 @@ loop:
 		}
 		switch f.Type {
 		case wire.TData:
-			// Bytes of a later frame already in hand mean the client is
-			// still sending: its next request may join the staged batch.
+			// Bytes of a later frame already in the reader's buffer mean
+			// the client is still sending: its next request may join the
+			// staged batch. (A frame longer than the buffer is read past
+			// it, so this misses a successor still in the socket; the
+			// serving rule in stageDedup coalesces those.)
 			if !sess.handleData(f, fr.Buffered() > 0) {
 				break loop
 			}
@@ -202,8 +211,8 @@ loop:
 }
 
 // handleData validates, admits and stages one request. It returns false on
-// a fatal protocol error. arriving reports whether bytes of a later frame
-// were already read when f was.
+// a fatal protocol error. arriving reports whether the reader's buffer
+// already held bytes of a later frame when f was read.
 //
 // Admission is a four-stage machine:
 //
@@ -321,11 +330,15 @@ const (
 // stageDedup appends one accepted request's bytes to the session's staging
 // buffer, sealing every batch it fills. The request's completion is
 // attached to the batch holding its final byte. If that batch stays partial
-// and nothing more of the session is arriving, it is sealed at once: no
+// it is sealed at once when the session is idle: no byte of a later frame
+// is in hand and none of the session's batches is being served, so no
 // later request could join it before this one is answered. Otherwise the
-// completion waits in the staged job for the seal that ships it (a later
-// request, client flush, linger expiry, or stream end); the linger bounds
-// how long a slow later frame can hold it.
+// completion waits in the staged job for the seal that ships it: the batch
+// fills, the sink finishes the session's last served batch (batchDone),
+// the client flushes or ends the stream, or the linger expires. While a
+// batch is served, the requests arriving behind it coalesce into the next
+// one, so batches grow with the load and shrink to one request when there
+// is none.
 func (sess *session) stageDedup(f wire.Frame, arriving bool) {
 	s := sess.srv
 	batchSize := s.cfg.batchSize()
@@ -362,10 +375,23 @@ func (sess *session) stageDedup(f wire.Frame, arriving bool) {
 		// The request continues past this batch: seal without completion.
 		sess.sealLocked(sealFull)
 	}
-	if !arriving {
+	if !arriving && sess.serving == 0 {
 		sess.sealLocked(sealIdle)
 	}
 	sess.armLingerLocked()
+}
+
+// batchDone is the sink's note that one of the session's batches is
+// written. When it was the last one served, the session is idle and a
+// staged batch is sealed now rather than at the linger.
+func (sess *session) batchDone() {
+	sess.mu.Lock()
+	sess.serving--
+	if sess.serving == 0 && sess.staged != nil {
+		sess.sealLocked(sealIdle)
+		sess.armLingerLocked()
+	}
+	sess.mu.Unlock()
 }
 
 // sealLocked turns the staged job's buffer into a pooled batch and hands the
@@ -385,6 +411,7 @@ func (sess *session) sealLocked(trigger string) {
 	j.batch = dedup.NewStreamBatch(sess.batchSeq, j.data, sess.chunker)
 	j.item.Cost = len(j.data)
 	sess.batchSeq++
+	sess.serving++
 	if m := s.cfg.Metrics; m != nil {
 		m.Counter("server_batches_sealed_total", telemetry.Labels{"trigger": trigger}).Inc()
 		m.Counter("server_batch_bytes_total", telemetry.Labels{}).Add(int64(len(j.data)))

@@ -449,8 +449,11 @@ func (fr *Reader) Peek() error {
 	return err
 }
 
-// Buffered reports how many bytes of later frames the reader already holds:
-// bytes the connection has delivered that no Next has consumed yet.
+// Buffered reports how many bytes of later frames the reader's 64 KiB buffer
+// holds: bytes read from the connection that no Next has consumed yet. It
+// is a lower bound on what has arrived. Once the buffer is drained, a read
+// of 64 KiB or more goes straight into the payload and stops at the
+// frame's end, so a successor still in the connection is not counted.
 func (fr *Reader) Buffered() int { return fr.r.Buffered() }
 
 // Next reads one frame. io.EOF is returned verbatim at a clean frame
