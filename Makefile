@@ -62,9 +62,12 @@ ff-stress:
 # ordering and ServeConn racing a drain. A session that slips past a drain,
 # or work a stopped pipeline source leaves queued, shows only under
 # repetition. The three reject tests hold a request staged only because its
-# successor arrived in the same write, so they repeat here too.
+# successor arrived in the same write, so they repeat here too. The
+# scheduler's own tests (TestSched) repeat Close, Drop and the blocking Next:
+# a lost wake-up of the FIFO's cond is a hang, like the ff queues' in
+# ff-stress.
 serve-stress:
-	$(GO) test -race -count=20 -run 'Shutdown|Soak|ResultFollowsObserve|ServeConn|TestAdmissionReject$$|TestDeadlineReject|TestOverloadRejectReason' ./internal/server/
+	$(GO) test -race -count=20 -run 'Shutdown|Soak|ResultFollowsObserve|ServeConn|TestAdmissionReject$$|TestDeadlineReject|TestOverloadRejectReason|TestSched' ./internal/server/ ./internal/server/qos/
 
 # chaos runs the overload/failure-injection scenarios (internal/testutil/chaos)
 # under the race detector at full depth: hog-vs-small tenant isolation SLOs,

@@ -1,6 +1,6 @@
 // Package deadlinecheck defines an analyzer enforcing the serving layer's
 // deadline-admission contract: a handler path that enqueues work into the
-// fair scheduler ((*qos.Sched).Enqueue) must visibly consult the request's
+// scheduler ((*qos.Sched).Enqueue) must visibly consult the request's
 // deadline — or state, in its doc comment, why the enqueued work is exempt.
 //
 // The overload design (DESIGN.md §12) fast-fails requests whose estimated
@@ -74,7 +74,7 @@ func check(pass *analysis.Pass, fn *ast.FuncDecl) {
 	}
 	for _, call := range enqueues {
 		pass.Reportf(call.Pos(),
-			"%s enqueues into the fair scheduler without consulting a deadline; thread the request deadline through (or document the exemption with the word \"deadline\" in the function's doc comment)",
+			"%s enqueues into the scheduler without consulting a deadline; thread the request deadline through (or document the exemption with the word \"deadline\" in the function's doc comment)",
 			fn.Name.Name)
 	}
 }

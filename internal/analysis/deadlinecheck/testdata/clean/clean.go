@@ -29,7 +29,7 @@ func enqueueExempt(s *qos.Sched, cost int) {
 	s.Enqueue(1, qos.Item{Cost: cost, Run: func() {}})
 }
 
-// otherQueue is not the fair scheduler; its Enqueue is none of our business.
+// otherQueue is not the scheduler; its Enqueue is none of our business.
 type otherQueue struct{ items []int }
 
 func (q *otherQueue) Enqueue(cost int) { q.items = append(q.items, cost) }

@@ -1,4 +1,4 @@
-// Fixture: handler paths that enqueue into the fair scheduler without ever
+// Fixture: handler paths that enqueue into the scheduler without ever
 // consulting a deadline.
 package fixture
 

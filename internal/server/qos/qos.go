@@ -1,29 +1,26 @@
 // Package qos holds the per-tenant quality-of-service primitives of the
 // serving layer: token buckets for rate limiting, a weight table with a
-// flag-friendly text form, and a deficit-round-robin (DRR) scheduler that
-// interleaves tenants' queued work by weight.
+// flag-friendly text form, and the FIFO scheduler in front of each resident
+// pipeline.
 //
 // The serving layer's original admission control was a single high-water
 // mark shared by every tenant — correct as backpressure, but at
 // millions-of-users scale one hog tenant fills the window and every other
 // tenant sees indiscriminate rejects. The FastFlow lesson (farms that
-// resize and shed load *selectively*) applied at the service boundary is
-// exactly weighted fair queuing: each tenant owns a bounded FIFO lane, the
-// pipeline's source drains lanes by deficit round-robin so a tenant's share
-// of the pipeline tracks its weight regardless of how much it offers, and
-// token buckets bound the rate at which any single tenant may claim
-// admission in the first place. Costs are in bytes of work (request payload
+// resize and shed load *selectively*) applies at the service boundary:
+// admission gives each tenant a share of the window by weight, and token
+// buckets bound the rate at which any single tenant may claim admission in
+// the first place. Admitted work then waits in one bounded FIFO, like every
+// other queue of the stream. Costs are in bytes of work (request payload
 // for dedup, output pixels for mandel), not request counts, so a tenant
-// cannot cheat fairness by packing its load into fewer, larger requests.
+// cannot cheat its rate by packing its load into fewer, larger requests.
 //
-// Everything here is clock-injected and single-purpose so the scheduler's
-// fairness properties are unit-testable without a live server: see
-// qos_test.go for the weight-ratio, refill and deficit-carryover tables.
+// Everything here is clock-injected so the buckets' refill and the
+// scheduler's expiry are unit-testable without a live server.
 package qos
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -31,8 +28,8 @@ import (
 
 // Spec is one tenant's QoS contract.
 type Spec struct {
-	// Weight is the tenant's relative share of contended capacity
-	// (scheduler bandwidth and admission-window slots). Minimum 1.
+	// Weight is the tenant's relative share of contended admission-window
+	// slots. Minimum 1.
 	Weight int
 	// Rate is the sustained admission rate in cost units (bytes of work)
 	// per second. 0 means unlimited: the tenant is bounded only by its
@@ -69,9 +66,6 @@ func (t Table) Spec(tenant uint32) Spec {
 	}
 	return t.Default.withDefaults()
 }
-
-// Weight returns the tenant's normalized weight.
-func (t Table) Weight(tenant uint32) int { return t.Spec(tenant).Weight }
 
 // ParseTable parses the -tenant-weights flag form: a comma-separated list
 // of tenant:weight[:rate[:burst]] entries, where tenant is a decimal tenant
@@ -120,34 +114,6 @@ func ParseTable(s string) (Table, error) {
 		t.Tenants[uint32(id)] = spec
 	}
 	return t, nil
-}
-
-// String renders the table back into the flag form, sorted by tenant ID.
-func (t Table) String() string {
-	var parts []string
-	if t.Default != (Spec{}) {
-		parts = append(parts, renderSpec("default", t.Default))
-	}
-	ids := make([]uint32, 0, len(t.Tenants))
-	for id := range t.Tenants {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		parts = append(parts, renderSpec(strconv.FormatUint(uint64(id), 10), t.Tenants[id]))
-	}
-	return strings.Join(parts, ",")
-}
-
-func renderSpec(key string, s Spec) string {
-	switch {
-	case s.Burst > 0:
-		return fmt.Sprintf("%s:%d:%g:%g", key, s.Weight, s.Rate, s.Burst)
-	case s.Rate > 0:
-		return fmt.Sprintf("%s:%d:%g", key, s.Weight, s.Rate)
-	default:
-		return fmt.Sprintf("%s:%d", key, s.Weight)
-	}
 }
 
 // Bucket is a token bucket: capacity Burst, refilled at Rate units/second.

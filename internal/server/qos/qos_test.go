@@ -1,7 +1,6 @@
 package qos
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -21,7 +20,7 @@ func TestParseTable(t *testing.T) {
 		check   func(t *testing.T, tab Table)
 	}{
 		{in: "", check: func(t *testing.T, tab Table) {
-			if got := tab.Weight(99); got != 1 {
+			if got := tab.Spec(99).Weight; got != 1 {
 				t.Errorf("default weight = %d, want 1", got)
 			}
 			if tab.Spec(99).Rate != 0 {
@@ -29,12 +28,12 @@ func TestParseTable(t *testing.T) {
 			}
 		}},
 		{in: "7:8", check: func(t *testing.T, tab Table) {
-			if got := tab.Weight(7); got != 8 {
+			if got := tab.Spec(7).Weight; got != 8 {
 				t.Errorf("tenant 7 weight = %d, want 8", got)
 			}
 		}},
 		{in: "default:2:1e6,9:4:5e5:250000", check: func(t *testing.T, tab Table) {
-			if got := tab.Weight(123); got != 2 {
+			if got := tab.Spec(123).Weight; got != 2 {
 				t.Errorf("default weight = %d, want 2", got)
 			}
 			if got := tab.Spec(123).Burst; got != 1e6 {
@@ -65,23 +64,6 @@ func TestParseTable(t *testing.T) {
 			continue
 		}
 		tc.check(t, tab)
-	}
-}
-
-func TestTableStringRoundTrip(t *testing.T) {
-	const in = "default:2:1e+06,7:8,9:4:500000:250000"
-	tab, err := ParseTable(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTable(tab.String())
-	if err != nil {
-		t.Fatalf("re-parse %q: %v", tab.String(), err)
-	}
-	for _, id := range []uint32{7, 9, 1000} {
-		if a, b := tab.Spec(id), back.Spec(id); a != b {
-			t.Errorf("tenant %d: %+v != %+v after round trip", id, a, b)
-		}
 	}
 }
 
@@ -147,107 +129,37 @@ func TestBucketUnlimited(t *testing.T) {
 	}
 }
 
-// enqueueTagged queues an item whose Run records its tenant into out.
-func enqueueTagged(s *Sched, tenant uint32, cost int, out *[]uint32) {
-	s.Enqueue(tenant, Item{Cost: cost, Run: func() { *out = append(*out, tenant) }})
-}
-
-func TestSchedWeightRatios(t *testing.T) {
-	weights := map[uint32]int{1: 1, 2: 2, 3: 4}
+// TestSchedFIFO checks that items leave in Enqueue order whatever tenant
+// they are enqueued under: one session's batches reach the ordered pipeline
+// in sequence order by construction. Popping three items per four enqueued
+// keeps the queue non-empty while its popped prefix is reused.
+func TestSchedFIFO(t *testing.T) {
 	clk := newFakeClock()
-	s := NewSched(1000, func(t uint32) int { return weights[t] }, clk.now)
-
-	// Saturate: every tenant offers far more than one round's credit.
-	const perTenant, cost = 400, 500
-	var order []uint32
-	for i := 0; i < perTenant; i++ {
-		for tenant := uint32(1); tenant <= 3; tenant++ {
-			enqueueTagged(s, tenant, cost, &order)
-		}
-	}
-	// Dispatch roughly half the queue so every lane stays backlogged (the
-	// tail of a drained queue is trivially "fair").
-	served := make(map[uint32]int)
-	total := 0
-	for total < 3*perTenant/2*1 {
-		it, ok := s.Next()
-		if !ok {
-			t.Fatal("scheduler reported done with work queued")
-		}
-		it.Run()
-		served[order[len(order)-1]]++
-		total++
-	}
-
-	// Weight ratios hold within tolerance: tenant 3 (w=4) serves ~4× tenant
-	// 1 (w=1) and ~2× tenant 2 (w=2).
-	ratio := func(a, b uint32) float64 { return float64(served[a]) / float64(served[b]) }
-	for _, tc := range []struct {
-		a, b uint32
-		want float64
-	}{{3, 1, 4}, {3, 2, 2}, {2, 1, 2}} {
-		if got := ratio(tc.a, tc.b); math.Abs(got-tc.want)/tc.want > 0.15 {
-			t.Errorf("served ratio %d:%d = %.2f, want %.2f ±15%% (served=%v)",
-				tc.a, tc.b, got, tc.want, served)
-		}
-	}
-}
-
-func TestSchedDeficitCarryover(t *testing.T) {
-	// Quantum 100: tenant 1's item costs 350, so it needs four turns of
-	// credit. Tenant 2's cheap items must keep flowing meanwhile, and the
-	// big item must eventually dispatch (no starvation).
-	clk := newFakeClock()
-	s := NewSched(100, nil, clk.now)
-	var order []uint32
-	enqueueTagged(s, 1, 350, &order)
-	for i := 0; i < 10; i++ {
-		enqueueTagged(s, 2, 100, &order)
-	}
-
-	for s.Depth() > 0 {
-		it, ok := s.Next()
-		if !ok {
-			t.Fatal("done with items queued")
-		}
-		it.Run()
-	}
-	// The big item lands after a few of tenant 2's items (carryover), not
-	// first and not last.
-	bigAt := -1
-	for i, tenant := range order {
-		if tenant == 1 {
-			bigAt = i
-		}
-	}
-	if bigAt <= 0 || bigAt == len(order)-1 {
-		t.Fatalf("big item dispatched at position %d of %d (order %v)", bigAt, len(order), order)
-	}
-}
-
-func TestSchedFIFOPerLane(t *testing.T) {
-	clk := newFakeClock()
-	s := NewSched(1<<20, nil, clk.now)
+	s := NewSched(0, nil, clk.now)
 	var got []int
-	for i := 0; i < 100; i++ {
-		i := i
-		tenant := uint32(i % 3)
-		s.Enqueue(tenant, Item{Cost: 1 + i%7, Run: func() { got = append(got, i) }})
-	}
-	for s.Depth() > 0 {
+	next := func() {
 		it, _ := s.Next()
 		it.Run()
 	}
-	// Per-tenant subsequences must be increasing.
-	last := map[int]int{0: -1, 1: -1, 2: -1}
-	for _, i := range got {
-		if i <= last[i%3] {
-			t.Fatalf("lane %d reordered: %d after %d", i%3, i, last[i%3])
+	for i := 0; i < 100; i++ {
+		i := i
+		s.Enqueue(uint32(i%3), Item{Run: func() { got = append(got, i) }})
+		if i%4 == 3 {
+			next()
+			next()
+			next()
 		}
-		last[i%3] = i
+	}
+	for s.Depth() > 0 {
+		next()
 	}
 	if len(got) != 100 {
 		t.Fatalf("dispatched %d of 100", len(got))
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("position %d dispatched item %d, want Enqueue order (got %v)", i, v, got)
+		}
 	}
 }
 

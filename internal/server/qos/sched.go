@@ -7,8 +7,8 @@ import (
 
 // Item is one unit of queued work handed to the scheduler.
 type Item struct {
-	// Cost is the item's size in cost units (bytes of work); the deficit
-	// round-robin spends tenant deficit on it. Minimum 1.
+	// Cost is ignored. It remains so existing callers compile; ROADMAP.md
+	// item 1 drops it together with the benchmark's use of it.
 	Cost int
 	// Deadline, when non-zero, is the absolute instant after which
 	// dispatching the item is pointless; the scheduler calls Expire instead
@@ -30,90 +30,38 @@ type Item struct {
 	Drop func()
 }
 
-// lane is one tenant's FIFO queue plus its DRR deficit.
-type lane struct {
-	items   []Item
-	head    int // index of the first live item (amortized pop)
-	deficit int
-}
-
-func (l *lane) empty() bool { return l.head >= len(l.items) }
-
-func (l *lane) push(it Item) { l.items = append(l.items, it) }
-
-func (l *lane) pop() Item {
-	it := l.items[l.head]
-	l.items[l.head] = Item{} // release closures
-	l.head++
-	if l.empty() {
-		l.items = l.items[:0]
-		l.head = 0
-	}
-	return it
-}
-
-// Sched is a deficit-round-robin scheduler over per-tenant FIFO lanes.
-//
-// Fairness model: each tenant with queued work occupies a slot in the
-// round-robin ring. When the consumer's turn reaches a tenant, the
-// tenant's deficit is credited quantum × weight cost units, and its queued
-// items are dispatched head-first while the deficit covers their cost; the
-// unspent remainder carries over to the tenant's next turn, so an item
-// larger than one credit accumulates deficit across rounds instead of
-// starving (the classic DRR guarantee). A tenant whose lane empties
-// forfeits its deficit — idle tenants bank nothing.
+// Sched is the FIFO in front of a resident pipeline. Items leave in
+// Enqueue order, so one session's batches reach the ordered pipeline in
+// sequence order by construction. Per-tenant fairness is decided before an
+// item gets here, by admission's weighted window share.
 //
 // Enqueue may be called from any goroutine and never blocks; Next is
 // intended for a single consumer goroutine (the serving layer's pipeline
-// source). Per-lane FIFO order is preserved end to end, which is what lets
-// the serving layer keep one session's batches in archive order while
-// interleaving sessions fairly.
+// source).
 type Sched struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	lanes  map[uint32]*lane
-	ring   []uint32
-	cur    int
-	fresh  bool // the lane at cur has not been credited this turn
-	depth  int
+	items  []Item
+	head   int // index of the first live item (amortized pop)
 	closed bool
-
-	quantum int
-	weight  func(uint32) int
-	now     func() time.Time
+	now    func() time.Time
 }
 
-// NewSched builds a scheduler. quantum is the per-weight-unit credit in
-// cost units (<= 0 selects 64 KiB); weight maps tenants to their share
-// (nil, or non-positive results, mean weight 1); now is the clock (nil
-// selects time.Now).
+// NewSched builds a scheduler whose clock is now (nil selects time.Now).
+// quantum and weight are ignored; they remain so existing callers compile,
+// and ROADMAP.md item 1 drops them.
 func NewSched(quantum int, weight func(uint32) int, now func() time.Time) *Sched {
-	if quantum <= 0 {
-		quantum = 64 << 10
-	}
-	if weight == nil {
-		weight = func(uint32) int { return 1 }
-	}
 	if now == nil {
 		now = time.Now
 	}
-	s := &Sched{
-		lanes:   make(map[uint32]*lane),
-		quantum: quantum,
-		weight:  weight,
-		now:     now,
-		fresh:   true,
-	}
+	s := &Sched{now: now}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// Enqueue appends one item to tenant's lane. Enqueueing after Close drops
-// the item immediately.
+// Enqueue appends one item to the queue; tenant is ignored. Enqueueing
+// after Close drops the item immediately.
 func (s *Sched) Enqueue(tenant uint32, it Item) {
-	if it.Cost < 1 {
-		it.Cost = 1
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -122,16 +70,13 @@ func (s *Sched) Enqueue(tenant uint32, it Item) {
 		}
 		return
 	}
-	l := s.lanes[tenant]
-	if l == nil {
-		l = &lane{}
-		s.lanes[tenant] = l
+	if len(s.items) == cap(s.items) && s.head > 0 && 2*s.head >= len(s.items) {
+		// Reuse the popped half instead of growing the backing array.
+		n := copy(s.items, s.items[s.head:])
+		clear(s.items[n:])
+		s.items, s.head = s.items[:n], 0
 	}
-	if l.empty() {
-		s.ring = append(s.ring, tenant)
-	}
-	l.push(it)
-	s.depth++
+	s.items = append(s.items, it)
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
@@ -140,7 +85,7 @@ func (s *Sched) Enqueue(tenant uint32, it Item) {
 func (s *Sched) Depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.depth
+	return len(s.items) - s.head
 }
 
 // Close stops the scheduler: Next drains the remaining items (calling their
@@ -161,7 +106,8 @@ func (s *Sched) Next() (Item, bool) {
 	s.mu.Lock()
 	for {
 		if s.closed {
-			rest := s.takeAllLocked()
+			rest := s.items[s.head:]
+			s.items, s.head = nil, 0
 			s.mu.Unlock()
 			for _, it := range rest {
 				if it.Drop != nil {
@@ -170,7 +116,13 @@ func (s *Sched) Next() (Item, bool) {
 			}
 			return Item{}, false
 		}
-		if it, ok := s.nextLocked(); ok {
+		if s.head < len(s.items) {
+			it := s.items[s.head]
+			s.items[s.head] = Item{} // release closures
+			s.head++
+			if s.head == len(s.items) {
+				s.items, s.head = s.items[:0], 0
+			}
 			s.mu.Unlock()
 			if expired(it, s.now()) {
 				s.settleExpired(it)
@@ -195,65 +147,4 @@ func (s *Sched) settleExpired(it Item) {
 
 func expired(it Item, now time.Time) bool {
 	return !it.Deadline.IsZero() && now.After(it.Deadline)
-}
-
-// nextLocked advances the DRR state by at most one full round and pops the
-// next affordable item, if any lane holds one.
-func (s *Sched) nextLocked() (Item, bool) {
-	if len(s.ring) == 0 {
-		return Item{}, false
-	}
-	// Every lane in the ring is non-empty (emptied lanes leave the ring),
-	// and each full round credits every lane at least quantum, so this loop
-	// terminates: within ceil(maxCost/quantum) rounds some head item
-	// becomes affordable. The loop — not a per-call credit bound — is what
-	// lets an item costlier than one credit accumulate deficit instead of
-	// stranding its lane.
-	for {
-		if s.cur >= len(s.ring) {
-			s.cur = 0
-		}
-		t := s.ring[s.cur]
-		l := s.lanes[t]
-		if s.fresh {
-			w := s.weight(t)
-			if w < 1 {
-				w = 1
-			}
-			l.deficit += s.quantum * w
-			s.fresh = false
-		}
-		if !l.empty() && l.deficit >= l.items[l.head].Cost {
-			it := l.pop()
-			l.deficit -= it.Cost
-			s.depth--
-			if l.empty() {
-				l.deficit = 0
-				s.ring = append(s.ring[:s.cur], s.ring[s.cur+1:]...)
-				s.fresh = true
-				// cur now points at the next lane already.
-			}
-			return it, true
-		}
-		// Deficit does not cover the head item: carry it over and serve
-		// the next lane.
-		s.cur++
-		s.fresh = true
-	}
-}
-
-// takeAllLocked removes every queued item in lane order for shutdown
-// settling.
-func (s *Sched) takeAllLocked() []Item {
-	var out []Item
-	for _, t := range s.ring {
-		l := s.lanes[t]
-		for !l.empty() {
-			out = append(out, l.pop())
-		}
-		l.deficit = 0
-	}
-	s.ring = s.ring[:0]
-	s.depth = 0
-	return out
 }

@@ -19,7 +19,7 @@
 // Graceful drain reuses the fault-tolerance layer's RunContext cancellation
 // paths: Shutdown stops the accept loop, lets sessions flush and their
 // in-flight batches drain through the pipeline, then ends the resident
-// ToStream regions by closing the fair schedulers that are their sources;
+// ToStream regions by closing the schedulers that are their sources;
 // if the caller's context expires first, the shared context is canceled and
 // the ff runtime's cancel+drain machinery aborts the streams without
 // deadlock.
@@ -148,12 +148,12 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// The DRR schedulers are the resident pipelines' sources: sessions
-	// enqueue into per-tenant lanes, and each pipeline's source goroutine
-	// drains its scheduler fairly and emits the items (an emit into a full
-	// first stage queue is the backpressure point). Queue depth is bounded
-	// by the admission window — every scheduled item holds admitted
-	// requests — so the lanes cannot grow without bound.
+	// The schedulers are the resident pipelines' sources: sessions enqueue
+	// into one FIFO per service, and each pipeline's source goroutine
+	// drains it in order and emits the items (an emit into a full first
+	// stage queue is the backpressure point). Queue depth is bounded by the
+	// admission window — every scheduled item holds admitted requests — so
+	// the FIFOs cannot grow without bound.
 	dedupSched  *qos.Sched
 	mandelSched *qos.Sched
 	// emitDedup and emitMandel are the pipelines' emit functions. Each
@@ -207,9 +207,8 @@ func New(cfg Config) *Server {
 	s.jobs = pool.New("server.job", s.newJob)
 	s.adm = newAdmission(cfg.QoS, cfg.maxInflight(), nil)
 	s.est = newEstimator()
-	weight := cfg.QoS.Weight
-	s.dedupSched = qos.NewSched(cfg.batchSize(), weight, nil)
-	s.mandelSched = qos.NewSched(cfg.batchSize(), weight, nil)
+	s.dedupSched = qos.NewSched(0, nil, nil)
+	s.mandelSched = qos.NewSched(0, nil, nil)
 	if cfg.GPU {
 		s.fleet = cfg.Fleet
 		if len(s.fleet) == 0 {
@@ -387,7 +386,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	// Sessions are gone, so nothing enqueues anymore. Closing the
 	// schedulers ends the resident ToStream regions through their normal
-	// EOS path: each source's Next reports done once its lanes are settled
+	// EOS path: each source's Next reports done once its queue is settled
 	// (graceful drain finds them empty — every session waited for its jobs).
 	s.dedupSched.Close()
 	s.mandelSched.Close()
@@ -485,8 +484,8 @@ func (s *Server) startPipelines() {
 	}()
 }
 
-// runSched is a resident pipeline's source loop: it runs the fair
-// scheduler's items in DRR order — each emits its job into the pipeline —
+// runSched is a resident pipeline's source loop: it runs the scheduler's
+// items in Enqueue order — each emits its job into the pipeline —
 // until the scheduler is closed and drained. Expired items are settled
 // inside Next, on this goroutine.
 func runSched(sched *qos.Sched) {

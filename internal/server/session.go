@@ -94,9 +94,9 @@ type session struct {
 	fw  *wire.Writer
 
 	// Staging state, guarded by mu. The read loop, the linger timer and the
-	// sink (batchDone) all seal batches; sealing enqueues into the fair scheduler *under mu* so
-	// batch sequence numbers enter the session's lane, and so the (ordered)
-	// pipeline, in order. Enqueue never blocks.
+	// sink (batchDone) all seal batches; sealing enqueues into the scheduler
+	// *under mu* so batch sequence numbers enter its FIFO, and so the
+	// (ordered) pipeline, in order. Enqueue never blocks.
 	mu     sync.Mutex
 	staged *job // the partial batch; nil when nothing is staged
 	// serving counts the session's sealed batches the sink has not yet
@@ -105,13 +105,6 @@ type session struct {
 	batchSeq int
 	chunker  *rabin.Chunker
 	linger   *time.Timer
-	// qosTenant keys the session's dedup scheduler lane: the tenant of the
-	// first admitted dedup request (sessions are single-tenant in practice;
-	// a mixed session is simply scheduled under its first tenant). Fixed
-	// once set so every batch of the session lands in one lane — per-lane
-	// FIFO is what keeps the session's batches in archive order.
-	qosTenant    uint32
-	qosTenantSet bool
 
 	// Archive state, touched only by the serial ordered sink (plus the read
 	// loop's final flush, which runs strictly after the last job drains).
@@ -285,16 +278,16 @@ func (sess *session) handleData(f wire.Frame, arriving bool) bool {
 	case wire.SvcDedup:
 		sess.stageDedup(f, arriving)
 	case wire.SvcMandel:
-		sess.stageMandel(f, mreq, cost, deadline)
+		sess.stageMandel(f, mreq, deadline)
 	}
 	return true
 }
 
-// stageMandel queues one row-range request into the fair scheduler. A
+// stageMandel queues one row-range request into the scheduler. A
 // deadline rides along as the item's expiry: a request still queued past it
 // is settled with a late deadline reject instead of computed — the wasted
 // work the deadline exists to avoid.
-func (sess *session) stageMandel(f wire.Frame, mreq MandelReq, cost int, deadline time.Duration) {
+func (sess *session) stageMandel(f wire.Frame, mreq MandelReq, deadline time.Duration) {
 	s := sess.srv
 	mj := &mandelJob{sess: sess, seq: f.Seq, tenant: f.Tenant, t0: time.Now(), req: mreq}
 	sess.addOutstanding()
@@ -302,8 +295,7 @@ func (sess *session) stageMandel(f wire.Frame, mreq MandelReq, cost int, deadlin
 	if deadline > 0 {
 		expiry = mj.t0.Add(deadline)
 	}
-	s.mandelSched.Enqueue(f.Tenant, qos.Item{
-		Cost:     cost,
+	s.mandelSched.Enqueue(0, qos.Item{
 		Deadline: expiry,
 		Run:      func() { s.emitMandel(mj) },
 		Expire: func() {
@@ -347,10 +339,6 @@ func (sess *session) stageDedup(f wire.Frame, arriving bool) {
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if !sess.qosTenantSet {
-		sess.qosTenant = f.Tenant
-		sess.qosTenantSet = true
-	}
 	for {
 		if sess.staged == nil {
 			j := s.jobs.Get()
@@ -395,10 +383,10 @@ func (sess *session) batchDone() {
 }
 
 // sealLocked turns the staged job's buffer into a pooled batch and hands the
-// job to the fair scheduler. Called with mu held; enqueueing under mu keeps
-// batch order equal to sequence order within the session's lane. The lanes
-// are bounded by the admission window, and the pipeline source's emit into
-// a full first queue is the backpressure point. Sealed batches carry no
+// job to the scheduler. Called with mu held; enqueueing under mu keeps the
+// session's batches in sequence order in the scheduler's FIFO. The FIFO is
+// bounded by the admission window, and the pipeline source's emit into a
+// full first queue is the backpressure point. Sealed batches carry no
 // deadline: their bytes are already part of the session's archive stream
 // and must reach the writer or the stream is corrupt.
 func (sess *session) sealLocked(trigger string) {
@@ -409,7 +397,6 @@ func (sess *session) sealLocked(trigger string) {
 	s := sess.srv
 	sess.staged = nil
 	j.batch = dedup.NewStreamBatch(sess.batchSeq, j.data, sess.chunker)
-	j.item.Cost = len(j.data)
 	sess.batchSeq++
 	sess.serving++
 	if m := s.cfg.Metrics; m != nil {
@@ -417,7 +404,7 @@ func (sess *session) sealLocked(trigger string) {
 		m.Counter("server_batch_bytes_total", telemetry.Labels{}).Add(int64(len(j.data)))
 	}
 	sess.addOutstanding()
-	s.dedupSched.Enqueue(sess.qosTenant, j.item)
+	s.dedupSched.Enqueue(0, j.item)
 }
 
 // flushPartial seals the partial batch outside the data path (client flush,

@@ -95,6 +95,70 @@ func TestIsolationSLO(t *testing.T) {
 	}
 }
 
+// TestBacklogHogVsSmall backs the scheduler up: small 4 KiB batches on a
+// fleet with one derated device, and an unlimited hog whose requests span
+// 8–32 batches each, share the queue with the small fleet. Nothing here
+// isolates the small tenants' latency (the wait sits in the pipeline's
+// FIFO first queue and ordered farm), so the ratios to the no-hog baseline
+// are logged, not gated. What must hold is the bookkeeping: every offered
+// request ends in exactly one verdict, every archive restores (Verify, in
+// Fleets), the small tenants are never throttled, and teardown is
+// leak-clean.
+func TestBacklogHogVsSmall(t *testing.T) {
+	testutil.CheckLeaks(t)
+	fleet, err := gpu.ParseFleet("titanxp,titanxp@clock=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := chaos.Start(t, 4, server.Config{
+		GPU:        true,
+		Fleet:      fleet,
+		BatchSize:  4 << 10,
+		MaxPayload: 128 << 10,
+		QoS: qos.Table{
+			Default: qos.Spec{Weight: 4},
+			Tenants: map[uint32]qos.Spec{9: {Weight: 1}},
+		},
+	})
+
+	requests := chaos.ScaledRequests(32, 2)
+	baseline := r.Fleets(smallFleet(requests))[0]
+	hogCfg := loadgen.Config{
+		Clients:     8,
+		Tenants:     1,
+		FirstTenant: 9,
+		Requests:    requests,
+		MinBytes:    32 << 10,
+		MaxBytes:    128 << 10,
+		Retries:     1,
+		BackoffCap:  50 * time.Millisecond,
+		Verify:      true,
+	}
+	reports := r.Fleets(smallFleet(requests), hogCfg)
+	small, hog := reports[0], reports[1]
+	t.Log(chaos.Describe("baseline", baseline))
+	t.Log(chaos.Describe("small", small))
+	t.Log(chaos.Describe("hog", hog))
+	if baseline.LatencyP50 > 0 && baseline.LatencyP99 > 0 {
+		t.Logf("small over no-hog baseline: p50 %.2fx, p99 %.2fx",
+			small.LatencyP50/baseline.LatencyP50, small.LatencyP99/baseline.LatencyP99)
+	}
+
+	for _, c := range []struct {
+		name string
+		rep  loadgen.Report
+		cfg  loadgen.Config
+	}{{"baseline", baseline, smallFleet(requests)}, {"small", small, smallFleet(requests)}, {"hog", hog, hogCfg}} {
+		offered := int64(c.cfg.Clients * c.cfg.Requests)
+		if got := c.rep.Accepted + c.rep.Rejected + c.rep.DeadlineMisses; got != offered {
+			t.Errorf("%s: %d verdicts for %d offered requests: %s", c.name, got, offered, chaos.Describe(c.name, c.rep))
+		}
+	}
+	if baseline.Throttled != 0 || small.Throttled != 0 {
+		t.Errorf("small tenants throttled %d+%d times, want 0", baseline.Throttled, small.Throttled)
+	}
+}
+
 // TestQuarantineMidStream degrades one device of the pool *between* traffic
 // phases: healthy traffic first, then a fault storm that must quarantine the
 // device (and only it), then a healed phase in which probe batches re-admit
