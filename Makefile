@@ -111,7 +111,9 @@ diag:
 # GPU path's warp-exact match fill misses a token start or a warp's cost
 # (seeded in code from its exactness table); FuzzBoundariesEquivalence does
 # the same for the Rabin chunker's interleaved candidate scan against the
-# sequential rolling window.
+# sequential rolling window. The two lzss targets cap minimization at 100
+# runs per input: at Go's default of 60 s, minimizing each new input spent
+# the whole budget and left nothing for the search.
 # FUZZTIME=5m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
@@ -120,8 +122,8 @@ fuzz:
 	$(GO) test ./internal/dedup -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -fuzz FuzzStoreRPC -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gpu -fuzz FuzzParseFleet -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lzss -fuzz FuzzCompressEquivalence -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lzss -fuzz FuzzFillEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lzss -fuzz FuzzCompressEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
+	$(GO) test ./internal/lzss -fuzz FuzzFillEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/rabin -fuzz FuzzBoundariesEquivalence -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per

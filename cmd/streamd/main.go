@@ -59,8 +59,6 @@ func main() {
 	clusterMode := flag.Bool("cluster", false, "run as a cluster node (consistent-hash sharding + gossip membership)")
 	join := flag.String("join", "", "cluster: comma-separated seed node addresses to gossip with")
 	advertise := flag.String("advertise", "", "cluster: address peers and clients reach this node at (default: the listener's)")
-	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "cluster: virtual nodes per member on the ring")
-	ringSeed := flag.Int64("ring-seed", 0, "cluster: ring layout seed (must match across nodes)")
 	gossipInterval := flag.Duration("gossip-interval", 200*time.Millisecond, "cluster: membership probe period")
 	nodeFaultSeed := flag.Int64("node-fault-seed", 0, "cluster: node-level fault injector seed")
 	nodeKillAfter := flag.Int("node-kill-after", 0, "cluster: crash this node after N accepted connections/gossip ops (failover drills)")
@@ -115,8 +113,6 @@ func main() {
 			Addr:           *addr,
 			Advertise:      *advertise,
 			Join:           seeds,
-			VNodes:         *vnodes,
-			RingSeed:       *ringSeed,
 			GossipInterval: *gossipInterval,
 			Faults:         fault.Config{Seed: *nodeFaultSeed, KillAfterOps: *nodeKillAfter},
 			Server:         scfg,

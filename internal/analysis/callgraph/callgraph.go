@@ -27,7 +27,6 @@ package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 
@@ -96,20 +95,6 @@ func (n *Node) Body() *ast.BlockStmt {
 	return nil
 }
 
-// Pos returns a position for diagnostics: the declaration or literal
-// position, or the function object's position for placeholders.
-func (n *Node) Pos() token.Pos {
-	switch {
-	case n.Lit != nil:
-		return n.Lit.Pos()
-	case n.Decl != nil:
-		return n.Decl.Pos()
-	case n.Func != nil:
-		return n.Func.Pos()
-	}
-	return token.NoPos
-}
-
 // Name returns a human-readable name ("pkg.Func", "(pkg.T).M", or
 // "func literal").
 func (n *Node) Name() string {
@@ -141,18 +126,6 @@ type Graph struct {
 	// cfgs caches each node's control-flow graph (see CFG).
 	cfgs map[*Node]*dataflow.CFG
 }
-
-// Node returns the graph node for fn (normalizing generic instantiations
-// to their origin), or nil if fn is unknown.
-func (g *Graph) Node(fn *types.Func) *Node {
-	if fn == nil {
-		return nil
-	}
-	return g.nodes[fn.Origin()]
-}
-
-// LitNode returns the node of a function literal, or nil.
-func (g *Graph) LitNode(lit *ast.FuncLit) *Node { return g.lits[lit] }
 
 // Funcs returns every node that has a body, in deterministic order:
 // declared functions by position, then literals by position.

@@ -1,6 +1,6 @@
 // Package dataflow is the per-function core of the interprocedural
 // analysis layer: a control-flow graph derived from AST statements plus a
-// forward/backward worklist solver over a caller-supplied lattice.
+// forward worklist solver over a caller-supplied lattice.
 //
 // The CFG is statement-granular. Each basic block holds a run of ast.Node
 // values — simple statements, plus the condition / tag / range expressions

@@ -251,48 +251,6 @@ func f(n int) {
 	expect(t, got, "a", "b", "i", "j")
 }
 
-func TestBackwardUnion(t *testing.T) {
-	// A backward may-analysis of assigned names: at function entry, every
-	// assignment on some path onward is visible.
-	src := `package p
-func f(c bool) {
-	var x, y int
-	if c {
-		x = 1
-		return
-	}
-	y = 2
-	_, _ = x, y
-}`
-	g := dataflow.New(parseBody(t, src))
-	res := dataflow.Backward(g, dataflow.Problem[names]{
-		Init:     func() names { return names{} },
-		Boundary: func() names { return names{} },
-		Join: func(a, b names) names {
-			out := names{}
-			for n := range a {
-				out[n] = true
-			}
-			for n := range b {
-				out[n] = true
-			}
-			return out
-		},
-		Equal: namesEqual,
-		Transfer: func(n ast.Node, in names) names {
-			out := names{}
-			for k := range in {
-				out[k] = true
-			}
-			for _, k := range assignedIn(n) {
-				out[k] = true
-			}
-			return out
-		},
-	})
-	expect(t, res.Out[g.Entry], "x", "y")
-}
-
 func TestDefersCollected(t *testing.T) {
 	g := dataflow.New(parseBody(t, `package p
 func f() {

@@ -16,8 +16,7 @@ import "go/ast"
 type Problem[F any] struct {
 	// Init returns the per-block starting fact: the identity of Join.
 	Init func() F
-	// Boundary returns the fact flowing into the entry block (Forward) or
-	// out of the exit block (Backward).
+	// Boundary returns the fact flowing into the entry block.
 	Boundary func() F
 	// Join merges facts where control-flow paths meet. It must not mutate
 	// its arguments.
@@ -30,7 +29,7 @@ type Problem[F any] struct {
 }
 
 // Result holds the fixpoint solution: the fact at each block's entry (In)
-// and exit (Out), in the direction of the analysis.
+// and exit (Out).
 type Result[F any] struct {
 	In, Out map[*Block]F
 }
@@ -44,24 +43,9 @@ const maxVisitsPerBlock = 256
 // Forward solves the problem in execution order: In[b] joins the Out of
 // b's predecessors, and Transfer runs over b's nodes first to last.
 func Forward[F any](g *CFG, p Problem[F]) Result[F] {
-	return solve(g, p, false)
-}
-
-// Backward solves the problem against execution order: In[b] (the fact at
-// the block's *end*) joins the Out of b's successors, and Transfer runs
-// over b's nodes last to first.
-func Backward[F any](g *CFG, p Problem[F]) Result[F] {
-	return solve(g, p, true)
-}
-
-func solve[F any](g *CFG, p Problem[F], backward bool) Result[F] {
 	res := Result[F]{In: make(map[*Block]F, len(g.Blocks)), Out: make(map[*Block]F, len(g.Blocks))}
 	for _, blk := range g.Blocks {
 		res.Out[blk] = p.Init()
-	}
-	boundary := g.Entry
-	if backward {
-		boundary = g.Exit
 	}
 	// Worklist seeded with every block in index order: deterministic, and
 	// unreachable blocks still get a (fully optimistic) solution.
@@ -82,37 +66,23 @@ func solve[F any](g *CFG, p Problem[F], backward bool) Result[F] {
 		visits[blk.Index]++
 
 		in := p.Init()
-		if blk == boundary {
+		if blk == g.Entry {
 			in = p.Boundary()
 		}
-		flowIn := blk.Preds
-		if backward {
-			flowIn = blk.Succs
-		}
-		for _, pred := range flowIn {
+		for _, pred := range blk.Preds {
 			in = p.Join(in, res.Out[pred])
 		}
 		res.In[blk] = in
 
 		out := in
-		if backward {
-			for i := len(blk.Nodes) - 1; i >= 0; i-- {
-				out = p.Transfer(blk.Nodes[i], out)
-			}
-		} else {
-			for _, n := range blk.Nodes {
-				out = p.Transfer(n, out)
-			}
+		for _, n := range blk.Nodes {
+			out = p.Transfer(n, out)
 		}
 		if p.Equal(out, res.Out[blk]) {
 			continue
 		}
 		res.Out[blk] = out
-		flowOut := blk.Succs
-		if backward {
-			flowOut = blk.Preds
-		}
-		for _, next := range flowOut {
+		for _, next := range blk.Succs {
 			if !queued[next.Index] {
 				queued[next.Index] = true
 				work = append(work, next)

@@ -1,8 +1,8 @@
 // Package gpuwait defines an analyzer enforcing the completion-event
 // contract of the simulated GPU stream API.
 //
-// Every asynchronous stream operation (Stream.CopyH2D, CopyD2H, CopyD2D,
-// Launch, Record and their Exclusive/Staged variants) returns a *des.Event
+// Every asynchronous stream operation (Stream.CopyH2D, CopyD2H, Launch,
+// Record and their Exclusive/Staged variants) returns a *des.Event
 // that carries the operation's outcome — including any injected fault
 // (gpu.WaitErr surfaces those as errors). A call whose event is discarded
 // silently swallows faults: the program observes neither completion nor

@@ -11,6 +11,5 @@ func drops(p *des.Proc, st *gpu.Stream, dst *gpu.Buf, h *gpu.HostBuf, k *gpu.Ker
 	st.Launch(p, k, gpu.Grid{})                // want `completion event`
 	go st.CopyD2H(p, h, 0, dst, 0, 64)         // want `discarded by go`
 	defer st.Record(p)                         // want `discarded by defer`
-	st.CopyD2D(p, dst, 0, dst, 64, 32)         // want `completion event`
 	st.CopyH2DStaged(p, dst, 0, h, 0, 64, 0.5) // want `completion event`
 }

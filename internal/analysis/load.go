@@ -298,15 +298,18 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Record every listing before type-checking any: a package imported
+	// from source before its own turn then needs no `go list` of its own.
+	l.mu.Lock()
+	for _, lp := range listed {
+		l.listed[lp.ImportPath] = lp
+	}
+	l.mu.Unlock()
 	var out []*Package
 	for _, lp := range listed {
 		if lp.Error != nil {
 			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
 		}
-		l.mu.Lock()
-		l.listed[lp.ImportPath] = lp
-		l.mu.Unlock()
-
 		names := append(append([]string{}, lp.GoFiles...), lp.CgoFiles...)
 		names = append(names, lp.TestGoFiles...)
 		files, err := l.parseFiles(lp.Dir, names)

@@ -33,7 +33,6 @@ func startCluster(t *testing.T, n int, mod func(i int, cfg *cluster.Config)) ([]
 		cfg := cluster.Config{
 			Addr:           "127.0.0.1:0",
 			Join:           append([]string(nil), join...),
-			RingSeed:       42,
 			GossipSeed:     int64(1000 + i),
 			GossipInterval: 15 * time.Millisecond,
 			// Generous probe windows relative to the gossip interval: under

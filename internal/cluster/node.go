@@ -25,10 +25,6 @@ type Config struct {
 	// Join lists seed peers to gossip with at startup. Empty bootstraps a
 	// one-node cluster that others join.
 	Join []string
-	// VNodes is the ring's virtual-node count per member (DefaultVNodes).
-	VNodes int
-	// RingSeed fixes the ring layout; every node must agree on it.
-	RingSeed int64
 	// GossipSeed drives probe-target selection (deterministic under test).
 	GossipSeed int64
 	// GossipInterval is the probe period (default 200ms; tests run ~15ms).
@@ -157,7 +153,7 @@ func (n *Node) Start() error {
 		}
 	}
 	n.det.Absorb(seeds, time.Now())
-	n.ring.Store(NewRing(n.cfg.RingSeed, n.cfg.VNodes, n.det.Active()))
+	n.ring.Store(NewRing(0, DefaultVNodes, n.det.Active()))
 	n.detMu.Lock()
 	n.lastVer = n.det.Version()
 	n.detMu.Unlock()
@@ -223,9 +219,6 @@ func (n *Node) Addr() string { return n.self }
 // and its embedded server has shut down — the daemon's cue to exit instead
 // of lingering as a process whose node is gone.
 func (n *Node) Dead() <-chan struct{} { return n.dead }
-
-// Server exposes the embedded server (test hook).
-func (n *Node) Server() *server.Server { return n.srv }
 
 // StoreRef exposes the node's store partition (test hook).
 func (n *Node) StoreRef() *Store { return n.store }
@@ -524,7 +517,7 @@ func (n *Node) maybeRebuildRing() {
 	n.lastVer = ver
 	members := n.det.Active()
 	n.detMu.Unlock()
-	n.ring.Store(NewRing(n.cfg.RingSeed, n.cfg.VNodes, members))
+	n.ring.Store(NewRing(0, DefaultVNodes, members))
 }
 
 // ping sends one direct probe to addr, absorbing the piggybacked membership

@@ -105,9 +105,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Members returns the sorted member list the ring was built from.
-func (r *Ring) Members() []string { return r.member }
-
 // Len reports the member count.
 func (r *Ring) Len() int { return len(r.member) }
 

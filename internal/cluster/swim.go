@@ -101,9 +101,6 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	}
 }
 
-// Self returns the local member name.
-func (d *Detector) Self() string { return d.cfg.Self }
-
 // Incarnation returns the local incarnation number.
 func (d *Detector) Incarnation() uint32 { return d.selfInc }
 

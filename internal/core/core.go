@@ -85,7 +85,6 @@ type options struct {
 	inputs      []string
 	outputs     []string
 	ordered     bool
-	queueCap    int
 	offload     bool
 	metrics     *telemetry.Registry
 	metricsName string
@@ -119,9 +118,6 @@ func Offload() Option { return func(o *options) { o.offload = true } }
 // (SPar's -spar_ordered flag); replicated stages become ordered farms.
 func Ordered() Option { return func(o *options) { o.ordered = true } }
 
-// QueueCap sets the communication queue capacity of the generated graph.
-func QueueCap(n int) Option { return func(o *options) { o.queueCap = n } }
-
 // Telemetry attaches a metrics registry to the region: the generated graph
 // reports per-stage item counters, service-time histograms and queue-depth
 // gauges into reg, labelled {pipeline=name, stage=<source|stage name>}. A
@@ -146,15 +142,14 @@ type ToStream struct {
 	inputs      []string
 	stages      []*StageDef
 	ordered     bool
-	queueCap    int
 	metrics     *telemetry.Registry
 	metricsName string
 	trace       *telemetry.StreamTracer
 	err         error
 }
 
-// NewToStream opens a streaming region. Options Input, Ordered and QueueCap
-// apply to the whole region.
+// NewToStream opens a streaming region. Options Input and Ordered apply to
+// the whole region.
 func NewToStream(opts ...Option) *ToStream {
 	var o options
 	for _, op := range opts {
@@ -163,7 +158,6 @@ func NewToStream(opts ...Option) *ToStream {
 	return &ToStream{
 		inputs:      o.inputs,
 		ordered:     o.ordered,
-		queueCap:    o.queueCap,
 		metrics:     o.metrics,
 		metricsName: o.metricsName,
 		trace:       o.trace,
@@ -387,9 +381,6 @@ func (t *ToStream) RunContext(ctx context.Context, source func(emit func(any))) 
 		stages = append(stages, ff.NewFarm(workers, fopts...))
 	}
 	pipe := ff.NewPipeline(stages...)
-	if t.queueCap > 0 {
-		pipe.SetQueueCap(t.queueCap)
-	}
 	if t.metrics != nil || t.trace != nil {
 		names := make([]string, 0, len(t.stages)+1)
 		names = append(names, "source")

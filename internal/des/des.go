@@ -150,9 +150,6 @@ type Proc struct {
 // Name reports the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Sim returns the simulation this process belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
@@ -239,16 +236,6 @@ func (p *Proc) Wait(d Duration) {
 	p.yield("wait")
 }
 
-// WaitUntil suspends the process until virtual time t (no-op if t <= now).
-func (p *Proc) WaitUntil(t Time) {
-	if t <= p.sim.now {
-		return
-	}
-	s := p.sim
-	s.schedule(t, func() { s.runProc(p) })
-	p.yield("wait until")
-}
-
 // teardown wakes every parked process so its goroutine unwinds and exits
 // (see terminate). Run defers it, so a finished simulation never leaks
 // goroutines — not the engine daemons that legitimately outlive the event
@@ -303,23 +290,12 @@ type Event struct {
 	val     interface{}
 	at      Time
 	waiters []*Proc
-	// callbacks run in scheduler context when the event fires (used by the
-	// AllOf/AnyOf combinators).
-	callbacks []func()
-}
-
-// onFire registers a scheduler-context callback for an unfired event.
-func (e *Event) onFire(fn func()) {
-	e.callbacks = append(e.callbacks, fn)
 }
 
 // NewEvent creates an unfired event.
 func (s *Sim) NewEvent(name string) *Event {
 	return &Event{sim: s, name: name}
 }
-
-// Name reports the event's name.
-func (e *Event) Name() string { return e.name }
 
 // Fired reports whether the event has fired.
 func (e *Event) Fired() bool { return e.fired }
@@ -343,10 +319,6 @@ func (e *Event) Fire(val interface{}) {
 		e.sim.wake(p)
 	}
 	e.waiters = nil
-	for _, fn := range e.callbacks {
-		fn()
-	}
-	e.callbacks = nil
 }
 
 // FireAt schedules the event to fire d from now.
@@ -363,58 +335,6 @@ func (e *Event) Wait(p *Proc) interface{} {
 	e.waiters = append(e.waiters, p)
 	p.yield("event " + e.name)
 	return e.val
-}
-
-// AllOf returns an event that fires (with nil) once every input event has
-// fired. With no inputs it fires at the current time.
-func (s *Sim) AllOf(name string, events ...*Event) *Event {
-	out := s.NewEvent(name)
-	remaining := 0
-	for _, e := range events {
-		if !e.fired {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		out.Fire(nil)
-		return out
-	}
-	for _, e := range events {
-		if e.fired {
-			continue
-		}
-		e.onFire(func() {
-			remaining--
-			if remaining == 0 {
-				out.Fire(nil)
-			}
-		})
-	}
-	return out
-}
-
-// AnyOf returns an event that fires as soon as the first input event fires,
-// carrying that event's value. At least one input is required.
-func (s *Sim) AnyOf(name string, events ...*Event) *Event {
-	if len(events) == 0 {
-		panic("des: AnyOf needs at least one event")
-	}
-	out := s.NewEvent(name)
-	for _, e := range events {
-		if e.fired {
-			out.Fire(e.val)
-			return out
-		}
-	}
-	for _, e := range events {
-		ev := e
-		e.onFire(func() {
-			if !out.fired {
-				out.Fire(ev.val)
-			}
-		})
-	}
-	return out
 }
 
 // getWaiter is a parked consumer; the producer fills v/ok before waking it.
@@ -455,18 +375,6 @@ func NewQueue[T any](s *Sim, name string, capacity int) *Queue[T] {
 	}
 	return &Queue[T]{sim: s, name: name, cap: capacity}
 }
-
-// Name reports the queue's name.
-func (q *Queue[T]) Name() string { return q.name }
-
-// Len reports the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Cap reports the queue capacity.
-func (q *Queue[T]) Cap() int { return q.cap }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Close marks the queue closed: subsequent Get calls drain remaining items
 // then report ok=false. Blocked getters wake with ok=false. Closing with
@@ -513,15 +421,6 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 	p.yield("put " + q.name)
 }
 
-// TryPut appends v without blocking; reports whether it succeeded.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || len(q.items) >= q.cap || len(q.putters) > 0 {
-		return false
-	}
-	q.deliver(v)
-	return true
-}
-
 // Get removes and returns the oldest item, blocking while empty. ok is false
 // only when the queue is closed and drained.
 func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
@@ -544,22 +443,6 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	q.getters = append(q.getters, g)
 	p.yield("get " + q.name)
 	return g.v, g.ok
-}
-
-// TryGet removes the oldest item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	if len(q.putters) > 0 {
-		pw := q.putters[0]
-		q.putters = q.putters[1:]
-		q.deliver(pw.v)
-		q.sim.wake(pw.p)
-	}
-	return v, true
 }
 
 // resWaiter is a parked Acquire; Release grants capacity before waking it.
@@ -588,17 +471,11 @@ func NewResource(s *Sim, name string, capacity int) *Resource {
 	return &Resource{sim: s, name: name, cap: capacity}
 }
 
-// Name reports the resource's name.
-func (r *Resource) Name() string { return r.name }
-
 // InUse reports currently acquired units.
 func (r *Resource) InUse() int { return r.inUse }
 
 // Cap reports the pool capacity.
 func (r *Resource) Cap() int { return r.cap }
-
-// Available reports free units.
-func (r *Resource) Available() int { return r.cap - r.inUse }
 
 // Acquire blocks until n units are available and takes them.
 func (r *Resource) Acquire(p *Proc, n int) {
@@ -612,18 +489,6 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
 	p.yield("acquire " + r.name)
 	// The releasing side already granted our units before waking us.
-}
-
-// TryAcquire takes n units without blocking; reports whether it succeeded.
-func (r *Resource) TryAcquire(n int) bool {
-	if n < 1 || n > r.cap {
-		panic(fmt.Sprintf("des: acquire %d from resource %s (cap %d)", n, r.name, r.cap))
-	}
-	if len(r.waiters) > 0 || r.cap-r.inUse < n {
-		return false
-	}
-	r.inUse += n
-	return true
 }
 
 // Release returns n units to the pool. Waiting acquirers are granted in FIFO

@@ -292,29 +292,6 @@ func TestQueueDrainAfterClose(t *testing.T) {
 	}
 }
 
-func TestQueueTryPutTryGet(t *testing.T) {
-	s := New()
-	q := NewQueue[string](s, "q", 1)
-	s.Spawn("p", func(p *Proc) {
-		if !q.TryPut("a") {
-			t.Error("TryPut on empty queue should succeed")
-		}
-		if q.TryPut("b") {
-			t.Error("TryPut on full queue should fail")
-		}
-		v, ok := q.TryGet()
-		if !ok || v != "a" {
-			t.Errorf("TryGet = %q,%v; want a,true", v, ok)
-		}
-		if _, ok := q.TryGet(); ok {
-			t.Error("TryGet on empty queue should fail")
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQueueMultipleConsumers(t *testing.T) {
 	s := New()
 	q := NewQueue[int](s, "q", 2)
@@ -419,26 +396,6 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != "big" {
 		t.Errorf("order = %v, want big before small (FIFO)", order)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	s := New()
-	r := NewResource(s, "r", 2)
-	s.Spawn("p", func(p *Proc) {
-		if !r.TryAcquire(2) {
-			t.Error("TryAcquire(2) on fresh pool should succeed")
-		}
-		if r.TryAcquire(1) {
-			t.Error("TryAcquire on exhausted pool should fail")
-		}
-		r.Release(p, 2)
-		if r.Available() != 2 {
-			t.Errorf("Available = %d, want 2", r.Available())
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -637,89 +594,4 @@ func BenchmarkEventFanout(b *testing.B) {
 	if _, err := s.Run(); err != nil {
 		b.Fatal(err)
 	}
-}
-
-func TestAllOf(t *testing.T) {
-	s := New()
-	e1 := s.NewEvent("e1")
-	e2 := s.NewEvent("e2")
-	e3 := s.NewEvent("e3")
-	all := s.AllOf("all", e1, e2, e3)
-	var at Time
-	s.Spawn("w", func(p *Proc) {
-		all.Wait(p)
-		at = p.Now()
-	})
-	e1.FireAt(time.Millisecond, nil)
-	e2.FireAt(3*time.Millisecond, nil)
-	e3.FireAt(2*time.Millisecond, nil)
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != Time(3*time.Millisecond) {
-		t.Errorf("AllOf fired at %v, want 3ms (the last event)", at)
-	}
-}
-
-func TestAllOfEmptyAndPreFired(t *testing.T) {
-	s := New()
-	pre := s.NewEvent("pre")
-	s.Spawn("p", func(p *Proc) {
-		pre.Fire(nil)
-		if !s.AllOf("none").Fired() {
-			t.Error("AllOf() should fire immediately")
-		}
-		if !s.AllOf("one", pre).Fired() {
-			t.Error("AllOf(fired) should fire immediately")
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAnyOf(t *testing.T) {
-	s := New()
-	e1 := s.NewEvent("e1")
-	e2 := s.NewEvent("e2")
-	anyEv := s.AnyOf("any", e1, e2)
-	var at Time
-	var val interface{}
-	s.Spawn("w", func(p *Proc) {
-		val = anyEv.Wait(p)
-		at = p.Now()
-	})
-	e1.FireAt(5*time.Millisecond, "slow")
-	e2.FireAt(2*time.Millisecond, "fast")
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != Time(2*time.Millisecond) || val != "fast" {
-		t.Errorf("AnyOf fired at %v with %v, want 2ms/fast", at, val)
-	}
-}
-
-func TestAnyOfPreFired(t *testing.T) {
-	s := New()
-	e1 := s.NewEvent("e1")
-	s.Spawn("p", func(p *Proc) {
-		e1.Fire(42)
-		out := s.AnyOf("any", e1)
-		if !out.Fired() || out.Value() != 42 {
-			t.Errorf("AnyOf(fired) = %v,%v", out.Fired(), out.Value())
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAnyOfNoEventsPanics(t *testing.T) {
-	s := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AnyOf() should panic")
-		}
-	}()
-	s.AnyOf("empty")
 }

@@ -39,7 +39,7 @@ func IsDeviceLost(err error) bool { return errors.Is(err, ErrDeviceLost) }
 type Op int
 
 const (
-	// Transfer is any H2D/D2H/D2D copy.
+	// Transfer is any H2D/D2H copy.
 	Transfer Op = iota
 	// Kernel is a kernel execution.
 	Kernel

@@ -21,25 +21,15 @@ type seqIn struct {
 
 // Farm is the FastFlow task-farm: an emitter scheduling tasks over
 // replicated workers and a collector gathering results (ff_farm /
-// ff_OFarm). Zero-value options give a round-robin, unordered farm with a
-// forwarding collector.
+// ff_OFarm). The emitter forwards its input round-robin and the collector
+// forwards every result; without options the farm is unordered.
 type Farm struct {
-	workers   []Node
-	emitter   Node
-	collector Node
-	ordered   bool
+	workers []Node
+	ordered bool
 }
 
 // FarmOpt configures a Farm.
 type FarmOpt func(*Farm)
-
-// WithEmitter installs a custom emitter node. In a farm used as a
-// pipeline's first stage the emitter acts as the stream source.
-func WithEmitter(n Node) FarmOpt { return func(f *Farm) { f.emitter = n } }
-
-// WithCollector installs a custom collector node that post-processes every
-// gathered result.
-func WithCollector(n Node) FarmOpt { return func(f *Farm) { f.collector = n } }
 
 // Ordered makes the farm emit results in input order (ff_OFarm), the mode
 // Mandelbrot's display stage and Dedup's reorder stage need.
@@ -57,15 +47,11 @@ func NewFarm(workers []Node, opts ...FarmOpt) *Farm {
 	return f
 }
 
-// NWorkers reports the farm's parallelism degree.
-func (f *Farm) NWorkers() int { return len(f.workers) }
-
-// start wires the farm into a pipeline position. in == nil means the farm
-// is the first stage (its emitter must then generate the stream); out ==
-// nil means last stage.
+// start wires the farm into a pipeline position; out == nil means last
+// stage. A farm has no source of its own, so it cannot be the first stage.
 func (f *Farm) start(pl *Pipeline, tm *stageTelem, in, out *SPSC[any], wg *sync.WaitGroup) {
-	if in == nil && f.emitter == nil {
-		panic("ff: farm used as source needs an emitter node")
+	if in == nil {
+		panic("ff: a farm cannot be a pipeline's first stage: put a source node before it")
 	}
 	nw := len(f.workers)
 	wqs := make([]*SPSC[any], nw) // emitter -> worker i
@@ -104,104 +90,37 @@ func (f *Farm) start(pl *Pipeline, tm *stageTelem, in, out *SPSC[any], wg *sync.
 	}()
 }
 
-// runEmitter pulls tasks (from the pipeline input or by invoking a source
-// emitter) and schedules them over the workers.
+// runEmitter forwards pipeline input over the workers round-robin, a burst
+// at a time.
 func (f *Farm) runEmitter(pl *Pipeline, tm *stageTelem, in *SPSC[any], wqs []*SPSC[any]) {
 	var seq uint64
 	next := 0
-	schedule := func(v any) {
-		if pl.Canceled() {
-			tm.dropped(1)
-			return
+	var burst [burstCap]any
+forward:
+	for {
+		got := in.TryPopN(burst[:])
+		if got == 0 {
+			burst[0] = in.Pop()
+			got = 1
 		}
-		tm.itemIn()
-		if f.ordered {
-			v = seqIn{seq: seq, val: v}
-			seq++
-		}
-		wqs[next].Push(v)
-		next = (next + 1) % len(wqs)
-	}
-
-	em := f.emitter
-	if em != nil {
-		if on, ok := em.(OutNode); ok {
-			on.setOut(schedule)
-		}
-		if !initSafe(pl, em, "emitter") {
-			em = nil // degrade to forwarding, then EOS below
-		}
-	}
-	switch {
-	case in == nil:
-		// Farm as source: the emitter generates the stream.
-		for em != nil && !pl.Canceled() {
-			r, ok := svcSafe(pl, em, nil, "emitter")
-			if !ok || r == EOS {
-				break
+		for j := 0; j < got; j++ {
+			t := burst[j]
+			burst[j] = nil
+			if t == EOS {
+				break forward
 			}
-			if r != GoOn {
-				schedule(r)
+			if pl.Canceled() {
+				tm.dropped(1 + drainBurst(in, burst[j+1:got]))
+				break forward
 			}
+			tm.itemIn()
+			if f.ordered {
+				t = seqIn{seq: seq, val: t}
+				seq++
+			}
+			wqs[next].Push(t)
+			next = (next + 1) % len(wqs)
 		}
-	case em == nil:
-		// Pure scheduler: forward pipeline input, a burst at a time.
-		var burst [burstCap]any
-	forward:
-		for {
-			got := in.TryPopN(burst[:])
-			if got == 0 {
-				burst[0] = in.Pop()
-				got = 1
-			}
-			for j := 0; j < got; j++ {
-				t := burst[j]
-				burst[j] = nil
-				if t == EOS {
-					break forward
-				}
-				if pl.Canceled() {
-					tm.dropped(1 + drainBurst(in, burst[j+1:got]))
-					break forward
-				}
-				schedule(t)
-			}
-		}
-	default:
-		var burst [burstCap]any
-	emit:
-		for {
-			got := in.TryPopN(burst[:])
-			if got == 0 {
-				burst[0] = in.Pop()
-				got = 1
-			}
-			for j := 0; j < got; j++ {
-				t := burst[j]
-				burst[j] = nil
-				if t == EOS {
-					break emit
-				}
-				if pl.Canceled() {
-					tm.dropped(1 + drainBurst(in, burst[j+1:got]))
-					break emit
-				}
-				r, ok := svcSafe(pl, em, t, "emitter")
-				if !ok || r == EOS {
-					if !ok {
-						tm.errored()
-					}
-					tm.dropped(drainBurst(in, burst[j+1:got]))
-					break emit
-				}
-				if r != GoOn {
-					schedule(r)
-				}
-			}
-		}
-	}
-	if em != nil {
-		endSafe(pl, em, "emitter")
 	}
 	for _, wq := range wqs {
 		wq.Push(EOS)
@@ -291,46 +210,16 @@ serve:
 }
 
 // runCollector gathers worker results (burst pops off the shared MPMC
-// fan-in queue), restores order if requested, applies the collector node,
-// and forwards downstream.
+// fan-in queue), restores order if requested, and forwards downstream.
 func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworkers int, out *SPSC[any]) {
-	col := f.collector
-	send := func(v any) {
+	handle := func(v any) {
 		switch {
-		case out == nil:
 		case pl.Canceled():
 			tm.dropped(1)
-		default:
+		case out != nil:
 			out.Push(v)
 			tm.itemOut()
 		}
-	}
-	if col != nil {
-		if on, ok := col.(OutNode); ok {
-			on.setOut(send)
-		}
-		if !initSafe(pl, col, "collector") {
-			col = nil
-		}
-	}
-	handle := func(v any) {
-		if pl.Canceled() {
-			tm.dropped(1)
-			return
-		}
-		if col != nil {
-			r, ok := svcSafe(pl, col, v, "collector")
-			if !ok {
-				tm.errored()
-				col = nil // stream is canceled; keep draining without it
-				return
-			}
-			if r != GoOn && r != EOS {
-				send(r)
-			}
-			return
-		}
-		send(v)
 	}
 
 	// Ordered reorder buffer.
@@ -386,9 +275,6 @@ func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworker
 		default:
 			pl.reportErr(fmt.Errorf("ff: ordered farm lost %d sequences", len(buffered)))
 		}
-	}
-	if col != nil {
-		endSafe(pl, col, "collector")
 	}
 	if out != nil {
 		out.Push(EOS)

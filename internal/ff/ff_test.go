@@ -2,6 +2,7 @@ package ff
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,67 +328,6 @@ func TestFarmOrderedWithGoOn(t *testing.T) {
 	}
 }
 
-// emitterSource generates k items from inside a farm emitter (farm as
-// pipeline source).
-type emitterSource struct {
-	k, i int
-}
-
-func (e *emitterSource) Svc(any) any {
-	if e.i >= e.k {
-		return EOS
-	}
-	e.i++
-	return e.i
-}
-
-func TestFarmAsSource(t *testing.T) {
-	workers := make([]Node, 3)
-	for i := range workers {
-		workers[i] = F(func(task any) any { return task.(int) * 2 })
-	}
-	var sum int
-	var mu sync.Mutex
-	p := NewPipeline(
-		NewFarm(workers, WithEmitter(&emitterSource{k: 50})),
-		Sink(func(task any) {
-			mu.Lock()
-			sum += task.(int)
-			mu.Unlock()
-		}),
-	)
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if want := 50 * 51; sum != want {
-		t.Errorf("sum = %d, want %d", sum, want)
-	}
-}
-
-func TestFarmWithCollector(t *testing.T) {
-	workers := make([]Node, 2)
-	for i := range workers {
-		workers[i] = F(func(task any) any { return task })
-	}
-	var n atomic.Int32
-	col := F(func(task any) any {
-		n.Add(1)
-		return task
-	})
-	var out int
-	p := NewPipeline(
-		SliceSource([]int{1, 2, 3, 4}),
-		NewFarm(workers, WithCollector(col)),
-		Sink(func(any) { out++ }),
-	)
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 4 || out != 4 {
-		t.Errorf("collector saw %d, sink saw %d; want 4,4", n.Load(), out)
-	}
-}
-
 func TestFarmAsLastStage(t *testing.T) {
 	var n atomic.Int32
 	workers := make([]Node, 3)
@@ -422,6 +362,20 @@ func TestEmptyPipelinePanics(t *testing.T) {
 		}
 	}()
 	NewPipeline()
+}
+
+// A farm forwards its input, so it cannot open a pipeline: Run panics
+// naming the misplaced farm rather than running it without a source.
+func TestFarmFirstStagePanics(t *testing.T) {
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "first stage") {
+			t.Fatalf("panic = %v, want one naming the farm as first stage", r)
+		}
+	}()
+	p := NewPipeline(NewFarm([]Node{F(func(task any) any { return task })}), Sink(func(any) {}))
+	err := p.Run()
+	t.Fatalf("Run returned %v without panicking", err)
 }
 
 func TestFarmNoWorkersPanics(t *testing.T) {

@@ -40,7 +40,6 @@ type Runtime struct {
 	sim     *des.Sim
 	devices []*gpu.Device
 	current map[*des.Proc]int
-	tel     *rtTelem
 }
 
 // NewRuntime creates a runtime over the given devices (device 0 is the
@@ -83,7 +82,6 @@ func (rt *Runtime) Device(id int) *gpu.Device { return rt.devices[id] }
 // cudaError_t from an async launch surfaces at the next cudaStreamSynchronize.
 type Stream struct {
 	s       *gpu.Stream
-	dev     *gpu.Device
 	pending []*des.Event
 	err     error
 }
@@ -108,8 +106,7 @@ func (st *Stream) drain(p *des.Proc) error {
 
 // StreamCreate creates a stream on the calling thread's current device.
 func (rt *Runtime) StreamCreate(p *des.Proc) *Stream {
-	d := rt.dev(p)
-	return &Stream{s: d.NewStream(""), dev: d}
+	return &Stream{s: rt.dev(p).NewStream("")}
 }
 
 // Event is a cudaEvent_t analogue.
@@ -134,7 +131,6 @@ func (rt *Runtime) HostAlloc(n int64) *gpu.HostBuf { return gpu.NewPinnedBuf(n) 
 // exactly the CUDA behaviour that makes `realloc`-managed buffers (as in
 // Dedup) unable to overlap, defeating the 2×-memory-space optimization.
 func (rt *Runtime) MemcpyAsync(p *des.Proc, dbuf *gpu.Buf, dOff int64, hbuf *gpu.HostBuf, hOff, n int64, kind MemcpyKind, st *Stream) {
-	rt.countMemcpy(kind, !hbuf.Pinned)
 	var ev *des.Event
 	switch kind {
 	case MemcpyHostToDevice:
@@ -161,36 +157,9 @@ func (rt *Runtime) MemcpyAsync(p *des.Proc, dbuf *gpu.Buf, dOff int64, hbuf *gpu
 	}
 }
 
-// MemcpyD2DAsync enqueues an on-device copy (cudaMemcpyDeviceToDevice):
-// always asynchronous, no host memory involved.
-func (rt *Runtime) MemcpyD2DAsync(p *des.Proc, dst *gpu.Buf, dOff int64, src *gpu.Buf, sOff, n int64, st *Stream) {
-	st.track(st.s.CopyD2D(p, dst, dOff, src, sOff, n))
-}
-
-// Memcpy is the synchronous transfer (cudaMemcpy): it blocks the calling
-// thread regardless of memory kind and returns the transfer's outcome.
-func (rt *Runtime) Memcpy(p *des.Proc, dbuf *gpu.Buf, dOff int64, hbuf *gpu.HostBuf, hOff, n int64, kind MemcpyKind, st *Stream) error {
-	rt.countMemcpy(kind, false)
-	var ev *des.Event
-	switch kind {
-	case MemcpyHostToDevice:
-		ev = st.s.CopyH2D(p, dbuf, dOff, hbuf, hOff, n)
-	case MemcpyDeviceToHost:
-		ev = st.s.CopyD2H(p, hbuf, hOff, dbuf, dOff, n)
-	default:
-		panic(fmt.Sprintf("cuda: bad memcpy kind %d", kind))
-	}
-	err := gpu.WaitErr(p, ev)
-	st.fail(err)
-	return err
-}
-
 // LaunchKernel launches spec<<<grid>>>(args...) on st (cudaLaunchKernel).
 // Launch failures are asynchronous; they surface at the next sync call.
 func (rt *Runtime) LaunchKernel(p *des.Proc, spec *gpu.KernelSpec, g gpu.Grid, st *Stream, args ...any) {
-	if rt.tel != nil {
-		rt.tel.launches.Inc()
-	}
 	st.track(st.s.Launch(p, spec.Bind(args...), g))
 }
 
@@ -212,21 +181,4 @@ func (rt *Runtime) EventSynchronize(p *des.Proc, e *Event) error {
 func (rt *Runtime) StreamSynchronize(p *des.Proc, st *Stream) error {
 	st.s.Synchronize(p)
 	return st.drain(p)
-}
-
-// DeviceSynchronize blocks until all streams the thread created on its
-// current device are idle, returning the first sticky error among them.
-// The facade tracks only streams it created.
-func (rt *Runtime) DeviceSynchronize(p *des.Proc, streams ...*Stream) error {
-	d := rt.dev(p)
-	var first error
-	for _, st := range streams {
-		if st.dev == d {
-			st.s.Synchronize(p)
-			if err := st.drain(p); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
 }

@@ -220,32 +220,3 @@ func TestDeviceCount(t *testing.T) {
 		t.Errorf("DeviceCount = %d", rt.DeviceCount())
 	}
 }
-
-func TestMemcpyD2DAsync(t *testing.T) {
-	const n = 128
-	sim, rt := newRuntime(t, 1)
-	in := rt.HostAlloc(n)
-	out := rt.HostAlloc(n)
-	for i := range in.Data {
-		in.Data[i] = byte(i + 1)
-	}
-	sim.Spawn("host", func(p *des.Proc) {
-		st := rt.StreamCreate(p)
-		a, _ := rt.Malloc(p, n)
-		b, _ := rt.Malloc(p, n)
-		rt.MemcpyAsync(p, a, 0, in, 0, n, MemcpyHostToDevice, st)
-		rt.MemcpyD2DAsync(p, b, 0, a, 0, n, st)
-		rt.MemcpyAsync(p, b, 0, out, 0, n, MemcpyDeviceToHost, st)
-		if err := rt.StreamSynchronize(p, st); err != nil {
-			t.Error(err)
-		}
-	})
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Data {
-		if out.Data[i] != byte(i+1) {
-			t.Fatalf("out[%d] = %d after D2D", i, out.Data[i])
-		}
-	}
-}

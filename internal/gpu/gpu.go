@@ -50,7 +50,6 @@ type DeviceSpec struct {
 	KernelLaunchOverhead des.Duration // per kernel launch, device side
 	HostLaunchOverhead   des.Duration // per launch, charged to the calling CPU thread
 	GlobalMemBytes       int64
-	DeviceMemBps         float64 // on-device copy bandwidth (D2D)
 	H2DPinnedBps         float64
 	D2HPinnedBps         float64
 	H2DPageableBps       float64
@@ -77,7 +76,6 @@ func TitanXPSpec() DeviceSpec {
 		KernelLaunchOverhead:    8 * time.Microsecond,
 		HostLaunchOverhead:      4 * time.Microsecond,
 		GlobalMemBytes:          12 << 30,
-		DeviceMemBps:            350e9,
 		H2DPinnedBps:            11.5e9,
 		D2HPinnedBps:            11.5e9,
 		H2DPageableBps:          5.5e9,

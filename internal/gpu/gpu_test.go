@@ -562,79 +562,6 @@ func BenchmarkKernelExecution(b *testing.B) {
 	}
 }
 
-func TestCopyD2D(t *testing.T) {
-	host := NewPinnedBuf(64)
-	for i := range host.Data {
-		host.Data[i] = byte(i)
-	}
-	out := NewPinnedBuf(64)
-	runOnDevice(t, func(p *des.Proc, d *Device) {
-		a := mustMalloc(d, 64)
-		defer a.Free()
-		b := mustMalloc(d, 64)
-		defer b.Free()
-		st := d.NewStream("")
-		evs := []*des.Event{
-			st.CopyH2D(p, a, 0, host, 0, 64),
-			st.CopyD2D(p, b, 0, a, 0, 64),
-			st.CopyD2H(p, out, 0, b, 0, 64),
-		}
-		if err := WaitErr(p, evs...); err != nil {
-			panic(err)
-		}
-	})
-	for i := range out.Data {
-		if out.Data[i] != byte(i) {
-			t.Fatalf("out[%d] = %d after D2D round trip", i, out.Data[i])
-		}
-	}
-}
-
-func TestCopyD2DCrossDevicePanics(t *testing.T) {
-	sim := des.New()
-	d0 := NewDevice(sim, testSpec(), 0)
-	d1 := NewDevice(sim, testSpec(), 1)
-	sim.Spawn("host", func(p *des.Proc) {
-		a := mustMalloc(d0, 8)
-		defer a.Free()
-		b := mustMalloc(d1, 8)
-		defer b.Free()
-		st := d0.NewStream("")
-		// The cross-device copy fails the simulation at enqueue; there is no
-		// completion event outcome to wait for.
-		_ = st.CopyD2D(p, b, 0, a, 0, 8) // wrong device: must fail
-	})
-	if _, err := sim.Run(); err == nil {
-		t.Fatal("cross-device D2D should fail the simulation")
-	}
-}
-
-func TestCopyD2DFasterThanPCIe(t *testing.T) {
-	const n = 8 << 20
-	host := NewPinnedBuf(n)
-	viaPCIe := runOnDevice(t, func(p *des.Proc, d *Device) {
-		a := mustMalloc(d, n)
-		defer a.Free()
-		st := d.NewStream("")
-		if err := WaitErr(p, st.CopyH2D(p, a, 0, host, 0, n)); err != nil {
-			panic(err)
-		}
-	})
-	onDevice := runOnDevice(t, func(p *des.Proc, d *Device) {
-		a := mustMalloc(d, n)
-		defer a.Free()
-		b := mustMalloc(d, n)
-		defer b.Free()
-		st := d.NewStream("")
-		if err := WaitErr(p, st.CopyD2D(p, b, 0, a, 0, n)); err != nil {
-			panic(err)
-		}
-	})
-	if onDevice >= viaPCIe {
-		t.Errorf("D2D (%v) should be much faster than PCIe (%v)", onDevice, viaPCIe)
-	}
-}
-
 // mustMalloc allocates or panics; inside a des process the panic becomes a
 // Sim.Run error, which the tests treat as fatal.
 func mustMalloc(d *Device, n int64) *Buf {

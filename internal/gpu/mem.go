@@ -75,9 +75,6 @@ func (b *Buf) Free() {
 // Size reports the allocation size in bytes.
 func (b *Buf) Size() int64 { return int64(len(b.data)) }
 
-// Device returns the owning device.
-func (b *Buf) Device() *Device { return b.dev }
-
 // Bytes exposes the device bytes to kernel code. Host-side code must go
 // through Memcpy operations instead; kernels receive buffers through their
 // launch closure and may use Bytes freely.

@@ -27,7 +27,6 @@ var ErrNoDevices = errors.New("opencl: no devices")
 type Context struct {
 	sim     *des.Sim
 	devices []*gpu.Device
-	tel     *ctxTelem
 }
 
 // CreateContext builds a context over the discovered devices. With no
@@ -45,19 +44,13 @@ func (c *Context) Devices() []*gpu.Device { return c.devices }
 
 // CommandQueue is a cl_command_queue: an in-order queue on one device.
 type CommandQueue struct {
-	s   *gpu.Stream
-	dev *gpu.Device
-	tel *ctxTelem
+	s *gpu.Stream
 }
 
 // CreateCommandQueue creates an in-order command queue on device id.
 func (c *Context) CreateCommandQueue(id int) *CommandQueue {
-	d := c.devices[id]
-	return &CommandQueue{s: d.NewStream(""), dev: d, tel: c.tel}
+	return &CommandQueue{s: c.devices[id].NewStream("")}
 }
-
-// Device reports the queue's device.
-func (q *CommandQueue) Device() *gpu.Device { return q.dev }
 
 // Buffer is a cl_mem device allocation.
 type Buffer struct {
@@ -74,9 +67,6 @@ func (c *Context) CreateBuffer(id int, n int64) (*Buffer, error) {
 	}
 	return &Buffer{buf: b}, nil
 }
-
-// Release frees the buffer (clReleaseMemObject).
-func (b *Buffer) Release() { b.buf.Free() }
 
 // Raw exposes the underlying device buffer for kernel argument binding.
 func (b *Buffer) Raw() *gpu.Buf { return b.buf }
@@ -149,12 +139,6 @@ func (q *CommandQueue) EnqueueWriteBuffer(p *des.Proc, dst *Buffer, dOff int64, 
 		ev = q.s.CopyH2D(p, dst.buf, dOff, src, sOff, n)
 	} else {
 		ev = q.s.CopyH2DStaged(p, dst.buf, dOff, src, sOff, n, StagingBwFactor)
-		if q.tel != nil {
-			q.tel.staged.Inc()
-		}
-	}
-	if q.tel != nil {
-		q.tel.writes.Inc()
 	}
 	if blocking {
 		ev.Wait(p)
@@ -170,24 +154,11 @@ func (q *CommandQueue) EnqueueReadBuffer(p *des.Proc, dst *gpu.HostBuf, dOff int
 		ev = q.s.CopyD2H(p, dst, dOff, src.buf, sOff, n)
 	} else {
 		ev = q.s.CopyD2HStaged(p, dst, dOff, src.buf, sOff, n, StagingBwFactor)
-		if q.tel != nil {
-			q.tel.staged.Inc()
-		}
-	}
-	if q.tel != nil {
-		q.tel.reads.Inc()
 	}
 	if blocking {
 		ev.Wait(p)
 	}
 	return &Event{ev: ev}
-}
-
-// EnqueueCopyBuffer enqueues a device-to-device copy
-// (clEnqueueCopyBuffer): asynchronous, no host involvement.
-func (q *CommandQueue) EnqueueCopyBuffer(p *des.Proc, src *Buffer, sOff int64, dst *Buffer, dOff, n int64) *Event {
-	p.Wait(CommandOverhead)
-	return &Event{ev: q.s.CopyD2D(p, dst.buf, dOff, src.buf, sOff, n)}
 }
 
 // EnqueueNDRangeKernel launches the kernel over globalSize work-items in
@@ -212,9 +183,6 @@ func (q *CommandQueue) enqueue(p *des.Proc, k *Kernel, g gpu.Grid) *Event {
 		}
 	}
 	p.Wait(CommandOverhead)
-	if q.tel != nil {
-		q.tel.kernels.Inc()
-	}
 	ev := q.s.Launch(p, k.spec.Bind(k.args...), g)
 	return &Event{ev: ev}
 }

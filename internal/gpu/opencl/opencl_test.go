@@ -222,29 +222,3 @@ func TestTwoQueuesTwoDevices(t *testing.T) {
 		}
 	}
 }
-
-func TestEnqueueCopyBuffer(t *testing.T) {
-	const n = 96
-	sim, ctx := newCtx(t, 1)
-	in := gpu.NewPinnedBuf(n)
-	out := gpu.NewPinnedBuf(n)
-	for i := range in.Data {
-		in.Data[i] = byte(200 - i)
-	}
-	sim.Spawn("host", func(p *des.Proc) {
-		q := ctx.CreateCommandQueue(0)
-		a, _ := ctx.CreateBuffer(0, n)
-		b, _ := ctx.CreateBuffer(0, n)
-		q.EnqueueWriteBuffer(p, a, 0, in, 0, n, false)
-		q.EnqueueCopyBuffer(p, a, 0, b, 0, n)
-		q.EnqueueReadBuffer(p, out, 0, b, 0, n, true)
-	})
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out.Data {
-		if out.Data[i] != byte(200-i) {
-			t.Fatalf("out[%d] = %d after EnqueueCopyBuffer", i, out.Data[i])
-		}
-	}
-}

@@ -14,7 +14,6 @@ type opKind int
 const (
 	opCopyH2D opKind = iota
 	opCopyD2H
-	opCopyD2D
 	opKernel
 	opMarker
 )
@@ -26,8 +25,6 @@ func opName(k opKind) string {
 		return "h2d copy"
 	case opCopyD2H:
 		return "d2h copy"
-	case opCopyD2D:
-		return "d2d copy"
 	case opKernel:
 		return "kernel"
 	}
@@ -50,9 +47,6 @@ type op struct {
 	// bwFactor > 0 scales the transfer duration (OpenCL's bounce-buffer
 	// staging of pageable memory costs an extra host memcpy).
 	bwFactor float64
-
-	// d2d copies
-	dbuf2 *Buf
 
 	// kernels
 	kernel *Kernel
@@ -96,12 +90,6 @@ func (st *Stream) put(p *des.Proc, o op) {
 	st.outstanding.Inc()
 	st.ops.Put(p, o)
 }
-
-// Name reports the stream's name.
-func (st *Stream) Name() string { return st.name }
-
-// Device returns the stream's device.
-func (st *Stream) Device() *Device { return st.dev }
 
 // engine drains the command queue, timing each operation against the
 // device's shared engines.
@@ -186,13 +174,6 @@ func (st *Stream) engine(p *des.Proc) {
 				d.tel.d2hBytes.Add(o.n)
 				d.tel.d2hSec.Observe(t.Seconds())
 			}
-			o.done.Fire(nil)
-		case opCopyD2D:
-			// On-device copies run through the memory controller; they do
-			// not occupy the PCIe engines and overlap with host transfers.
-			t := des.Duration(float64(o.n) / d.Spec.DeviceMemBps * 1e9)
-			p.Wait(t)
-			copy(o.dbuf2.Bytes()[o.dOff:o.dOff+o.n], o.dbuf.Bytes()[o.hOff:o.hOff+o.n])
 			o.done.Fire(nil)
 		case opKernel:
 			d.compute.Acquire(p, 1)
@@ -284,19 +265,6 @@ func (st *Stream) copyD2HOpt(p *des.Proc, dst *HostBuf, dstOff int64, src *Buf, 
 	checkRange("CopyD2H dst", dstOff, n, int64(len(dst.Data)))
 	ev := st.nextEvent("d2h")
 	st.put(p, op{kind: opCopyD2H, done: ev, dbuf: src, hbuf: dst, dOff: srcOff, hOff: dstOff, n: n, exclusive: excl})
-	return ev
-}
-
-// CopyD2D enqueues an on-device copy of n bytes from src to dst (both on
-// this stream's device) and returns its completion event.
-func (st *Stream) CopyD2D(p *des.Proc, dst *Buf, dstOff int64, src *Buf, srcOff, n int64) *des.Event {
-	if dst.Device() != st.dev || src.Device() != st.dev {
-		panic("gpu: CopyD2D buffers must live on the stream's device")
-	}
-	checkRange("CopyD2D dst", dstOff, n, dst.Size())
-	checkRange("CopyD2D src", srcOff, n, src.Size())
-	ev := st.nextEvent("d2d")
-	st.put(p, op{kind: opCopyD2D, done: ev, dbuf: src, dbuf2: dst, dOff: dstOff, hOff: srcOff, n: n})
 	return ev
 }
 

@@ -24,12 +24,6 @@ type Params struct {
 	Range float64
 }
 
-// PaperParams returns the paper's configuration: 2000×2000 image, 200,000
-// iterations, over a window containing a large interior region.
-func PaperParams() Params {
-	return Params{Dim: 2000, Niter: 200000, InitA: -2.0, InitB: -1.25, Range: 2.5}
-}
-
 // TestParams returns a reduced configuration for fast functional tests.
 func TestParams() Params {
 	return Params{Dim: 128, Niter: 256, InitA: -2.0, InitB: -1.25, Range: 2.5}

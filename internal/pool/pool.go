@@ -93,16 +93,8 @@ func (p *Pool[T]) Release(v T) {
 	p.p.Put(v)
 }
 
-// Name returns the pool's label.
-func (p *Pool[T]) Name() string { return p.name }
-
 // Stats returns the pool's traffic counters.
 func (p *Pool[T]) Stats() Stats { return p.counters.stats() }
-
-// SetTelemetry exposes the pool's counters in reg as cumulative gauges
-// (pool_gets / pool_misses / pool_releases, labelled {pool=name}). nil reg
-// is a no-op.
-func (p *Pool[T]) SetTelemetry(reg *telemetry.Registry) { p.register(reg, p.name) }
 
 // Size classes for slice pools: powers of two from 1<<minClassBits up to
 // 1<<maxClassBits elements. Requests above the top class are served by
@@ -197,9 +189,6 @@ func (p *Slices[T]) Release(s []T) {
 	bx.s = s[:0]
 	p.classes[c].Put(bx)
 }
-
-// Name returns the pool's label.
-func (p *Slices[T]) Name() string { return p.name }
 
 // Stats returns the pool's aggregate traffic counters.
 func (p *Slices[T]) Stats() Stats { return p.counters.stats() }

@@ -551,6 +551,3 @@ func (sess *session) fail(err error) {
 	sess.sendFrame(wire.Frame{Type: wire.TError, Payload: []byte(err.Error())})
 	sess.dead.Store(true)
 }
-
-// failed reports whether the session has been marked dead.
-func (sess *session) failed() bool { return sess.dead.Load() }

@@ -50,9 +50,6 @@ func NewFilter(mode Mode, fn func(item any) any) *Filter {
 	return &Filter{mode: mode, fn: fn}
 }
 
-// Mode reports the filter's concurrency mode.
-func (f *Filter) Mode() Mode { return f.mode }
-
 // item is an in-flight stream element.
 type item struct {
 	seq uint64

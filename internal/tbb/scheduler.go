@@ -51,9 +51,6 @@ func NewScheduler(n int) *Scheduler {
 	return s
 }
 
-// NWorkers reports the pool size.
-func (s *Scheduler) NWorkers() int { return len(s.workers) }
-
 // Go submits a task from outside the pool.
 func (s *Scheduler) Go(t Task) {
 	if s.closed.Load() {
@@ -74,12 +71,6 @@ func (w *Worker) Spawn(t Task) {
 		w.s.inbox <- t
 	}
 }
-
-// ID reports the worker's index within the pool.
-func (w *Worker) ID() int { return w.id }
-
-// Scheduler returns the pool the worker belongs to.
-func (w *Worker) Scheduler() *Scheduler { return w.s }
 
 // run executes a task and maintains the pending count.
 func (w *Worker) run(t Task) {

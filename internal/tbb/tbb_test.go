@@ -164,62 +164,6 @@ func TestSpawnFromWorker(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Shutdown()
-	const n = 10000
-	marks := make([]int32, n)
-	ParallelFor(s, 0, n, 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&marks[i], 1)
-		}
-	})
-	for i, m := range marks {
-		if m != 1 {
-			t.Fatalf("index %d visited %d times", i, m)
-		}
-	}
-}
-
-func TestParallelForEmptyAndTiny(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Shutdown()
-	ParallelFor(s, 5, 5, 10, func(lo, hi int) { t.Error("empty range must not run") })
-	ran := false
-	ParallelFor(s, 0, 1, 100, func(lo, hi int) { ran = lo == 0 && hi == 1 })
-	if !ran {
-		t.Error("single-element range should run once")
-	}
-}
-
-func TestParallelForEach(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Shutdown()
-	xs := make([]int, 5000)
-	ParallelForEach(s, xs, 32, func(x *int) { *x = 7 })
-	for i, x := range xs {
-		if x != 7 {
-			t.Fatalf("xs[%d] = %d", i, x)
-		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Shutdown()
-	xs := make([]int, 1000)
-	for i := range xs {
-		xs[i] = i + 1
-	}
-	sum := Reduce(s, xs, 37, 0, func(x int) int { return x }, func(a, b int) int { return a + b })
-	if want := 1000 * 1001 / 2; sum != want {
-		t.Errorf("sum = %d, want %d", sum, want)
-	}
-	if got := Reduce(s, []int{}, 10, -1, func(x int) int { return x }, func(a, b int) int { return a + b }); got != -1 {
-		t.Errorf("empty reduce = %d, want identity -1", got)
-	}
-}
-
 func TestPipelineTransforms(t *testing.T) {
 	s := NewScheduler(4)
 	defer s.Shutdown()
@@ -424,72 +368,4 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	)
 	b.ResetTimer()
 	p.Run(s, 32)
-}
-
-func BenchmarkParallelFor(b *testing.B) {
-	s := NewScheduler(0)
-	defer s.Shutdown()
-	xs := make([]float64, 1<<16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ParallelFor(s, 0, len(xs), 1024, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				xs[j] += 1.5
-			}
-		})
-	}
-}
-
-func TestParallelScanInclusive(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Shutdown()
-	xs := make([]int, 5000)
-	for i := range xs {
-		xs[i] = i + 1
-	}
-	got := ParallelScan(s, xs, 64, 0, func(a, b int) int { return a + b })
-	for i := range got {
-		want := (i + 1) * (i + 2) / 2
-		if got[i] != want {
-			t.Fatalf("scan[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-}
-
-func TestParallelScanEmptyAndTiny(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Shutdown()
-	if got := ParallelScan(s, []int{}, 8, 0, func(a, b int) int { return a + b }); len(got) != 0 {
-		t.Errorf("empty scan = %v", got)
-	}
-	got := ParallelScan(s, []int{7}, 100, 0, func(a, b int) int { return a + b })
-	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("single scan = %v", got)
-	}
-}
-
-// Property: ParallelScan equals the sequential prefix scan for any input
-// and grain.
-func TestParallelScanMatchesSequentialProperty(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Shutdown()
-	f := func(xs []int32, grainSeed uint8) bool {
-		grain := int(grainSeed)%50 + 1
-		in := make([]int, len(xs))
-		for i, v := range xs {
-			in[i] = int(v % 1000)
-		}
-		got := ParallelScan(s, in, grain, 0, func(a, b int) int { return a + b })
-		acc := 0
-		for i, v := range in {
-			acc += v
-			if got[i] != acc {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
 }

@@ -141,9 +141,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records d in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveSince records the elapsed time since start, in seconds.
-func (h *Histogram) ObserveSince(start time.Time) { h.ObserveDuration(time.Since(start)) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 {
 	if h == nil {

@@ -80,9 +80,6 @@ func Start(tb testing.TB, seed int64, cfg server.Config) *Runner {
 	return r
 }
 
-// Addr is the server's dial address.
-func (r *Runner) Addr() string { return r.addr }
-
 // Health exposes the server's device scoreboard (nil when GPU is off).
 func (r *Runner) Health() *health.Scoreboard { return r.srv.Health() }
 
