@@ -51,11 +51,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# ff-stress repeats the stream runtime's tests under the race detector. A
+# ff-stress repeats the stream runtimes' tests under the race detector. A
 # lost wake-up in the queues' park/wake protocol is a hang that one run in
 # many hits, so the repetition, not the single pass in `race`, is the check.
+# The tbb scheduler repeats here too: a completion its group saw before the
+# scheduler's pending count did failed one run in about thirty, which a
+# single pass rarely shows.
 ff-stress:
-	$(GO) test -race -count=50 ./internal/ff/ ./internal/core/
+	$(GO) test -race -count=50 ./internal/ff/ ./internal/core/ ./internal/tbb/
 
 # serve-stress repeats the serving layer's drain tests under the race
 # detector: graceful and forced Shutdown, the soak, the observe-before-result

@@ -46,7 +46,7 @@ func main() {
 	flag.Parse()
 
 	if *graph {
-		ts := core.NewToStream(core.Ordered()).
+		ts := core.NewToStream().
 			Stage(func(any, func(any)) {}, core.Replicate(*workers), core.Name("hash+compress")).
 			Stage(func(any, func(any)) {}, core.Name("reorder+write"))
 		fmt.Println(ts.Graph())

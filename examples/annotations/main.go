@@ -46,7 +46,7 @@ func main() {
 		map[string]core.StageFunc{
 			"S1": func(item any, emit func(any)) { emit(strings.ToUpper(item.(string)) + "!") },
 			"S2": func(item any, emit func(any)) { out = append(out, item.(string)) },
-		}, core.Ordered())
+		})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,8 +23,8 @@ func main() {
 
 	var out []string
 	// The SPar annotation schema, as a builder: ToStream → Stage
-	// (replicated) → Stage. Ordered() keeps stream order end-to-end.
-	pipe := core.NewToStream(core.Ordered(), core.Input("lines")).
+	// (replicated) → Stage. The replicated stage keeps stream order.
+	pipe := core.NewToStream(core.Input("lines")).
 		Stage(func(item any, emit func(any)) {
 			emit(strings.ToUpper(item.(string)))
 		}, core.Replicate(4), core.Name("upper"), core.Input("lines"), core.Output("upper")).

@@ -33,17 +33,18 @@ import (
 type FleetConfig struct {
 	// Fleet is the device pool (default: the paper's Titan XP ×4).
 	Fleet []gpu.DeviceSpec
-	// Size is the dataset size in bytes (default 1 MiB of Linux-like data).
-	Size int
-	// BatchBytes is the fragmentation size (default 32 KiB, so the run has
-	// enough batches for the scoreboard to act mid-stream).
-	BatchBytes int
-	// DeratedDevice injects faults into this device for the second half of
-	// the stream (default 1).
-	DeratedDevice int
-	// Seed drives the workload and the fault schedules.
-	Seed int64
 }
+
+// The figure's fixed run: 4 MiB of Linux-like data in 32 KiB batches, 128
+// of them, enough post-derate traffic to see quarantine, probes and
+// rerouting. Device 1 injects faults for the second half of the stream,
+// and one seed drives the workload and the fault schedules.
+const (
+	fleetSize       = 4 << 20
+	fleetBatchBytes = 32 << 10
+	fleetSick       = 1
+	fleetSeed       = 42
+)
 
 func (c FleetConfig) fleet() []gpu.DeviceSpec {
 	if len(c.Fleet) > 0 {
@@ -54,27 +55,6 @@ func (c FleetConfig) fleet() []gpu.DeviceSpec {
 		panic(err)
 	}
 	return fl
-}
-
-func (c FleetConfig) size() int {
-	if c.Size <= 0 {
-		return 4 << 20 // 128 batches: enough post-derate traffic to see quarantine, probes and rerouting
-	}
-	return c.Size
-}
-
-func (c FleetConfig) batchBytes() int {
-	if c.BatchBytes <= 0 {
-		return 32 << 10
-	}
-	return c.BatchBytes
-}
-
-func (c FleetConfig) seed() int64 {
-	if c.Seed == 0 {
-		return 42
-	}
-	return c.Seed
 }
 
 // CPUSecondsPerMB is the fallback lane's cost model: the measured-shape cost
@@ -101,9 +81,9 @@ type FleetRow struct {
 // sequential reference before returning. A corrupted run must never render
 // as a throughput number.
 func FigFleetRows(cfg FleetConfig) []FleetRow {
-	input := workload.Generate(workload.Spec{Kind: workload.Linux, Size: cfg.size(), Seed: cfg.seed()})
+	input := workload.Generate(workload.Spec{Kind: workload.Linux, Size: fleetSize, Seed: fleetSeed})
 	var ref bytes.Buffer
-	if _, err := dedup.CompressSeq(input, &ref, dedup.Options{BatchSize: cfg.batchBytes()}); err != nil {
+	if _, err := dedup.CompressSeq(input, &ref, dedup.Options{BatchSize: fleetBatchBytes}); err != nil {
 		panic(err)
 	}
 	rows := []FleetRow{
@@ -124,7 +104,7 @@ func FigFleet(cfg FleetConfig) *stats.Table {
 	rows := FigFleetRows(cfg)
 	t := &stats.Table{
 		Title: fmt.Sprintf("Fig. 7 — placement on a degraded %d-device fleet (%.1f MB, derate at half-stream)",
-			len(cfg.fleet()), float64(cfg.size())/1e6),
+			len(cfg.fleet()), float64(fleetSize)/1e6),
 		Unit: "MB/s",
 	}
 	base := rows[1].MBps // speedups vs the blind degraded row
@@ -146,8 +126,7 @@ func FigFleet(cfg FleetConfig) *stats.Table {
 // one placement mode and accounts every batch to its lane.
 func runFleetMode(cfg FleetConfig, input []byte, label string, blind, derate bool) FleetRow {
 	fleet := cfg.fleet()
-	batchBytes := cfg.batchBytes()
-	totalBatches := (len(input) + batchBytes - 1) / batchBytes
+	totalBatches := (len(input) + fleetBatchBytes - 1) / fleetBatchBytes
 	derateFrom := totalBatches / 2
 
 	sb := health.New(health.Config{
@@ -155,27 +134,23 @@ func runFleetMode(cfg FleetConfig, input []byte, label string, blind, derate boo
 		ProbeEvery: 4, ReadmitAfter: 2,
 	})
 	for i, spec := range fleet {
-		sb.SetBaseline(i, spec.ServiceSecondsHint(batchBytes)/float64(batchBytes))
+		sb.SetBaseline(i, spec.ServiceSecondsHint(fleetBatchBytes)/float64(fleetBatchBytes))
 	}
 
 	// The processor runs batches strictly in sequence, so a shared progress
 	// counter gives a deterministic "mid-run" boundary for the derate.
 	processed := 0
-	sick := cfg.DeratedDevice
-	if sick <= 0 {
-		sick = 1
-	}
 	opt := dedup.GPUOptions{
-		Options:        dedup.Options{BatchSize: batchBytes},
+		Options:        dedup.Options{BatchSize: fleetBatchBytes},
 		MaxRetries:     1,
 		Fleet:          fleet,
 		Health:         sb,
 		BlindPlacement: blind,
 		FaultsFor: func(dev int) fault.Config {
-			if !derate || dev != sick || processed < derateFrom {
+			if !derate || dev != fleetSick || processed < derateFrom {
 				return fault.Config{}
 			}
-			return fault.Config{Seed: cfg.seed(), TransferRate: 0.9, KernelRate: 0.9}
+			return fault.Config{Seed: fleetSeed, TransferRate: 0.9, KernelRate: 0.9}
 		},
 	}
 
@@ -187,7 +162,7 @@ func runFleetMode(cfg FleetConfig, input []byte, label string, blind, derate boo
 			probes++
 		}
 		if dev < 0 {
-			cpuSeconds += float64(batchBytes) / 1e6 * CPUSecondsPerMB
+			cpuSeconds += float64(fleetBatchBytes) / 1e6 * CPUSecondsPerMB
 			return
 		}
 		lanes[dev] += virtSec
@@ -198,7 +173,7 @@ func runFleetMode(cfg FleetConfig, input []byte, label string, blind, derate boo
 	dw := dedup.NewWriter(&arch)
 	store := dedup.NewStore()
 	var runErr error
-	dedup.FragmentInto(input, batchBytes, func(b *dedup.Batch) {
+	dedup.FragmentInto(input, fleetBatchBytes, func(b *dedup.Batch) {
 		p.Process(b, store)
 		processed++
 		if err := b.WriteBlocks(dw); err != nil && runErr == nil {

@@ -84,7 +84,6 @@ type options struct {
 	replicate   int
 	inputs      []string
 	outputs     []string
-	ordered     bool
 	offload     bool
 	metrics     *telemetry.Registry
 	metricsName string
@@ -114,10 +113,6 @@ func Name(s string) Option { return func(o *options) { o.name = s } }
 // hand-off point for the paper's future-work GPU code generation.
 func Offload() Option { return func(o *options) { o.offload = true } }
 
-// Ordered asks the generated graph to preserve stream order end to end
-// (SPar's -spar_ordered flag); replicated stages become ordered farms.
-func Ordered() Option { return func(o *options) { o.ordered = true } }
-
 // Telemetry attaches a metrics registry to the region: the generated graph
 // reports per-stage item counters, service-time histograms and queue-depth
 // gauges into reg, labelled {pipeline=name, stage=<source|stage name>}. A
@@ -141,15 +136,16 @@ func Trace(tr *telemetry.StreamTracer) Option {
 type ToStream struct {
 	inputs      []string
 	stages      []*StageDef
-	ordered     bool
 	metrics     *telemetry.Registry
 	metricsName string
 	trace       *telemetry.StreamTracer
 	err         error
 }
 
-// NewToStream opens a streaming region. Options Input and Ordered apply to
-// the whole region.
+// NewToStream opens a streaming region. Options Input, Telemetry and Trace
+// apply to the whole region. The region keeps stream order end to end:
+// replicated stages become farms, which are ordered by construction (what
+// SPar's -spar_ordered flag asks for).
 func NewToStream(opts ...Option) *ToStream {
 	var o options
 	for _, op := range opts {
@@ -157,7 +153,6 @@ func NewToStream(opts ...Option) *ToStream {
 	}
 	return &ToStream{
 		inputs:      o.inputs,
-		ordered:     o.ordered,
 		metrics:     o.metrics,
 		metricsName: o.metricsName,
 		trace:       o.trace,
@@ -238,8 +233,7 @@ func (t *ToStream) Validate() error {
 // Graph describes the parallel activity graph SPar generates — the
 // pipeline/farm structure of Fig. 3.
 type Graph struct {
-	Ordered bool
-	Stages  []GraphStage
+	Stages []GraphStage
 }
 
 // GraphStage is one node of the activity graph.
@@ -253,7 +247,7 @@ type GraphStage struct {
 
 // Graph returns the activity graph (source stage first).
 func (t *ToStream) Graph() Graph {
-	g := Graph{Ordered: t.ordered}
+	var g Graph
 	g.Stages = append(g.Stages, GraphStage{Name: "ToStream", Replicate: 1})
 	for _, s := range t.stages {
 		g.Stages = append(g.Stages, GraphStage{Name: s.Name, Replicate: s.Replicate, Offload: s.Offload})
@@ -276,9 +270,6 @@ func (g Graph) String() string {
 		if s.Offload {
 			b.WriteString(" [gpu]")
 		}
-	}
-	if g.Ordered {
-		b.WriteString(" [ordered]")
 	}
 	return b.String()
 }
@@ -374,11 +365,7 @@ func (t *ToStream) RunContext(ctx context.Context, source func(emit func(any))) 
 		for i := range workers {
 			workers[i] = mk()
 		}
-		var fopts []ff.FarmOpt
-		if t.ordered {
-			fopts = append(fopts, ff.Ordered())
-		}
-		stages = append(stages, ff.NewFarm(workers, fopts...))
+		stages = append(stages, ff.NewFarm(workers))
 	}
 	pipe := ff.NewPipeline(stages...)
 	if t.metrics != nil || t.trace != nil {

@@ -40,7 +40,7 @@ func TestPipelineBasic(t *testing.T) {
 func TestReplicatedStageOrdered(t *testing.T) {
 	const n = 200
 	var out []int
-	ts := NewToStream(Ordered()).
+	ts := NewToStream().
 		Stage(func(item any, emit func(any)) { emit(item) }, Replicate(6)).
 		Stage(func(item any, emit func(any)) { out = append(out, item.(int)) })
 	err := ts.Run(func(emit func(any)) {
@@ -56,7 +56,7 @@ func TestReplicatedStageOrdered(t *testing.T) {
 	}
 	for i, v := range out {
 		if v != i {
-			t.Fatalf("out[%d] = %d: order lost despite Ordered()", i, v)
+			t.Fatalf("out[%d] = %d: order lost in a replicated stage", i, v)
 		}
 	}
 }
@@ -192,12 +192,12 @@ func TestRunValidates(t *testing.T) {
 }
 
 func TestGraphString(t *testing.T) {
-	ts := NewToStream(Ordered()).
+	ts := NewToStream().
 		Stage(func(any, func(any)) {}, Replicate(10), Name("sha1")).
 		Stage(func(any, func(any)) {}, Name("write"))
 	g := ts.Graph()
 	s := g.String()
-	if !strings.Contains(s, "ToStream") || !strings.Contains(s, "sha1 ×10") || !strings.Contains(s, "[ordered]") {
+	if !strings.Contains(s, "ToStream") || !strings.Contains(s, "sha1 ×10") {
 		t.Errorf("graph string = %q", s)
 	}
 	if len(g.Stages) != 3 {
@@ -215,13 +215,13 @@ func TestStageDefaultNames(t *testing.T) {
 	}
 }
 
-// Property: for any input and worker count, an Ordered region behaves as an
+// Property: for any input and worker count, a region behaves as an
 // identity pipeline — the SPar ordering guarantee.
 func TestOrderedIdentityProperty(t *testing.T) {
 	f := func(vals []int16, rSeed uint8) bool {
 		r := int(rSeed)%7 + 1
 		var out []int16
-		ts := NewToStream(Ordered()).
+		ts := NewToStream().
 			Stage(func(item any, emit func(any)) { emit(item) }, Replicate(r)).
 			Stage(func(item any, emit func(any)) { out = append(out, item.(int16)) })
 		err := ts.Run(func(emit func(any)) {
@@ -246,7 +246,7 @@ func TestOrderedIdentityProperty(t *testing.T) {
 
 func BenchmarkToStreamThroughput(b *testing.B) {
 	n := b.N
-	ts := NewToStream(Ordered()).
+	ts := NewToStream().
 		Stage(func(item any, emit func(any)) { emit(item) }, Replicate(4)).
 		Stage(func(any, func(any)) {})
 	b.ResetTimer()

@@ -14,7 +14,7 @@ func TestRegionTelemetry(t *testing.T) {
 	tr := telemetry.NewStreamTracer(4 * n)
 
 	var got int
-	err := NewToStream(Ordered(), Telemetry(reg, "region"), Trace(tr)).
+	err := NewToStream(Telemetry(reg, "region"), Trace(tr)).
 		Stage(func(item any, emit func(any)) {
 			emit(item.(int) * 3)
 		}, Name("triple"), Replicate(4)).

@@ -163,7 +163,7 @@ func CompressSParContext(ctx context.Context, input []byte, w io.Writer, opt Opt
 	store := NewStore()
 	lanes := opt.lanes()
 
-	ts := core.NewToStream(core.Ordered(), core.Input("input", "batchSize"),
+	ts := core.NewToStream(core.Input("input", "batchSize"),
 		core.Telemetry(opt.Metrics, "dedup"), core.Trace(opt.Trace)).
 		Stage(func(item any, emit func(any)) {
 			b := item.(*Batch)

@@ -46,7 +46,7 @@ func RestoreParallel(r io.Reader, w io.Writer, workers int) error {
 	var writeErr error
 	var readErr error
 
-	ts := core.NewToStream(core.Ordered()).
+	ts := core.NewToStream().
 		Stage(func(item any, emit func(any)) {
 			it := item.(*restoreItem)
 			if it.tag == recUnique {

@@ -5,47 +5,28 @@ import (
 	"sync"
 )
 
-// seqOut carries the ordered-farm bookkeeping: the outputs a worker
-// produced for input number seq (possibly none, possibly several via
-// SendOut).
-type seqOut struct {
-	seq  uint64
-	vals []any
-}
-
-// seqIn wraps an input with its sequence number on the way to a worker.
-type seqIn struct {
-	seq uint64
-	val any
-}
-
 // Farm is the FastFlow task-farm: an emitter scheduling tasks over
-// replicated workers and a collector gathering results (ff_farm /
-// ff_OFarm). The emitter forwards its input round-robin and the collector
-// forwards every result; without options the farm is unordered.
+// replicated workers and a collector gathering results. The emitter deals
+// its input round-robin, each worker answers every input with exactly one
+// entry on its own output queue, and the collector takes those entries in
+// the same round-robin order, so results leave in input order (ff_OFarm)
+// by construction, the order Mandelbrot's display stage and Dedup's
+// reorder stage need.
 type Farm struct {
 	workers []Node
-	ordered bool
 }
 
-// FarmOpt configures a Farm.
-type FarmOpt func(*Farm)
-
-// Ordered makes the farm emit results in input order (ff_OFarm), the mode
-// Mandelbrot's display stage and Dedup's reorder stage need.
-func Ordered() FarmOpt { return func(f *Farm) { f.ordered = true } }
-
 // NewFarm builds a farm over the given worker nodes.
-func NewFarm(workers []Node, opts ...FarmOpt) *Farm {
+func NewFarm(workers []Node) *Farm {
 	if len(workers) == 0 {
 		panic("ff: farm with no workers")
 	}
-	f := &Farm{workers: workers}
-	for _, o := range opts {
-		o(f)
-	}
-	return f
+	return &Farm{workers: workers}
 }
+
+// multi is the collector entry of an input for which SendOut emitted
+// several outputs. A private type, so no user value is mistaken for one.
+type multi []any
 
 // start wires the farm into a pipeline position; out == nil means last
 // stage. A farm has no source of its own, so it cannot be the first stage.
@@ -55,16 +36,12 @@ func (f *Farm) start(pl *Pipeline, tm *stageTelem, in, out *SPSC[any], wg *sync.
 	}
 	nw := len(f.workers)
 	wqs := make([]*SPSC[any], nw) // emitter -> worker i
+	cqs := make([]*SPSC[any], nw) // worker i -> collector
 	for i := range wqs {
 		wqs[i] = NewSPSC[any](pl.queueCap, false)
+		cqs[i] = NewSPSC[any](pl.queueCap, false)
 	}
-	// All workers fan into one MPMC collector queue: the collector pops
-	// bursts from a single ring instead of polling nw SPSC queues, so an
-	// idle worker costs it nothing and a hot worker's results are never
-	// stuck behind an empty queue in the round-robin. Capacity preserves the
-	// per-worker budget of the old cqs.
-	cq := NewMPMC[any](pl.queueCap*nw, false)
-	tm.registerFarmQueueGauges(wqs, cq)
+	tm.registerFarmQueueGauges(wqs, cqs)
 
 	// --- emitter ---
 	wg.Add(1)
@@ -78,7 +55,7 @@ func (f *Farm) start(pl *Pipeline, tm *stageTelem, in, out *SPSC[any], wg *sync.
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			f.runWorker(pl, tm, i, wqs[i], cq)
+			f.runWorker(pl, tm, i, wqs[i], cqs[i])
 		}(i)
 	}
 
@@ -86,14 +63,13 @@ func (f *Farm) start(pl *Pipeline, tm *stageTelem, in, out *SPSC[any], wg *sync.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.runCollector(pl, tm, cq, len(f.workers), out)
+		f.runCollector(pl, tm, cqs, out)
 	}()
 }
 
 // runEmitter forwards pipeline input over the workers round-robin, a burst
 // at a time.
 func (f *Farm) runEmitter(pl *Pipeline, tm *stageTelem, in *SPSC[any], wqs []*SPSC[any]) {
-	var seq uint64
 	next := 0
 	var burst [burstCap]any
 forward:
@@ -114,10 +90,6 @@ forward:
 				break forward
 			}
 			tm.itemIn()
-			if f.ordered {
-				t = seqIn{seq: seq, val: t}
-				seq++
-			}
 			wqs[next].Push(t)
 			next = (next + 1) % len(wqs)
 		}
@@ -127,33 +99,52 @@ forward:
 	}
 }
 
+// pack turns the outputs of one input into its one collector entry: GoOn
+// for none, the output itself for one, a multi for several. It clears outs
+// for reuse, so the common case of at most one output allocates nothing.
+func pack(outs []any) any {
+	switch len(outs) {
+	case 0:
+		return GoOn
+	case 1:
+		v := outs[0]
+		outs[0] = nil
+		return v
+	}
+	m := make(multi, len(outs))
+	copy(m, outs)
+	clear(outs)
+	return m
+}
+
 // runWorker executes one replica's service loop. Service times and per-item
 // traces are observed here: the workers are where a farm stage spends its
-// time.
-func (f *Farm) runWorker(pl *Pipeline, tm *stageTelem, i int, wq *SPSC[any], cq *MPMC[any]) {
+// time. A worker that stops early pushes its EOS before it drains its
+// input: the collector may be waiting on this worker's queue, and until
+// it moves on the other workers' queues fill and the emitter stalls.
+func (f *Farm) runWorker(pl *Pipeline, tm *stageTelem, i int, wq, cq *SPSC[any]) {
 	w := f.workers[i]
 	where := fmt.Sprintf("worker %d", i)
-	// Multi-output plumbing: unordered workers push straight to their
-	// collector queue; ordered workers accumulate into the per-input
-	// output list so sequencing survives SendOut and GoOn.
-	var pending *seqOut
+	var outs []any // what SendOut emitted for the current input
 	if on, ok := w.(OutNode); ok {
-		on.setOut(func(v any) {
-			if f.ordered {
-				pending.vals = append(pending.vals, v)
-				return
-			}
-			cq.Push(v)
-		})
+		on.setOut(func(v any) { outs = append(outs, v) })
 	}
 	if !initSafe(pl, w, where) {
 		tm.errored()
-		tm.dropped(drain(wq))
 		cq.Push(EOS)
+		tm.dropped(drain(wq))
 		return
 	}
+	// finish runs End, forwards what it emitted and ends this worker's
+	// entries.
+	finish := func() {
+		endSafe(pl, w, where)
+		if len(outs) > 0 {
+			cq.Push(pack(outs))
+		}
+		cq.Push(EOS)
+	}
 	var burst [burstCap]any
-serve:
 	for {
 		got := wq.TryPopN(burst[:])
 		if got == 0 {
@@ -164,55 +155,39 @@ serve:
 			t := burst[j]
 			burst[j] = nil
 			if t == EOS {
-				break serve
+				finish()
+				return
 			}
 			if pl.Canceled() {
+				finish()
 				tm.dropped(1 + drainBurst(wq, burst[j+1:got]))
-				break serve
-			}
-			if f.ordered {
-				si := t.(seqIn)
-				pending = &seqOut{seq: si.seq}
-				t0 := tm.svcStart()
-				r, ok := svcSafe(pl, w, si.val, where)
-				tm.svcEnd(t0)
-				if r != GoOn && r != EOS && ok {
-					pending.vals = append(pending.vals, r)
-				}
-				cq.Push(*pending)
-				pending = nil
-				if !ok || r == EOS {
-					if !ok {
-						tm.errored()
-					}
-					tm.dropped(drainBurst(wq, burst[j+1:got]))
-					break serve
-				}
-				continue
+				return
 			}
 			t0 := tm.svcStart()
 			r, ok := svcSafe(pl, w, t, where)
 			tm.svcEnd(t0)
+			if ok && r != GoOn && r != EOS {
+				outs = append(outs, r)
+			}
+			cq.Push(pack(outs))
+			outs = outs[:0]
 			if !ok || r == EOS {
 				if !ok {
 					tm.errored()
 				}
+				finish()
 				tm.dropped(drainBurst(wq, burst[j+1:got]))
-				break serve
-			}
-			if r != GoOn {
-				cq.Push(r)
+				return
 			}
 		}
 	}
-	endSafe(pl, w, where)
-	cq.Push(EOS)
 }
 
-// runCollector gathers worker results (burst pops off the shared MPMC
-// fan-in queue), restores order if requested, and forwards downstream.
-func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworkers int, out *SPSC[any]) {
-	handle := func(v any) {
+// runCollector takes one entry per input from the workers in the emitter's
+// dealing order and forwards its outputs downstream. It skips a worker once
+// that worker has sent EOS, and ends when every worker has.
+func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cqs []*SPSC[any], out *SPSC[any]) {
+	forward := func(v any) {
 		switch {
 		case pl.Canceled():
 			tm.dropped(1)
@@ -221,59 +196,24 @@ func (f *Farm) runCollector(pl *Pipeline, tm *stageTelem, cq *MPMC[any], nworker
 			tm.itemOut()
 		}
 	}
-
-	// Ordered reorder buffer.
-	buffered := make(map[uint64][]any)
-	var nextSeq uint64
-	flush := func() {
-		for {
-			vals, ok := buffered[nextSeq]
-			if !ok {
-				return
-			}
-			delete(buffered, nextSeq)
-			for _, v := range vals {
-				handle(v)
-			}
-			nextSeq++
+	ended := make([]bool, len(cqs))
+	for k, live := 0, len(cqs); live > 0; k = (k + 1) % len(cqs) {
+		if ended[k] {
+			continue
 		}
-	}
-
-	eos := 0
-	var burst [burstCap]any
-	for eos < nworkers {
-		got := cq.TryPopN(burst[:])
-		if got == 0 {
-			burst[0], _ = cq.PopWait() // cq is never closed: PopWait returns an item
-			got = 1
-		}
-		for j := 0; j < got; j++ {
-			v := burst[j]
-			burst[j] = nil
-			if v == EOS {
-				eos++
-				continue
-			}
-			if f.ordered {
-				so := v.(seqOut)
-				buffered[so.seq] = so.vals
-				flush()
-				continue
-			}
-			handle(v)
-		}
-	}
-	if f.ordered {
-		flush()
-		switch {
-		case len(buffered) == 0:
-		case pl.Canceled():
-			// Sequences behind a gap a canceled worker left: never handled.
-			for _, vals := range buffered {
-				tm.dropped(int64(len(vals)))
-			}
+		switch v := cqs[k].Pop(); v {
+		case EOS:
+			ended[k] = true
+			live--
+		case GoOn:
 		default:
-			pl.reportErr(fmt.Errorf("ff: ordered farm lost %d sequences", len(buffered)))
+			if m, ok := v.(multi); ok {
+				for _, o := range m {
+					forward(o)
+				}
+			} else {
+				forward(v)
+			}
 		}
 	}
 	if out != nil {

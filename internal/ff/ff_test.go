@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSPSCBasic(t *testing.T) {
@@ -270,7 +271,7 @@ func TestFarmOrderedPreservesOrder(t *testing.T) {
 	var out []int
 	p := NewPipeline(
 		SliceSource(items),
-		NewFarm(workers, Ordered()),
+		NewFarm(workers),
 		Sink(func(task any) { out = append(out, task.(int)) }),
 	)
 	if err := p.Run(); err != nil {
@@ -305,7 +306,7 @@ func TestFarmOrderedWithGoOn(t *testing.T) {
 	var out []int
 	p := NewPipeline(
 		SliceSource(items),
-		NewFarm(workers, Ordered()),
+		NewFarm(workers),
 		Sink(func(task any) { out = append(out, task.(int)) }),
 	)
 	if err := p.Run(); err != nil {
@@ -325,6 +326,95 @@ func TestFarmOrderedWithGoOn(t *testing.T) {
 	}
 	if want := n - (n+2)/3; count != want {
 		t.Fatalf("got %d items, want %d", count, want)
+	}
+}
+
+// mixedOut answers input i with nothing, one output or three SendOuts,
+// by i mod 3; slow makes it sleep on every input.
+type mixedOut struct {
+	NodeBase
+	slow bool
+}
+
+func (m *mixedOut) Svc(task any) any {
+	if m.slow {
+		time.Sleep(100 * time.Microsecond)
+	}
+	i := task.(int)
+	switch i % 3 {
+	case 0:
+		return GoOn
+	case 1:
+		return i
+	}
+	for k := 0; k < 3; k++ {
+		m.SendOut(1000*i + k)
+	}
+	return GoOn
+}
+
+// A farm whose workers mix no output, one output and several, with one
+// worker slow enough that the others run ahead, delivers exactly what one
+// sequential worker would, in the same order.
+func TestFarmMixedOutputsKeepOrder(t *testing.T) {
+	const n = 400
+	var want []int
+	seqw := &mixedOut{}
+	seqw.setOut(func(v any) { want = append(want, v.(int)) })
+	for i := 0; i < n; i++ {
+		if r := seqw.Svc(i); r != GoOn {
+			want = append(want, r.(int))
+		}
+	}
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
+	}
+	workers := []Node{&mixedOut{slow: true}, &mixedOut{}, &mixedOut{}, &mixedOut{}}
+	var got []int
+	p := NewPipeline(
+		SliceSource(items),
+		NewFarm(workers),
+		Sink(func(task any) { got = append(got, task.(int)) }),
+	).SetQueueCap(8)
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d outputs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("out[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// A warm farm moves items without allocating per item: the mallocs of a
+// run grow by (almost) nothing when the stream is four times as long.
+// Pointer items keep the source and the sink allocation-free.
+func TestFarmNoAllocsPerItem(t *testing.T) {
+	const n = 2000
+	v := new(int)
+	items := make([]*int, 4*n)
+	for i := range items {
+		items[i] = v
+	}
+	run := func(k int) {
+		workers := make([]Node, 4)
+		for w := range workers {
+			workers[w] = F(func(task any) any { return task })
+		}
+		p := NewPipeline(SliceSource(items[:k]), NewFarm(workers), Sink(func(any) {}))
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short := testing.AllocsPerRun(5, func() { run(n) })
+	long := testing.AllocsPerRun(5, func() { run(4 * n) })
+	if per := (long - short) / (3 * n); per > 0.05 {
+		t.Errorf("%.0f mallocs for %d items, %.0f for %d: %.2f per item, want 0",
+			short, n, long, 4*n, per)
 	}
 }
 
@@ -400,7 +490,7 @@ func TestOrderedFarmIdentityProperty(t *testing.T) {
 		var out []int32
 		p := NewPipeline(
 			SliceSource(vals),
-			NewFarm(workers, Ordered()),
+			NewFarm(workers),
 			Sink(func(task any) { out = append(out, task.(int32)) }),
 		).SetQueueCap(qc)
 		if err := p.Run(); err != nil {
@@ -515,7 +605,7 @@ func TestNestedPipelineWithFarm(t *testing.T) {
 	}
 	inner := NewPipeline(
 		F(func(task any) any { return task.(int) + 1 }),
-		NewFarm(workers, Ordered()),
+		NewFarm(workers),
 	)
 	var out []int
 	outer := NewPipeline(

@@ -15,15 +15,14 @@ type mpmcSlot[T any] struct {
 	val T
 }
 
-// MPMC is a bounded lock-free multi-producer/multi-consumer ring queue —
-// the fan-in primitive that lets N farm workers feed one collector without
-// per-producer SPSC queues to poll. Any number of goroutines may call the
-// producer methods (TryPush/TryPushN/Push) and any number the consumer
-// methods (TryPop/TryPopN/PopWait) concurrently.
+// MPMC is a bounded lock-free multi-producer/multi-consumer ring queue.
+// No farm uses it (each farm worker has its own SPSC output queue); it
+// stays for the served-path benchmark's queue row. Any number of goroutines
+// may call the producer methods (TryPush/TryPushN/Push) and any number the
+// consumer methods (TryPop/TryPopN/PopWait) concurrently.
 //
 // Close is a producer-side end-of-stream signal for PopWait; it does not
-// fence out late pushes — callers stop their producers first. (The farm
-// collector's queue is never closed: workers end their streams with EOS.)
+// fence out late pushes — callers stop their producers first.
 type MPMC[T any] struct {
 	buf  []mpmcSlot[T]
 	mask uint64

@@ -56,7 +56,8 @@ type NodeBase struct {
 	out func(any)
 }
 
-// SendOut emits v downstream immediately.
+// SendOut emits v downstream. A farm worker's outputs for one input leave
+// together, in order, once its Svc returns.
 func (b *NodeBase) SendOut(v any) {
 	if b.out == nil {
 		panic("ff: SendOut before the node was started")

@@ -251,8 +251,8 @@ func endSafe(pl *Pipeline, n Node, where string) {
 	fin.End()
 }
 
-// runNode is the generic node service loop shared by pipeline stages and
-// farm roles: init, consume/produce until EOS (or failure/cancellation),
+// runNode is a single-node pipeline stage's service loop: init,
+// consume/produce until EOS (or failure/cancellation),
 // finalize, propagate EOS. tm (nil when telemetry is off) observes items
 // in/out, service time, drops and errors.
 func runNode(pl *Pipeline, tm *stageTelem, n Node, in, out *SPSC[any]) {

@@ -66,24 +66,18 @@ func TestSvcPanicReported(t *testing.T) {
 }
 
 func TestFarmWorkerPanicReported(t *testing.T) {
-	for _, ordered := range []bool{false, true} {
-		workers := make([]Node, 4)
-		for w := range workers {
-			workers[w] = F(func(task any) any {
-				if task.(int) == 17 {
-					panic("worker exploded")
-				}
-				return task
-			})
-		}
-		var opts []FarmOpt
-		if ordered {
-			opts = append(opts, Ordered())
-		}
-		err := NewPipeline(SliceSource(seq(1000)), NewFarm(workers, opts...), Sink(func(any) {})).Run()
-		if err == nil || !strings.Contains(err.Error(), "worker exploded") {
-			t.Fatalf("ordered=%v: Run = %v, want panic error", ordered, err)
-		}
+	workers := make([]Node, 4)
+	for w := range workers {
+		workers[w] = F(func(task any) any {
+			if task.(int) == 17 {
+				panic("worker exploded")
+			}
+			return task
+		})
+	}
+	err := NewPipeline(SliceSource(seq(1000)), NewFarm(workers), Sink(func(any) {})).Run()
+	if err == nil || !strings.Contains(err.Error(), "worker exploded") {
+		t.Fatalf("Run = %v, want panic error", err)
 	}
 }
 

@@ -4,13 +4,12 @@
 //
 // The architecture follows FastFlow's building-block model [Aldinucci et
 // al.]: every node owns a thread of execution; pipeline stages are joined
-// by SPSC queues, a farm's emitter owns one SPSC queue per worker, and the
-// workers fan into one MPMC queue that the collector pops in bursts. A
-// blocked queue call spins, yields, then parks until the opposite
-// operation wakes it (blocking mode) or keeps yielding (spinning mode).
-// Farms schedule round-robin, and an ordered farm restores input order at
-// the collector (used by Mandelbrot's display stage and Dedup's reorder
-// stage).
+// by SPSC queues, and a farm gives each worker one SPSC input queue and one
+// SPSC output queue. A blocked queue call spins, yields, then parks until
+// the opposite operation wakes it (blocking mode) or keeps yielding
+// (spinning mode). The emitter deals round-robin and the collector takes
+// results back in the same order, so every farm keeps input order (used by
+// Mandelbrot's display stage and Dedup's reorder stage).
 package ff
 
 import "sync/atomic"

@@ -112,21 +112,20 @@ func (p *Pipeline) registerQueueGauges(queues []*SPSC[any]) {
 }
 
 // registerFarmQueueGauges points ff_farm_queue_depth at a farm's internal
-// emitter->worker (w<i>) queues and the shared worker->collector MPMC
-// fan-in queue (c).
-func (tm *stageTelem) registerFarmQueueGauges(wqs []*SPSC[any], cq *MPMC[any]) {
+// emitter->worker (w<i>) and worker->collector (c<i>) queues.
+func (tm *stageTelem) registerFarmQueueGauges(wqs, cqs []*SPSC[any]) {
 	if tm == nil || tm.reg == nil {
 		return
 	}
-	for i := range wqs {
-		wq := wqs[i]
+	gauge := func(queue string, q *SPSC[any]) {
 		tm.reg.GaugeFunc("ff_farm_queue_depth",
-			telemetry.Labels{"pipeline": tm.pipe, "stage": tm.name, "queue": fmt.Sprintf("w%d", i)},
-			func() float64 { return float64(wq.Len()) })
+			telemetry.Labels{"pipeline": tm.pipe, "stage": tm.name, "queue": queue},
+			func() float64 { return float64(q.Len()) })
 	}
-	tm.reg.GaugeFunc("ff_farm_queue_depth",
-		telemetry.Labels{"pipeline": tm.pipe, "stage": tm.name, "queue": "c"},
-		func() float64 { return float64(cq.Len()) })
+	for i := range wqs {
+		gauge(fmt.Sprintf("w%d", i), wqs[i])
+		gauge(fmt.Sprintf("c%d", i), cqs[i])
+	}
 }
 
 func (tm *stageTelem) itemIn() {

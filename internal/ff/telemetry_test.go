@@ -20,7 +20,7 @@ func TestPipelineTelemetry(t *testing.T) {
 	double := F(func(v any) any { return v.(int) * 2 })
 	p := NewPipeline(
 		SliceSource(seq(n)),
-		NewFarm([]Node{double, double, double}, Ordered()),
+		NewFarm([]Node{double, double, double}),
 		sink,
 	)
 	p.SetTelemetry(reg, "test", "source", "double", "sink")
@@ -60,7 +60,7 @@ func TestPipelineTelemetry(t *testing.T) {
 		`ff_queue_depth{pipeline="test",queue="source->double"}`,
 		`ff_queue_depth{pipeline="test",queue="double->sink"}`,
 		`ff_farm_queue_depth{pipeline="test",queue="w0",stage="double"}`,
-		`ff_farm_queue_depth{pipeline="test",queue="c",stage="double"}`,
+		`ff_farm_queue_depth{pipeline="test",queue="c0",stage="double"}`,
 	} {
 		if !strings.Contains(expo, want) {
 			t.Errorf("exposition missing %s", want)
@@ -94,7 +94,6 @@ func TestPipelineTelemetryDrops(t *testing.T) {
 	}{
 		{"node", func() any { return F(id) }},
 		{"farm", func() any { return NewFarm([]Node{F(id), F(id)}) }},
-		{"ordered_farm", func() any { return NewFarm([]Node{F(id), F(id)}, Ordered()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.New()

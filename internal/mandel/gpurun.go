@@ -18,9 +18,6 @@ type FTConfig struct {
 	// MaxRetries bounds transient-fault retries per batch on one device
 	// before the batch degrades to the CPU path.
 	MaxRetries int
-	// IterCycles is the calibrated per-iteration device cycle cost
-	// (internal/bench owns the calibration; 160 is its Titan XP value).
-	IterCycles int64
 	// Faults holds one injector config per device; a short slice leaves the
 	// remaining devices fault-free.
 	Faults []fault.Config
@@ -50,12 +47,9 @@ func (c FTConfig) maxRetries() int {
 	return c.MaxRetries
 }
 
-func (c FTConfig) iterCycles() int64 {
-	if c.IterCycles <= 0 {
-		return 160
-	}
-	return c.IterCycles
-}
+// ftIterCycles is the calibrated per-iteration device cycle cost
+// (internal/bench owns the calibration; 160 is its Titan XP value).
+const ftIterCycles int64 = 160
 
 // FTReport describes what the recovery machinery did during a run.
 type FTReport struct {
@@ -185,7 +179,7 @@ func RunGPUFT(p Params, cfg FTConfig) (*Image, FTReport, error) {
 func runFTBatch(proc *des.Proc, st *gpu.Stream, d *gpu.Device, cfg FTConfig,
 	p Params, batch, rows int, dImg *gpu.Buf, h *gpu.HostBuf, rep *FTReport) error {
 	retries, err := gpu.Retry(proc, cfg.maxRetries(), func() error {
-		evK := st.Launch(proc, BatchKernel.Bind(batch, cfg.batchSize(), p, dImg, cfg.iterCycles()),
+		evK := st.Launch(proc, BatchKernel.Bind(batch, cfg.batchSize(), p, dImg, ftIterCycles),
 			gpu.Grid1D(rows*p.Dim, 128))
 		evC := st.CopyD2H(proc, h, 0, dImg, 0, int64(rows*p.Dim))
 		return gpu.WaitErr(proc, evK, evC)

@@ -23,7 +23,7 @@ type Observer struct {
 // stages surface as {pipeline="mandel", stage=source|compute|show} metrics.
 func RunSParObserved(ctx context.Context, p Params, workers int, obs Observer) (*Image, error) {
 	im := NewImage(p.Dim)
-	ts := core.NewToStream(core.Ordered(), core.Input("dim", "init_a", "init_b", "step", "niter"),
+	ts := core.NewToStream(core.Input("dim", "init_a", "init_b", "step", "niter"),
 		core.Telemetry(obs.Metrics, "mandel"), core.Trace(obs.Trace)).
 		Stage(func(item any, emit func(any)) {
 			r := item.(*Row)
@@ -68,7 +68,7 @@ func RunFFObserved(p Params, workers int, obs Observer) (*Image, error) {
 		r := task.(*Row)
 		im.SetRow(r.I, r.Img)
 	})
-	pipe := ff.NewPipeline(src, ff.NewFarm(ws, ff.Ordered()), sink)
+	pipe := ff.NewPipeline(src, ff.NewFarm(ws), sink)
 	if obs.Metrics != nil {
 		pipe.SetTelemetry(obs.Metrics, "mandel-ff", "source", "compute", "show")
 	}

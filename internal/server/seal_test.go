@@ -172,11 +172,8 @@ func TestLingerBoundsSlowFrame(t *testing.T) {
 // TestServedRequestAllocs pins the heap allocations of one warm 32 KiB
 // dedup request, one batch per request, counted over the whole process:
 // the client's encode and decode, the session's read loop, the coalescer,
-// the pipeline and the sink. It reads 9-10: six are the ordered farm's
-// per-item boxing, most of the rest the session store's map growth. Before
-// the wire header, the archive record header, the unmetered labels, the job
-// and its closures, the pending list and the archive delta stopped
-// allocating, the same count read 38.
+// the pipeline and the sink. It reads about 5, most of them the session
+// store's map growth; the pipeline's farm allocates nothing per item.
 func TestServedRequestAllocs(t *testing.T) {
 	if pool.RaceEnabled {
 		t.Skip("allocation counting is unreliable under -race")
@@ -206,8 +203,8 @@ func TestServedRequestAllocs(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	per := float64(m1.Mallocs-m0.Mallocs) / n
 	t.Logf("%.1f mallocs per served request", per)
-	if per > 12 {
-		t.Errorf("%.1f mallocs per served request, want at most 12", per)
+	if per > 7 {
+		t.Errorf("%.1f mallocs per served request, want at most 7", per)
 	}
 	archive.Write(finishStream(c))
 	if got := restoreArchive(t, archive.Bytes()); !bytes.Equal(got, data) {

@@ -446,8 +446,7 @@ func (s *Server) startPipelines() {
 		go s.probeLoop()
 	}
 
-	dedupTS := core.NewToStream(core.Ordered(),
-		core.Telemetry(s.cfg.Metrics, "serve-dedup")).
+	dedupTS := core.NewToStream(core.Telemetry(s.cfg.Metrics, "serve-dedup")).
 		StageWorkers(func() core.Worker {
 			// Each replica hashes, dedup-marks and compresses batches on
 			// its own Processor, against the batch's session store.
@@ -460,8 +459,7 @@ func (s *Server) startPipelines() {
 		}, core.Replicate(s.cfg.workers()), core.Name("process")).
 		Stage(s.dedupSink, core.Name("write+respond"))
 
-	mandelTS := core.NewToStream(core.Ordered(),
-		core.Telemetry(s.cfg.Metrics, "serve-mandel")).
+	mandelTS := core.NewToStream(core.Telemetry(s.cfg.Metrics, "serve-mandel")).
 		Stage(s.mandelCompute, core.Replicate(s.cfg.workers()), core.Name("compute")).
 		Stage(s.mandelSink, core.Name("respond"))
 

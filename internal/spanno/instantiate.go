@@ -13,7 +13,7 @@ import (
 // generated from the annotated source.
 //
 // env and def resolve symbolic Replicate degrees as in BuildGraph; extra
-// options (core.Ordered(), core.Telemetry(...)) apply to the whole region.
+// options (core.Telemetry(...), core.Trace(...)) apply to the whole region.
 func Instantiate(anns []Annotation, env map[string]int, def int, bodies map[string]core.StageFunc, opts ...core.Option) (*core.ToStream, error) {
 	if err := validate(anns); err != nil {
 		return nil, err

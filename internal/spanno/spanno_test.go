@@ -267,7 +267,7 @@ for (;;) {
 	ts, err := Instantiate(anns, map[string]int{"nw": 4}, 1, map[string]core.StageFunc{
 		"S1": func(item any, emit func(any)) { emit(item.(int) * 2) },
 		"S2": func(item any, emit func(any)) { out = append(out, item.(int)) },
-	}, core.Ordered())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,11 @@ import (
 // the executing worker so tasks can spawn children into the local deque.
 type Task func(w *Worker)
 
-// taskCell boxes a Task so deque slots can be atomic pointers.
+// taskCell is a submitted task: the function, and the group it belongs to
+// (nil for none). The deque's slots are atomic pointers to cells.
 type taskCell struct {
 	fn Task
+	g  *Group
 }
 
 // deque is a fixed-capacity Chase–Lev work-stealing deque. The owner pushes
@@ -40,57 +42,57 @@ func newDeque(capacity int) *deque {
 
 // pushBottom appends a task at the owner end. Returns false when full (the
 // caller falls back to the scheduler's shared inbox).
-func (d *deque) pushBottom(t Task) bool {
+func (d *deque) pushBottom(t taskCell) bool {
 	b := d.bottom.Load()
 	top := d.top.Load()
 	if b-top >= int64(len(d.buf)) {
 		return false
 	}
-	d.buf[b&d.mask].Store(&taskCell{fn: t})
+	d.buf[b&d.mask].Store(&t)
 	d.bottom.Store(b + 1)
 	return true
 }
 
 // popBottom removes the most recently pushed task (LIFO for locality). Only
 // the owner may call it.
-func (d *deque) popBottom() (Task, bool) {
+func (d *deque) popBottom() (taskCell, bool) {
 	b := d.bottom.Load() - 1
 	d.bottom.Store(b)
 	t := d.top.Load()
 	if b < t {
 		// Empty: restore.
 		d.bottom.Store(t)
-		return nil, false
+		return taskCell{}, false
 	}
 	cell := d.buf[b&d.mask].Load()
 	if b > t {
-		return cell.fn, true
+		return *cell, true
 	}
 	// Last element: race against thieves for it.
 	won := d.top.CompareAndSwap(t, t+1)
 	d.bottom.Store(t + 1)
 	if !won {
-		return nil, false
+		return taskCell{}, false
 	}
-	return cell.fn, true
+	return *cell, true
 }
 
 // steal removes the oldest task (FIFO from the thief's view). Any goroutine
 // may call it.
-func (d *deque) steal() (Task, bool) {
+func (d *deque) steal() (taskCell, bool) {
 	for {
 		t := d.top.Load()
 		b := d.bottom.Load()
 		if t >= b {
-			return nil, false
+			return taskCell{}, false
 		}
 		cell := d.buf[t&d.mask].Load()
 		if cell == nil {
 			// Slot not yet published; treat as empty this round.
-			return nil, false
+			return taskCell{}, false
 		}
 		if d.top.CompareAndSwap(t, t+1) {
-			return cell.fn, true
+			return *cell, true
 		}
 		// Lost the race; retry.
 	}

@@ -13,7 +13,7 @@ import (
 // fall back to a shared inbox for externally submitted tasks.
 type Scheduler struct {
 	workers []*Worker
-	inbox   chan Task
+	inbox   chan taskCell
 	quit    chan struct{}
 	wg      sync.WaitGroup
 	pending atomic.Int64 // tasks submitted but not yet finished
@@ -37,7 +37,7 @@ func NewScheduler(n int) *Scheduler {
 		n = runtime.GOMAXPROCS(0)
 	}
 	s := &Scheduler{
-		inbox: make(chan Task, 4096),
+		inbox: make(chan taskCell, 4096),
 		quit:  make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
@@ -52,33 +52,42 @@ func NewScheduler(n int) *Scheduler {
 }
 
 // Go submits a task from outside the pool.
-func (s *Scheduler) Go(t Task) {
+func (s *Scheduler) Go(t Task) { s.submit(taskCell{fn: t}) }
+
+func (s *Scheduler) submit(c taskCell) {
 	if s.closed.Load() {
 		panic("tbb: Go after Shutdown")
 	}
 	s.pending.Add(1)
-	s.inbox <- t
+	s.inbox <- c
 }
 
 // Spawn pushes a child task into the worker's local deque; if it is full
 // the task overflows into the shared inbox.
-func (w *Worker) Spawn(t Task) {
+func (w *Worker) Spawn(t Task) { w.spawn(taskCell{fn: t}) }
+
+func (w *Worker) spawn(c taskCell) {
 	w.s.pending.Add(1)
-	if !w.dq.pushBottom(t) {
+	if !w.dq.pushBottom(c) {
 		if tm := w.s.tel.Load(); tm != nil {
 			tm.overflow.Inc()
 		}
-		w.s.inbox <- t
+		w.s.inbox <- c
 	}
 }
 
-// run executes a task and maintains the pending count.
-func (w *Worker) run(t Task) {
+// run executes a task and maintains the pending count. A group task is
+// finished in its group only after the count has dropped for it, so a
+// returned Group.Wait never sees the scheduler still counting its tasks.
+func (w *Worker) run(c taskCell) {
 	if tm := w.s.tel.Load(); tm != nil {
 		tm.tasks.Inc()
 	}
-	t(w)
+	c.fn(w)
 	w.s.pending.Add(-1)
+	if c.g != nil {
+		c.g.finish()
+	}
 }
 
 // loop is the worker's scheduling loop: local pop, then steal, then inbox,
@@ -123,10 +132,10 @@ func (w *Worker) loop() {
 }
 
 // stealOnce tries each victim once, starting from a random position.
-func (w *Worker) stealOnce() (Task, bool) {
+func (w *Worker) stealOnce() (taskCell, bool) {
 	n := len(w.s.workers)
 	if n <= 1 {
-		return nil, false
+		return taskCell{}, false
 	}
 	start := w.rng.Intn(n)
 	for i := 0; i < n; i++ {
@@ -141,7 +150,7 @@ func (w *Worker) stealOnce() (Task, bool) {
 			return t, true
 		}
 	}
-	return nil, false
+	return taskCell{}, false
 }
 
 // Quiesce blocks until every submitted task has finished. It must be called
@@ -182,19 +191,13 @@ func (s *Scheduler) NewGroup() *Group {
 // including inside group tasks).
 func (g *Group) Go(t Task) {
 	g.n.Add(1)
-	g.s.Go(func(w *Worker) {
-		t(w)
-		g.finish()
-	})
+	g.s.submit(taskCell{fn: t, g: g})
 }
 
 // SpawnIn submits a group task into w's local deque.
 func (g *Group) SpawnIn(w *Worker, t Task) {
 	g.n.Add(1)
-	w.Spawn(func(w *Worker) {
-		t(w)
-		g.finish()
-	})
+	w.spawn(taskCell{fn: t, g: g})
 }
 
 func (g *Group) finish() {

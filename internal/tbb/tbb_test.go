@@ -13,7 +13,7 @@ func TestDequeLIFOOwner(t *testing.T) {
 	order := []int{}
 	for i := 0; i < 3; i++ {
 		i := i
-		if !d.pushBottom(func(*Worker) { order = append(order, i) }) {
+		if !d.pushBottom(taskCell{fn: func(*Worker) { order = append(order, i) }}) {
 			t.Fatal("push failed")
 		}
 	}
@@ -22,7 +22,7 @@ func TestDequeLIFOOwner(t *testing.T) {
 		if !ok {
 			t.Fatal("pop failed")
 		}
-		task(nil)
+		task.fn(nil)
 	}
 	// Owner pops LIFO: 2, 1, 0.
 	if order[0] != 2 || order[1] != 1 || order[2] != 0 {
@@ -38,14 +38,14 @@ func TestDequeStealFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 3; i++ {
 		i := i
-		d.pushBottom(func(*Worker) { got = append(got, i) })
+		d.pushBottom(taskCell{fn: func(*Worker) { got = append(got, i) }})
 	}
 	for i := 0; i < 3; i++ {
 		task, ok := d.steal()
 		if !ok {
 			t.Fatal("steal failed")
 		}
-		task(nil)
+		task.fn(nil)
 	}
 	// Thieves steal FIFO: 0, 1, 2.
 	if got[0] != 0 || got[1] != 1 || got[2] != 2 {
@@ -56,11 +56,11 @@ func TestDequeStealFIFO(t *testing.T) {
 func TestDequeFull(t *testing.T) {
 	d := newDeque(4)
 	for i := 0; i < 4; i++ {
-		if !d.pushBottom(func(*Worker) {}) {
+		if !d.pushBottom(taskCell{fn: func(*Worker) {}}) {
 			t.Fatalf("push %d should fit", i)
 		}
 	}
-	if d.pushBottom(func(*Worker) {}) {
+	if d.pushBottom(taskCell{fn: func(*Worker) {}}) {
 		t.Error("push to full deque should fail")
 	}
 	if d.size() != 4 {
@@ -76,7 +76,7 @@ func TestDequeConcurrentOwnerThieves(t *testing.T) {
 	var produced atomic.Int64
 	var wg sync.WaitGroup
 
-	task := func(*Worker) { executed.Add(1) }
+	task := taskCell{fn: func(*Worker) { executed.Add(1) }}
 	// Owner: push and pop.
 	wg.Add(1)
 	go func() {
@@ -86,7 +86,7 @@ func TestDequeConcurrentOwnerThieves(t *testing.T) {
 				produced.Add(1)
 			}
 			if tk, ok := d.popBottom(); ok {
-				tk(nil)
+				tk.fn(nil)
 			}
 		}
 		for {
@@ -94,7 +94,7 @@ func TestDequeConcurrentOwnerThieves(t *testing.T) {
 			if !ok {
 				break
 			}
-			tk(nil)
+			tk.fn(nil)
 		}
 	}()
 	// Thieves.
@@ -105,7 +105,7 @@ func TestDequeConcurrentOwnerThieves(t *testing.T) {
 			defer wg.Done()
 			for {
 				if tk, ok := d.steal(); ok {
-					tk(nil)
+					tk.fn(nil)
 				}
 				select {
 				case <-stop:
@@ -115,7 +115,7 @@ func TestDequeConcurrentOwnerThieves(t *testing.T) {
 						if !ok {
 							return
 						}
-						tk(nil)
+						tk.fn(nil)
 					}
 				default:
 				}

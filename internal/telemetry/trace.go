@@ -128,9 +128,9 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // ItemSpan is one stage visit of one stream item: the per-item trace unit.
-// Item ids are per-stage arrival sequence numbers — in an ordered pipeline
-// they coincide with the stream position; in an unordered farm they identify
-// arrival order at that stage.
+// Item ids are per-stage completion sequence numbers — at a single-node
+// stage they coincide with the stream position; at a farm, whose replicas
+// finish out of order, they count completions there.
 type ItemSpan struct {
 	Item  int64     `json:"item"`
 	Stage string    `json:"stage"`
