@@ -1,17 +1,26 @@
 GO ?= go
 
-.PHONY: build vet loc knobs lint lint-json lint-selftest test race ff-stress serve-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
+.PHONY: build build-arm64 vet loc knobs lint lint-json lint-selftest test race ff-stress serve-stress chaos cluster diag fuzz bench-json bench-gate bench-serve bench-compare figures-cmp verify
 
 build:
 	$(GO) build ./...
 
+# build-arm64 builds the tree, and vets internal/sha1x, for an architecture
+# without the SHA-NI assembly. sha1x's amd64 files define the hashing
+# function the portable code calls; without the !amd64 fallback
+# (sha1x_other.go) every non-amd64 build fails with "undefined: sum", which
+# no amd64 build or test shows.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/sha1x
+
 vet:
 	$(GO) vet ./...
 
-# loc prints the line-budget figure ROADMAP item 6 tracks: non-test Go,
-# testdata excluded.
+# loc prints the line-budget figure ROADMAP item 6 tracks: non-test Go and
+# Go assembly (*.s), testdata excluded.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
+	@find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path '*/testdata/*' | xargs cat | wc -l
 
 # knobs prints each command's flag count (the "  -name" lines of its -h
 # output): the operator-facing surface ROADMAP item 6 tracks beside loc.
@@ -114,9 +123,11 @@ diag:
 # GPU path's warp-exact match fill misses a token start or a warp's cost
 # (seeded in code from its exactness table); FuzzBoundariesEquivalence does
 # the same for the Rabin chunker's interleaved candidate scan against the
-# sequential rolling window. The two lzss targets cap minimization at 100
-# runs per input: at Go's default of 60 s, minimizing each new input spent
-# the whole budget and left nothing for the search.
+# sequential rolling window, and FuzzSum20Equivalence for the SHA-1 the host
+# selects (SHA-NI where CPUID reports it) against crypto/sha1. The two lzss
+# targets cap minimization at 100 runs per input: at Go's default of 60 s,
+# minimizing each new input spent the whole budget and left nothing for the
+# search.
 # FUZZTIME=5m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:
@@ -128,6 +139,7 @@ fuzz:
 	$(GO) test ./internal/lzss -fuzz FuzzCompressEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/lzss -fuzz FuzzFillEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/rabin -fuzz FuzzBoundariesEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sha1x -fuzz FuzzSum20Equivalence -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per
 # optimization step, including the utilization columns) into BENCH_fig1.json,
@@ -194,4 +206,4 @@ bench-compare:
 # bench-gate job is separate on purpose: benchmark numbers want a quiet
 # machine, so run `make bench-gate` deliberately, not as part of every
 # verify.
-verify: build vet lint test race chaos diag
+verify: build build-arm64 vet lint test race chaos diag

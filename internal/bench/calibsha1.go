@@ -7,9 +7,11 @@ import "encoding/binary"
 // else. No normalizer may depend on a kernel the repository optimizes: every
 // baseline entry is scaled by fresh.Calib/base.Calib, so speeding up the
 // probed code would read as a regression of every entry. This is the
-// compression loop internal/sha1x ran before it moved to crypto/sha1, which
-// keeps calib continuous with the baselines recorded on it. Do not optimize
-// it; a new probe needs a re-recorded BENCH_baseline.json.
+// compression loop internal/sha1x ran before it moved to crypto/sha1 and
+// then to the SHA extensions; no production path runs anything like it now.
+// It stays as it was so that calib is continuous with the baselines recorded
+// on it. Do not optimize it; a new probe needs a re-recorded
+// BENCH_baseline.json.
 func calibSHA1(data []byte) [20]byte {
 	h := [5]uint32{0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0}
 	n := len(data)

@@ -15,16 +15,18 @@ func TestSumBatchMatchesSum20(t *testing.T) {
 	rng.Read(data)
 	startPos := []int32{0, 100, 4096, 40000, 95<<10 + 17}
 	dst := make([][Size]byte, len(startPos))
-	SumBatch(data, startPos, dst)
-	for i, lo := range startPos {
-		hi := len(data)
-		if i+1 < len(startPos) {
-			hi = int(startPos[i+1])
+	forEachPath(t, func(t *testing.T) {
+		SumBatch(data, startPos, dst)
+		for i, lo := range startPos {
+			hi := len(data)
+			if i+1 < len(startPos) {
+				hi = int(startPos[i+1])
+			}
+			if want := Sum20(data[lo:hi]); dst[i] != want {
+				t.Fatalf("block %d: SumBatch digest differs from Sum20", i)
+			}
 		}
-		if want := Sum20(data[lo:hi]); dst[i] != want {
-			t.Fatalf("block %d: SumBatch digest differs from Sum20", i)
-		}
-	}
+	})
 }
 
 // TestSumBatchAllocs pins batch hashing to zero heap allocations.

@@ -6,28 +6,29 @@
 //     block of a batch — the paper's Dedup stage 2 ("each GPU thread
 //     calculates the SHA-1 of one block").
 //
-// Both compute digests with the standard library's crypto/sha1, which runs
-// the platform's assembly; PARSEC's dedup likewise links a library SHA-1.
-// What this package owns is the batch layout (startPos, PutStartPos) and the
-// kernel's device cost model. SHA-1 is used for content fingerprinting
-// (duplicate detection), not security, exactly as in PARSEC's dedup.
+// Both compute digests with sum: on amd64 CPUs that report the SHA
+// extensions, a SHA1RNDS4 compression loop (sha1x_amd64.s), chosen once by
+// CPUID; elsewhere crypto/sha1. PARSEC's dedup likewise links a library
+// SHA-1. The package also owns the batch layout (startPos, PutStartPos) and
+// the kernel's device cost model, which the host's speed does not change.
+// SHA-1 is used for content fingerprinting (duplicate detection), not
+// security, exactly as in PARSEC's dedup.
 package sha1x
 
 import (
-	"crypto/sha1"
 	"encoding/binary"
 
 	"streamgpu/internal/gpu"
 )
 
 // Size is the SHA-1 digest length in bytes.
-const Size = sha1.Size
+const Size = 20
 
 // BlockSize is the SHA-1 block length in bytes.
-const BlockSize = sha1.BlockSize
+const BlockSize = 64
 
 // Sum20 computes the SHA-1 of data in one call.
-func Sum20(data []byte) [Size]byte { return sha1.Sum(data) }
+func Sum20(data []byte) [Size]byte { return sum(data) }
 
 // SumBatch hashes every content-defined block of a batch into dst: block i
 // spans [startPos[i], startPos[i+1]) (the last block ends at len(data)) and
@@ -41,7 +42,7 @@ func SumBatch(data []byte, startPos []int32, dst [][Size]byte) {
 		if i+1 < len(startPos) {
 			hi = int(startPos[i+1])
 		}
-		dst[i] = sha1.Sum(data[lo:hi])
+		dst[i] = sum(data[lo:hi])
 	}
 }
 

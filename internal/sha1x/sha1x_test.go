@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,20 +14,24 @@ import (
 	"streamgpu/internal/gpu"
 )
 
-// Known-answer tests from FIPS 180-4 / RFC 3174.
+// Known-answer tests from FIPS 180-4 / RFC 3174, the last the one million
+// 'a' vector.
 func TestKnownVectors(t *testing.T) {
 	vectors := []struct{ in, want string }{
 		{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
 		{"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
 		{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq", "84983e441c3bd26ebaae4aa1f95129e5e54670f1"},
 		{"The quick brown fox jumps over the lazy dog", "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12"},
+		{strings.Repeat("a", 1e6), "34aa973cd4c4daa4f61eeb2bdbad27316534016f"},
 	}
-	for _, v := range vectors {
-		got := fmt.Sprintf("%x", Sum20([]byte(v.in)))
-		if got != v.want {
-			t.Errorf("Sum20(%q) = %s, want %s", v.in, got, v.want)
+	forEachPath(t, func(t *testing.T) {
+		for _, v := range vectors {
+			got := fmt.Sprintf("%x", Sum20([]byte(v.in)))
+			if got != v.want {
+				t.Errorf("Sum20(%.20q, %d bytes) = %s, want %s", v.in, len(v.in), got, v.want)
+			}
 		}
-	}
+	})
 }
 
 // TestInterfaceSizes pins the digest and block lengths the archive format
@@ -38,24 +43,49 @@ func TestInterfaceSizes(t *testing.T) {
 }
 
 // Property: our implementation agrees with crypto/sha1 on random inputs of
-// every length, including the padding boundary cases around 55/56/64 bytes.
+// every length, including the padding boundary cases around 55/56/64 bytes,
+// and at every byte offset 0-7 of a larger buffer (unaligned loads) for every
+// length up to three blocks.
 func TestAgainstStdlibProperty(t *testing.T) {
-	f := func(data []byte) bool {
-		want := crypto.Sum(data)
-		got := Sum20(data)
-		return got == [20]byte(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-	// Deterministic sweep over the padding boundary.
-	for n := 0; n <= 130; n++ {
-		data := bytes.Repeat([]byte{byte(n)}, n)
-		want := crypto.Sum(data)
-		if got := Sum20(data); got != [20]byte(want) {
-			t.Errorf("length %d: digest mismatch", n)
+	rng := rand.New(rand.NewSource(11))
+	buf := make([]byte, 8+200)
+	rng.Read(buf)
+	forEachPath(t, func(t *testing.T) {
+		f := func(data []byte) bool {
+			return Sum20(data) == crypto.Sum(data)
 		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Error(err)
+		}
+		// Deterministic sweep over the padding boundary.
+		for n := 0; n <= 130; n++ {
+			data := bytes.Repeat([]byte{byte(n)}, n)
+			if Sum20(data) != crypto.Sum(data) {
+				t.Errorf("length %d: digest mismatch", n)
+			}
+		}
+		for off := 0; off < 8; off++ {
+			for n := 0; n <= 200; n++ {
+				data := buf[off : off+n]
+				if Sum20(data) != crypto.Sum(data) {
+					t.Errorf("offset %d length %d: digest mismatch", off, n)
+				}
+			}
+		}
+	})
+}
+
+// FuzzSum20Equivalence searches for an input on which Sum20 and crypto/sha1
+// disagree. Sum20 runs the path the host's CPU selects.
+func FuzzSum20Equivalence(f *testing.F) {
+	for _, n := range []int{0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 1000} {
+		f.Add(bytes.Repeat([]byte{byte(n)}, n))
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := Sum20(data), crypto.Sum(data); got != want {
+			t.Fatalf("%d bytes: Sum20 %x, crypto/sha1 %x", len(data), got, want)
+		}
+	})
 }
 
 // Property: SumBatch agrees with crypto/sha1 block by block over random
@@ -88,9 +118,11 @@ func TestSumBatchAgainstStdlibProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+	forEachPath(t, func(t *testing.T) {
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestKernelHashesBlocks(t *testing.T) {
