@@ -5,14 +5,15 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# build-arm64 builds the tree, and vets internal/sha1x, for an architecture
-# without the SHA-NI assembly. sha1x's amd64 files define the hashing
-# function the portable code calls; without the !amd64 fallback
-# (sha1x_other.go) every non-amd64 build fails with "undefined: sum", which
-# no amd64 build or test shows.
+# build-arm64 builds the tree, and vets internal/sha1x and internal/mandel,
+# for an architecture without their assembly (sha1x's SHA-NI loop, mandel's
+# SSE2 row kernel). Each package's amd64 files define a function the
+# portable code calls; without its !amd64 fallback (sha1x_other.go,
+# row_other.go) every non-amd64 build fails with "undefined: sum" or
+# "p.block8 undefined", which no amd64 build or test shows.
 build-arm64:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/sha1x
+	GOARCH=arm64 $(GO) vet ./internal/sha1x ./internal/mandel
 
 vet:
 	$(GO) vet ./...
@@ -124,7 +125,9 @@ diag:
 # (seeded in code from its exactness table); FuzzBoundariesEquivalence does
 # the same for the Rabin chunker's interleaved candidate scan against the
 # sequential rolling window, and FuzzSum20Equivalence for the SHA-1 the host
-# selects (SHA-NI where CPUID reports it) against crypto/sha1. The two lzss
+# selects (SHA-NI where CPUID reports it) against crypto/sha1, and
+# FuzzRowMatchesPixel for the Mandelbrot row kernel (SSE2 on amd64) against
+# the scalar Pixel loop, over arbitrary float64 windows. The two lzss
 # targets cap minimization at 100 runs per input: at Go's default of 60 s,
 # minimizing each new input spent the whole budget and left nothing for the
 # search.
@@ -140,6 +143,7 @@ fuzz:
 	$(GO) test ./internal/lzss -fuzz FuzzFillEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/rabin -fuzz FuzzBoundariesEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sha1x -fuzz FuzzSum20Equivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mandel -fuzz FuzzRowMatchesPixel -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per
 # optimization step, including the utilization columns) into BENCH_fig1.json,

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -41,6 +42,13 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (per-stage pipeline and GPU metrics)")
 	traceOut := flag.String("trace-out", "", "write per-item stage enter/exit events as JSON to this file (spar and ff runtimes)")
 	flag.Parse()
+	// An escape count is an int32 where the frame is cached (IterCache.K),
+	// so niter stops at the largest one it holds; niter 0 would divide by
+	// zero in Color.
+	if *dim < 1 || *niter < 1 || *niter > math.MaxInt32 {
+		fmt.Fprintf(os.Stderr, "mandelstream: -dim %d -niter %d: want dim >= 1 and niter in [1, %d]\n", *dim, *niter, math.MaxInt32)
+		os.Exit(2)
+	}
 
 	p := mandel.Params{Dim: *dim, Niter: *niter, InitA: -2.0, InitB: -1.25, Range: 2.5}
 	if *tokens <= 0 {

@@ -171,7 +171,15 @@ func RunHost(opt HostOptions) HostReport {
 	// --- Dedup per-stage throughput ---
 	addDedupStages(add, min, input)
 
-	// --- Mandelbrot host rows/s on the FastFlow runtime ---
+	// --- Mandelbrot: one row on the row kernel, then frames on FastFlow ---
+	// The row is serve_mandel's shape (1024 pixels, Niter 256), through the
+	// middle of the frame, where the main cardioid's pixels run every
+	// iteration.
+	rp := mandel.Params{Dim: 1024, Niter: 256, InitA: -2.0, InitB: -1.25, Range: 2.5}
+	row := make([]byte, rp.Dim)
+	computeRow := func() { rp.ComputeRow(rp.Dim/2, row) }
+	sec = hostTime(min, computeRow)
+	add("mandel_row", "rows/s", 1/sec, hostAllocs(8, computeRow))
 	p := mandel.Params{Dim: 128, Niter: 256, InitA: -2.0, InitB: -1.25, Range: 2.5}
 	sec = hostTime(min, func() {
 		if _, err := mandel.RunFF(p, opt.workers()); err != nil {

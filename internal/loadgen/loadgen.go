@@ -674,8 +674,12 @@ func runMandelClient(cfg Config, rng *rand.Rand, tenant uint32, cl *clientConn, 
 			return
 		}
 		if cfg.Verify {
+			// The check recomputes each row on the scalar reference, Pixel,
+			// not on ComputeRow's row kernel, which is what the server ran.
 			for r := 0; r < nrows; r++ {
-				p.ComputeRow(row0+r, row)
+				for j := range row {
+					row[j] = p.Color(p.Pixel(row0+r, j))
+				}
 				if !bytes.Equal(v.Payload[r*dim:(r+1)*dim], row) {
 					res.restoreFailed = true
 					res.err = fmt.Errorf("request %d: row %d mismatch", seq, row0+r)

@@ -67,13 +67,14 @@ func NewIterCache(p Params) (*IterCache, int64) {
 		go func() {
 			defer wg.Done()
 			var local int64
+			var k [8]int
 			for i := range rowCh {
-				for j := 0; j < p.Dim; j++ {
-					k := p.Pixel(i, j)
-					c.K[i*p.Dim+j] = int32(k)
-					local += int64(k)
-					if k < p.Niter {
-						local++
+				row := c.K[i*p.Dim : (i+1)*p.Dim]
+				for j := 0; j < p.Dim; j += len(k) {
+					n := p.counts8(i, j, &k)
+					for l, kl := range k[:n] {
+						row[j+l] = int32(kl)
+						local += p.iters(kl)
 					}
 				}
 			}

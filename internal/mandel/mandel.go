@@ -1,9 +1,16 @@
 // Package mandel implements the Mandelbrot Streaming pseudo-application of
 // §IV-A: each line of the fractal image is a stream item, computed by a
 // 3-stage pipeline (generate → compute → show). The package provides the
-// scalar math, the CPU streaming apps for every programming model (SPar,
+// math, the CPU streaming apps for every programming model (SPar,
 // FastFlow, TBB — real goroutine runtimes), and the GPU kernels of
 // Listings 1–2 for the simulated device.
+//
+// Pixel is the reference: one pixel's escape count, the per-thread body of
+// the simulated GPU kernels. ComputeRow and NewIterCache compute a row
+// eight pixels at a time; on amd64 the eight iterate in lockstep in an SSE2
+// kernel (row_amd64.s) that does Pixel's IEEE operations in Pixel's order,
+// so every escape count is bit-identical to Pixel's. The row's tail
+// (Dim mod 8) and every other architecture run Pixel.
 package mandel
 
 import (
@@ -59,17 +66,47 @@ func (p Params) Color(k int) byte {
 
 // ComputeRow fills img (length Dim) with row i's pixels and returns the
 // row's total iteration count (the workload measure used for calibration).
+// The counts are Pixel's, eight columns at a time (see counts8).
 func (p Params) ComputeRow(i int, img []byte) int64 {
 	var iters int64
-	for j := 0; j < p.Dim; j++ {
-		k := p.Pixel(i, j)
-		iters += int64(k)
-		if k < p.Niter {
-			iters++ // the escaping iteration also executes
+	var k [8]int
+	for j := 0; j < p.Dim; j += len(k) {
+		n := p.counts8(i, j, &k)
+		for l, kl := range k[:n] {
+			iters += p.iters(kl)
+			img[j+l] = p.Color(kl)
 		}
-		img[j] = p.Color(k)
 	}
 	return iters
+}
+
+// iters is the number of iterations a pixel with escape count k executed:
+// k, plus the escaping one when it escaped.
+func (p Params) iters(k int) int64 {
+	if k < p.Niter {
+		return int64(k) + 1
+	}
+	return int64(k)
+}
+
+// counts8 sets k[:n] to the escape counts of pixels (i, j)…(i, j+n−1) and
+// returns n = min(8, Dim−j). A full block of eight runs block8, the SSE2
+// row kernel on amd64; the row's tail runs Pixel.
+func (p Params) counts8(i, j int, k *[8]int) int {
+	if j+len(k) <= p.Dim {
+		p.block8(i, j, k)
+		return len(k)
+	}
+	n := p.Dim - j
+	p.pixels(i, j, k[:n])
+	return n
+}
+
+// pixels sets k[l] = Pixel(i, j+l) for every l: the scalar reference loop.
+func (p Params) pixels(i, j int, k []int) {
+	for l := range k {
+		k[l] = p.Pixel(i, j+l)
+	}
 }
 
 // Row is one stream item: a line of the fractal.

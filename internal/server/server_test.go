@@ -294,9 +294,11 @@ func TestMandelService(t *testing.T) {
 	p := mandel.Params{Dim: dim, Niter: niter, InitA: -2.0, InitB: -1.25, Range: 2.5}
 	row := make([]byte, dim)
 	for r := 0; r < 4; r++ {
-		p.ComputeRow(10+r, row)
+		for j := range row {
+			row[j] = p.Color(p.Pixel(10+r, j))
+		}
 		if !bytes.Equal(f.Payload[r*dim:(r+1)*dim], row) {
-			t.Fatalf("row %d differs from local compute", 10+r)
+			t.Fatalf("row %d differs from the scalar reference", 10+r)
 		}
 	}
 	finishStream(c)
