@@ -7,10 +7,10 @@ build:
 
 # build-arm64 builds the tree, and vets internal/sha1x and internal/mandel,
 # for an architecture without their assembly (sha1x's SHA-NI loop, mandel's
-# SSE2 row kernel). Each package's amd64 files define a function the
-# portable code calls; without its !amd64 fallback (sha1x_other.go,
+# AVX and AVX-512 row kernels). Each package's amd64 files define functions
+# the portable code calls; without their !amd64 fallbacks (sha1x_other.go,
 # row_other.go) every non-amd64 build fails with "undefined: sum" or
-# "p.block8 undefined", which no amd64 build or test shows.
+# "p.block undefined", which no amd64 build or test shows.
 build-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/sha1x ./internal/mandel
@@ -126,11 +126,11 @@ diag:
 # the same for the Rabin chunker's interleaved candidate scan against the
 # sequential rolling window, and FuzzSum20Equivalence for the SHA-1 the host
 # selects (SHA-NI where CPUID reports it) against crypto/sha1, and
-# FuzzRowMatchesPixel for the Mandelbrot row kernel (SSE2 on amd64) against
-# the scalar Pixel loop, over arbitrary float64 windows. The two lzss
-# targets cap minimization at 100 runs per input: at Go's default of 60 s,
-# minimizing each new input spent the whole budget and left nothing for the
-# search.
+# FuzzRowMatchesPixel for the Mandelbrot row kernels (every width the CPU
+# has: scalar, AVX, AVX-512) against the scalar Pixel loop, over arbitrary
+# float64 windows. The two lzss targets cap minimization at 100 runs per
+# input: at Go's default of 60 s, minimizing each new input spent the whole
+# budget and left nothing for the search.
 # FUZZTIME=5m for a longer local soak.
 FUZZTIME ?= 30s
 fuzz:

@@ -67,12 +67,12 @@ func NewIterCache(p Params) (*IterCache, int64) {
 		go func() {
 			defer wg.Done()
 			var local int64
-			var k [8]int
+			var k [maxLanes]int
 			for i := range rowCh {
 				row := c.K[i*p.Dim : (i+1)*p.Dim]
-				for j := 0; j < p.Dim; j += len(k) {
-					n := p.counts8(i, j, &k)
-					for l, kl := range k[:n] {
+				for j := 0; j < p.Dim; j += lanes {
+					p.block(i, j, &k)
+					for l, kl := range k[:min(lanes, p.Dim-j)] {
 						row[j+l] = int32(kl)
 						local += p.iters(kl)
 					}

@@ -6,11 +6,12 @@
 // Listings 1–2 for the simulated device.
 //
 // Pixel is the reference: one pixel's escape count, the per-thread body of
-// the simulated GPU kernels. ComputeRow and NewIterCache compute a row
-// eight pixels at a time; on amd64 the eight iterate in lockstep in an SSE2
-// kernel (row_amd64.s) that does Pixel's IEEE operations in Pixel's order,
-// so every escape count is bit-identical to Pixel's. The row's tail
-// (Dim mod 8) and every other architecture run Pixel.
+// the simulated GPU kernels. ComputeRow and NewIterCache compute a row in
+// blocks of lanes pixels. On amd64 a block iterates in lockstep in one of
+// two kernels of row_amd64.s, chosen once from CPUID: 32 lanes on AVX-512F,
+// 16 on AVX. Both do Pixel's IEEE operations in Pixel's order, so every
+// escape count is bit-identical to Pixel's. CPUs without AVX and every
+// other architecture run Pixel, one lane at a time.
 package mandel
 
 import (
@@ -64,15 +65,24 @@ func (p Params) Color(k int) byte {
 	return byte(255 - k*255/p.Niter)
 }
 
+// maxLanes is the widest block a kernel computes.
+const maxLanes = 32
+
+// lanes is the block width ComputeRow and NewIterCache run: 32, 16 or 1
+// (Pixel's loop), the widest this CPU has. It is set once at init; tests
+// set it to run every width.
+var lanes = widest()
+
 // ComputeRow fills img (length Dim) with row i's pixels and returns the
 // row's total iteration count (the workload measure used for calibration).
-// The counts are Pixel's, eight columns at a time (see counts8).
+// The counts are Pixel's, lanes columns at a time; the row's last block
+// runs past Dim, and only its columns inside the image are kept.
 func (p Params) ComputeRow(i int, img []byte) int64 {
 	var iters int64
-	var k [8]int
-	for j := 0; j < p.Dim; j += len(k) {
-		n := p.counts8(i, j, &k)
-		for l, kl := range k[:n] {
+	var k [maxLanes]int
+	for j := 0; j < p.Dim; j += lanes {
+		p.block(i, j, &k)
+		for l, kl := range k[:min(lanes, p.Dim-j)] {
 			iters += p.iters(kl)
 			img[j+l] = p.Color(kl)
 		}
@@ -87,26 +97,6 @@ func (p Params) iters(k int) int64 {
 		return int64(k) + 1
 	}
 	return int64(k)
-}
-
-// counts8 sets k[:n] to the escape counts of pixels (i, j)…(i, j+n−1) and
-// returns n = min(8, Dim−j). A full block of eight runs block8, the SSE2
-// row kernel on amd64; the row's tail runs Pixel.
-func (p Params) counts8(i, j int, k *[8]int) int {
-	if j+len(k) <= p.Dim {
-		p.block8(i, j, k)
-		return len(k)
-	}
-	n := p.Dim - j
-	p.pixels(i, j, k[:n])
-	return n
-}
-
-// pixels sets k[l] = Pixel(i, j+l) for every l: the scalar reference loop.
-func (p Params) pixels(i, j int, k []int) {
-	for l := range k {
-		k[l] = p.Pixel(i, j+l)
-	}
 }
 
 // Row is one stream item: a line of the fractal.

@@ -2,6 +2,8 @@
 
 package mandel
 
-// block8 sets k to the escape counts of pixels (i, j)…(i, j+7): Pixel's
-// loop, as only amd64 has the SSE2 row kernel.
-func (p Params) block8(i, j int, k *[8]int) { p.pixels(i, j, k[:]) }
+// widest is 1: only amd64 has the lockstep row kernels.
+func widest() int { return 1 }
+
+// block sets k[0] to the escape count of pixel (i, j), Pixel's loop.
+func (p Params) block(i, j int, k *[maxLanes]int) { k[0] = p.Pixel(i, j) }

@@ -3,6 +3,8 @@ package sha1x
 import (
 	"crypto/sha1"
 	"encoding/binary"
+
+	"streamgpu/internal/cpuid"
 )
 
 // useSHANI selects blockSHANI. It is set once from CPUID; tests flip it to
@@ -12,18 +14,16 @@ var useSHANI = hasSHANI()
 // hasSHANI reports whether the CPU has the SHA extensions and the SSSE3
 // (PSHUFB) and SSE4.1 (PINSRD, PEXTRD) instructions blockSHANI also uses.
 func hasSHANI() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+	if maxLeaf, _, _, _ := cpuid.CPUID(0, 0); maxLeaf < 7 {
 		return false
 	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	_, ebx7, _, _ := cpuid(7, 0)
+	_, _, ecx1, _ := cpuid.CPUID(1, 0)
+	_, ebx7, _, _ := cpuid.CPUID(7, 0)
 	return ebx7&(1<<29) != 0 && ecx1&(1<<9) != 0 && ecx1&(1<<19) != 0
 }
 
 //go:noescape
 func blockSHANI(h *[5]uint32, p []byte)
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 // sum is SHA-1 on the SHA extensions where the CPU has them, crypto/sha1
 // elsewhere. The whole blocks are hashed in place, the padded tail from a

@@ -212,17 +212,6 @@ loop:
 done:
 	RET
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL      leaf+0(FP), AX
-	MOVL      sub+4(FP), CX
-	CPUID
-	MOVL      AX, eax+8(FP)
-	MOVL      BX, ebx+12(FP)
-	MOVL      CX, ecx+16(FP)
-	MOVL      DX, edx+20(FP)
-	RET
-
 // flipMask reverses all 16 bytes of a load (PSHUFB): each big-endian word
 // comes out in host order, and the first word of the four in the top lane,
 // where SHA1RNDS4 takes it.
