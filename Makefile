@@ -5,15 +5,17 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# build-arm64 builds the tree, and vets internal/sha1x and internal/mandel,
-# for an architecture without their assembly (sha1x's SHA-NI loop, mandel's
-# AVX and AVX-512 row kernels). Each package's amd64 files define functions
-# the portable code calls; without their !amd64 fallbacks (sha1x_other.go,
-# row_other.go) every non-amd64 build fails with "undefined: sum" or
-# "p.block undefined", which no amd64 build or test shows.
+# build-arm64 builds the tree, and vets internal/sha1x, internal/mandel and
+# internal/rabin, for an architecture without their assembly (sha1x's SHA-NI
+# loop, mandel's AVX and AVX-512 row kernels, rabin's GFNI candidate scan).
+# Each package's amd64 files define functions the portable code calls;
+# without their !amd64 fallbacks (sha1x_other.go, row_other.go,
+# rabin_other.go, the last running rabin's Go chains) every non-amd64 build
+# fails with "undefined: sum", "p.block undefined" or "undefined: hasGFNI",
+# which no amd64 build or test shows.
 build-arm64:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/sha1x ./internal/mandel
+	GOARCH=arm64 $(GO) vet ./internal/sha1x ./internal/mandel ./internal/rabin
 
 vet:
 	$(GO) vet ./...
@@ -123,8 +125,9 @@ diag:
 # table's edge shapes); FuzzFillEquivalence searches for a batch on which the
 # GPU path's warp-exact match fill misses a token start or a warp's cost
 # (seeded in code from its exactness table); FuzzBoundariesEquivalence does
-# the same for the Rabin chunker's interleaved candidate scan against the
-# sequential rolling window, and FuzzSum20Equivalence for the SHA-1 the host
+# the same for the Rabin chunker's candidate scans (the Go chains and, where
+# CPUID reports it, the GFNI kernel) against the sequential rolling window,
+# boundaries and candidate bitmaps both, and FuzzSum20Equivalence for the SHA-1 the host
 # selects (SHA-NI where CPUID reports it) against crypto/sha1, and
 # FuzzRowMatchesPixel for the Mandelbrot row kernels (every width the CPU
 # has: scalar, AVX, AVX-512) against the scalar Pixel loop, over arbitrary

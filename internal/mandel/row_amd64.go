@@ -15,23 +15,16 @@ func escape16(cr *[16]float64, im float64, niter int, k *[16]int)
 func escape32(cr *[32]float64, im float64, niter int, k *[32]int)
 
 // widest returns the most lanes a kernel of this CPU runs: 32 where CPUID
-// reports AVX-512F, 16 where it reports AVX, each only if XCR0 shows the OS
-// saves the registers (YMM: SSE and AVX state, XCR0 bits 1-2; ZMM: also the
-// opmask and both ZMM halves, bits 5-7), else 1, Pixel's loop.
+// reports AVX-512F and the OS saves the ZMM and opmask state
+// (cpuid.AVX512), 16 where it reports AVX and XCR0 shows the OS saves the
+// YMM state (SSE and AVX, bits 1-2), else 1, Pixel's loop.
 func widest() int {
 	const osxsave, avx, avx512f = 1 << 27, 1 << 28, 1 << 16
-	maxLeaf, _, _, _ := cpuid.CPUID(0, 0)
-	if _, _, ecx1, _ := cpuid.CPUID(1, 0); ecx1&(osxsave|avx) != osxsave|avx {
+	if _, _, ecx1, _ := cpuid.CPUID(1, 0); ecx1&(osxsave|avx) != osxsave|avx || cpuid.XCR0()&0x6 != 0x6 {
 		return 1
 	}
-	xcr0 := cpuid.XCR0()
-	if xcr0&0x6 != 0x6 {
-		return 1
-	}
-	if maxLeaf >= 7 {
-		if _, ebx7, _, _ := cpuid.CPUID(7, 0); ebx7&avx512f != 0 && xcr0&0xe6 == 0xe6 {
-			return 32
-		}
+	if ebx7, _, ok := cpuid.AVX512(); ok && ebx7&avx512f != 0 {
+		return 32
 	}
 	return 16
 }

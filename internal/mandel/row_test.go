@@ -1,7 +1,9 @@
 package mandel
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -39,6 +41,48 @@ func scalarRow(p Params, i int) (ks []int, iters int64) {
 	return ks, iters
 }
 
+// rowRef is the reference for row i, computed once and held to every width:
+// the iteration sum and a digest of the escape counts of scalarRow.
+type rowRef struct {
+	i      int
+	iters  int64
+	digest uint64
+}
+
+func newRowRef(p Params, i int) rowRef {
+	ks, iters := scalarRow(p, i)
+	return rowRef{i, iters, countsDigest(ks)}
+}
+
+// countsDigest is FNV-1a over escape counts, one count per step. Each step
+// is a bijection of the state, so counts differing in one column always
+// digest differently.
+func countsDigest(ks []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, k := range ks {
+		h ^= uint64(k)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// checkCounts fails t unless ks, the escape counts of row r.i from the
+// kernel named what, digest as the reference's, and then names the first
+// column where they differ from scalarRow's.
+func checkCounts(t testing.TB, p Params, r rowRef, what string, ks []int) {
+	t.Helper()
+	if countsDigest(ks) == r.digest {
+		return
+	}
+	want, _ := scalarRow(p, r.i)
+	for j, k := range ks {
+		if k != want[j] {
+			t.Fatalf("%+v pixel (%d,%d), %d lanes: %s escape count %d, Pixel %d", p, r.i, j, lanes, what, k, want[j])
+		}
+	}
+	t.Fatalf("%+v row %d, %d lanes: %s escape counts digest differently from Pixel's but equal them", p, r.i, lanes, what)
+}
+
 // widths are the block widths the tests run: Pixel's loop, AVX's 16 lanes
 // and AVX-512F's 32.
 var widths = []struct {
@@ -67,24 +111,22 @@ func forEachWidth(t *testing.T, f func(t *testing.T)) {
 }
 
 // checkRow fails t unless ComputeRow's pixels and iteration sum and block's
-// escape counts for row i equal the scalar Pixel loop's, at the current
-// width.
-func checkRow(t testing.TB, p Params, i int, img []byte) {
+// escape counts for row r.i equal the scalar Pixel loop's (r), at the
+// current width. ks is scratch of length Dim.
+func checkRow(t testing.TB, p Params, r rowRef, img []byte, ks []int) {
 	t.Helper()
-	want, wantIters := scalarRow(p, i)
-	if got := p.ComputeRow(i, img); got != wantIters {
-		t.Fatalf("%+v row %d, %d lanes: ComputeRow iterations %d, Pixel loop %d", p, i, lanes, got, wantIters)
+	if got := p.ComputeRow(r.i, img); got != r.iters {
+		t.Fatalf("%+v row %d, %d lanes: ComputeRow iterations %d, Pixel loop %d", p, r.i, lanes, got, r.iters)
 	}
 	var k [maxLanes]int
 	for j := 0; j < p.Dim; j += lanes {
-		p.block(i, j, &k)
-		for l, kl := range k[:min(lanes, p.Dim-j)] {
-			if kl != want[j+l] {
-				t.Fatalf("%+v pixel (%d,%d), %d lanes: escape count %d, Pixel %d", p, i, j+l, lanes, kl, want[j+l])
-			}
-			if img[j+l] != p.Color(want[j+l]) {
-				t.Fatalf("%+v pixel (%d,%d), %d lanes: ComputeRow byte %d, Pixel %d", p, i, j+l, lanes, img[j+l], p.Color(want[j+l]))
-			}
+		p.block(r.i, j, &k)
+		copy(ks[j:], k[:min(lanes, p.Dim-j)])
+	}
+	checkCounts(t, p, r, "block", ks)
+	for j, kj := range ks {
+		if img[j] != p.Color(kj) {
+			t.Fatalf("%+v pixel (%d,%d), %d lanes: ComputeRow byte %d, Pixel %d", p, r.i, j, lanes, img[j], p.Color(kj))
 		}
 	}
 }
@@ -94,6 +136,28 @@ func checkRow(t testing.TB, p Params, i int, img []byte) {
 // instead of all of them, and skips NewIterCache.
 const frameBudget = 1 << 21
 
+// frame is one frame of the sweep and the references of the rows it checks,
+// computed once by the first width to run it. With stride 1 every row is
+// checked, and so is NewIterCache.
+type frame struct {
+	name   string
+	p      Params
+	stride int
+	once   sync.Once
+	rows   []rowRef
+}
+
+// reference computes the references of f's checked rows: every stride-th
+// row plus the last.
+func (f *frame) reference() {
+	for i := 0; i < f.p.Dim; i += f.stride {
+		f.rows = append(f.rows, newRowRef(f.p, i))
+	}
+	if last := f.rows[len(f.rows)-1]; last.i != f.p.Dim-1 {
+		f.rows = append(f.rows, newRowRef(f.p, f.p.Dim-1))
+	}
+}
+
 // TestComputeRowMatchesPixel holds ComputeRow and NewIterCache to the
 // scalar Pixel loop over whole frames, at every width. The row widths end
 // the last block everywhere it can: inside the first block (1, 7, 8, 9,
@@ -101,45 +165,55 @@ const frameBudget = 1 << 21
 // short of one (31), a padded last block (1023) and whole blocks only
 // (1024, and 2000 at 16 lanes). Iteration caps run from one to 5000, over every window of
 // rowWindows. Frames costing more than frameBudget check every stride-th
-// row plus the last.
+// row plus the last. Each frame's reference is computed once, for every
+// width, and a width's frames run as parallel subtests.
 func TestComputeRowMatchesPixel(t *testing.T) {
-	forEachWidth(t, func(t *testing.T) {
-		for _, w := range rowWindows {
-			for _, dim := range []int{1, 7, 8, 9, 15, 16, 17, 31, 33, 1023, 1024, 2000} {
-				for _, niter := range []int{1, 2, 256, 1000, 5000} {
-					p := Params{Dim: dim, Niter: niter, InitA: w.initA, InitB: w.initB, Range: w.rng}
-					img := make([]byte, dim)
-					stride := 1
-					for int64(dim/stride)*int64(dim)*int64(niter) > frameBudget {
-						stride++
-					}
-					for i := 0; i < dim; i += stride {
-						checkRow(t, p, i, img)
-					}
-					checkRow(t, p, dim-1, img)
-					if stride == 1 {
-						checkIterCache(t, p)
-					}
+	var frames []*frame
+	for _, w := range rowWindows {
+		for _, dim := range []int{1, 7, 8, 9, 15, 16, 17, 31, 33, 1023, 1024, 2000} {
+			for _, niter := range []int{1, 2, 256, 1000, 5000} {
+				stride := 1
+				for int64(dim/stride)*int64(dim)*int64(niter) > frameBudget {
+					stride++
 				}
+				frames = append(frames, &frame{
+					name:   fmt.Sprintf("%s-dim%d-niter%d", w.name, dim, niter),
+					p:      Params{Dim: dim, Niter: niter, InitA: w.initA, InitB: w.initB, Range: w.rng},
+					stride: stride,
+				})
 			}
+		}
+	}
+	forEachWidth(t, func(t *testing.T) {
+		for _, f := range frames {
+			t.Run(f.name, func(t *testing.T) {
+				t.Parallel()
+				f.once.Do(f.reference)
+				img, ks := make([]byte, f.p.Dim), make([]int, f.p.Dim)
+				for _, r := range f.rows {
+					checkRow(t, f.p, r, img, ks)
+				}
+				if f.stride == 1 {
+					checkIterCache(t, f.p, f.rows, ks)
+				}
+			})
 		}
 	})
 }
 
 // checkIterCache fails t unless NewIterCache's counts and total equal the
-// scalar Pixel loop's over the whole frame.
-func checkIterCache(t *testing.T, p Params) {
+// scalar Pixel loop's over the whole frame, whose rows' references rows
+// holds in order. ks is scratch of length Dim.
+func checkIterCache(t *testing.T, p Params, rows []rowRef, ks []int) {
 	t.Helper()
 	c, total := NewIterCache(p)
 	var want int64
-	for i := 0; i < p.Dim; i++ {
-		ks, iters := scalarRow(p, i)
-		want += iters
-		for j, k := range ks {
-			if got := c.kAt(i, j); got != int32(k) {
-				t.Fatalf("%+v, %d lanes: NewIterCache count at (%d,%d) = %d, Pixel %d", p, lanes, i, j, got, k)
-			}
+	for _, r := range rows {
+		want += r.iters
+		for j := range ks {
+			ks[j] = int(c.kAt(r.i, j))
 		}
+		checkCounts(t, p, r, "NewIterCache", ks)
 	}
 	if total != want {
 		t.Fatalf("%+v, %d lanes: NewIterCache total %d, Pixel loop %d", p, lanes, total, want)
@@ -201,10 +275,11 @@ func FuzzRowMatchesPixel(f *testing.F) {
 			InitB: math.Float64frombits(b),
 			Range: math.Float64frombits(r),
 		}
+		ref := newRowRef(p, int(row)%p.Dim)
 		for _, w := range widths {
 			if w.lanes <= widest() {
 				lanes = w.lanes
-				checkRow(t, p, int(row)%p.Dim, make([]byte, p.Dim))
+				checkRow(t, p, ref, make([]byte, p.Dim), make([]int, p.Dim))
 			}
 		}
 	})

@@ -53,9 +53,9 @@ func firstDiff(a, b []int32) int {
 	return -1
 }
 
-// fingerprintOf is the fingerprint of a full window.
-func fingerprintOf(window []byte) uint64 {
-	w := NewWindow()
+// fingerprintOf is the fingerprint of a full window under t's polynomial.
+func fingerprintOf(t *Table, window []byte) uint64 {
+	w := Window{t: t}
 	var fp uint64
 	for _, b := range window {
 		fp = w.Roll(b)
@@ -93,7 +93,7 @@ func chunkCases() []chunkCase {
 	// priming or by its first or last roll.
 	window := randomBytes(WindowSize, 41)
 	planted := def
-	planted.Magic = fingerprintOf(window)
+	planted.Magic = fingerprintOf(defaultTable, window)
 	for k := 1; k < 3*chains; k++ {
 		for _, d := range []int{-WindowSize - 1, -WindowSize, -1, 0, 1, WindowSize - 1, WindowSize} {
 			data := randomBytes(3*roundSize+100, int64(k))
@@ -107,7 +107,7 @@ func chunkCases() []chunkCase {
 	// candidate, so every block is exactly Min long.
 	run := bytes.Repeat([]byte{0xAB}, 1<<20)
 	everyAB := def
-	everyAB.Magic = fingerprintOf(run[:WindowSize])
+	everyAB.Magic = fingerprintOf(defaultTable, run[:WindowSize])
 	cases = append(cases, chunkCase{"run-AB-every-candidate", run, everyAB})
 	zeros := make([]byte, 1<<20)
 	everyZero := def
@@ -132,12 +132,15 @@ func chunkCases() []chunkCase {
 	return cases
 }
 
-// TestBoundariesEquivalence holds the candidate scan to the sequential
+// TestBoundariesEquivalence holds each candidate scan to the sequential
 // reference on every case of the table.
 func TestBoundariesEquivalence(t *testing.T) {
-	for _, tc := range chunkCases() {
-		checkBoundaries(t, tc.name, &tc.c, tc.data)
-	}
+	cases := chunkCases()
+	forEachScan(t, func(t *testing.T) {
+		for _, tc := range cases {
+			checkBoundaries(t, tc.name, &tc.c, tc.data)
+		}
+	})
 }
 
 func TestChunkerMinBelowWindowPanics(t *testing.T) {
@@ -156,17 +159,27 @@ func TestChunkerMinBelowWindowPanics(t *testing.T) {
 const fuzzMaxInput = 3 * roundSize
 
 // FuzzBoundariesEquivalence searches for an input and chunker settings on
-// which AppendBoundaries and the sequential reference disagree. The table's
-// cases seed it, cut to fuzzMaxInput.
+// which AppendBoundaries and the sequential reference disagree, or the
+// candidate bitmap of the input's first round and one chain's do, on each
+// scan this CPU has. The table's cases seed it, cut to fuzzMaxInput.
 func FuzzBoundariesEquivalence(f *testing.F) {
 	for _, tc := range chunkCases() {
 		f.Add(tc.data[:min(len(tc.data), fuzzMaxInput)], uint8(tc.c.AvgBits), uint16(tc.c.Min), uint16(tc.c.Max), tc.c.Magic)
 	}
+	defer func(saved bool) { gfni = saved }(gfni)
 	f.Fuzz(func(t *testing.T, data []byte, avgBits uint8, minSize, maxSize uint16, magic uint64) {
 		if len(data) > fuzzMaxInput {
 			data = data[:fuzzMaxInput]
 		}
 		c := &Chunker{Table: defaultTable, AvgBits: uint(avgBits % 24), Min: max(WindowSize, int(minSize)), Max: int(maxSize), Magic: magic}
-		checkBoundaries(t, "fuzz", c, data)
+		for _, sc := range scans {
+			if !sc.gfni || hasGFNI() {
+				gfni = sc.gfni
+				checkBoundaries(t, "fuzz/"+sc.name, c, data)
+				if len(data) >= WindowSize {
+					checkBitmap(t, "fuzz/"+sc.name, c, data[:min(len(data), WindowSize+roundSize)])
+				}
+			}
+		}
 	})
 }

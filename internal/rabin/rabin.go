@@ -19,12 +19,21 @@
 // tested once a block holds Min >= WindowSize bytes, and from then on the
 // fingerprint is a function of the last WindowSize bytes alone, not of where
 // the block started. So whether an offset is a cut-point candidate can be
-// decided for every offset independently: AppendBoundaries scans each round
-// of 8 KiB with four independent chains interleaved in one loop, each primed
-// with the WindowSize bytes before its span, records the candidates in an
-// on-stack bitmap, and then walks the bitmap in order applying the Min/Max
-// rule. The boundaries equal those of a single chain that restarts at every
-// cut; the package tests hold the two equal.
+// decided for every offset independently: AppendBoundaries decides each
+// round of up to 8 KiB offsets into an on-stack bitmap, and then walks the
+// bitmap in order applying the Min/Max rule. The boundaries equal those of a
+// single chain that restarts at every cut; the package tests hold the two
+// equal, and the bitmaps of every scan equal one chain's.
+//
+// A candidate test reads only the low AvgBits bits of the fingerprint, and
+// the fingerprint is GF(2)-linear in the window's bits. So for AvgBits <= 16
+// each tested bit is a parity of bit-matrix products of the window's bytes,
+// which GFNI's VGF2P8AFFINEQB computes for 64 byte lanes at once: on amd64
+// CPUs with GFNI and AVX-512BW, rabin_amd64.s decides 64 offsets per step
+// from the 64 matrices NewTable derives from roll. Other CPUs, other
+// architectures, AvgBits > 16 and inputs of fewer than 64 offsets roll
+// fingerprints in Go: four independent chains interleaved in one loop on a
+// full round (scanRound), one chain on a shorter input (scanShort).
 package rabin
 
 import "math/bits"
@@ -42,6 +51,10 @@ type Table struct {
 	shift uint // degree of poly minus 1: position of the top coefficient
 	modT  [256]uint64
 	outT  [256]uint64
+	// affine[k][o] is the VGF2P8AFFINEQB matrix that maps window byte k (0
+	// the oldest) to its share of fingerprint bits 8o…8o+7: output bit i is
+	// the parity of matrix byte 7-i AND the window byte.
+	affine [WindowSize][2]uint64
 }
 
 // NewTable builds tables for the given irreducible polynomial, which must
@@ -62,6 +75,26 @@ func NewTable(poly uint64) *Table {
 	// the byte leaving the window.
 	for b := 0; b < 256; b++ {
 		t.outT[b] = polyShiftMod(uint64(b), 8*(WindowSize-1), poly)
+	}
+	// The fingerprint is linear in the window's bits, so bit m of matrix
+	// byte 7-i is bit 8o+i of the fingerprint of the window holding only
+	// 1<<m at position k.
+	for k := range t.affine {
+		for m := 0; m < 8; m++ {
+			var fp uint64
+			for j := 0; j < WindowSize; j++ {
+				var in byte
+				if j == k {
+					in = 1 << m
+				}
+				fp = roll(&t.modT, &t.outT, t.shift, fp, 0, in)
+			}
+			for o := range t.affine[k] {
+				for i := 0; i < 8; i++ {
+					t.affine[k][o] |= (fp >> (8*o + i) & 1) << (8*(7-i) + m)
+				}
+			}
+		}
 	}
 	return t
 }
@@ -104,6 +137,10 @@ func polyShiftMod(x uint64, n int, p uint64) uint64 {
 // defaultTable is shared by everyone using DefaultPoly.
 var defaultTable = NewTable(DefaultPoly)
 
+// gfni selects the GFNI kernel (scanWords) for the chunkers it serves. It is
+// set once from CPUID; tests flip it to run both scans.
+var gfni = hasGFNI()
+
 // roll slides a window fingerprint one byte forward: out leaves the window,
 // in enters it, and the fold table reduces the result, so fp < 2^deg(poly)
 // holds across rolls. Rolling WindowSize bytes into fp = 0 with out = 0
@@ -142,10 +179,11 @@ func (c *Chunker) Boundaries(data []byte) []int32 {
 	return c.AppendBoundaries(nil, data)
 }
 
-// Candidate scan geometry: a round decides roundSize consecutive boundary
-// offsets as four spans of chainSpan, one chain each (scanRound is written
-// for chains = 4). One chain is a serial dependency (table load, shift, xor
-// per byte); interleaved ones overlap in the core.
+// Candidate scan geometry: a round decides up to roundSize consecutive
+// boundary offsets. scanRound decides a full one as four spans of chainSpan,
+// one chain each (it is written for chains = 4): one chain is a serial
+// dependency (table load, shift, xor per byte); interleaved ones overlap in
+// the core.
 const (
 	chains     = 4
 	chainSpan  = 2 << 10
@@ -188,11 +226,7 @@ func (c *Chunker) AppendBoundaries(dst []int32, data []byte) []int32 {
 		}
 		hi := min(base+roundSize, n)
 		bm = [roundWords]uint64{}
-		if hi-base == roundSize {
-			c.Table.scanRound(&bm, (*[WindowSize + roundSize]byte)(data[base-WindowSize:hi]), mask, magic)
-		} else {
-			c.Table.scanShort(&bm, data[base-WindowSize:hi], mask, magic)
-		}
+		c.scan(&bm, data[base-WindowSize:hi], mask, magic)
 		for {
 			b := min(base+firstSet(&bm, max(next, lo)-base), force)
 			if b >= hi {
@@ -203,6 +237,20 @@ func (c *Chunker) AppendBoundaries(dst []int32, data []byte) []int32 {
 		}
 	}
 	return dst
+}
+
+// scan sets bit k of bm for every k < len(w)-WindowSize whose window
+// w[k:k+WindowSize] is a cut-point candidate: on the GFNI kernel where it
+// runs, else on Go chains.
+func (c *Chunker) scan(bm *[roundWords]uint64, w []byte, mask, magic uint64) {
+	switch {
+	case gfni && c.AvgBits <= 16 && len(w) >= WindowSize+64:
+		c.Table.scanWords(bm, w, mask, magic)
+	case len(w) == WindowSize+roundSize:
+		c.Table.scanRound(bm, (*[WindowSize + roundSize]byte)(w), mask, magic)
+	default:
+		c.Table.scanShort(bm, w, mask, magic)
+	}
 }
 
 // scanRound sets bit k of bm for every k < roundSize whose window
