@@ -149,21 +149,24 @@ fuzz:
 	$(GO) test ./internal/mandel -fuzz FuzzRowMatchesPixel -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per
-# optimization step, including the utilization columns) into BENCH_fig1.json,
-# and the host-throughput suite (real wall clock + allocs/op, cmd/benchhost)
-# into BENCH_host.json. -niter 200 keeps Fig. 1 a short slice, not a
-# publication-grade run.
+# optimization step, including the utilization columns) into BENCH_fig1.json.
+# -niter 200 keeps Fig. 1 a short slice, not a publication-grade run.
 bench-json:
 	$(GO) run ./cmd/figures -fig 1 -json -niter 200 > BENCH_fig1.json
-	$(GO) run ./cmd/benchhost > BENCH_host.json
 
-# bench-gate compares a fresh host-suite run against the committed
-# BENCH_baseline.json and fails on regression: a throughput drop of more
-# than 15% after calibration scaling, or any allocs/op increase beyond 0.25
-# on an entry the baseline pins (see DESIGN.md §10).
+# bench-gate is the host suite's regression gate (cmd/benchcompare -workload
+# host): it builds cmd/benchhost at BASE and from the working tree, runs the
+# two alternately PAIRS times (20 here) under the caller's GOMAXPROCS, and
+# exits 1 when a row's median throughput is more than 8% below the parent's,
+# or its median allocs/op is above it at all, and the change lost at least 4
+# pairs in 5 (see DESIGN.md §10). JSON on stdout, table on stderr. A pair is
+# two ~7 s runs, so twenty pairs take about 5 minutes.
+# The committed ledger BENCH_host.json is one such report at GOMAXPROCS=1;
+# re-record it with `GOMAXPROCS=1 make bench-gate BASE=<parent> > cmp.json &&
+# mv cmp.json BENCH_host.json`.
+bench-gate: PAIRS = 20
 bench-gate:
-	$(GO) run ./cmd/benchhost > BENCH_host.json
-	$(GO) run ./cmd/benchdiff -base BENCH_baseline.json -new BENCH_host.json
+	@$(GO) run ./cmd/benchcompare -base $(BASE) -workload host -pairs $(PAIRS)
 
 # bench-serve runs one workload of the served-path benchmark (benchmark/,
 # BENCHMARK.json) exactly as the driver does; see benchmark/README.md for the
@@ -200,8 +203,10 @@ figures-cmp:
 # figures-cmp does) and from the working tree, runs the two alternately on
 # seeds 1..PAIRS of each WORKLOAD (comma-separated, or all), and prints the
 # per-metric medians, quartiles, pairs won, per-seed compress_ratio equality
-# and failed counts as JSON on stdout, with a readable table on stderr. A
-# pair is two ~13 s runs, so ten pairs of one workload take about 5 minutes.
+# and failed counts as JSON on stdout, with a readable table on stderr. It
+# exits 1 when a metric's median is worse than the parent's by more than its
+# BENCHMARK.json bound and the change lost at least 4 pairs in 5. A pair is
+# two ~13 s runs, so ten pairs of one workload take about 5 minutes.
 # The committed ledger BENCH_serve.json is all six workloads; re-record it
 # with `make bench-compare BASE=<rev> WORKLOAD=all > cmp.json && mv cmp.json
 # BENCH_serve.json`, so a failed run leaves it as it was.

@@ -1,14 +1,16 @@
 // Command benchhost runs the host-throughput suite (internal/bench.RunHost)
-// and writes the report as JSON on stdout:
+// once and writes the report as JSON on stdout:
 //
-//	go run ./cmd/benchhost > BENCH_host.json
+//	go run ./cmd/benchhost
 //	go run ./cmd/benchhost -size-mb 8 -min-ms 500
 //
 // Unlike cmd/figures, which reports virtual time on the simulated device,
 // every number here is real host wall clock: Dedup MB/s end-to-end and per
 // stage, Mandelbrot rows/s on the FastFlow runtime, SPSC queue ops/s, and
-// heap allocations per operation on the kernel hot paths. Compare a fresh
-// run against the committed baseline with cmd/benchdiff.
+// heap allocations per operation on the kernel hot paths. One run is not a
+// comparison: `make bench-gate` (cmd/benchcompare -workload host) builds this
+// command at a base revision and from the working tree and runs the two
+// alternately in pairs, at the defaults above.
 package main
 
 import (

@@ -4,13 +4,15 @@ package bench
 // virtual time on the simulated device, these measurements time the *real*
 // host-side hot paths — the Dedup pipeline stages, Mandelbrot row
 // computation, and the ff.SPSC queue — and count heap allocations per
-// operation. cmd/benchhost emits the report as JSON; cmd/benchdiff compares
-// a fresh run against the committed BENCH_baseline.json and fails the build
-// on throughput or allocation regressions (see DESIGN.md §10).
+// operation. cmd/benchhost emits one run's report as JSON; the gate is
+// cmd/benchcompare -workload host, which alternates this suite built at a
+// base revision and from the working tree and compares each row's medians
+// (see DESIGN.md §10).
 
 import (
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -25,33 +27,19 @@ import (
 
 // HostResult is one measurement of the host suite. AllocsPerOp < 0 means
 // allocation accounting was not meaningful for this entry (multi-goroutine
-// pipelines); benchdiff skips negative values.
+// pipelines); the gate reports negative values without comparing them.
 type HostResult struct {
 	Name        string  `json:"name"`
 	Unit        string  `json:"unit"`
 	Value       float64 `json:"value"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Before and BeforeAllocsPerOp are the ledger half of a committed
-	// baseline entry: the same measurement on the same machine at the commit
-	// before the change that claims the entry, written by hand when the
-	// baseline is re-recorded. RunHost never sets them and Diff ignores
-	// them; they are there so a claimed win has its before/after pair next to
-	// the number that ratchets it.
-	Before            float64 `json:"before,omitempty"`
-	BeforeAllocsPerOp float64 `json:"before_allocs_per_op,omitempty"`
 }
 
-// HostReport is the full suite output, the schema committed as
-// BENCH_baseline.json.
+// HostReport is the full suite output of one run.
 type HostReport struct {
-	Schema     string `json:"schema"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Calib is a machine-speed scalar (single-thread MB/s of a frozen scalar
-	// SHA-1 over a fixed buffer, calibSHA1). benchdiff normalizes throughput thresholds by the ratio of
-	// fresh to baseline Calib, so a committed baseline stays meaningful on
-	// hardware of a different speed.
-	Calib   float64      `json:"calib"`
-	Results []HostResult `json:"results"`
+	Schema     string       `json:"schema"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Results    []HostResult `json:"results"`
 }
 
 // HostOptions sizes the host suite.
@@ -106,8 +94,8 @@ func hostTime(min time.Duration, fn func()) float64 {
 	return elapsed.Seconds() / float64(ops)
 }
 
-// hostAllocs returns the mean heap allocations per call of fn, measured on
-// the calling goroutine via the runtime's malloc counter.
+// hostAllocs returns the mean heap allocations per call of fn over iters
+// calls, measured on the calling goroutine via the runtime's malloc counter.
 func hostAllocs(iters int, fn func()) float64 {
 	fn() // steady state: warm free lists before counting
 	runtime.GC()
@@ -116,6 +104,9 @@ func hostAllocs(iters int, fn func()) float64 {
 	// policy cost, not a per-op cost, and counting it would make the
 	// zero-alloc pins flap with collector timing.
 	fn()
+	// A collection inside the window would sweep the pools again, so the
+	// collector stays off while it counts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < iters; i++ {
@@ -125,21 +116,11 @@ func hostAllocs(iters int, fn func()) float64 {
 	return float64(m1.Mallocs-m0.Mallocs) / float64(iters)
 }
 
-// calibScore measures single-thread MB/s of the frozen scalar SHA-1 probe
-// (calibSHA1) over a fixed 1 MiB buffer — the machine-speed normalizer for
-// cross-host baseline comparison.
-func calibScore() float64 {
-	buf := workload.Generate(workload.Spec{Kind: workload.Silesia, Size: 1 << 20, Seed: 9})
-	sec := hostTime(200*time.Millisecond, func() { calibSHA1(buf) })
-	return float64(len(buf)) / 1e6 / sec
-}
-
 // RunHost executes the host-throughput suite and returns the report.
 func RunHost(opt HostOptions) HostReport {
 	rep := HostReport{
 		Schema:     "streamgpu-hostbench/v1",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Calib:      calibScore(),
 	}
 	min := opt.minTime()
 	input := workload.Generate(workload.Spec{Kind: workload.Large, Size: opt.inputBytes(), Seed: 1})
@@ -163,9 +144,6 @@ func RunHost(opt HostOptions) HostReport {
 	})
 	sparMBs := mb / sec
 	add("dedup_spar", "MB/s", sparMBs, -1)
-	// The parallel/sequential ratio is dimensionless (unit "x"), which exempts
-	// it from Diff's calib scaling — the CI gate asserts it directly with
-	// benchdiff -require at GOMAXPROCS > 1.
 	add("dedup_spar_speedup", "x", sparMBs/seqMBs, -1)
 
 	// --- Dedup per-stage throughput ---
