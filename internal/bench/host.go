@@ -244,7 +244,7 @@ func addDedupStages(add func(name, unit string, value, allocs float64), min time
 
 	// The served GPU path: one batch through Processor.Process on the
 	// simulated device — hash and FindMatch kernels, their copies, and the
-	// encode from the downloaded matches. Wall clock, not virtual time: this
+	// encode from the match walk. Wall clock, not virtual time: this
 	// is what a serve_gpu request waits for. The allocation pin covers the
 	// per-batch simulation (DES processes and events, device, stream, buffer
 	// handles); buffers come from the Processor's persistent memory space.

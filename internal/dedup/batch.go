@@ -172,7 +172,11 @@ func (b *Batch) CompressFirsts(m *lzss.Matcher, lanes int) {
 // RunLane implements lzss.LaneBody: it compresses the first-sighting blocks
 // of [k0, k1) on m into lane's arena.
 func (b *Batch) RunLane(m *lzss.Matcher, lane, k0, k1 int) {
-	b.encodeLane(lane, k0, k1, func(dst []byte, lo, hi int) []byte {
+	b.EncodeLane(lane, k0, k1, func(dst []byte, k int, first bool) []byte {
+		if !first {
+			return dst
+		}
+		lo, hi := b.Block(k)
 		return m.AppendCompress(dst, b.Data[lo:hi])
 	})
 }
@@ -189,22 +193,22 @@ func (b *Batch) startComp(lanes int) {
 	}
 }
 
-// encodeLane appends enc's encoding of every first-sighting block [lo, hi)
-// of [k0, k1) to lane's arena, then points each such block's Comp at its
-// subslice, capacity-capped so downstream code cannot grow one block into
-// the next; duplicates get nil. Appending into one recycled arena means a
-// warm lane encodes with zero heap allocations. It writes only lane's arena
-// and the entries of blocks [k0, k1), so lanes may run concurrently.
-func (b *Batch) encodeLane(lane, k0, k1 int, enc func(dst []byte, lo, hi int) []byte) {
+// EncodeLane implements lzss.BlockSink: it runs enc over every block of
+// [k0, k1), in order, keeping the first-sighting blocks' encodings in lane's
+// arena, then points each such block's Comp at its subslice, capacity-capped
+// so downstream code cannot grow one block into the next; duplicates get
+// nil. Appending into one recycled arena means a warm lane encodes with zero
+// heap allocations. It writes only lane's arena and the entries of blocks
+// [k0, k1), so lanes may run concurrently.
+func (b *Batch) EncodeLane(lane, k0, k1 int, enc func(dst []byte, k int, keep bool) []byte) {
 	arena := b.out.lanes[lane][:0]
 	off := b.compOff
 	for k := k0; k < k1; k++ {
 		off[k] = -1
 		if b.firsts[k] {
 			off[k] = int32(len(arena))
-			lo, hi := b.Block(k)
-			arena = enc(arena, lo, hi)
 		}
+		arena = enc(arena, k, b.firsts[k])
 	}
 	b.out.lanes[lane] = arena
 	// Subslice only once the arena has stopped growing: offsets survive

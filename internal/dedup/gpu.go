@@ -201,6 +201,9 @@ func (p *Processor) gpuHash(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *
 // gpuCompress fills b.Comp for the blocks this run sees first, preferring
 // the device match kernel and degrading to the CPU path — one lane on the
 // Processor's own matcher — on device loss or an exhausted retry budget.
+// The kernel's host-side result (lzss.Matches.Fill) carries the first
+// sightings' encodings, laid out in the batch's lane arenas as
+// CompressFirsts lays them out; a clean launch keeps them.
 func (p *Processor) gpuCompress(proc *des.Proc, st *gpu.Stream, dev *gpu.Device, b *Batch, store BlockStore) {
 	n := b.NBlocks()
 	clear(resized(&b.Comp, n))
@@ -230,7 +233,9 @@ func (p *Processor) gpuCompress(proc *des.Proc, st *gpu.Stream, dev *gpu.Device,
 	sha1x.PutStartPos(resized(&ms.hSp.Data, n*4), b.StartPos)
 	resized(&ms.hMl.Data, sz*4)
 	resized(&ms.hMo.Data, sz*4)
-	ms.pre.Fill(b.Data, b.StartPos, dev.Spec.WarpSize)
+	lanes := min(lzss.DefaultLanes(), n)
+	b.startComp(lanes)
+	ms.pre.Fill(lanes, b.Data, b.StartPos, dev.Spec.WarpSize, b)
 	spec := lzss.FastKernel()
 
 	run := func() error {
@@ -247,11 +252,5 @@ func (p *Processor) gpuCompress(proc *des.Proc, st *gpu.Stream, dev *gpu.Device,
 		cpu()
 		return
 	}
-	// Encode straight from the downloaded little-endian match buffers: the
-	// one-lane case of CompressFirsts' arena loop.
-	b.startComp(1)
-	b.encodeLane(0, 0, n, func(dst []byte, lo, hi int) []byte {
-		return lzss.AppendEncode(dst, b.Data, lo, hi, ms.hMl.Data, ms.hMo.Data)
-	})
 	p.rep.GPUCompress++
 }

@@ -16,7 +16,7 @@ import (
 // its recovery counters, or indexes out of range.
 func (ms *memSpace) poison() {
 	for _, p := range []*[]byte{&ms.dIn, &ms.dSp, &ms.dHash, &ms.dMl, &ms.dMo,
-		&ms.hSp.Data, &ms.hHash.Data, &ms.hMl.Data, &ms.hMo.Data, &ms.pre.Len, &ms.pre.Off} {
+		&ms.hSp.Data, &ms.hHash.Data, &ms.hMl.Data, &ms.hMo.Data} {
 		s := (*p)[:cap(*p)]
 		for i := range s {
 			s[i] = 0xA5

@@ -371,7 +371,7 @@ func TestExecutorEquivalenceCatchesMutants(t *testing.T) {
 func TestFilledFastKernel(t *testing.T) {
 	filled := lzCase("lzss.FastKernel/Fill", lzss.FastKernel(), func(in []byte, sp []int32) *lzss.Matches {
 		m := new(lzss.Matches)
-		m.Fill(in, sp, gpu.TitanXPSpec().WarpSize)
+		m.Fill(0, in, sp, gpu.TitanXPSpec().WarpSize, nil)
 		return m
 	})
 	pre := lzCase("lzss.FastKernel", lzss.FastKernel(), lzss.Precompute)

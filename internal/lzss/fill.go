@@ -7,21 +7,22 @@ import (
 	"streamgpu/internal/pool"
 )
 
-// Fill computes the batch's match arrays for the fast FindMatch kernel
-// launched with warps of warp threads (the device spec's WarpSize), on up to
-// DefaultLanes() concurrent matchers (RunLanes). Every entry of Len and Off
-// is overwritten; the arrays grow only when the batch is larger than any
-// before it. The kernel writes the arrays to the device as its result and
-// charges each warp max over its lanes of 3·span + 4·Len[i], so Fill makes
-// the arrays exact only where either is read with the real block starts:
+// Fill computes the fast FindMatch kernel's result for the batch, for
+// launches with warps of warp threads (the device spec's WarpSize), on up to
+// lanes concurrent matchers (RunLanes; lanes <= 0 selects DefaultLanes()).
+// It walks each block once, greedily, as AppendCompress does, and keeps only
+// what some reader reads:
 //
-//   - at every greedy token start of every block, Len and Off equal
-//     FindMatchesPar's, so AppendEncode over the downloaded arrays emits
-//     the archive's bytes;
-//   - every warp-aligned run of warp positions has the same maximum cost as
-//     under FindMatchesPar, and Fill records that maximum once per warp,
-//     so a launch charges a warp without rescanning its lanes;
-//   - every other entry is a valid, possibly shorter, match (or 0).
+//   - the archive: each block out keeps is encoded from the walk into the
+//     arena out hands its lane, byte-equal to AppendCompress's encoding (a
+//     nil out keeps none);
+//   - the match tokens: a launch over the result leaves, at every greedy
+//     token start, FindMatchesPar's (and BruteKernel's) Len and Off, and 0
+//     at every other position — a valid match or 0 everywhere;
+//   - one record per warp-aligned run of warp positions: the maximum
+//     3·span + 4·Len over the run under FindMatchesPar with the real block
+//     starts, warps a block boundary splits included, so a launch charges
+//     a warp without reading a per-position length.
 //
 // A launch that reads a startPos slab other than the real starts — the
 // all-zero slab behind a failed upload — is charged from the all-positions
@@ -33,35 +34,60 @@ import (
 // launch over the result runs. Launches over the result must cover whole
 // warps (FastKernel panics otherwise); Precompute serves launches of any
 // geometry.
-func (m *Matches) Fill(batch []byte, startPos []int32, warp int) {
-	m.fill(DefaultLanes(), batch, startPos, warp)
-}
-
-func (m *Matches) fill(lanes int, batch []byte, startPos []int32, warp int) {
+func (m *Matches) Fill(lanes int, batch []byte, startPos []int32, warp int, out BlockSink) {
 	if warp < 1 || warp > 64 {
 		panic(fmt.Sprintf("lzss: Fill for %d-lane warps, want 1..64", warp))
 	}
 	checkStarts(batch, startPos)
-	n, nw := len(batch), (len(batch)+warp-1)/warp
-	if cap(m.Len) < 4*n {
-		m.Len, m.Off = make([]byte, 4*n), make([]byte, 4*n)
+	if lanes <= 0 {
+		lanes = DefaultLanes()
 	}
+	nw := (len(batch) + warp - 1) / warp
 	if cap(m.warps) < nw {
 		m.warps = make([]warpCost, nw)
 	}
-	m.Len, m.Off, m.warps, m.warp = m.Len[:4*n], m.Off[:4*n], m.warps[:nw], warp
+	m.Len, m.Off, m.warps, m.warp = nil, nil, m.warps[:nw], warp
 	m.batch, m.starts = batch, append(m.starts[:0], startPos...)
-	m.exact, m.searches = nil, fillSearches{}
+	m.exact, m.searches, m.matches = nil, fillSearches{}, m.matches[:0]
 	f := fillPool.Get()
-	*f = fillLanes{input: batch, startPos: startPos, matchLen: m.Len, matchOff: m.Off, warps: m.warps, warp: warp}
+	f.input, f.startPos, f.warps, f.warp, f.out = batch, startPos, m.warps, warp, out
+	for i := range f.lanes {
+		l := &f.lanes[i]
+		l.matches, l.searches, l.head, l.headCost = l.matches[:0], fillSearches{}, -1, 0
+	}
 	mt := matcherPool.Get()
 	RunLanes(lanes, mt, batch, startPos, f)
 	matcherPool.Release(mt)
-	for _, s := range f.searches {
-		m.searches = m.searches.add(s)
+	// Lanes run in block order, so their match lists concatenate in position
+	// order; a lane's head warp began in an earlier lane, which recorded it.
+	for i := range f.lanes {
+		l := &f.lanes[i]
+		m.matches = append(m.matches, l.matches...)
+		m.searches = m.searches.add(l.searches)
+		if l.head >= 0 {
+			m.warps[l.head].cost = max(m.warps[l.head].cost, int32(l.headCost))
+		}
+		l.m = nil
 	}
-	*f = fillLanes{}
+	j := 0
+	for w := range m.warps {
+		m.warps[w].first = int32(j)
+		for j < len(m.matches) && int(m.matches[j].pos) < (w+1)*warp {
+			j++
+		}
+	}
+	f.input, f.startPos, f.warps, f.out = nil, nil, nil, nil
 	fillPool.Release(f)
+}
+
+// A BlockSink lays out the block encodings Fill emits, as a lane-parallel
+// compressor lays out its own. Fill calls EncodeLane once per lane of
+// RunLanes, concurrently, with the lane's contiguous blocks [k0, k1).
+// EncodeLane must call enc once for each of those blocks, in order, with the
+// arena to append block k's encoding to and whether to keep it, and carry on
+// with the arena enc returns; a block not kept appends nothing.
+type BlockSink interface {
+	EncodeLane(lane, k0, k1 int, enc func(dst []byte, k int, keep bool) []byte)
 }
 
 // fillSearches counts one Fill's chain searches, one per search: at greedy
@@ -75,159 +101,241 @@ func (s fillSearches) add(t fillSearches) fillSearches {
 	return fillSearches{s.Token + t.Token, s.Settle + t.Settle, s.Raised + t.Raised}
 }
 
-// warpCost is Fill's record of one warp, written by the lane whose block
-// holds the warp's first position.
+// warpCost is Fill's record of one warp.
 type warpCost struct {
-	blk  int32 // the index of that block
-	cost int32 // max 3·span + 4·Len over the warp; -1 when a block boundary splits it
+	blk   int32 // the block holding the warp's first position
+	cost  int32 // max 3·span + 4·Len over the warp, under FindMatchesPar
+	first int32 // the index in Matches.matches of the warp's first match token
+}
+
+// match is one greedy match token: its start, length and backward distance.
+type match struct {
+	pos      int32
+	len, off uint16
 }
 
 // fillLanes is Fill's lane body; pooled for the reason findLanes is.
 type fillLanes struct {
-	input              []byte
-	startPos           []int32
-	matchLen, matchOff []byte
-	warps              []warpCost
-	warp               int
-	searches           [maxLanes]fillSearches // per lane
+	input    []byte
+	startPos []int32
+	warps    []warpCost
+	warp     int
+	out      BlockSink
+	lanes    [maxLanes]fillLane
 }
 
-var fillPool = pool.New[*fillLanes]("lzss.fill-lanes", func() *fillLanes { return new(fillLanes) })
+// fillLane is one lane's walk state. enc is its fillBlock, bound once when
+// the pooled fillLanes is built, so handing it to a BlockSink per lane does
+// not allocate.
+type fillLane struct {
+	f        *fillLanes
+	m        *Matcher
+	enc      func(dst []byte, k int, keep bool) []byte
+	matches  []match // the lane's match tokens, in position order
+	searches fillSearches
+	// head is the warp holding the lane's first position when a block of an
+	// earlier lane starts that warp (else -1); headCost is this lane's share
+	// of its maximum, merged into the record after the join.
+	head, headCost int
+}
+
+var fillPool = pool.New[*fillLanes]("lzss.fill-lanes", func() *fillLanes {
+	f := new(fillLanes)
+	for i := range f.lanes {
+		l := &f.lanes[i]
+		l.f, l.enc = f, l.fillBlock
+	}
+	return f
+})
 
 func (f *fillLanes) RunLane(m *Matcher, lane, k0, k1 int) {
+	if k0 >= k1 {
+		return
+	}
 	if len(f.input) > cap(m.prev) {
 		m.prev = make([]int32, len(f.input))
 	}
-	s := &f.searches[lane]
-	for k := k0; k < k1; k++ {
-		*s = s.add(m.fillBlock(f, k, int(f.startPos[k]), blockEnd(f.startPos, k, len(f.input))))
+	l := &f.lanes[lane]
+	l.m = m
+	if p := int(f.startPos[k0]); p%f.warp != 0 {
+		l.head = p / f.warp
 	}
+	if f.out == nil {
+		for k := k0; k < k1; k++ {
+			l.fillBlock(nil, k, false)
+		}
+		return
+	}
+	f.out.EncodeLane(lane, k0, k1, l.enc)
 }
 
-// putInt32 stores v as entry i of a little-endian int32 array. The
-// three-index slice has a known non-zero capacity, which spares the store
-// the compiler's empty-slice pointer masking: Fill stores every entry twice.
-func putInt32(buf []byte, i int, v int32) {
-	binary.LittleEndian.PutUint32(buf[4*i:4*i+4:4*i+4], uint32(v))
-}
-
-// fillBlock fills block k, [lo, hi). One greedy walk, as in AppendCompress:
-// insert every position in order, and search the chain only where a token
-// starts. A position inside a match (t, L, off) gets the lower bound
-// L−(i−t) at the same offset — a valid match, because the source shifted by
-// the same amount still lies inside the block and before i. Each time the
-// walk completes the block's share of a warp, settle makes that segment's
-// maximum cost exact, and the segment holding the warp's first position
-// records it. fillBlock returns the block's searches.
-func (m *Matcher) fillBlock(f *fillLanes, k, lo, hi int) (s fillSearches) {
-	input, ml, mo := f.input, f.matchLen, f.matchOff
+// fillBlock walks block k, [lo, hi), as AppendCompress does: insert every
+// position in order, search the chain only where a token starts, and append
+// each token to dst when keep. It records every match token, and settles
+// each segment — the block's share of one warp — once the walk has searched
+// the token start at or past the segment's end: that search bounds the
+// segment's right edge (settle). It returns dst.
+func (l *fillLane) fillBlock(dst []byte, k int, keep bool) []byte {
+	f, m := l.f, l.m
+	input, warp := f.input, f.warp
+	lo, hi := int(f.startPos[k]), blockEnd(f.startPos, k, len(input))
 	prev := m.prev[:cap(m.prev)]
 	epoch := m.nextEpoch()
 	hashEnd := hi - MinMatch + 1
-	// The next token start, and the offset of the match covering i.
-	next, off := lo, int32(0)
-	// The open segment [a, b): the block's share of the warp holding i.
-	a, b := lo, min(hi, (lo/f.warp+1)*f.warp)
-	var exact uint64 // bit i−a: position i holds its exact match
-	run := 0         // the segment's maximum stored cost so far
-	for i := lo; i < hi; i++ {
-		l := int32(0)
-		if i == next {
-			best, bestC := 0, -1
-			if i < hashEnd {
-				h := hash3(input[i], input[i+1], input[i+2])
-				if m.stamp[h] == epoch {
-					s.Token++
-					best, bestC = longest(input, prev, m.head[h], i, lo, hi)
-				}
-				m.insert(prev, h, i, epoch)
-			}
-			if best >= MinMatch {
-				off, l = int32(i-bestC), int32(best)
-				putInt32(ml, i, l)
-				putInt32(mo, i, off)
-				next = i + best
-			} else {
-				putInt32(ml, i, 0)
-				putInt32(mo, i, 0)
-				next = i + 1
-			}
-			exact |= 1 << uint(i-a)
-		} else {
-			if lb := next - i; lb >= MinMatch {
-				l = int32(lb)
-				putInt32(ml, i, l)
-				putInt32(mo, i, off)
-			} else {
-				putInt32(ml, i, 0)
-				putInt32(mo, i, 0)
-			}
-			if i < hashEnd {
-				m.insert(prev, hash3(input[i], input[i+1], input[i+2]), i, epoch)
-			}
-		}
-		run = max(run, 3*min(i-lo, WindowSize)+4*int(l))
-		if i+1 == b {
-			cost, searched, raised := settle(f, prev, lo, hi, a, b, exact, run)
-			s.Settle += searched
-			s.Raised += raised
-			if a != lo || lo%f.warp == 0 {
-				if b < min(a+f.warp, len(input)) {
-					cost = -1 // the block ends inside the warp
-				}
-				f.warps[a/f.warp] = warpCost{blk: int32(k), cost: int32(cost)}
-			}
-			a, b, exact, run = b, min(hi, b+f.warp), 0, 0
-		}
+	if keep {
+		dst = binary.AppendUvarint(dst, uint64(hi-lo))
 	}
-	return s
+	var flags byte
+	nflags, flagPos := 0, -1
+	// The oldest open segment [a, b), of warp w, and the first of the
+	// block's matches that may cover it.
+	w := lo / warp
+	a, b := lo, min(hi, (w+1)*warp)
+	ms, open, searched := l.matches, len(l.matches), 0
+	for i := lo; i < hi; {
+		best, bestC := 0, -1
+		if i < hashEnd {
+			h := hash3(input[i], input[i+1], input[i+2])
+			if m.stamp[h] == epoch {
+				searched++
+				best, bestC = longest(input, prev, m.head[h], i, lo, hi)
+			}
+			m.insert(prev, h, i, epoch)
+		}
+		if best < MinMatch {
+			best = 0
+		}
+		// r(i) ≤ max(best, MinMatch−1) now, so r(b) ≤ that + (i−b).
+		for ; b <= i; a, b, w = b, min(hi, b+warp), w+1 {
+			open += l.settle(ms[open:], k, w, lo, hi, a, b, max(best, MinMatch-1)+i-b)
+		}
+		if keep {
+			if nflags == 0 {
+				flagPos = len(dst)
+				dst = append(dst, 0)
+			}
+			if best > 0 {
+				flags |= 1 << uint(nflags)
+				v := uint16(i-bestC-1)<<4 | uint16(best-MinMatch)
+				dst = append(dst, byte(v>>8), byte(v))
+			} else {
+				dst = append(dst, input[i])
+			}
+			dst[flagPos] = flags
+			if nflags++; nflags == 8 {
+				flags, nflags = 0, 0
+			}
+		}
+		if best == 0 {
+			i++
+			continue
+		}
+		ms = append(ms, match{int32(i), uint16(best), uint16(i - bestC)})
+		for j, e := i+1, min(i+best, hashEnd); j < e; j++ {
+			m.insert(prev, hash3(input[j], input[j+1], input[j+2]), j, epoch)
+		}
+		i += best
+	}
+	// No token starts at or past b: the block end bounds the right edge.
+	for ; a < hi; a, b, w = b, min(hi, b+warp), w+1 {
+		open += l.settle(ms[open:], k, w, lo, hi, a, b, MaxMatch)
+	}
+	l.matches, l.searches.Token = ms, l.searches.Token+searched
+	return dst
 }
 
-// settle makes the maximum stored cost 3·(i−lo) + 4·Len[i] of segment
-// [a, b) of block [lo, hi), run on entry, equal its maximum true cost, and
-// returns it with the number of positions it searched and of those that
-// raised the maximum. It walks the segment right to left, carrying an upper
-// bound on each position's raw match length: a match (c, r) at i gives
-// (c+1, r−1) at i+1, so r(i) ≤ r(i+1)+1, where an exact stored 0 stands for
-// r ≤ 2 and nothing is known past the segment. A position whose bound could
-// lift the running maximum is searched; any other position's true cost is
-// at most a maximum the stored values already reach, so leaving its lower
-// bound changes no warp's charge. The walk stops once even a MaxMatch at
-// the current span could not lift the maximum.
-func settle(f *fillLanes, prev []int32, lo, hi, a, b int, exact uint64, run int) (cost, searched, raised int) {
-	input, ml, mo := f.input, f.matchLen, f.matchOff
-	rNext := MaxMatch
-	for i := b - 1; i >= a; i-- {
+// settle makes the maximum cost 3·(i−lo) + 4·r(i) of segment [a, b) of block
+// [lo, hi), warp w's share of block k, exact and records it (record). ms
+// holds the block's matches that end past a; every other token is a
+// literal, exact with r ≤ 2. The lower bound at a position a match (t, L)
+// covers is t+L−i, exact at t, or 0 below MinMatch. rEdge bounds r(b). It
+// returns how many of ms end at or before b.
+//
+// It walks the segment right to left, carrying an upper bound on each
+// position's raw match length: a match (c, r) at i gives (c+1, r−1) at i+1,
+// so r(i) ≤ r(i+1)+1. A position whose bound could lift the running maximum
+// is searched; any other position's true cost is at most a maximum the lower
+// bounds already reach. It goes a match at a time: once a match's bound
+// meets its lower bound at some position, it does at every position left of
+// it up to the match's start. It stops once even a MaxMatch at the current
+// span could not lift the maximum.
+func (l *fillLane) settle(ms []match, k, w, lo, hi, a, b, rEdge int) int {
+	// The lower bounds' maximum: the segment's last span, or where a match
+	// enters it — the bound falls by 4 a position and the span rises by at
+	// most 3. A segment of literals alone is exact as it stands.
+	run, n := 3*min(b-1-lo, WindowSize), 0
+	if len(ms) == 0 {
+		l.record(k, w, a, run)
+		return 0
+	}
+	input, prev := l.f.input, l.m.prev
+	for ; n < len(ms) && int(ms[n].pos) < b; n++ {
+		p := max(int(ms[n].pos), a)
+		if lb := int(ms[n].pos) + int(ms[n].len) - p; lb >= MinMatch {
+			run = max(run, 3*min(p-lo, WindowSize)+4*lb)
+		}
+	}
+	for q := n - 1; q >= 0; q-- {
+		t, e := int(ms[q].pos), int(ms[q].pos)+int(ms[q].len)
+		i := min(e, b) - 1
 		if 3*min(i-lo, WindowSize)+4*MaxMatch <= run {
 			break // no span left of i is longer, and no match beats MaxMatch
 		}
-		l := leInt32(ml, i)
-		if exact&(1<<uint(i-a)) == 0 {
+		// The bound on r(i+1): rEdge past the segment, else the exact
+		// token at e — a match, or a literal's r ≤ 2.
+		rNext := MinMatch - 1
+		if e >= b {
+			rNext = rEdge
+		} else if q+1 < n && int(ms[q+1].pos) == e {
+			rNext = int(ms[q+1].len)
+		}
+		for ; i > t && i >= a; i-- {
+			lb := e - i
+			if lb < MinMatch {
+				lb = 0
+			}
 			ub := min(hi-i, MaxMatch, rNext+1)
+			if ub <= lb {
+				break // r = lb from here to the match's start
+			}
 			span := 3 * min(i-lo, WindowSize)
-			if ub <= l || ub < MinMatch || span+4*ub <= run {
+			if ub < MinMatch || span+4*ub <= run {
 				rNext = ub
 				continue
 			}
-			// The chain at the time i was inserted continues at prev[i].
-			searched++
-			best, bestC := longest(input, prev, prev[i], i, lo, hi)
-			if best >= MinMatch {
-				l = best
-				putInt32(ml, i, int32(best))
-				putInt32(mo, i, int32(i-bestC))
-			} else {
-				l = 0
-				putInt32(ml, i, 0)
-				putInt32(mo, i, 0)
+			// The chain at the time i was inserted continues at prev[i];
+			// lb ≤ r(i) ≤ ub bounds the search.
+			l.searches.Settle++
+			if lb, _ = longer(input, prev, prev[i], i, lo, ub, lb); lb < MinMatch {
+				lb = 0
 			}
-			if c := span + 4*l; c > run {
+			if c := span + 4*lb; c > run {
 				run = c
-				raised++
+				l.searches.Raised++
 			}
+			rNext = max(lb, MinMatch-1)
 		}
-		// l is 0 or at least MinMatch here, and a stored 0 means r ≤ 2.
-		rNext = max(l, MinMatch-1)
 	}
-	return run, searched, raised
+	l.record(k, w, a, run)
+	n = 0
+	for n < len(ms) && int(ms[n].pos)+int(ms[n].len) <= b {
+		n++
+	}
+	return n
+}
+
+// record folds segment [a, b)'s maximum cost, warp w's share of block k,
+// into its warp's record: the segment holding the warp's first position
+// writes it, later segments of the lane raise it, and segments of the lane's
+// head warp — begun by an earlier lane — wait in headCost for the join.
+func (l *fillLane) record(k, w, a, cost int) {
+	f := l.f
+	switch {
+	case a == w*f.warp:
+		f.warps[w] = warpCost{blk: int32(k), cost: int32(cost)}
+	case w == l.head:
+		l.headCost = max(l.headCost, cost)
+	default:
+		f.warps[w].cost = max(f.warps[w].cost, int32(cost))
+	}
 }

@@ -89,22 +89,77 @@ func warpMax(lens []int32, startPos []int32) []int {
 	return out
 }
 
+// keepSink is a BlockSink that keeps every block but each third one
+// (k%3 == 1), so both of Fill's paths run, and remembers where each block's
+// bytes went.
+type keepSink struct {
+	arenas [maxLanes][]byte
+	spans  [][3]int // per block: lane, start and end in that lane's arena
+}
+
+func keeps(k int) bool { return k%3 != 1 }
+
+func (s *keepSink) EncodeLane(lane, k0, k1 int, enc func(dst []byte, k int, keep bool) []byte) {
+	arena := s.arenas[lane][:0]
+	for k := k0; k < k1; k++ {
+		start := len(arena)
+		arena = enc(arena, k, keeps(k))
+		s.spans[k] = [3]int{lane, start, len(arena)}
+	}
+	s.arenas[lane] = arena
+}
+
+// fill fills c on lanes matchers into m, its encodings into s.
+func (s *keepSink) fill(m *Matches, lanes int, c fillCase) {
+	if cap(s.spans) < len(c.startPos) {
+		s.spans = make([][3]int, len(c.startPos))
+	}
+	s.spans = s.spans[:len(c.startPos)]
+	m.Fill(lanes, c.input, c.startPos, fillWarp, s)
+}
+
+// block returns the bytes block k's encoding took in its lane's arena.
+func (s *keepSink) block(k int) []byte {
+	sp := s.spans[k]
+	return s.arenas[sp[0]][sp[1]:sp[2]]
+}
+
+// launchArrays returns the match arrays a launch over m leaves, written
+// warp by warp as FastKernel writes them.
+func launchArrays(m *Matches, n int) (ml, mo []byte) {
+	ml, mo = make([]byte, 4*n), make([]byte, 4*n)
+	for i0 := 0; i0 < n; i0 += m.warp {
+		m.put(ml, mo, i0, min(i0+m.warp, n))
+	}
+	return ml, mo
+}
+
 // checkFill fills c on lanes matchers and compares the result with
-// FindMatchesPar's: every greedy token start exact, every other entry a
-// valid match no longer than the reference's, every warp's maximum cost
-// equal, and Fill's record of each warp that maximum — or the rescan mark,
-// exactly where a block boundary splits the warp. "" means the fill holds
-// its contract.
+// AppendCompress's and FindMatchesPar's: every kept block's encoding
+// byte-equal to AppendCompress's and every other block's empty; the arrays a
+// launch leaves holding the reference at every greedy token start and 0
+// elsewhere, so every entry is a valid match no longer than the reference's,
+// or 0; and Fill's record of each warp naming the block of its first
+// position and holding its maximum cost, split warps included. "" means the
+// fill holds its contract.
 func checkFill(c fillCase, lanes int) string {
 	n := len(c.input)
 	wantLen, wantOff := make([]int32, n), make([]int32, n)
 	FindMatchesPar(1, c.input, c.startPos, wantLen, wantOff)
 	var m Matches
-	m.fill(lanes, c.input, c.startPos, fillWarp)
+	var sink keepSink
+	sink.fill(&m, lanes, c)
+	var mt Matcher
+	ml, mo := launchArrays(&m, n)
 	for k := range c.startPos {
 		lo, hi := int(c.startPos[k]), blockEnd(c.startPos, k, n)
+		if want := mt.AppendCompress(nil, c.input[lo:hi]); !keeps(k) && len(sink.block(k)) != 0 ||
+			keeps(k) && !bytes.Equal(sink.block(k), want) {
+			return fmt.Sprintf("block %d [%d, %d), kept %v: Fill encoded %d bytes, AppendCompress %d", k, lo, hi, keeps(k), len(sink.block(k)), len(want))
+		}
+		next := lo
 		for i := lo; i < hi; i++ {
-			l, d := leInt32(m.Len, i), leInt32(m.Off, i)
+			l, d := leInt32(ml, i), leInt32(mo, i)
 			valid := l == 0 && d == 0 ||
 				l >= MinMatch && l <= int(wantLen[i]) && d >= l && d <= WindowSize && i-d >= lo &&
 					bytes.Equal(c.input[i-d:i-d+l], c.input[i:i+l])
@@ -112,50 +167,48 @@ func checkFill(c fillCase, lanes int) string {
 				return fmt.Sprintf("pos %d (block [%d, %d)): stored (%d, %d) is not a valid match up to the reference's (%d, %d)",
 					i, lo, hi, l, d, wantLen[i], wantOff[i])
 			}
-		}
-		for i := lo; i < hi; i += max(1, int(wantLen[i])) {
-			if leInt32(m.Len, i) != int(wantLen[i]) || leInt32(m.Off, i) != int(wantOff[i]) {
-				return fmt.Sprintf("token start %d: (%d, %d), FindMatchesPar (%d, %d)", i, leInt32(m.Len, i), leInt32(m.Off, i), wantLen[i], wantOff[i])
+			if i == next {
+				if l != int(wantLen[i]) || d != int(wantOff[i]) {
+					return fmt.Sprintf("token start %d: (%d, %d), FindMatchesPar (%d, %d)", i, l, d, wantLen[i], wantOff[i])
+				}
+				next += max(1, int(wantLen[i]))
+			} else if l != 0 {
+				return fmt.Sprintf("pos %d inside a token holds (%d, %d), want 0", i, l, d)
 			}
 		}
 	}
-	got := make([]int32, n)
-	for i := range got {
-		got[i] = int32(leInt32(m.Len, i))
-	}
-	gotMax, want := warpMax(got, c.startPos), warpMax(wantLen, c.startPos)
+	want := warpMax(wantLen, c.startPos)
 	if len(m.warps) != len(want) {
 		return fmt.Sprintf("%d warp records for %d warps", len(m.warps), len(want))
 	}
 	for w := range want {
-		if gotMax[w] != want[w] {
-			return fmt.Sprintf("warp %d: max cost %d, FindMatchesPar %d", w, gotMax[w], want[w])
-		}
-		j0 := w * fillWarp
-		rk, _ := slices.BinarySearch(c.startPos, int32(j0+1))
-		rk--
-		split := blockEnd(c.startPos, rk, n) < min(j0+fillWarp, n)
-		if r := m.warps[w]; int(r.blk) != rk || (r.cost < 0) != split || !split && int(r.cost) != want[w] {
-			return fmt.Sprintf("warp %d: record %+v, want block %d, split %v, cost %d", w, r, rk, split, want[w])
+		rk, _ := slices.BinarySearch(c.startPos, int32(w*fillWarp+1))
+		if r := m.warps[w]; int(r.blk) != rk-1 || int(r.cost) != want[w] {
+			return fmt.Sprintf("warp %d: record %+v, want block %d, cost %d", w, r, rk-1, want[w])
 		}
 	}
 	return ""
 }
 
 // TestFillExact runs the table at one lane, and at three lanes requires the
-// very same arrays: the fill is a function of the batch, not the lane count.
+// very same result: the fill is a function of the batch, not the lane count.
 func TestFillExact(t *testing.T) {
 	var one, three Matches
+	var oneSink, threeSink keepSink
 	for _, c := range fillCases() {
 		t.Run(c.name, func(t *testing.T) {
 			if d := checkFill(c, 1); d != "" {
 				t.Fatal(d)
 			}
-			one.fill(1, c.input, c.startPos, fillWarp)
-			three.fill(3, c.input, c.startPos, fillWarp)
-			if !bytes.Equal(one.Len, three.Len) || !bytes.Equal(one.Off, three.Off) ||
-				!slices.Equal(one.warps, three.warps) || one.searches != three.searches {
-				t.Fatal("one lane and three lanes fill different arrays")
+			oneSink.fill(&one, 1, c)
+			threeSink.fill(&three, 3, c)
+			if !slices.Equal(one.matches, three.matches) || !slices.Equal(one.warps, three.warps) || one.searches != three.searches {
+				t.Fatal("one lane and three lanes fill different results")
+			}
+			for k := range c.startPos {
+				if !bytes.Equal(oneSink.block(k), threeSink.block(k)) {
+					t.Fatalf("block %d: one lane and three lanes encode different bytes", k)
+				}
 			}
 		})
 	}
@@ -164,11 +217,11 @@ func TestFillExact(t *testing.T) {
 	}
 }
 
-// parentSettleShare is the share of positions settle searched on each
-// paper batch while it also kept every warp exact for the all-zero startPos
-// slab; launches on that slab now read the all-positions arrays instead, so
-// settle may only search less.
-var parentSettleShare = map[string]float64{"Input Large": 0.132, "Linux": 0.175, "Silesia": 0.101}
+// parentSettleShare is the share of positions settle searches on each
+// paper batch once a segment's right edge waits for the next token start's
+// search (rounded up in the fourth decimal); the count repeats exactly for a
+// batch, so a change may only lower it.
+var parentSettleShare = map[string]float64{"Input Large": 0.0763, "Linux": 0.0977, "Silesia": 0.0628}
 
 // TestFillSearchesLess records the point of the fill: on the paper batches
 // it searches the chain at fewer positions than there are. It prints the
@@ -179,7 +232,7 @@ func TestFillSearchesLess(t *testing.T) {
 	t.Log("|---|---|---|---|---|")
 	for _, c := range fillCases()[:3] {
 		var m Matches
-		m.fill(1, c.input, c.startPos, fillWarp)
+		m.Fill(1, c.input, c.startPos, fillWarp, nil)
 		s, n := m.searches, float64(len(c.input))
 		pct := func(x int) string { return fmt.Sprintf("%.1f %%", 100*float64(x)/n) }
 		t.Logf("| %s | %s | %s | %s | %s |", c.name, pct(s.Token), pct(s.Settle), pct(s.Token+s.Settle), pct(s.Raised))
@@ -239,29 +292,34 @@ func FuzzFillEquivalence(f *testing.F) {
 	})
 }
 
-// TestFillAllocs pins a warm Fill to zero heap allocations per batch at
-// one, two and four lanes.
+// TestFillAllocs pins a warm Fill, encodings included, to zero heap
+// allocations per batch at one, two and four lanes.
 func TestFillAllocs(t *testing.T) {
 	if pool.RaceEnabled {
 		t.Skip("allocation counting is unreliable under -race")
 	}
 	input := textLike(256<<10, 22)
-	startPos := rabin.NewChunker().Boundaries(input)
+	c := fillCase{"text", input, rabin.NewChunker().Boundaries(input)}
 	var m Matches
+	var sink keepSink
 	for _, lanes := range []int{1, 2, 4} {
 		for i := 0; i < 3; i++ {
-			m.fill(lanes, input, startPos, fillWarp)
+			sink.fill(&m, lanes, c)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { m.fill(lanes, input, startPos, fillWarp) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { sink.fill(&m, lanes, c) }); allocs != 0 {
 			t.Fatalf("Fill at %d lanes allocates %v per batch, want 0", lanes, allocs)
 		}
 	}
 }
 
-// BenchmarkFill prices the warp-exact fill against the all-positions matcher
-// it replaces on the GPU path, one lane, over each paper batch.
+// BenchmarkFill prices the fill, encodings included, on one lane over each
+// paper batch against the all-positions matcher it replaced on the GPU path
+// and against AppendCompress over the same blocks, the CPU path's work. The
+// fill leg reports its settle searches per MB, a count that repeats exactly
+// for a batch.
 func BenchmarkFill(b *testing.B) {
 	for _, c := range fillCases()[:3] {
+		mb := float64(len(c.input)) / 1e6
 		ml, mo := make([]int32, len(c.input)), make([]int32, len(c.input))
 		b.Run(c.name+"/all-positions", func(b *testing.B) {
 			b.SetBytes(int64(len(c.input)))
@@ -271,9 +329,22 @@ func BenchmarkFill(b *testing.B) {
 		})
 		b.Run(c.name+"/fill", func(b *testing.B) {
 			var m Matches
+			var sink keepSink
 			b.SetBytes(int64(len(c.input)))
 			for i := 0; i < b.N; i++ {
-				m.fill(1, c.input, c.startPos, fillWarp)
+				sink.fill(&m, 1, c)
+			}
+			b.ReportMetric(float64(m.searches.Settle)/mb, "settle-searches/MB")
+		})
+		b.Run(c.name+"/append-compress", func(b *testing.B) {
+			var mt Matcher
+			var dst []byte
+			b.SetBytes(int64(len(c.input)))
+			for i := 0; i < b.N; i++ {
+				dst = dst[:0]
+				for k := range c.startPos {
+					dst = mt.AppendCompress(dst, c.input[c.startPos[k]:blockEnd(c.startPos, k, len(c.input))])
+				}
 			}
 		})
 	}

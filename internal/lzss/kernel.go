@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"streamgpu/internal/gpu"
 )
@@ -96,26 +97,34 @@ func BruteKernel() *gpu.KernelSpec {
 	}
 }
 
-// Matches carries host-computed match arrays into the fast kernel, in the
-// layout the kernel leaves on the device: entry i of Len and Off is a
-// little-endian int32 at bytes [4i, 4i+4), so a launch copies them a warp at
-// a time. The zero value is ready for Fill; one Matches refilled per batch
-// keeps its arrays.
+// Matches carries host-computed matches into the fast kernel. Precompute
+// fills Len and Off, the all-positions arrays in the layout the kernel
+// leaves on the device: entry i is a little-endian int32 at bytes
+// [4i, 4i+4), so a launch copies them a warp at a time. Fill leaves them nil
+// and keeps its compact result instead: the match tokens and one record per
+// warp. The zero value is ready for Fill; one Matches refilled per batch
+// keeps its scratch.
 type Matches struct {
 	Len []byte
 	Off []byte
 	// searches counts the chain searches of the last Fill.
 	searches fillSearches
-	// warp is the warp width Fill made the arrays exact for; 0 (Precompute)
-	// means exact at every position. The rest is Fill's too: the batch and
-	// block starts it filled, one record per warp, and the all-positions Len
-	// a launch over a slab other than starts is charged from (exactLen).
-	warp   int
-	batch  []byte
-	starts []int32
-	warps  []warpCost
-	mu     sync.Mutex
-	exact  []byte
+	// warp is the warp width Fill filled for; 0 (Precompute) means Len and
+	// Off hold every position. The rest is Fill's too: the batch and block
+	// starts it filled, one record per warp, the match tokens in position
+	// order, and the all-positions Len a launch over a slab other than
+	// starts is charged from (exactLen).
+	warp    int
+	batch   []byte
+	starts  []int32
+	warps   []warpCost
+	matches []match
+	mu      sync.Mutex
+	exact   []byte
+	// launches numbers the launches bound over the result; slab caches
+	// whether the current one reads starts: its number << 2 | 1 if it
+	// does, | 2 if not (realSlab).
+	launches, slab atomic.Uint64
 }
 
 // Precompute returns the all-positions matches of the batch — what the
@@ -132,10 +141,33 @@ func Precompute(batch []byte, startPos []int32) *Matches {
 	return m
 }
 
+// putInt32 stores v as entry i of a little-endian int32 array. The
+// three-index slice has a known non-zero capacity, which spares the store
+// the compiler's empty-slice pointer masking.
+func putInt32(buf []byte, i int, v int32) {
+	binary.LittleEndian.PutUint32(buf[4*i:4*i+4:4*i+4], uint32(v))
+}
+
+// put writes entries [i0, i1) of the arrays a launch over Fill's result
+// leaves: each match token's length and distance at its start, 0 elsewhere.
+func (m *Matches) put(ml, mo []byte, i0, i1 int) {
+	clear(ml[4*i0 : 4*i1])
+	clear(mo[4*i0 : 4*i1])
+	for _, t := range m.matches[m.warps[i0/m.warp].first:] {
+		if int(t.pos) >= i1 {
+			break
+		}
+		if int(t.pos) >= i0 {
+			putInt32(ml, int(t.pos), int32(t.len))
+			putInt32(mo, int(t.pos), int32(t.off))
+		}
+	}
+}
+
 // exactLen returns Precompute's Len for the batch and starts Fill last
 // filled, computing it on the first call after the Fill. Only a launch that
-// reads a startPos slab other than the real starts calls it; the lanes of a
-// launch may call it concurrently.
+// reads a startPos slab other than the real starts, and the per-thread body,
+// call it; the lanes of a launch may call it concurrently.
 func (m *Matches) exactLen() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -165,23 +197,55 @@ func (m *Matches) sameBlocks(sp []byte, n, size, k, rk, i0, i1 int) bool {
 	return true
 }
 
+// realSlab reports whether launch number id reads Fill's block starts in
+// its startPos slab sp (n entries). The slab is only readable once the
+// launch executes, so the first warp compares it and the launch's other
+// warps reuse the answer; a warp that finds another launch's answer
+// compares again.
+func (m *Matches) realSlab(id uint64, sp []byte, n int) bool {
+	if v := m.slab.Load(); v>>2 == id {
+		return v&3 == 1
+	}
+	same, v := n == len(m.starts), id<<2|1
+	for k := 0; same && k < n; k++ {
+		same = leInt32(sp, k) == int(m.starts[k])
+	}
+	if !same {
+		v++
+	}
+	m.slab.Store(v)
+	return same
+}
+
 // worst returns the largest 3·span + 4·Len a lane of [i0, i1) is charged,
 // spans measured from the block starts the kernel reads in sp. Over Fill's
-// arrays a warp whose blocks are the real ones is charged its recorded
-// maximum, or rescanned when a block boundary splits it; any other warp is
-// charged from the all-positions arrays, as over Precompute's.
-func (m *Matches) worst(sp []byte, n, size, i0, i1 int) int64 {
-	k := blockOf(sp, n, i0)
-	lens := m.Len
-	if m.warp > 0 {
-		w := m.warps[i0/m.warp]
-		if !m.sameBlocks(sp, n, size, k, int(w.blk), i0, i1) {
-			lens = m.exactLen()
-		} else if w.cost >= 0 && i1-i0 <= m.warp {
-			return int64(w.cost)
+// result each warp whose blocks are the real ones — every warp, when the
+// slab is Fill's starts (real) — is charged its record; a run with any
+// other warp is charged from the all-positions arrays, as over
+// Precompute's.
+func (m *Matches) worst(sp []byte, n, size, i0, i1 int, real bool) int64 {
+	var cost int32
+	if m.warp > 0 && real {
+		for j := i0; j < i1; j += m.warp {
+			cost = max(cost, m.warps[j/m.warp].cost)
 		}
+		return int64(cost)
 	}
-	return scan(sp, n, k, i0, i1, lens)
+	k := blockOf(sp, n, i0)
+	if m.warp == 0 {
+		return scan(sp, n, k, i0, i1, m.Len)
+	}
+	for j, kj := i0, k; j < i1; j += m.warp {
+		if j > i0 {
+			kj = blockOf(sp, n, j)
+		}
+		w := m.warps[j/m.warp]
+		if !m.sameBlocks(sp, n, size, kj, int(w.blk), j, min(j+m.warp, i1)) {
+			return scan(sp, n, k, i0, i1, m.exactLen())
+		}
+		cost = max(cost, w.cost)
+	}
+	return int64(cost)
 }
 
 // scan returns the largest 3·span + 4·lens[i] over [i0, i1), spans measured
@@ -210,23 +274,25 @@ func leInt32(buf []byte, i int) int {
 }
 
 // FastKernel returns the device function used by the experiment harness and
-// the served GPU path: functionally it writes the host-computed match arrays
-// into the device buffers, while its cost model charges the window scan the
+// the served GPU path: functionally it writes the host-computed matches into
+// the device buffers, while its cost model charges the window scan the
 // brute-force kernel performs — so virtual timing matches BruteKernel without
 // paying its host-side execution cost at megabyte scale. Over Precompute's
-// arrays every byte it writes is BruteKernel's; over Fill's, the bytes at
-// token starts and every warp's charge are, and a run of threads that is not
-// whole warps of the filled width panics. The equivalence of results and the
-// cost band are covered by tests.
+// arrays every byte it writes is BruteKernel's. Over Fill's result it writes
+// BruteKernel's bytes at every greedy token start and 0 elsewhere, charges
+// every warp what BruteKernel's lengths charge it, and panics on a run of
+// threads that is not whole warps of the filled width. The equivalence of
+// results and the cost band are covered by tests.
 //
-// Body defines it per thread. Launches run Warp, which does the same work a
-// warp at a time — arguments decoded once per launch, the arrays copied a
-// run at a time, and the charge read from Fill's per-warp record where the
-// slab allows (Matches.worst) — because a 1 MB batch is a million threads
-// and this loop is the served path's wall cost; internal/gpu's
-// executor-equivalence test holds the two equal. The startPos slab is read
-// per warp, when the launch executes: Bind runs the Warp factory at enqueue,
-// before the upload ahead of the launch has written the slab.
+// Body defines it per thread, charging a lane its all-positions length.
+// Launches run Warp, which does the same work a warp at a time — arguments
+// decoded once per launch, the arrays written a run at a time, and the
+// charge read from Fill's per-warp record where the slab allows
+// (Matches.worst) — because a 1 MB batch is a million threads and this loop
+// is the served path's wall cost; internal/gpu's executor-equivalence test
+// holds the two equal. The startPos slab is read per warp, when the launch
+// executes: Bind runs the Warp factory at enqueue, before the upload ahead
+// of the launch has written the slab.
 func FastKernel() *gpu.KernelSpec {
 	return &gpu.KernelSpec{
 		Name:          "lzss_find_match",
@@ -243,23 +309,17 @@ func FastKernel() *gpu.KernelSpec {
 			if i >= sizeInput {
 				return gpu.ExitCost
 			}
-			copy(mlBuf[i*4:i*4+4], pre.Len[i*4:])
-			copy(moBuf[i*4:i*4+4], pre.Off[i*4:])
-
+			lens := pre.Len
+			if pre.warp > 0 {
+				pre.put(mlBuf, moBuf, i, i+1)
+				lens = pre.exactLen()
+			} else {
+				copy(mlBuf[i*4:i*4+4], pre.Len[i*4:])
+				copy(moBuf[i*4:i*4+4], pre.Off[i*4:])
+			}
 			// Cost: block lookup + window-span scan + extension estimate.
 			// The charged cost is the paper's linear startPos walk; the
-			// host-side lookup itself binary-searches for speed. Fill's
-			// arrays price a lane only inside a warp whose blocks are the
-			// real ones, so a lane of any other warp reads the
-			// all-positions length.
-			lens := pre.Len
-			if w := pre.warp; w > 0 {
-				j0 := i - i%w
-				j1 := min(j0+w, sizeInput)
-				if !pre.sameBlocks(spBuf, startPosSize, sizeInput, blockOf(spBuf, startPosSize, j0), int(pre.warps[j0/w].blk), j0, j1) {
-					lens = pre.exactLen()
-				}
-			}
+			// host-side lookup itself binary-searches for speed.
 			lo := leInt32(spBuf, blockOf(spBuf, startPosSize, i))
 			span := int64(min(i-lo, WindowSize))
 			return 2*int64(startPosSize) + 3*span + 4*int64(leInt32(lens, i)) + 10
@@ -271,20 +331,27 @@ func FastKernel() *gpu.KernelSpec {
 			mlBuf := args[4].(*gpu.Buf).Bytes()
 			moBuf := args[5].(*gpu.Buf).Bytes()
 			pre := args[6].(*Matches)
+			id := pre.launches.Add(1)
 			return func(w gpu.Warp) int64 {
 				i0 := w.GlobalX()
 				i1 := min(i0+w.N, sizeInput)
 				if i0 >= i1 {
 					return gpu.ExitCost
 				}
-				if pre.warp > 0 && (i0%pre.warp != 0 || (w.N%pre.warp != 0 && i0+w.N < sizeInput)) {
-					panic(fmt.Sprintf("lzss: FastKernel warp [%d, %d) is not whole %d-lane warps, the width its matches were filled for", i0, i0+w.N, pre.warp))
+				real := false
+				if pre.warp > 0 {
+					if i0%pre.warp != 0 || (w.N%pre.warp != 0 && i0+w.N < sizeInput) {
+						panic(fmt.Sprintf("lzss: FastKernel warp [%d, %d) is not whole %d-lane warps, the width its matches were filled for", i0, i0+w.N, pre.warp))
+					}
+					pre.put(mlBuf, moBuf, i0, i1)
+					real = pre.realSlab(id, spBuf, startPosSize)
+				} else {
+					copy(mlBuf[i0*4:i1*4], pre.Len[i0*4:i1*4])
+					copy(moBuf[i0*4:i1*4], pre.Off[i0*4:i1*4])
 				}
-				copy(mlBuf[i0*4:i1*4], pre.Len[i0*4:i1*4])
-				copy(moBuf[i0*4:i1*4], pre.Off[i0*4:i1*4])
 				// Threads past sizeInput cost ExitCost, below any in-range
 				// thread's fixed part.
-				return 2*int64(startPosSize) + pre.worst(spBuf, startPosSize, sizeInput, i0, i1) + 10
+				return 2*int64(startPosSize) + pre.worst(spBuf, startPosSize, sizeInput, i0, i1, real) + 10
 			}
 		},
 	}

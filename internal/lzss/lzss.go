@@ -27,12 +27,14 @@
 // chains, searched only where the greedy encoder starts a token, so no match
 // is computed only to be jumped over.
 //
-// The served GPU path feeds FastKernel from (*Matches).Fill, which is exact
-// only where the kernel's output is read: at every token start (what the
-// encoder reads back) and in every warp's maximum cost (what virtual time
-// reads), with the real block starts and with the all-zero ones a kernel
-// sees behind a failed upload. Elsewhere it stores a valid shorter match.
-// Precompute keeps the all-positions arrays for launches of any geometry.
+// The served GPU path feeds FastKernel from (*Matches).Fill, which walks
+// each block once, as AppendCompress does, and keeps only what is read: the
+// first sightings' encodings (the archive, so nothing re-encodes from the
+// downloaded arrays), the match tokens (a launch leaves them at token starts
+// and 0 elsewhere), and one exact charge per warp (what virtual time reads),
+// with the all-positions arrays behind a launch on any other startPos slab,
+// such as the all-zero one behind a failed upload. Precompute keeps the
+// all-positions arrays for launches of any geometry.
 package lzss
 
 import (
@@ -253,13 +255,19 @@ func matchLen8(input []byte, c, i, limit int) int {
 // longest walks the hash chain from candidate c for position i of block
 // [lo, hi) and returns the longest match, nearest first (bestC is -1 when
 // none). It is the one chain search: FindMatches runs it at every position,
-// AppendCompress and Fill where a token starts, and Fill where a position
-// could set its warp's cost. A best below MinMatch is not the raw longest
-// match: candidates whose first three bytes hash elsewhere were never
-// visited.
+// AppendCompress and Fill where a token starts. A best below MinMatch is not
+// the raw longest match: candidates whose first three bytes hash elsewhere
+// were never visited.
 func longest(input []byte, prev []int32, c int32, i, lo, hi int) (best, bestC int) {
-	maxHere := min(hi-i, MaxMatch)
-	bestC = -1
+	return longer(input, prev, c, i, lo, min(hi-i, MaxMatch), 0)
+}
+
+// longer is longest's walk for a match longer than best, at most maxHere
+// bytes: it returns best and -1 when the chain holds none. Fill also runs it
+// where a position could set its warp's cost, from the length it already
+// knows and capped at the length it could reach.
+func longer(input []byte, prev []int32, c int32, i, lo, maxHere, best int) (int, int) {
+	bestC := -1
 	for winLo := int32(max(i-WindowSize, lo)); c >= winLo; c = prev[c] {
 		limit := min(maxHere, i-int(c))
 		if best >= limit || input[int(c)+best] != input[i+best] {

@@ -201,7 +201,7 @@ func TestFastKernelMatchesBrute(t *testing.T) {
 	bruteLen, bruteOff := runKernel(t, BruteKernel(), data, startPos, nil)
 	preLen, preOff := runKernel(t, FastKernel(), data, startPos, Precompute(data, startPos))
 	var filled Matches
-	filled.Fill(data, startPos, gpu.TitanXPSpec().WarpSize)
+	filled.Fill(0, data, startPos, gpu.TitanXPSpec().WarpSize, nil)
 	fillLen, fillOff := runKernel(t, FastKernel(), data, startPos, &filled)
 	for i := range data {
 		if preLen[i] != bruteLen[i] || preOff[i] != bruteOff[i] {
@@ -231,7 +231,7 @@ func TestFastKernelMatchesBrute(t *testing.T) {
 func checkFilledLaunches(t *testing.T, data []byte, startPos []int32) {
 	t.Helper()
 	var filled Matches
-	filled.Fill(data, startPos, gpu.TitanXPSpec().WarpSize)
+	filled.Fill(0, data, startPos, gpu.TitanXPSpec().WarpSize, nil)
 	pre := Precompute(data, startPos)
 	var neither []int32
 	for k, s := range startPos {
@@ -258,7 +258,7 @@ func TestFastKernelRejectsPartialWarps(t *testing.T) {
 	data := textLike(1_000, 12)
 	startPos := []int32{0, 300}
 	var filled Matches
-	filled.Fill(data, startPos, 32)
+	filled.Fill(0, data, startPos, 32, nil)
 	dev := gpu.NewDevice(des.New(), gpu.TitanXPSpec(), 0)
 	sp := mustMalloc(dev, int64(len(startPos)*4))
 	defer sp.Free()
