@@ -309,7 +309,7 @@ func TestExecutorEquivalenceCatchesMutants(t *testing.T) {
 	// Charge the run's last lane instead of its slowest.
 	lastLane := func(k *gpu.Kernel) {
 		f := k.Func
-		k.Warp = func(w gpu.Warp) int64 {
+		k.Warp = func(w *gpu.Warp) int64 {
 			var c int64
 			th := w.Thread
 			for i := 0; i < w.N; i++ {
@@ -340,7 +340,7 @@ func TestExecutorEquivalenceCatchesMutants(t *testing.T) {
 	}
 	noAdvance := func(k *gpu.Kernel) {
 		f := k.Func
-		k.Warp = func(w gpu.Warp) int64 {
+		k.Warp = func(w *gpu.Warp) int64 {
 			var worst int64
 			th, i0 := w.Thread, w.GlobalX()
 			for i := i0; i < i0+w.N; i++ {

@@ -596,7 +596,7 @@ func TestBindReadsBuffersAtExecution(t *testing.T) {
 		Warp: func(args []any) WarpFunc {
 			in, dst := args[0].(*Buf), args[1].(*Buf) // captured, not read
 			atBind = append([]byte(nil), in.Bytes()...)
-			return func(w Warp) int64 {
+			return func(w *Warp) int64 {
 				var worst int64
 				for i := w.GlobalX(); i < w.GlobalX()+w.N; i++ {
 					dst.Bytes()[i] = 2 * in.Bytes()[i]

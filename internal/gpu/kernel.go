@@ -117,8 +117,10 @@ type Warp struct {
 }
 
 // WarpFunc is a warp-granular kernel body: it does the work of every thread
-// in the run and returns the maximum of their cycle costs.
-type WarpFunc func(w Warp) int64
+// in the run and returns the maximum of their cycle costs. The executor
+// reuses *w for its next run: a body reads it, and neither keeps nor changes
+// it.
+type WarpFunc func(w *Warp) int64
 
 // ExitCost is the conventional cycle cost for a thread that fails its bounds
 // check and returns immediately.
@@ -147,7 +149,7 @@ type Kernel struct {
 // PerThread adapts a per-thread body to the executor's warp granularity:
 // call f for each thread of the run, return the slowest.
 func PerThread(f ThreadFunc) WarpFunc {
-	return func(w Warp) int64 {
+	return func(w *Warp) int64 {
 		t := w.Thread
 		var worst int64
 		for i := 0; i < w.N; i++ {
@@ -206,9 +208,17 @@ type LaunchResult struct {
 // simulation is cooperative.
 type execState struct {
 	perSM []int64      // divergence-adjusted cycle total per SM
-	lanes [][]int64    // partial per-SM totals of the extra host workers
+	warp  Warp         // the calling worker's run, handed to the body
+	lanes []hostLane   // the extra host workers
 	next  atomic.Int64 // first unclaimed block of a fanned-out launch
 	wg    sync.WaitGroup
+}
+
+// hostLane is an extra host worker's share of a launch: its partial per-SM
+// totals and the run it hands the body.
+type hostLane struct {
+	acc []int64
+	w   Warp
 }
 
 // zeroed returns *p resized to n zeroed entries, reusing its capacity.
@@ -230,11 +240,12 @@ type launch struct {
 }
 
 // run executes blocks [b0, b1) and adds each block's cycles to its SM's
-// entry of acc. Blocks are assigned to SMs round-robin in launch order, as
-// hardware block schedulers do for uniform kernels. A block's threads are
-// walked warp by warp (x fastest); a warp costs its slowest thread.
-func (l *launch) run(b0, b1 int, acc []int64) {
-	w := Warp{Thread: Thread{BlockDim: l.bd, GridDim: l.gd}}
+// entry of acc, handing the body each run in w. Blocks are assigned to SMs
+// round-robin in launch order, as hardware block schedulers do for uniform
+// kernels. A block's threads are walked warp by warp (x fastest); a warp
+// costs its slowest thread.
+func (l *launch) run(w *Warp, b0, b1 int, acc []int64) {
+	*w = Warp{Thread: Thread{BlockDim: l.bd, GridDim: l.gd}}
 	for b := b0; b < b1; b++ {
 		w.Block = Dim3{X: b % l.gd.X, Y: (b / l.gd.X) % l.gd.Y, Z: b / (l.gd.X * l.gd.Y)}
 		var blockCycles int64
@@ -292,34 +303,34 @@ func (d *Device) execute(k *Kernel, g Grid) LaunchResult {
 		workers = min(runtime.GOMAXPROCS(0), nBlocks)
 	}
 	if workers == 1 {
-		l.run(0, nBlocks, perSM)
+		l.run(&x.warp, 0, nBlocks, perSM)
 	} else {
 		chunk := max(1, nBlocks/(workers*chunksPerWorker))
 		x.next.Store(0)
-		claim := func(acc []int64) {
+		claim := func(w *Warp, acc []int64) {
 			for {
 				b1 := int(x.next.Add(int64(chunk)))
 				if b1-chunk >= nBlocks {
 					return
 				}
-				l.run(b1-chunk, min(b1, nBlocks), acc)
+				l.run(w, b1-chunk, min(b1, nBlocks), acc)
 			}
 		}
 		for len(x.lanes) < workers-1 {
-			x.lanes = append(x.lanes, nil)
+			x.lanes = append(x.lanes, hostLane{})
 		}
 		x.wg.Add(workers - 1)
 		for i := 0; i < workers-1; i++ {
-			acc := zeroed(&x.lanes[i], spec.SMs)
+			acc, w := zeroed(&x.lanes[i].acc, spec.SMs), &x.lanes[i].w
 			go func() {
 				defer x.wg.Done()
-				claim(acc)
+				claim(w, acc)
 			}()
 		}
-		claim(perSM)
+		claim(&x.warp, perSM)
 		x.wg.Wait()
 		for _, lane := range x.lanes[:workers-1] {
-			for sm, c := range lane {
+			for sm, c := range lane.acc {
 				perSM[sm] += c
 			}
 		}

@@ -79,8 +79,8 @@ func TestAppendEncodeMatchesEncodeFromMatches(t *testing.T) {
 }
 
 // TestMatcherReuseAcrossInputs checks a matcher reused across different
-// inputs matches the reference each time (the epoch stamping must isolate
-// runs).
+// inputs matches the reference each time (head entries numbered in earlier
+// runs must read as stale).
 func TestMatcherReuseAcrossInputs(t *testing.T) {
 	m := NewMatcher()
 	for trial := 0; trial < 5; trial++ {

@@ -2,7 +2,10 @@ package lzss
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -54,8 +57,8 @@ func edgeBlocks() []edgeBlock {
 		{"two", []byte{7, 7}},
 		{"three-equal", []byte{7, 7, 7}},
 		{"three-distinct", []byte{1, 2, 3}},
-		// A match ending 0, 1 and 2 bytes before the block end: the
-		// insert-only loop must stop where hash3 would read past the end.
+		// A match ending 0, 1 and 2 bytes before the block end: link must
+		// stop where a trigram would read past the end.
 		{"match-at-end", cat(word, []byte{'X'}, word)},
 		{"match-end-minus-1", cat(word, []byte{'X'}, word, []byte{'Y'})},
 		{"match-end-minus-2", cat(word, []byte{'X'}, word, []byte("YZ"))},
@@ -76,12 +79,57 @@ func edgeBlocks() []edgeBlock {
 		{"text", textLike(9000, 23)},
 		{"random", randomBytes(3000, 24)},
 		{"period-7", periodic(2000, 7)},
+		{"collide-distinct", collisions()[0]},
+		{"collide-repeats", collisions()[1]},
+	}
+}
+
+// collisions returns two blocks made of distinct trigrams that all hash to
+// one chain bucket, found by a search over every trigram: the first holds
+// each once (no match, long chains of false candidates), the second draws
+// them at random from a few, so true and false candidates interleave.
+var collisions = sync.OnceValue(func() [2][]byte {
+	var same [][]byte
+	target := hash('a'<<16 | 'b'<<8 | 'c')
+	for v := uint32(0); v < 1<<24; v++ {
+		if hash(v) == target {
+			same = append(same, []byte{byte(v >> 16), byte(v >> 8), byte(v)})
+		}
+	}
+	rng := rand.New(rand.NewSource(25))
+	var repeats []byte
+	for range 1500 {
+		repeats = append(repeats, same[rng.Intn(12)]...)
+	}
+	return [2][]byte{bytes.Join(same, nil), repeats}
+})
+
+// TestHashCollisions runs the colliding blocks through all three walkers:
+// a same-bucket candidate with another trigram is only a rejected visit.
+func TestHashCollisions(t *testing.T) {
+	m := NewMatcher()
+	for i, b := range collisions() {
+		if len(b) < 1000 {
+			t.Fatalf("block %d: %d bytes; the trigram search found too few collisions", i, len(b))
+		}
+		checkCompressEquivalence(t, m, "collisions", b)
+		starts := []int32{0, int32(len(b) / 3), int32(len(b)/3 + 1)}
+		ml, mo := make([]int32, len(b)), make([]int32, len(b))
+		wantLen, wantOff := make([]int32, len(b)), make([]int32, len(b))
+		FindMatchesRef(b, starts, wantLen, wantOff)
+		m.FindMatches(b, starts, ml, mo)
+		if !slices.Equal(ml, wantLen) || !slices.Equal(mo, wantOff) {
+			t.Errorf("block %d: FindMatches differs from FindMatchesRef", i)
+		}
+		if d := checkFill(fillCase{"collisions", b, starts}, 2, nil); d != "" {
+			t.Errorf("block %d: Fill: %s", i, d)
+		}
 	}
 }
 
 // TestAppendCompressEquivalenceTable runs every edge shape through one
 // Matcher, twice and in both orders, so each block is also encoded on chain
-// tables dirtied by every other shape (epoch reuse across blocks).
+// tables dirtied by every other shape (head entries left by earlier blocks).
 func TestAppendCompressEquivalenceTable(t *testing.T) {
 	cases := edgeBlocks()
 	m := NewMatcher()
@@ -121,19 +169,38 @@ func TestAppendCompressEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestAppendCompressEpochWrap forces the epoch counter through its wrap so
-// stale stamps from before the wrap cannot alias the first epochs after it.
-func TestAppendCompressEpochWrap(t *testing.T) {
-	m := NewMatcher()
+// TestBaseWrap starts each walker's position numbering just below the point
+// where link restarts it, so a batch's blocks straddle the restart: entries
+// numbered before it must not alias positions numbered after it.
+func TestBaseWrap(t *testing.T) {
 	blocks := [][]byte{textLike(3000, 31), periodic(2500, 11), textLike(3000, 32)}
-	m.epoch = 1<<31 - 3
+	input := bytes.Join(blocks, nil)
+	m := NewMatcher()
+	m.base = math.MaxInt32 - 4000
 	for round := 0; round < 3; round++ {
 		for _, b := range blocks {
 			checkCompressEquivalence(t, m, "wrap", b)
 		}
 	}
-	if m.epoch > 16 {
-		t.Fatalf("epoch did not wrap: %d", m.epoch)
+	if int(m.base) > 3*len(input) {
+		t.Fatalf("AppendCompress: numbering did not restart: base %d", m.base)
+	}
+
+	c := fillCase{"wrap", input, []int32{0, 3000, 5500}}
+	ml, mo := make([]int32, len(input)), make([]int32, len(input))
+	wantLen, wantOff := make([]int32, len(input)), make([]int32, len(input))
+	FindMatchesRef(input, c.startPos, wantLen, wantOff)
+	m.base = math.MaxInt32 - 4000
+	m.FindMatches(input, c.startPos, ml, mo)
+	if !slices.Equal(ml, wantLen) || !slices.Equal(mo, wantOff) {
+		t.Error("FindMatches across the restart differs from FindMatchesRef")
+	}
+	m.base = math.MaxInt32 - 4000
+	if d := checkFill(c, 1, m); d != "" {
+		t.Errorf("Fill across the restart: %s", d)
+	}
+	if int(m.base) > len(input) {
+		t.Fatalf("Fill: numbering did not restart: base %d", m.base)
 	}
 }
 

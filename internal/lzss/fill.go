@@ -3,6 +3,7 @@ package lzss
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"streamgpu/internal/pool"
 )
@@ -35,6 +36,13 @@ import (
 // warps (FastKernel panics otherwise); Precompute serves launches of any
 // geometry.
 func (m *Matches) Fill(lanes int, batch []byte, startPos []int32, warp int, out BlockSink) {
+	mt := matcherPool.Get()
+	m.fill(mt, lanes, batch, startPos, warp, out)
+	matcherPool.Release(mt)
+}
+
+// fill is Fill with lane 0 on mt.
+func (m *Matches) fill(mt *Matcher, lanes int, batch []byte, startPos []int32, warp int, out BlockSink) {
 	if warp < 1 || warp > 64 {
 		panic(fmt.Sprintf("lzss: Fill for %d-lane warps, want 1..64", warp))
 	}
@@ -55,9 +63,7 @@ func (m *Matches) Fill(lanes int, batch []byte, startPos []int32, warp int, out 
 		l := &f.lanes[i]
 		l.matches, l.searches, l.head, l.headCost = l.matches[:0], fillSearches{}, -1, 0
 	}
-	mt := matcherPool.Get()
 	RunLanes(lanes, mt, batch, startPos, f)
-	matcherPool.Release(mt)
 	// Lanes run in block order, so their match lists concatenate in position
 	// order; a lane's head warp began in an earlier lane, which recorded it.
 	for i := range f.lanes {
@@ -152,9 +158,6 @@ func (f *fillLanes) RunLane(m *Matcher, lane, k0, k1 int) {
 	if k0 >= k1 {
 		return
 	}
-	if len(f.input) > cap(m.prev) {
-		m.prev = make([]int32, len(f.input))
-	}
 	l := &f.lanes[lane]
 	l.m = m
 	if p := int(f.startPos[k0]); p%f.warp != 0 {
@@ -169,24 +172,22 @@ func (f *fillLanes) RunLane(m *Matcher, lane, k0, k1 int) {
 	f.out.EncodeLane(lane, k0, k1, l.enc)
 }
 
-// fillBlock walks block k, [lo, hi), as AppendCompress does: insert every
-// position in order, search the chain only where a token starts, and append
-// each token to dst when keep. It records every match token, and settles
-// each segment — the block's share of one warp — once the walk has searched
-// the token start at or past the segment's end: that search bounds the
-// segment's right edge (settle). It returns dst.
+// fillBlock walks block k, [lo, hi), as AppendCompress does: link the
+// block, search the chain only where a token starts, and append each token to
+// dst when keep. It records every match token, and settles each segment —
+// the block's share of one warp — once the walk has searched the token start
+// at or past the segment's end: that search bounds the segment's right edge
+// (settle). It returns dst.
 func (l *fillLane) fillBlock(dst []byte, k int, keep bool) []byte {
-	f, m := l.f, l.m
+	f := l.f
 	input, warp := f.input, f.warp
 	lo, hi := int(f.startPos[k]), blockEnd(f.startPos, k, len(input))
-	prev := m.prev[:cap(m.prev)]
-	epoch := m.nextEpoch()
+	prev := l.m.link(input, lo, hi)
 	hashEnd := hi - MinMatch + 1
 	if keep {
 		dst = binary.AppendUvarint(dst, uint64(hi-lo))
 	}
-	var flags byte
-	nflags, flagPos := 0, -1
+	nflags, flagPos := 0, 0
 	// The oldest open segment [a, b), of warp w, and the first of the
 	// block's matches that may cover it.
 	w := lo / warp
@@ -194,13 +195,9 @@ func (l *fillLane) fillBlock(dst []byte, k int, keep bool) []byte {
 	ms, open, searched := l.matches, len(l.matches), 0
 	for i := lo; i < hi; {
 		best, bestC := 0, -1
-		if i < hashEnd {
-			h := hash3(input[i], input[i+1], input[i+2])
-			if m.stamp[h] == epoch {
-				searched++
-				best, bestC = longest(input, prev, m.head[h], i, lo, hi)
-			}
-			m.insert(prev, h, i, epoch)
+		if i < hashEnd && int(prev[i]) >= lo {
+			searched++
+			best, bestC = longest(input, prev, prev[i], i, lo, hi)
 		}
 		if best < MinMatch {
 			best = 0
@@ -211,29 +208,24 @@ func (l *fillLane) fillBlock(dst []byte, k int, keep bool) []byte {
 		}
 		if keep {
 			if nflags == 0 {
+				dst = slices.Grow(dst, groupBytes)
 				flagPos = len(dst)
 				dst = append(dst, 0)
 			}
 			if best > 0 {
-				flags |= 1 << uint(nflags)
+				dst[flagPos] |= 1 << nflags
 				v := uint16(i-bestC-1)<<4 | uint16(best-MinMatch)
 				dst = append(dst, byte(v>>8), byte(v))
 			} else {
 				dst = append(dst, input[i])
 			}
-			dst[flagPos] = flags
-			if nflags++; nflags == 8 {
-				flags, nflags = 0, 0
-			}
+			nflags = (nflags + 1) & 7
 		}
 		if best == 0 {
 			i++
 			continue
 		}
 		ms = append(ms, match{int32(i), uint16(best), uint16(i - bestC)})
-		for j, e := i+1, min(i+best, hashEnd); j < e; j++ {
-			m.insert(prev, hash3(input[j], input[j+1], input[j+2]), j, epoch)
-		}
 		i += best
 	}
 	// No token starts at or past b: the block end bounds the right edge.

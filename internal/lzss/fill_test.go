@@ -73,6 +73,7 @@ func fillCases() []fillCase {
 		fillCase{"alphabet-4", alpha(20_000, 4, 34), everyN(20_000, 2047, 6001, 129)},
 		fillCase{"period-18", bytes.Repeat(randomBytes(MaxMatch, 35), 700), everyN(18*700, 9000, 100)},
 		fillCase{"edge-blocks", edges, edgeStarts},
+		fillCase{"hash-collisions", collisions()[1], everyN(len(collisions()[1]), 999, 3001, 5)},
 	)
 }
 
@@ -109,13 +110,18 @@ func (s *keepSink) EncodeLane(lane, k0, k1 int, enc func(dst []byte, k int, keep
 	s.arenas[lane] = arena
 }
 
-// fill fills c on lanes matchers into m, its encodings into s.
-func (s *keepSink) fill(m *Matches, lanes int, c fillCase) {
+// fill fills c on lanes matchers into m, its encodings into s; a non-nil
+// mt runs lane 0.
+func (s *keepSink) fill(m *Matches, lanes int, c fillCase, mt *Matcher) {
 	if cap(s.spans) < len(c.startPos) {
 		s.spans = make([][3]int, len(c.startPos))
 	}
 	s.spans = s.spans[:len(c.startPos)]
-	m.Fill(lanes, c.input, c.startPos, fillWarp, s)
+	if mt != nil {
+		m.fill(mt, lanes, c.input, c.startPos, fillWarp, s)
+	} else {
+		m.Fill(lanes, c.input, c.startPos, fillWarp, s)
+	}
 }
 
 // block returns the bytes block k's encoding took in its lane's arena.
@@ -140,20 +146,20 @@ func launchArrays(m *Matches, n int) (ml, mo []byte) {
 // launch leaves holding the reference at every greedy token start and 0
 // elsewhere, so every entry is a valid match no longer than the reference's,
 // or 0; and Fill's record of each warp naming the block of its first
-// position and holding its maximum cost, split warps included. "" means the
-// fill holds its contract.
-func checkFill(c fillCase, lanes int) string {
+// position and holding its maximum cost, split warps included. A non-nil mt
+// runs lane 0. "" means the fill holds its contract.
+func checkFill(c fillCase, lanes int, mt *Matcher) string {
 	n := len(c.input)
 	wantLen, wantOff := make([]int32, n), make([]int32, n)
 	FindMatchesPar(1, c.input, c.startPos, wantLen, wantOff)
 	var m Matches
 	var sink keepSink
-	sink.fill(&m, lanes, c)
-	var mt Matcher
+	sink.fill(&m, lanes, c, mt)
+	var ref Matcher
 	ml, mo := launchArrays(&m, n)
 	for k := range c.startPos {
 		lo, hi := int(c.startPos[k]), blockEnd(c.startPos, k, n)
-		if want := mt.AppendCompress(nil, c.input[lo:hi]); !keeps(k) && len(sink.block(k)) != 0 ||
+		if want := ref.AppendCompress(nil, c.input[lo:hi]); !keeps(k) && len(sink.block(k)) != 0 ||
 			keeps(k) && !bytes.Equal(sink.block(k), want) {
 			return fmt.Sprintf("block %d [%d, %d), kept %v: Fill encoded %d bytes, AppendCompress %d", k, lo, hi, keeps(k), len(sink.block(k)), len(want))
 		}
@@ -197,11 +203,11 @@ func TestFillExact(t *testing.T) {
 	var oneSink, threeSink keepSink
 	for _, c := range fillCases() {
 		t.Run(c.name, func(t *testing.T) {
-			if d := checkFill(c, 1); d != "" {
+			if d := checkFill(c, 1, nil); d != "" {
 				t.Fatal(d)
 			}
-			oneSink.fill(&one, 1, c)
-			threeSink.fill(&three, 3, c)
+			oneSink.fill(&one, 1, c, nil)
+			threeSink.fill(&three, 3, c, nil)
 			if !slices.Equal(one.matches, three.matches) || !slices.Equal(one.warps, three.warps) || one.searches != three.searches {
 				t.Fatal("one lane and three lanes fill different results")
 			}
@@ -212,7 +218,7 @@ func TestFillExact(t *testing.T) {
 			}
 		})
 	}
-	if d := checkFill(fillCase{"empty", nil, nil}, 1); d != "" {
+	if d := checkFill(fillCase{"empty", nil, nil}, 1, nil); d != "" {
 		t.Fatal(d)
 	}
 }
@@ -283,7 +289,7 @@ func FuzzFillEquivalence(f *testing.F) {
 			j := 2 * (k % (len(lens) / 2))
 			pos += 1 + int(binary.LittleEndian.Uint16(lens[j:]))
 		}
-		if d := checkFill(fillCase{"fuzz", data, sp}, 2); d != "" {
+		if d := checkFill(fillCase{"fuzz", data, sp}, 2, nil); d != "" {
 			t.Fatal(d)
 		}
 		if len(data) > 0 {
@@ -304,21 +310,25 @@ func TestFillAllocs(t *testing.T) {
 	var sink keepSink
 	for _, lanes := range []int{1, 2, 4} {
 		for i := 0; i < 3; i++ {
-			sink.fill(&m, lanes, c)
+			sink.fill(&m, lanes, c, nil)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { sink.fill(&m, lanes, c) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { sink.fill(&m, lanes, c, nil) }); allocs != 0 {
 			t.Fatalf("Fill at %d lanes allocates %v per batch, want 0", lanes, allocs)
 		}
 	}
 }
 
 // BenchmarkFill prices the fill, encodings included, on one lane over each
-// paper batch against the all-positions matcher it replaced on the GPU path
-// and against AppendCompress over the same blocks, the CPU path's work. The
-// fill leg reports its settle searches per MB, a count that repeats exactly
-// for a batch.
+// paper batch, a random (incompressible) and a pure-text batch against the
+// all-positions matcher it replaced on the GPU path and against
+// AppendCompress over the same blocks, the CPU path's work. The fill leg
+// reports its settle searches per MB, a count that repeats exactly for a
+// batch.
 func BenchmarkFill(b *testing.B) {
-	for _, c := range fillCases()[:3] {
+	random, text := randomBytes(1<<20, 41), textLike(1<<20, 42)
+	for _, c := range append(fillCases()[:3:3],
+		fillCase{"random", random, rabin.NewChunker().Boundaries(random)},
+		fillCase{"text", text, rabin.NewChunker().Boundaries(text)}) {
 		mb := float64(len(c.input)) / 1e6
 		ml, mo := make([]int32, len(c.input)), make([]int32, len(c.input))
 		b.Run(c.name+"/all-positions", func(b *testing.B) {
@@ -332,7 +342,7 @@ func BenchmarkFill(b *testing.B) {
 			var sink keepSink
 			b.SetBytes(int64(len(c.input)))
 			for i := 0; i < b.N; i++ {
-				sink.fill(&m, 1, c)
+				sink.fill(&m, 1, c, nil)
 			}
 			b.ReportMetric(float64(m.searches.Settle)/mb, "settle-searches/MB")
 		})

@@ -332,8 +332,8 @@ func FastKernel() *gpu.KernelSpec {
 			moBuf := args[5].(*gpu.Buf).Bytes()
 			pre := args[6].(*Matches)
 			id := pre.launches.Add(1)
-			return func(w gpu.Warp) int64 {
-				i0 := w.GlobalX()
+			return func(w *gpu.Warp) int64 {
+				i0 := w.Block.X*w.BlockDim.X + w.Idx.X // w.GlobalX(), without copying w.Thread
 				i1 := min(i0+w.N, sizeInput)
 				if i0 >= i1 {
 					return gpu.ExitCost

@@ -27,6 +27,12 @@
 // chains, searched only where the greedy encoder starts a token, so no match
 // is computed only to be jumped over.
 //
+// Every walk reads its block's chains from one tight pass before it
+// ((*Matcher).link): each position's trigram is hashed, linked to its
+// bucket's previous position, and recorded in one head table of global
+// positions. A head entry numbered before the block's first position is
+// stale, so no table is cleared or stamped between blocks.
+//
 // The served GPU path feeds FastKernel from (*Matches).Fill, which walks
 // each block once, as AppendCompress does, and keeps only what is read: the
 // first sightings' encodings (the archive, so nothing re-encodes from the
@@ -43,6 +49,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"streamgpu/internal/pool"
 )
@@ -61,10 +68,10 @@ const (
 	hashSize = 1 << hashBits
 )
 
-// hash3 mixes three bytes into a chain bucket.
-func hash3(a, b, c byte) uint32 {
-	v := uint32(a)<<16 | uint32(b)<<8 | uint32(c)
-	return (v * 2654435761) >> (32 - hashBits) & (hashSize - 1)
+// hash mixes a trigram, its bytes big-endian in the low 24 bits, into a
+// chain bucket.
+func hash(v uint32) uint32 {
+	return v * 2654435761 >> (32 - hashBits)
 }
 
 // blockEnd returns the end offset of the block starting at startPos[k].
@@ -122,16 +129,19 @@ func FindMatchesRef(input []byte, startPos []int32, matchLen, matchOff []int32) 
 	}
 }
 
-// Matcher holds the hash-chain tables FindMatches and AppendCompress share
-// (bucket heads, their epoch stamps, and the per-position chain links), so
-// repeated calls reuse them instead of reallocating. The zero value is
-// ready to use; a Matcher must not be shared between concurrent calls.
-// The streaming runtimes keep one Matcher per compress-stage replica.
+// Matcher holds the hash-chain tables FindMatches, AppendCompress and Fill
+// share, so repeated calls reuse them instead of reallocating: head, the
+// latest position of each hash bucket, and prev, the per-position chain
+// links. head holds global positions: each block's positions are numbered
+// past every earlier block's on one monotonic base, so an entry below the
+// block's first number is stale and no table is touched between blocks. The
+// zero value is ready to use; a Matcher must not be shared between
+// concurrent calls. The streaming runtimes keep one Matcher per
+// compress-stage replica.
 type Matcher struct {
-	head  [hashSize]int32
-	stamp [hashSize]int32
-	prev  []int32
-	epoch int32
+	head [hashSize]int32
+	prev []int32
+	base int32 // the global number of the last position linked
 }
 
 // NewMatcher returns a fresh Matcher.
@@ -173,30 +183,19 @@ func (m *Matcher) FindMatches(input []byte, startPos []int32, matchLen, matchOff
 // findMatchesRange runs the hash-chain search for blocks [k0, k1) only.
 // All indices stay batch-absolute: block k covers
 // [startPos[k], blockEnd(startPos, k, len(input))), and the match arrays are
-// written exactly on that union of ranges. Because the chain tables are
-// epoch-invalidated per block, the result for a block never depends on any
-// other block — which is what makes a contiguous block range an independent
-// unit of work (the lanes of RunLanes).
+// written exactly on that union of ranges. Because a block's chains never
+// reach below its first position, the result for a block never depends on
+// any other block — which is what makes a contiguous block range an
+// independent unit of work (the lanes of RunLanes).
 func (m *Matcher) findMatchesRange(input []byte, startPos []int32, k0, k1 int, matchLen, matchOff []int32) {
-	if len(input) > cap(m.prev) {
-		m.prev = make([]int32, len(input))
-	}
-	prev := m.prev[:cap(m.prev)]
-	head, stamp := &m.head, &m.stamp
 	for k := k0; k < k1; k++ {
 		lo := int(startPos[k])
 		hi := blockEnd(startPos, k, len(input))
-		epoch := m.nextEpoch()
+		prev := m.link(input, lo, hi)
 		for i := lo; i < hi; i++ {
 			best, bestC := 0, -1
-			if hi-i >= MinMatch {
-				h := hash3(input[i], input[i+1], input[i+2])
-				if stamp[h] == epoch {
-					best, bestC = longest(input, prev, head[h], i, lo, hi)
-				}
-				// Insert i for later positions (candidates are strictly
-				// earlier, so insert after searching).
-				m.insert(prev, h, i, epoch)
+			if i < hi-MinMatch+1 && int(prev[i]) >= lo {
+				best, bestC = longest(input, prev, prev[i], i, lo, hi)
 			}
 			if best >= MinMatch {
 				matchLen[i] = int32(best)
@@ -209,29 +208,35 @@ func (m *Matcher) findMatchesRange(input []byte, startPos []int32, k0, k1 int, m
 	}
 }
 
-// nextEpoch starts a new block: bumping the epoch invalidates every chain
-// bucket stamped by earlier blocks without touching the tables.
-func (m *Matcher) nextEpoch() int32 {
-	if m.epoch == math.MaxInt32 {
-		// Epoch wrap: invalidate every stale stamp explicitly. In
-		// practice unreachable (2^31 blocks), but cheap to be exact.
-		m.stamp = [hashSize]int32{}
-		m.epoch = 0
+// link builds block [lo, hi)'s hash chains in one pass before any search:
+// for every position i with MinMatch bytes left, prev[i] is the nearest
+// earlier position of the block whose trigram hashes as i's does, or a
+// value below lo when there is none. Chains only point backward, so prev[i]
+// is the chain a search at i would have seen had positions been inserted as
+// the walk reached them. It returns the links, indexed by batch position.
+func (m *Matcher) link(input []byte, lo, hi int) []int32 {
+	if len(input) > cap(m.prev) {
+		m.prev = make([]int32, len(input))
 	}
-	m.epoch++
-	return m.epoch
-}
-
-// insert pushes position i onto bucket h's chain; a bucket last stamped in
-// an earlier epoch (block) starts a fresh chain.
-func (m *Matcher) insert(prev []int32, h uint32, i int, epoch int32) {
-	if m.stamp[h] == epoch {
-		prev[i] = m.head[h]
-	} else {
-		m.stamp[h] = epoch
-		prev[i] = -1
+	prev := m.prev[:len(input)]
+	if int(m.base)+hi-lo >= math.MaxInt32 {
+		// Restart the numbering: every entry of a cleared head is stale.
+		m.head, m.base = [hashSize]int32{}, 0
 	}
-	m.head[h] = int32(i)
+	d := m.base + 1 - int32(lo) // global number = batch position + d
+	m.base += int32(hi - lo)
+	head := &m.head
+	end := hi - MinMatch + 1
+	i := lo
+	for e := min(end, len(input)-3); i < e; i++ {
+		h := hash(binary.BigEndian.Uint32(input[i:i+4]) >> 8)
+		prev[i], head[h] = head[h]-d, int32(i)+d
+	}
+	if i < end { // the batch's last trigram has no fourth byte to load
+		h := hash(uint32(input[i])<<16 | uint32(input[i+1])<<8 | uint32(input[i+2]))
+		prev[i], head[h] = head[h]-d, int32(i)+d
+	}
+	return prev
 }
 
 // matchLen8 returns the length of the common prefix of input[c:] and
@@ -313,31 +318,22 @@ func checkStarts(input []byte, startPos []int32) {
 func AppendEncode(dst []byte, input []byte, lo, hi int, matchLen, matchOff []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(hi-lo))
 
-	var flags byte
-	var nflags int
-	flagPos := -1
-	i := lo
-	for i < hi {
+	nflags, flagPos := 0, 0
+	for i := lo; i < hi; {
 		if nflags == 0 {
 			flagPos = len(dst)
 			dst = append(dst, 0)
 		}
-		l := leInt32(matchLen, i)
-		if l >= MinMatch {
-			d := leInt32(matchOff, i)
-			flags |= 1 << uint(nflags)
-			v := uint16(d-1)<<4 | uint16(l-MinMatch)
+		if l := leInt32(matchLen, i); l >= MinMatch {
+			dst[flagPos] |= 1 << nflags
+			v := uint16(leInt32(matchOff, i)-1)<<4 | uint16(l-MinMatch)
 			dst = append(dst, byte(v>>8), byte(v))
 			i += l
 		} else {
 			dst = append(dst, input[i])
 			i++
 		}
-		dst[flagPos] = flags
-		nflags++
-		if nflags == 8 {
-			flags, nflags = 0, 0
-		}
+		nflags = (nflags + 1) & 7
 	}
 	return dst
 }
@@ -364,58 +360,44 @@ func Compress(block []byte) []byte {
 	return out
 }
 
+// groupBytes is the most one group of eight tokens takes: its flag byte and
+// eight 2-byte pairs.
+const groupBytes = 1 + 2*8
+
 // AppendCompress encodes a single standalone block, appending to dst; with a
-// recycled dst it does not allocate. One greedy walk: search the chain only
-// where a token starts, and only insert the positions a match skips. Every
-// position is still inserted in order, so each search sees the chain
-// FindMatches would have built and the output is byte-identical to
-// FindMatches + AppendEncode.
+// recycled dst it does not allocate. One greedy walk over the block's chains
+// (link), searched only where a token starts, so the output is
+// byte-identical to FindMatches + AppendEncode. A group's flag byte is
+// written once, as 0, when the group opens, with room for the whole group,
+// and each match ORs in its bit.
 func (m *Matcher) AppendCompress(dst []byte, block []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(block)))
 	hi := len(block)
-	if hi > cap(m.prev) {
-		m.prev = make([]int32, hi)
-	}
-	prev := m.prev[:cap(m.prev)]
-	head, stamp := &m.head, &m.stamp
-	epoch := m.nextEpoch()
+	prev := m.link(block, 0, hi)
 	// Positions at or past hashEnd have fewer than MinMatch bytes left: they
-	// can neither start a match nor be hashed into the chain.
+	// can neither start a match nor be linked.
 	hashEnd := hi - MinMatch + 1
-
-	var flags byte
-	nflags, flagPos := 0, -1
+	nflags, flagPos := 0, 0
 	for i := 0; i < hi; {
 		if nflags == 0 {
+			dst = slices.Grow(dst, groupBytes)
 			flagPos = len(dst)
 			dst = append(dst, 0)
 		}
 		best, bestC := 0, -1
-		if i < hashEnd {
-			h := hash3(block[i], block[i+1], block[i+2])
-			if stamp[h] == epoch {
-				best, bestC = longest(block, prev, head[h], i, 0, hi)
-			}
-			m.insert(prev, h, i, epoch)
+		if i < hashEnd && prev[i] >= 0 {
+			best, bestC = longest(block, prev, prev[i], i, 0, hi)
 		}
 		if best >= MinMatch {
-			flags |= 1 << uint(nflags)
+			dst[flagPos] |= 1 << nflags
 			v := uint16(i-bestC-1)<<4 | uint16(best-MinMatch)
 			dst = append(dst, byte(v>>8), byte(v))
-			// Insert-only for the positions the match covers.
-			for j, end := i+1, min(i+best, hashEnd); j < end; j++ {
-				m.insert(prev, hash3(block[j], block[j+1], block[j+2]), j, epoch)
-			}
 			i += best
 		} else {
 			dst = append(dst, block[i])
 			i++
 		}
-		dst[flagPos] = flags
-		nflags++
-		if nflags == 8 {
-			flags, nflags = 0, 0
-		}
+		nflags = (nflags + 1) & 7
 	}
 	return dst
 }

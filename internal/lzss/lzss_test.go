@@ -267,7 +267,7 @@ func TestFastKernelRejectsPartialWarps(t *testing.T) {
 		mustMalloc(dev, int64(len(data)*4)), mustMalloc(dev, int64(len(data)*4)), &filled)
 	run := func(x0, n int) (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		k.Warp(gpu.Warp{Thread: gpu.Thread{Idx: gpu.Dim3{X: x0}, BlockDim: gpu.Dim3{X: 1024}}, N: n})
+		k.Warp(&gpu.Warp{Thread: gpu.Thread{Idx: gpu.Dim3{X: x0}, BlockDim: gpu.Dim3{X: 1024}}, N: n})
 		return false
 	}
 	for _, c := range []struct {

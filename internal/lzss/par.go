@@ -158,8 +158,8 @@ var findPool = pool.New[*findLanes]("lzss.find-lanes", func() *findLanes { retur
 // FindMatchesPar computes exactly the bytes (*Matcher).FindMatches computes,
 // split across up to lanes concurrent matchers (RunLanes). Correctness rests
 // on the core property of the match semantics: a match never crosses a
-// startPos boundary, and the chain tables are epoch-invalidated per block, so
-// the per-block output is a pure function of that block's bytes.
+// startPos boundary, and a block's chains never reach below its first
+// position, so the per-block output is a pure function of that block's bytes.
 // Partitioning the blocks into contiguous lanes therefore changes scheduling
 // only — each lane writes the disjoint matchLen/matchOff region its blocks
 // own, and the merged result is bit-identical to the sequential pass (proven
