@@ -35,8 +35,8 @@ knobs:
 	done
 
 # lint runs streamvet, the repository's own analyzer suite (cmd/streamvet):
-# the pipeline and GPU API contracts as machine checks, over all packages
-# including test files.
+# gpuwait, lockorder and runerr, the contracts no runtime test catches, over
+# all packages including test files.
 lint:
 	$(GO) run ./cmd/streamvet ./...
 
@@ -48,9 +48,10 @@ lint-json:
 	$(GO) run ./cmd/streamvet -json ./... > STREAMVET.json
 
 # lint-selftest runs the analysis engine tests (call graph, summary table,
-# dataflow solver, suppression driver) and every analyzer's fixtures under
-# the race detector: the shared loader and the per-Program caches (call
-# graph, CFGs, summary tables) are mutable state the analyzer tests share.
+# dataflow solver, suppression driver, the unreferenced-function check) and
+# the three analyzers' fixtures under the race detector: the shared loader
+# and the per-Program caches (call graph, CFGs, summary table) are mutable
+# state those tests share.
 lint-selftest:
 	$(GO) test -race -count=1 ./internal/analysis/...
 

@@ -1,21 +1,10 @@
-// Command streamvet runs the repository's custom static-analysis suite — the
-// machine-checked form of the pipeline and GPU API contracts (see DESIGN.md
+// Command streamvet runs the repository's custom static-analysis suite: the
+// API contracts no runtime test catches, as machine checks (see DESIGN.md
 // §8 and §13):
 //
 //	gpuwait    completion events from gpu.Stream ops must be waited on or kept
-//	gpufree    gpu.Buf allocations must be freed or escape
-//	runerr     ff/core/tbb Run/RunContext errors must be checked
-//	stagesend  stage-body channel sends must select on cancel/done
-//	faultseed  fault.Config in tests must set Seed
-//	metriclabel  telemetry metric registrations must use non-empty,
-//	           kind-consistent names and one call site per series
-//	deadlinecheck  qos.Sched.Enqueue callers must consult the request
-//	           deadline or document the exemption
 //	lockorder  lock acquisition order must be consistent across the program
-//	ctxprop    ctx-receiving functions must thread ctx to blocking work
-//	goleak     spawned goroutines must have a reachable channel release path
-//	escapepool pool.Get values must be kept and reach Release on every path,
-//	           through callees
+//	runerr     ff/core/tbb Run/RunContext errors must be checked
 //
 // Diagnostics can be suppressed per line with a mandatory reason:
 //
@@ -41,32 +30,16 @@ import (
 	"os"
 
 	"streamgpu/internal/analysis"
-	"streamgpu/internal/analysis/ctxprop"
-	"streamgpu/internal/analysis/deadlinecheck"
-	"streamgpu/internal/analysis/escapepool"
-	"streamgpu/internal/analysis/faultseed"
-	"streamgpu/internal/analysis/goleak"
-	"streamgpu/internal/analysis/gpufree"
 	"streamgpu/internal/analysis/gpuwait"
 	"streamgpu/internal/analysis/lockorder"
-	"streamgpu/internal/analysis/metriclabel"
 	"streamgpu/internal/analysis/runerr"
-	"streamgpu/internal/analysis/stagesend"
 )
 
 // suite is every analyzer streamvet runs, in diagnostic-name order.
 var suite = []*analysis.Analyzer{
-	ctxprop.Analyzer,
-	deadlinecheck.Analyzer,
-	escapepool.Analyzer,
-	faultseed.Analyzer,
-	goleak.Analyzer,
-	gpufree.Analyzer,
 	gpuwait.Analyzer,
 	lockorder.Analyzer,
-	metriclabel.Analyzer,
 	runerr.Analyzer,
-	stagesend.Analyzer,
 }
 
 func main() {

@@ -1,16 +1,13 @@
 // Package analysis is a self-contained reimplementation of the core of
 // golang.org/x/tools/go/analysis, built only on the standard library.
 //
-// The repo's pipeline, GPU and serving layers rely on conventions the
-// compiler cannot check: completion events must be waited on, device
-// buffers freed, pooled values released, Run errors handled, stage-body
-// channel sends cancellable, fault injectors seeded, metrics registered
-// once, deadlines consulted, locks ordered, contexts threaded, goroutines
-// given a way out. Each convention is encoded as an Analyzer in a sibling
-// package — gpuwait, gpufree, escapepool, runerr, stagesend, faultseed,
-// metriclabel, deadlinecheck, lockorder, ctxprop and goleak — and enforced
-// over the whole tree by cmd/streamvet. The interprocedural ones build on
-// the sibling callgraph and dataflow packages.
+// The repo's pipeline and GPU layers rely on conventions the compiler
+// cannot check and no runtime test catches: completion events must be
+// waited on, Run errors handled, and locks taken in one global order. Each
+// is encoded as an Analyzer in a sibling package — gpuwait, runerr and
+// lockorder — and enforced over the whole tree by cmd/streamvet. lockorder,
+// the interprocedural one, builds on the sibling callgraph and dataflow
+// packages.
 //
 // The x/tools module is deliberately not imported — the build must work from
 // a bare Go toolchain with no module downloads — so this package provides
@@ -47,7 +44,7 @@ type Pass struct {
 
 	// Program is the whole analysis run: every loaded package in
 	// topological import order and a cache for program-wide structures
-	// like the call graph and the analyzers' summary tables. Set by the
+	// like the call graph and lockorder's summary table. Set by the
 	// driver.
 	Program *Program
 

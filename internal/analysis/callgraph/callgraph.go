@@ -76,9 +76,6 @@ type Node struct {
 	Decl *ast.FuncDecl
 	// Pkg is the analyzed package holding the body; nil for placeholders.
 	Pkg *analysis.Package
-	// Parent, for a function literal, is the function whose body
-	// lexically encloses it; nil otherwise.
-	Parent *Node
 	// In and Out are the call edges into and out of this node, in
 	// deterministic (build) order.
 	In, Out []*Edge
@@ -220,33 +217,30 @@ func (b *builder) indexDecls() {
 				b.g.nodes[fn.Origin()] = n
 				b.g.order = append(b.g.order, n)
 				if fd.Body != nil {
-					b.indexLits(pkg, n, fd.Body)
+					b.indexLits(pkg, fd.Body)
 				}
 			}
 			// Function literals in package-level initializers get nodes
-			// too (no parent function).
+			// too.
 			for _, decl := range file.Decls {
 				if gd, ok := decl.(*ast.GenDecl); ok {
-					b.indexLits(pkg, nil, gd)
+					b.indexLits(pkg, gd)
 				}
 			}
 		}
 	}
 }
 
-// indexLits registers every function literal under root, attributing each
-// to its nearest enclosing function node.
-func (b *builder) indexLits(pkg *analysis.Package, parent *Node, root ast.Node) {
+// indexLits registers every function literal under root, nested ones
+// included.
+func (b *builder) indexLits(pkg *analysis.Package, root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
+		if lit, ok := n.(*ast.FuncLit); ok {
+			ln := &Node{Lit: lit, Pkg: pkg}
+			b.g.lits[lit] = ln
+			b.g.order = append(b.g.order, ln)
 		}
-		ln := &Node{Lit: lit, Pkg: pkg, Parent: parent}
-		b.g.lits[lit] = ln
-		b.g.order = append(b.g.order, ln)
-		b.indexLits(pkg, ln, lit.Body)
-		return false // indexLits recursed; don't double-visit
+		return true
 	})
 }
 
@@ -364,19 +358,8 @@ func (b *builder) store(info *types.Info, v *types.Var, expr ast.Expr) {
 		return
 	}
 	if t, ok := b.target(info, expr); ok {
-		b.stores[fieldOrigin(v)] = append(b.stores[fieldOrigin(v)], t)
+		b.stores[v] = append(b.stores[v], t)
 	}
-}
-
-// fieldOrigin normalizes a field of an instantiated generic type to the
-// corresponding field of the generic origin, so stores through different
-// instantiations meet in one index entry.
-func fieldOrigin(v *types.Var) *types.Var {
-	// types.Var has no Origin accessor before go1.22's under-the-hood
-	// support; field objects of instantiated types are distinct objects.
-	// We approximate by keying on the object itself — instantiation
-	// mixing is rare in this repo (pool.Pool's New field).
-	return v
 }
 
 // target resolves a stored expression to a function target.
@@ -556,7 +539,7 @@ func (b *builder) resolveValueCall(caller *Node, call *ast.CallExpr, isGo, isDef
 			return
 		}
 		seen[v] = true
-		for _, t := range b.stores[fieldOrigin(v)] {
+		for _, t := range b.stores[v] {
 			switch {
 			case t.lit != nil:
 				b.addEdge(caller, b.g.lits[t.lit], call, kind, isGo, isDefer)

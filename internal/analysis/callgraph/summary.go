@@ -6,8 +6,7 @@ import (
 )
 
 // Of returns the call graph of the pass's whole program, building it on
-// first use and caching it on the Program — every interprocedural analyzer
-// in a run shares one graph.
+// first use and caching it on the Program, so a run builds one graph.
 func Of(pass *analysis.Pass) *Graph {
 	return pass.Program.Cached("callgraph", func() any {
 		return Build(pass.Program.Pkgs)

@@ -10,11 +10,11 @@ import (
 	"testing"
 
 	"streamgpu/internal/analysis"
-	"streamgpu/internal/analysis/goleak"
+	"streamgpu/internal/analysis/runerr"
 )
 
-// loadSuppress runs goleak over the suppress fixture, which leaks a
-// goroutine under each directive shape.
+// loadSuppress runs runerr over the suppress fixture, which drops a Run
+// error under each directive shape.
 func loadSuppress(t *testing.T) (*analysis.Loader, []analysis.Diagnostic) {
 	t.Helper()
 	cwd, err := os.Getwd()
@@ -26,7 +26,7 @@ func loadSuppress(t *testing.T) (*analysis.Loader, []analysis.Diagnostic) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, []*analysis.Analyzer{goleak.Analyzer})
+	diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, []*analysis.Analyzer{runerr.Analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func loadSuppress(t *testing.T) (*analysis.Loader, []analysis.Diagnostic) {
 func TestSuppressionsAndMalformedDirectives(t *testing.T) {
 	loader, diags := loadSuppress(t)
 
-	var suppressed, unsuppressedLeaks int
+	var suppressed, unsuppressedDrops int
 	var malformed []string
 	for _, d := range diags {
 		switch {
@@ -48,19 +48,19 @@ func TestSuppressionsAndMalformedDirectives(t *testing.T) {
 				t.Errorf("suppressed diagnostic carries reason %q", d.SuppressReason)
 			}
 		default:
-			unsuppressedLeaks++
+			unsuppressedDrops++
 		}
 	}
-	// One reasoned directive suppresses its leak; the three malformed
-	// directives suppress nothing, so their leaks stay reported.
+	// One reasoned directive suppresses its finding; the three malformed
+	// directives suppress nothing, so their findings stay reported.
 	if suppressed != 1 {
 		t.Errorf("suppressed = %d, want 1", suppressed)
 	}
-	if unsuppressedLeaks != 3 {
-		t.Errorf("unsuppressed goleak diagnostics = %d, want 3", unsuppressedLeaks)
+	if unsuppressedDrops != 3 {
+		t.Errorf("unsuppressed runerr diagnostics = %d, want 3", unsuppressedDrops)
 	}
 	wantMalformed := []string{
-		"streamvet:ignore goleak needs a reason",
+		"streamvet:ignore runerr needs a reason",
 		"streamvet:ignore needs an analyzer name and a reason",
 		"streamvet:ignore names unknown analyzer nosuchcheck",
 	}

@@ -16,9 +16,9 @@
 //   - panics and runtime.Goexit do not end blocks; a call that cannot
 //     return still appears to fall through.
 //   - defer statements appear as ordinary nodes where they execute, and
-//     are additionally collected in CFG.Defers so exit-sensitive analyses
-//     (escapepool's must-release, lockorder's held-set) can model their
-//     run-at-return semantics without re-walking the function.
+//     are additionally collected in CFG.Defers so an exit-sensitive
+//     analysis (lockorder's held-set) can model their run-at-return
+//     semantics without re-walking the function.
 //   - select is a nondeterministic branch; an empty select (which blocks
 //     forever) still gets an edge onward so the graph stays connected.
 package dataflow

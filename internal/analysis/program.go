@@ -7,17 +7,16 @@ import (
 )
 
 // Program is the whole set of packages of one analysis run, shared by every
-// pass. Interprocedural analyzers use it two ways: Pkgs gives the program
-// view (for building the call graph over everything the run loaded), and
-// Cached holds what outlives one pass — the call graph and each analyzer's
-// table of per-function summaries (callgraph.Summaries).
+// pass. The interprocedural analyzer, lockorder, uses it two ways: Pkgs
+// gives the program view (for building the call graph over everything the
+// run loaded), and Cached holds what outlives one pass — the call graph,
+// the summary table (callgraph.Summaries) and the lock graph.
 //
 // Pkgs is in topological import order — a package appears after every
-// package it imports. Because the driver visits packages in this order, an
-// analyzer has summarized a function by the time any caller's package is
-// analyzed; that callee-before-caller ordering is the backbone of the
-// summary-based interprocedural analyzers (lockorder, ctxprop,
-// escapepool).
+// package it imports. Because the driver visits packages in this order, a
+// function is summarized by the time any caller's package is analyzed;
+// that callee-before-caller ordering is the backbone of lockorder's
+// summaries.
 type Program struct {
 	Fset *token.FileSet
 	// Pkgs is every loaded package in topological import order.
@@ -42,9 +41,8 @@ func NewProgram(pkgs []*Package) *Program {
 }
 
 // Cached memoizes an expensive program-wide structure under key — the call
-// graph, which every interprocedural analyzer needs but must only be built
-// once per run, and state an analyzer carries from one package's pass to
-// the next.
+// graph, which must only be built once per run, and state an analyzer
+// carries from one package's pass to the next.
 func (p *Program) Cached(key string, build func() any) any {
 	p.mu.Lock()
 	v, ok := p.cache[key]

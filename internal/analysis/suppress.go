@@ -7,7 +7,7 @@ import (
 
 // Suppression comments let a finding be acknowledged in place:
 //
-//	s.sessWG.Wait() //streamvet:ignore ctxprop shutdown already cancelled every session ctx
+//	p.Run() //streamvet:ignore runerr the stream's outcome is read from its sink instead
 //
 // The directive names exactly one analyzer and must carry a reason — a
 // bare ignore is itself a diagnostic, so the tree can never accumulate

@@ -1,36 +1,27 @@
 // Package suppress exercises the streamvet:ignore driver logic: a valid
 // suppression with a reason, a directive missing its reason, a bare
-// directive, and one naming an unknown analyzer. Every function leaks a
-// goroutine on purpose so the goleak analyzer has something to say.
+// directive, and one naming an unknown analyzer. Every function drops a
+// pipeline's Run error on purpose so the runerr analyzer has something to
+// say.
 package suppress
 
-func validSuppression() {
-	ch := make(chan int)
-	go func() { //streamvet:ignore goleak fixture proves a reasoned directive suppresses the diagnostic
-		<-ch
-	}()
+import "streamgpu/internal/ff"
+
+func validSuppression(p *ff.Pipeline) {
+	p.Run() //streamvet:ignore runerr fixture proves a reasoned directive suppresses the diagnostic
 }
 
-func missingReason() {
-	ch := make(chan int)
-	//streamvet:ignore goleak
-	go func() {
-		<-ch
-	}()
+func missingReason(p *ff.Pipeline) {
+	//streamvet:ignore runerr
+	p.Run()
 }
 
-func bareDirective() {
-	ch := make(chan int)
+func bareDirective(p *ff.Pipeline) {
 	//streamvet:ignore
-	go func() {
-		<-ch
-	}()
+	p.Run()
 }
 
-func unknownAnalyzer() {
-	ch := make(chan int)
+func unknownAnalyzer(p *ff.Pipeline) {
 	//streamvet:ignore nosuchcheck the analyzer name is wrong so this must not suppress
-	go func() {
-		<-ch
-	}()
+	p.Run()
 }

@@ -7,6 +7,7 @@ import (
 	"streamgpu/internal/gpu"
 	"streamgpu/internal/gpu/cuda"
 	"streamgpu/internal/gpu/opencl"
+	"streamgpu/internal/mandel"
 	"streamgpu/internal/stats"
 )
 
@@ -228,7 +229,7 @@ func (pr *Prep) RunRowPerKernelUtil(api API, twoD bool) (des.Time, Util) {
 	grid := gpu.Grid1D(p.Dim, 128)
 	if twoD {
 		spec = pr.Cache.Row2DKernel()
-		grid = gpu.Grid{Grid: gpu.Dim3{X: (p.Dim + 31) / 32}, Block: gpu.Dim3{X: 32, Y: 32}}
+		grid = mandel.Grid2DForRow(p.Dim)
 	}
 	sim.Spawn("host", func(proc *des.Proc) {
 		q := a.queue(proc, 0)

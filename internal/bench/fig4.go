@@ -72,9 +72,7 @@ func (pr *Prep) RunCPUPipeline(fw Framework, workers int) des.Time {
 					return
 				}
 				compute := des.Duration(float64(pr.RowIters[i]) * pr.cpuIterNs())
-				cores.Acquire(proc, 1)
-				proc.Wait(compute + cal.overhead(fw))
-				cores.Release(proc, 1)
+				cores.Use(proc, 1, compute+cal.overhead(fw))
 				out.Put(proc, i)
 			}
 		})

@@ -154,9 +154,7 @@ func (dp *DedupPrep) RunCPU(cal Calibration, workers int) des.Time {
 				work := float64(len(b.data))*cal.SHA1NsPerByte +
 					float64(b.blocks)*cal.DupCheckNsPerBlock +
 					float64(b.uniqueBytes)*cal.LZSSCPUNsPerByte
-				cores.Acquire(p, 1)
-				p.Wait(des.Duration(work) + cal.overhead(SPar))
-				cores.Release(p, 1)
+				cores.Use(p, 1, des.Duration(work)+cal.overhead(SPar))
 				out.Put(p, b)
 			}
 		})

@@ -284,8 +284,8 @@ func (n *Node) Kill() {
 			return // Start never got far enough to build the server
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		cancel()            // already-expired context: take the forced drain path now
-		n.srv.Shutdown(ctx) //streamvet:ignore ctxprop deliberate crash semantics: the pre-canceled context forces the abort path immediately
+		cancel() // already-expired context: take the forced drain path now
+		n.srv.Shutdown(ctx)
 	}()
 }
 

@@ -102,21 +102,34 @@ func TestProcessorLanesArchiveIdentical(t *testing.T) {
 	})
 }
 
+// equivSchedules are TestArchiveEquivalence's fault schedules, run with
+// equivGPU's options.
+var equivSchedules = []struct {
+	name   string
+	faults fault.Config
+}{
+	{"fault-free", fault.Config{}},
+	{"transient", fault.Config{Seed: 33, TransferRate: 0.1, KernelRate: 0.1}},
+	// The kill lands inside each batch, and transient faults shift it
+	// between the hash and compress stages from batch to batch.
+	{"device-loss", fault.Config{Seed: 2, KillAfterOps: 7, TransferRate: 0.1}},
+}
+
+// equivGPU is the GPU configuration the equivalence tests run faults under.
+func equivGPU(faults fault.Config) GPUOptions {
+	return GPUOptions{Options: Options{BatchSize: equivBatch}, MaxRetries: 8, Faults: faults}
+}
+
 // TestArchiveEquivalence covers CompressGPU fault-free and under fault
 // schedules.
 func TestArchiveEquivalence(t *testing.T) {
 	input, ref := equivInput(t)
-	gpuRun := func(faults fault.Config) func(*bytes.Buffer) error {
-		return func(w *bytes.Buffer) error {
-			_, _, err := CompressGPU(input, w, GPUOptions{Options: Options{BatchSize: equivBatch}, MaxRetries: 8, Faults: faults})
+	var cases []archiveCase
+	for _, sc := range equivSchedules {
+		cases = append(cases, archiveCase{"gpu/" + sc.name, func(w *bytes.Buffer) error {
+			_, _, err := CompressGPU(input, w, equivGPU(sc.faults))
 			return err
-		}
+		}})
 	}
-	checkArchives(t, input, ref, []archiveCase{
-		{"gpu/fault-free", gpuRun(fault.Config{})}, //streamvet:ignore faultseed the zero config is the schedule: no injector attached
-		{"gpu/transient", gpuRun(fault.Config{Seed: 33, TransferRate: 0.1, KernelRate: 0.1})},
-		// The kill lands inside each batch, and transient faults shift it
-		// between the hash and compress stages from batch to batch.
-		{"gpu/device-loss", gpuRun(fault.Config{Seed: 2, KillAfterOps: 7, TransferRate: 0.1})},
-	})
+	checkArchives(t, input, ref, cases)
 }

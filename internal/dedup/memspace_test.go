@@ -48,7 +48,7 @@ var staleSchedules = []struct {
 	faults fault.Config
 	want   GPUReport
 }{
-	{"fault-free", fault.Config{}, //streamvet:ignore faultseed the zero config is the schedule: no injector attached
+	{"fault-free", fault.Config{},
 		GPUReport{GPUHash: 15, GPUCompress: 15}},
 	{"transient", fault.Config{Seed: 7, TransferRate: 0.08, KernelRate: 0.08},
 		GPUReport{Retries: 16, GPUHash: 15, GPUCompress: 15}},

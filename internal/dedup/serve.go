@@ -56,6 +56,10 @@ type Processor struct {
 	ms        *memSpace
 	devs      []devHandles
 	placedCPU *telemetry.Counter
+
+	// simEnded, when set, sees each batch's device once the batch's
+	// simulation has ended: the device-memory test's seam.
+	simEnded func(*gpu.Device)
 }
 
 // devHandles is what the Processor resolves once per device index.
@@ -167,6 +171,9 @@ func (p *Processor) processGPU(b *Batch, store BlockStore) {
 		done = true
 	})
 	end, err := sim.Run()
+	if p.simEnded != nil {
+		p.simEnded(dev)
+	}
 	if err != nil || !done {
 		// Simulation-level failure: recompute the whole batch on the CPU.
 		// The stage bodies are idempotent, so redoing work a partially

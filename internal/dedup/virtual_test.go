@@ -31,7 +31,7 @@ var virtualSchedules = []struct {
 	faults fault.Config
 	want   []float64
 }{
-	{"fault-free", fault.Config{}, //streamvet:ignore faultseed the zero config is the schedule: no injector attached
+	{"fault-free", fault.Config{},
 		[]float64{
 			0.000465703, 0.000430202, 0.000437055, 0.000466182, 0.000480733, 0.000415506,
 			0.00040782, 0.000519247, 0.000504607, 0.000522309, 0.000450032, 0.000512415}},

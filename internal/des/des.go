@@ -176,7 +176,9 @@ func (s *Sim) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	}
 	s.schedule(s.now, func() {
 		p.started = true
-		go func() { //streamvet:ignore goleak the cooperative scheduler resumes every spawned proc via runProc, and Run drains stragglers on termination
+		// runProc resumes every spawned proc, and Run's teardown drains
+		// the stragglers, so this goroutine always ends.
+		go func() {
 			<-p.resume // wait for first activation
 			defer func() {
 				if r := recover(); r != nil {

@@ -32,7 +32,7 @@ func goldenOptions() Options {
 		GrindOps:  8,
 		FaultsFor: func(dev int) fault.Config {
 			if dev != 2 {
-				return fault.Config{} //streamvet:ignore faultseed the zero config disables injection for the clean devices
+				return fault.Config{} // no injector on the clean devices
 			}
 			return fault.Config{Seed: 11, TransferRate: 0.6, KernelRate: 0.6}
 		},

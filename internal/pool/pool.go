@@ -9,8 +9,9 @@
 // every Get must be balanced by exactly one Release once the value is no
 // longer referenced, and releasing a value while any alias is still live is
 // a use-after-release bug (the dedup race stress test exercises exactly
-// this contract under -race). The streamvet analyzer `escapepool` flags
-// Gets that miss a Release on some path.
+// this contract under -race). A Get that misses its Release on some path
+// shows in the counters: the server's allocs-per-request test and the
+// dedup pool-balance test under fault schedules both read them.
 //
 // Every pool counts gets, misses (a Get that had to allocate) and releases;
 // SetTelemetry exposes the counts as gauges so reuse effectiveness is

@@ -101,6 +101,41 @@ func TestDeadlineReject(t *testing.T) {
 	finishStream(c)
 }
 
+// TestDeadlineRejectMandel is TestDeadlineReject for the mandel service,
+// whose requests reach their scheduler by their own path: a row request
+// whose deadline is shorter than the estimated wait behind a held dedup
+// request is fast-failed with the deadline reason.
+func TestDeadlineRejectMandel(t *testing.T) {
+	testutil.CheckLeaks(t)
+	_, addr := startServer(t, server.Config{Linger: time.Minute, MaxInflight: 16})
+	c := dialClient(t, addr)
+	rows := server.AppendMandelReq(nil, server.MandelReq{Dim: 64, Niter: 100, Row0: 0, NRows: 4})
+	payload := bytes.Repeat([]byte("held"), 64)
+
+	// Warm the mandel estimator with one completed request.
+	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcMandel, Tenant: 1, Seq: 0, Payload: rows})
+	if f := c.next(); f.Type != wire.TResult || f.Seq != 0 {
+		t.Fatalf("warmup got %s (seq %d), want result", f.Type, f.Seq)
+	}
+
+	// Hold a dedup request in the window, then offer a row request that can
+	// only wait longer than its 1ns deadline.
+	c.send(wire.Frame{Type: wire.TData, Svc: wire.SvcDedup, Tenant: 1, Seq: 1, Payload: payload},
+		wire.Frame{Type: wire.TData, Svc: wire.SvcMandel, Tenant: 1, Seq: 2, Payload: rows, Deadline: time.Nanosecond})
+	f := c.next()
+	if f.Seq != 2 {
+		t.Fatalf("got %s for seq %d, want reject of seq 2", f.Type, f.Seq)
+	}
+	if reason, _ := rejectInfo(t, f); reason != wire.ReasonDeadline {
+		t.Fatalf("reason = %s, want %s", reason, wire.ReasonDeadline)
+	}
+	c.send(wire.Frame{Type: wire.TFlush})
+	if f := c.next(); f.Type != wire.TResult || f.Seq != 1 {
+		t.Fatalf("held request got %s (seq %d), want result", f.Type, f.Seq)
+	}
+	finishStream(c)
+}
+
 // TestOverloadRejectReason: a tenant that meets its own QoS contract but
 // arrives at a full shared window is rejected with the overload reason — not
 // throttled, which would misattribute the pressure to the tenant itself.

@@ -366,7 +366,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	if probing {
 		close(s.probeStop)
-		s.probeWG.Wait() //streamvet:ignore ctxprop close(probeStop) unblocks the prober's select immediately, so this wait is finite by construction
+		// close(probeStop) unblocks the prober's select, so this wait is
+		// finite by construction.
+		s.probeWG.Wait()
 	}
 
 	var forced error
@@ -381,7 +383,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			sess.conn.Close()
 		}
 		s.mu.Unlock()
-		s.sessWG.Wait() //streamvet:ignore ctxprop ctx already expired on this path; cancel+conn close makes every session read loop exit unconditionally
+		s.sessWG.Wait()
 	}
 
 	// Sessions are gone, so nothing enqueues anymore. Closing the
@@ -393,7 +395,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.waitCtx(ctx, &s.pipeWG) {
 		forced = ctx.Err()
 		s.cancel()
-		s.pipeWG.Wait() //streamvet:ignore ctxprop ctx already expired on this path; cancel aborts the resident streams through the ff cancel+drain path
+		// cancel aborts the resident streams through the ff cancel+drain
+		// path, so this wait ends without ctx.
+		s.pipeWG.Wait()
 	}
 	s.cancel()
 	// A canceled source may have stopped before its scheduler emptied; Next

@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// TestShutdownConcurrentHonorsCtx is the regression test for a bug found by
-// the ctxprop analyzer: a Shutdown call that arrived while another Shutdown
-// was already draining blocked on the first call's completion with a naked
-// receive, ignoring its own ctx — even though Shutdown documents that an
-// expired ctx returns its error. The second caller must come back as soon
-// as its ctx is done.
+// TestShutdownConcurrentHonorsCtx is the regression test for a bug: a
+// Shutdown call that arrived while another Shutdown was already draining
+// blocked on the first call's completion with a naked receive, ignoring its
+// own ctx — even though Shutdown documents that an expired ctx returns its
+// error. The second caller must come back as soon as its ctx is done.
 func TestShutdownConcurrentHonorsCtx(t *testing.T) {
 	s := &Server{done: make(chan struct{}), draining: true}
 

@@ -120,8 +120,8 @@ func labelKey(labels Labels) string {
 // series, and instrument as needed — all under the registry lock, so two
 // goroutines racing to first-use the same series get the same instrument
 // (buckets only matters for histograms). Registering an existing name with
-// a different kind is a programming error and panics (the metriclabel
-// analyzer catches the static cases).
+// a different kind is a programming error and panics, as does an empty
+// name.
 func (r *Registry) lookup(kind Kind, name string, labels Labels, buckets []float64) *series {
 	if name == "" {
 		panic("telemetry: empty metric name")
