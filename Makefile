@@ -7,7 +7,8 @@ build:
 
 # build-arm64 builds the tree, and vets internal/sha1x, internal/mandel and
 # internal/rabin, for an architecture without their assembly (sha1x's SHA-NI
-# loop, mandel's AVX and AVX-512 row kernels, rabin's GFNI candidate scan).
+# loop and 16-lane AVX-512 batch loop, mandel's AVX and AVX-512 row kernels,
+# rabin's GFNI candidate scan).
 # Each package's amd64 files define functions the portable code calls;
 # without their !amd64 fallbacks (sha1x_other.go, row_other.go,
 # rabin_other.go, the last running rabin's Go chains) every non-amd64 build
@@ -128,8 +129,11 @@ diag:
 # (seeded in code from its exactness table); FuzzBoundariesEquivalence does
 # the same for the Rabin chunker's candidate scans (the Go chains and, where
 # CPUID reports it, the GFNI kernel) against the sequential rolling window,
-# boundaries and candidate bitmaps both, and FuzzSum20Equivalence for the SHA-1 the host
-# selects (SHA-NI where CPUID reports it) against crypto/sha1, and
+# boundaries and candidate bitmaps both, FuzzSum20Equivalence for the SHA-1 the host
+# selects (SHA-NI where CPUID reports it) against crypto/sha1,
+# FuzzSumBatchEquivalence for a batch's blocks on the path the host selects
+# (the 16-lane AVX-512 loop where CPUID reports it) against crypto/sha1, over
+# a decoded data-and-cut-list layout, and
 # FuzzRowMatchesPixel for the Mandelbrot row kernels (every width the CPU
 # has: scalar, AVX, AVX-512) against the scalar Pixel loop, over arbitrary
 # float64 windows. The two lzss targets cap minimization at 100 runs per
@@ -147,6 +151,7 @@ fuzz:
 	$(GO) test ./internal/lzss -fuzz FuzzFillEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 100x
 	$(GO) test ./internal/rabin -fuzz FuzzBoundariesEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sha1x -fuzz FuzzSum20Equivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sha1x -fuzz FuzzSumBatchEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mandel -fuzz FuzzRowMatchesPixel -fuzztime $(FUZZTIME)
 
 # bench-json emits the Fig. 1 table as machine-readable JSONL (one row per

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,6 +39,7 @@ type listedPkg struct {
 	CgoFiles     []string
 	TestGoFiles  []string
 	XTestGoFiles []string
+	Deps         []string
 	Export       string
 	Error        *struct{ Err string }
 }
@@ -196,13 +198,18 @@ func (l *Loader) modulePath() string {
 // Importer returns a types.Importer backed by the loader: intra-module
 // packages are type-checked from source, others come from export data.
 func (l *Loader) Importer() types.Importer {
-	mod := l.modulePath()
 	return importerFunc(func(path string) (*types.Package, error) {
-		if mod != "" && (path == mod || strings.HasPrefix(path, mod+"/")) {
+		if l.inModule(path) {
 			return l.sourcePackage(path)
 		}
 		return l.gcImp.Import(path)
 	})
+}
+
+// inModule reports whether path is a package of the module rooted at Dir.
+func (l *Loader) inModule(path string) bool {
+	mod := l.modulePath()
+	return mod != "" && (path == mod || strings.HasPrefix(path, mod+"/"))
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -213,38 +220,92 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // from source, memoized so every importer sees one identity per path.
 func (l *Loader) sourcePackage(path string) (*types.Package, error) {
 	l.mu.Lock()
-	if pkg, ok := l.srcPkgs[path]; ok {
-		l.mu.Unlock()
+	pkg, ok := l.srcPkgs[path]
+	l.mu.Unlock()
+	if ok {
 		return pkg, nil
 	}
-	lp, ok := l.listed[path]
-	l.mu.Unlock()
-	if !ok {
-		pkgs, err := l.goList(nil, []string{path})
-		if err != nil {
-			return nil, err
-		}
-		if len(pkgs) != 1 {
-			return nil, fmt.Errorf("go list %q: %d packages", path, len(pkgs))
-		}
-		lp = pkgs[0]
-		l.mu.Lock()
-		l.listed[path] = lp
-		l.mu.Unlock()
-	}
-	files, err := l.parseFiles(lp.Dir, append(append([]string{}, lp.GoFiles...), lp.CgoFiles...))
+	pkg, err := l.fromSource(path, l.Importer())
 	if err != nil {
 		return nil, err
-	}
-	conf := types.Config{Importer: l.Importer()}
-	pkg, err := conf.Check(path, l.Fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
 	l.mu.Lock()
 	l.srcPkgs[path] = pkg
 	l.mu.Unlock()
 	return pkg, nil
+}
+
+// list returns the `go list` entry of path, listing it on a miss.
+func (l *Loader) list(path string) (*listedPkg, error) {
+	l.mu.Lock()
+	lp, ok := l.listed[path]
+	l.mu.Unlock()
+	if ok {
+		return lp, nil
+	}
+	pkgs, err := l.goList(nil, []string{path})
+	if err != nil {
+		return nil, err
+	}
+	if len(pkgs) != 1 {
+		return nil, fmt.Errorf("go list %q: %d packages", path, len(pkgs))
+	}
+	l.mu.Lock()
+	l.listed[path] = pkgs[0]
+	l.mu.Unlock()
+	return pkgs[0], nil
+}
+
+// fromSource type-checks the intra-module package path, without its test
+// files, resolving its imports with imp.
+func (l *Loader) fromSource(path string, imp types.Importer) (*types.Package, error) {
+	lp, err := l.list(path)
+	if err != nil {
+		return nil, err
+	}
+	files, err := l.parseFiles(lp.Dir, append(append([]string{}, lp.GoFiles...), lp.CgoFiles...))
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, l.Fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", path, err)
+	}
+	return pkg, nil
+}
+
+// xtestImporter resolves the imports of x's external test package as go
+// test builds it: x is self, the package checked with its _test.go files,
+// so an export_test.go accessor is visible, and every module package that
+// imports x, directly or not, is checked again against self, so each
+// package still has one identity. Everything else is the loader's.
+func (l *Loader) xtestImporter(x string, self *types.Package) types.Importer {
+	base := l.Importer()
+	pkgs := map[string]*types.Package{x: self}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg, ok := pkgs[path]; ok {
+			return pkg, nil
+		}
+		if !l.inModule(path) {
+			return base.Import(path)
+		}
+		lp, err := l.list(path)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(lp.Deps, x) {
+			return base.Import(path)
+		}
+		pkg, err := l.fromSource(path, imp)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[path] = pkg
+		return pkg, nil
+	}
+	return imp
 }
 
 // parseFiles parses the named files in dir, memoized per path: a package's
@@ -288,7 +349,8 @@ func newInfo() *types.Info {
 // Load enumerates the packages matching patterns (as `go list` would) and
 // returns them parsed and type-checked, including test files: in-package
 // test files join their package; external _test packages become separate
-// entries with PkgPath "<path>_test".
+// entries with PkgPath "<path>_test", checked against their package with
+// its test files, as go test builds them (xtestImporter).
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -316,7 +378,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := l.check(lp.ImportPath, files)
+		pkg, err := l.check(lp.ImportPath, files, l.Importer())
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +392,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			if err != nil {
 				return nil, err
 			}
-			xpkg, err := l.check(lp.ImportPath+"_test", xfiles)
+			xpkg, err := l.check(lp.ImportPath+"_test", xfiles, l.xtestImporter(lp.ImportPath, pkg.Types))
 			if err != nil {
 				return nil, err
 			}
@@ -350,13 +412,13 @@ type checked struct {
 	Info  *types.Info
 }
 
-// check type-checks files as package path using the loader's importer.
+// check type-checks files as package path, resolving imports with imp.
 // Type errors are fatal: analyzers need complete type information.
-func (l *Loader) check(path string, files []*ast.File) (*checked, error) {
+func (l *Loader) check(path string, files []*ast.File, imp types.Importer) (*checked, error) {
 	info := newInfo()
 	var firstErr error
 	conf := types.Config{
-		Importer: l.Importer(),
+		Importer: imp,
 		Error: func(err error) {
 			if firstErr == nil {
 				firstErr = err
@@ -400,7 +462,7 @@ func (l *Loader) CheckDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := l.check("fixture/"+filepath.Base(dir), files)
+	pkg, err := l.check("fixture/"+filepath.Base(dir), files, l.Importer())
 	if err != nil {
 		return nil, err
 	}

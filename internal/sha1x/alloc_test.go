@@ -13,7 +13,10 @@ func TestSumBatchMatchesSum20(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	data := make([]byte, 96<<10)
 	rng.Read(data)
-	startPos := []int32{0, 100, 4096, 40000, 95<<10 + 17}
+	startPos := []int32{0, 100, 101, 4096}
+	for p := 5000; p < len(data); p += 3001 {
+		startPos = append(startPos, int32(p))
+	}
 	dst := make([][Size]byte, len(startPos))
 	forEachPath(t, func(t *testing.T) {
 		SumBatch(data, startPos, dst)
@@ -37,12 +40,17 @@ func TestSumBatchAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([]byte, 64<<10)
 	rng.Read(data)
-	startPos := []int32{0, 8 << 10, 24 << 10, 48 << 10}
-	dst := make([][Size]byte, len(startPos))
-	allocs := testing.AllocsPerRun(10, func() {
-		SumBatch(data, startPos, dst)
-	})
-	if allocs != 0 {
-		t.Fatalf("SumBatch allocates %v per batch, want 0", allocs)
+	var startPos []int32
+	for p := 0; p < len(data); p += 2731 {
+		startPos = append(startPos, int32(p))
 	}
+	dst := make([][Size]byte, len(startPos))
+	forEachPath(t, func(t *testing.T) {
+		allocs := testing.AllocsPerRun(10, func() {
+			SumBatch(data, startPos, dst)
+		})
+		if allocs != 0 {
+			t.Fatalf("SumBatch allocates %v per batch, want 0", allocs)
+		}
+	})
 }

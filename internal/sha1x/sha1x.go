@@ -6,11 +6,16 @@
 //     block of a batch — the paper's Dedup stage 2 ("each GPU thread
 //     calculates the SHA-1 of one block").
 //
-// Both compute digests with sum: on amd64 CPUs that report the SHA
-// extensions, a SHA1RNDS4 compression loop (sha1x_amd64.s), chosen once by
-// CPUID; elsewhere crypto/sha1. PARSEC's dedup likewise links a library
-// SHA-1. The package also owns the batch layout (startPos, PutStartPos) and
-// the kernel's device cost model, which the host's speed does not change.
+// Digests come from sum: on amd64 CPUs that report the SHA extensions, a
+// SHA1RNDS4 compression loop (sha1x_amd64.s), chosen once by CPUID;
+// elsewhere crypto/sha1. PARSEC's dedup likewise links a library SHA-1.
+// Where the CPU also reports AVX-512F and AVX-512BW, SumBatch takes the
+// kernel's shape on the host's vector unit instead: 16 blocks in lockstep, one
+// per 32-bit lane of a 16-lane compression loop (lanes16), each lane
+// refilled from the batch as its block runs out and its padded tail hashed
+// on SHA-NI. The package also owns the batch layout (startPos, PutStartPos)
+// and the kernel's device cost model, which the host's speed does not
+// change.
 // SHA-1 is used for content fingerprinting (duplicate detection), not
 // security, exactly as in PARSEC's dedup.
 package sha1x
@@ -37,6 +42,9 @@ func Sum20(data []byte) [Size]byte { return sum(data) }
 // zero heap allocations, so the dedup hash stage can recycle dst across
 // batches.
 func SumBatch(data []byte, startPos []int32, dst [][Size]byte) {
+	if sumLanes(data, startPos, dst) {
+		return
+	}
 	for i, lo := range startPos {
 		hi := len(data)
 		if i+1 < len(startPos) {

@@ -88,40 +88,120 @@ func FuzzSum20Equivalence(f *testing.F) {
 	})
 }
 
-// Property: SumBatch agrees with crypto/sha1 block by block over random
-// block layouts — empty blocks, one-byte blocks, blocks straddling the
-// 55/56/64-byte padding edges and whole-batch blocks included.
-func TestSumBatchAgainstStdlibProperty(t *testing.T) {
-	f := func(seed int64, size uint16, cuts uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, int(size)%9000)
-		rng.Read(data)
-		startPos := []int32{0}
-		for k := 0; k < int(cuts)%40; k++ {
-			last := int(startPos[len(startPos)-1])
-			step := []int{0, 1, 55, 56, 63, 64, 65, rng.Intn(300)}[rng.Intn(8)]
-			if last+step > len(data) {
-				break
-			}
-			startPos = append(startPos, int32(last+step))
+// edgeLayouts are block lengths that reach the lane loop's refill and
+// drain: more than 16 lanes' worth of blocks of 64 bytes or more with short
+// ones between them, tails of 0, 55, 56 and 63 bytes past a whole block,
+// batches of exactly 16 and 17 blocks, and one 16 KiB block among short
+// ones.
+var edgeLayouts = map[string][]int{
+	"interleaved": {64, 0, 128, 1, 2048, 55, 64, 63, 700, 56, 640, 0, 65, 1, 119, 3000, 64, 64, 63, 200,
+		1024, 5, 64, 4096, 0, 130, 64, 9, 192, 300, 64, 63, 2047, 64, 1},
+	"tails":     {64, 119, 120, 127, 128, 183, 184, 191, 1024, 1079, 1080, 1087, 4096, 4151, 4152, 4159, 64, 55, 56, 63},
+	"exactly16": {64, 128, 200, 300, 640, 1000, 64, 64, 2048, 119, 120, 127, 4096, 700, 65, 191},
+	"exactly17": {64, 128, 200, 300, 640, 1000, 64, 64, 2048, 119, 120, 127, 4096, 700, 65, 191, 16 << 10},
+	"one16KiB":  {1, 10, 63, 55, 0, 16 << 10, 56, 2, 63, 0, 1},
+}
+
+// checkBatch fails t at the first block of the batch whose SumBatch digest
+// differs from crypto/sha1's.
+func checkBatch(t *testing.T, data []byte, startPos []int32) {
+	t.Helper()
+	dst := make([][Size]byte, len(startPos))
+	SumBatch(data, startPos, dst)
+	for i, lo := range startPos {
+		hi := len(data)
+		if i+1 < len(startPos) {
+			hi = int(startPos[i+1])
 		}
-		dst := make([][Size]byte, len(startPos))
-		SumBatch(data, startPos, dst)
-		for i, lo := range startPos {
-			hi := len(data)
-			if i+1 < len(startPos) {
-				hi = int(startPos[i+1])
-			}
-			if dst[i] != crypto.Sum(data[lo:hi]) {
-				return false
-			}
+		if want := crypto.Sum(data[lo:hi]); dst[i] != want {
+			t.Errorf("block %d of %d, [%d, %d): SumBatch %x, crypto/sha1 %x", i, len(startPos), lo, hi, dst[i], want)
+			return
 		}
-		return true
 	}
+}
+
+// batchOf lays blocks of the given lengths end to end over data drawn from
+// rng.
+func batchOf(rng *rand.Rand, lens []int) (data []byte, startPos []int32) {
+	for _, n := range lens {
+		startPos = append(startPos, int32(len(data)))
+		data = append(data, make([]byte, n)...)
+	}
+	rng.Read(data)
+	return data, startPos
+}
+
+// Property: SumBatch agrees with crypto/sha1 block by block over the edge
+// layouts and over random ones: up to 48 blocks, each empty, short, or whole
+// blocks plus a tail at or near the 55/56/64-byte padding edges.
+func TestSumBatchAgainstStdlibProperty(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
+		for name, lens := range edgeLayouts {
+			t.Run(name, func(t *testing.T) {
+				data, startPos := batchOf(rand.New(rand.NewSource(int64(len(lens)))), lens)
+				checkBatch(t, data, startPos)
+			})
+		}
+		f := func(seed int64, blocks uint8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			lens := make([]int, 1+int(blocks)%48)
+			for i := range lens {
+				tail := []int{0, 1, 55, 56, 63, rng.Intn(BlockSize)}[rng.Intn(6)]
+				if rng.Intn(3) > 0 {
+					tail += BlockSize * (1 + rng.Intn(40))
+				}
+				lens[i] = tail
+			}
+			data, startPos := batchOf(rng, lens)
+			checkBatch(t, data, startPos)
+			return !t.Failed()
+		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 			t.Error(err)
 		}
+	})
+}
+
+// layoutOf decodes a fuzz input into a batch. in[0] mod 64 is a block
+// count, then come that many little-endian 16-bit block lengths, each taken
+// mod 16 KiB+1 (the chunker's Max), so a batch is at most 1 MiB; the rest
+// of the input is tiled over the batch. An input without lengths is one
+// block.
+func layoutOf(in []byte) (data []byte, startPos []int32) {
+	if len(in) == 0 {
+		return nil, []int32{0}
+	}
+	n := min(int(in[0])%64, (len(in)-1)/2)
+	rest := in[1+2*n:]
+	if n == 0 {
+		return rest, []int32{0}
+	}
+	for i := range n {
+		startPos = append(startPos, int32(len(data)))
+		data = append(data, make([]byte, binary.LittleEndian.Uint16(in[1+2*i:])%(16<<10+1))...)
+	}
+	if len(rest) > 0 {
+		for i := range data {
+			data[i] = rest[i%len(rest)]
+		}
+	}
+	return data, startPos
+}
+
+// FuzzSumBatchEquivalence searches for a batch on which SumBatch and
+// crypto/sha1 disagree on some block. SumBatch runs the path the host's
+// CPU selects (the lane loop where CPUID reports AVX-512 and SHA-NI).
+func FuzzSumBatchEquivalence(f *testing.F) {
+	for _, lens := range edgeLayouts {
+		in := []byte{byte(len(lens))}
+		for _, n := range lens {
+			in = binary.LittleEndian.AppendUint16(in, uint16(n))
+		}
+		f.Add(append(in, "the rest is tiled"...))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		data, startPos := layoutOf(in)
+		checkBatch(t, data, startPos)
 	})
 }
 
