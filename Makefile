@@ -184,13 +184,13 @@ bench-serve:
 	bash benchmark/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 10 --trace $(TRACE)
 
 # figures-cmp makes "virtual time did not move" a command: it builds
-# cmd/figures from BASE (a `git archive` of that revision, unpacked in a
-# temporary directory that is removed afterwards) and from the working tree,
-# runs both over every figure — Fig. 1/4/5 and the Fig. 7 fleet table — at a
-# reduced size, and `cmp`s the two outputs byte for byte. Virtual-time tables
+# cmd/figures once from BASE (a `git archive` of that revision, unpacked in a
+# temporary directory that is removed afterwards) and once from the working
+# tree, runs both over every figure — Fig. 1/4/5, the Fig. 7 fleet table and
+# the -ablation sweeps — at a reduced size (FIGURES_FLAGS) and at the default
+# size, and `cmp`s each pair of outputs byte for byte. Virtual-time tables
 # are a pure function of the code, so any difference is a change to the
-# simulator's timing, its cost models, or placement. FIGURES_FLAGS= (empty)
-# compares the full default-size figures instead.
+# simulator's timing, its cost models, or placement.
 BASE ?= HEAD
 FIGURES_FLAGS ?= -niter 100 -dedup-scale 0.004
 figures-cmp:
@@ -198,11 +198,14 @@ figures-cmp:
 	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/figures.base" ./cmd/figures); \
 	$(GO) build -o "$$tmp/figures.tree" ./cmd/figures; \
-	"$$tmp/figures.base" -fig all $(FIGURES_FLAGS) > "$$tmp/base.txt" 2>/dev/null; \
-	"$$tmp/figures.tree" -fig all $(FIGURES_FLAGS) > "$$tmp/tree.txt" 2>/dev/null; \
-	grep -q 'Fig. 7' "$$tmp/tree.txt" || { echo "figures-cmp: no Fig. 7 table in the output"; exit 1; }; \
-	cmp "$$tmp/base.txt" "$$tmp/tree.txt" || { diff "$$tmp/base.txt" "$$tmp/tree.txt" | head -20; exit 1; }; \
-	echo "figures-cmp: $$(wc -l < "$$tmp/tree.txt") lines of figures identical to $(BASE)"
+	for size in reduced default; do \
+		flags="$(FIGURES_FLAGS)"; [ $$size = reduced ] || flags=; \
+		"$$tmp/figures.base" -fig all -ablation $$flags > "$$tmp/base.txt" 2>/dev/null; \
+		"$$tmp/figures.tree" -fig all -ablation $$flags > "$$tmp/tree.txt" 2>/dev/null; \
+		grep -q 'Fig. 7' "$$tmp/tree.txt" || { echo "figures-cmp: no Fig. 7 table in the $$size output"; exit 1; }; \
+		cmp "$$tmp/base.txt" "$$tmp/tree.txt" || { diff "$$tmp/base.txt" "$$tmp/tree.txt" | head -20; exit 1; }; \
+		echo "figures-cmp: $$size size: $$(wc -l < "$$tmp/tree.txt") lines of figures identical to $(BASE)"; \
+	done
 
 # bench-compare makes the benchmark's claim method a command
 # (cmd/benchcompare): it builds benchmark/ at BASE (a `git archive`, as

@@ -21,12 +21,11 @@ import (
 // through. A new function that only tests call needs a line here.
 var unreferencedAllowed = map[string]string{
 	// References the fast paths are checked against.
-	"streamgpu/internal/lzss.FindMatchesRef":    "reference: the brute-force backward window scan every matcher and kernel is checked against",
-	"streamgpu/internal/lzss.BruteKernel":       "reference: Listing 3's kernel as the paper writes it, bit-identical to FindMatchesRef; the gpu and lzss tests check the fast kernel against it",
-	"streamgpu/internal/lzss.Compress":          "reference: one block on a fresh Matcher, what the dedup lane tests and the lzss round-trip tests compare against",
-	"streamgpu/internal/lzss.FindMatches":       "the lzss tests' all-positions matcher on a pooled Matcher, checked against FindMatchesRef",
-	"streamgpu/internal/lzss.EncodeFromMatches": "the lzss tests encode host-side match arrays with it; ROADMAP item 6(i) moves it into them",
-	"streamgpu/internal/rabin.(Chunker).Split":  "reference: the blocks as slices, which the rabin and workload tests check boundaries and duplicate shares through",
+	"streamgpu/internal/lzss.FindMatchesRef":   "reference: the brute-force backward window scan every matcher and kernel is checked against",
+	"streamgpu/internal/lzss.BruteKernel":      "reference: Listing 3's kernel as the paper writes it, bit-identical to FindMatchesRef; the gpu and lzss tests check the fast kernel against it",
+	"streamgpu/internal/lzss.Compress":         "reference: one block on a fresh Matcher, what the dedup lane tests and the lzss round-trip tests compare against",
+	"streamgpu/internal/lzss.FindMatches":      "the lzss tests' all-positions matcher on a pooled Matcher, checked against FindMatchesRef",
+	"streamgpu/internal/rabin.(Chunker).Split": "reference: the blocks as slices, which the rabin and workload tests check boundaries and duplicate shares through",
 
 	// Views and set-ups the tests assert through.
 	"streamgpu/internal/bench.TestConfig":                "the cheap Fig. 1 scale shared by the root benchmarks and the bench shape tests",

@@ -15,7 +15,7 @@ import (
 
 // DedupPrep is the per-dataset precomputation shared by every Fig. 5
 // configuration: the batches with their Rabin boundaries, per-block SHA-1
-// hashes, LZSS match arrays (for the fast GPU kernel), and the
+// hashes, the fast GPU kernel's input (lzss.Matches.Fill), and the
 // stream-order dedup outcome (unique/written byte counts per batch, which
 // drive the CPU-side costs).
 type DedupPrep struct {
@@ -29,7 +29,7 @@ type dedupBatch struct {
 	data     []byte
 	startPos []int32
 	spBytes  []byte // startPos serialized for the device
-	matches  *lzss.Matches
+	matches  lzss.Matches
 	blocks   int
 	// Stream-order dedup outcome.
 	uniqueBlocks int
@@ -37,7 +37,7 @@ type dedupBatch struct {
 	writtenBytes int64 // archive bytes for this batch
 }
 
-// NewDedupPrep fragments, fingerprints and match-precomputes one dataset.
+// NewDedupPrep fragments, fingerprints and match-fills one dataset.
 // batchBytes scales the paper's 1 MB fragmentation with the dataset (pass 0
 // for the full 1 MB); reduced-scale runs shrink batches proportionally so
 // the batch *count* — which drives pipeline parallelism — stays realistic.
@@ -48,6 +48,7 @@ func NewDedupPrep(spec workload.Spec, batchBytes int) *DedupPrep {
 	data := workload.Generate(spec)
 	pr := &DedupPrep{Name: spec.Kind.String(), Size: int64(len(data))}
 	seen := make(map[[sha1x.Size]byte]bool)
+	var sink firstLens
 	dedup.FragmentInto(data, batchBytes, func(b *dedup.Batch) {
 		defer b.Release()
 		b.HashBlocks()
@@ -55,29 +56,45 @@ func NewDedupPrep(spec workload.Spec, batchBytes int) *DedupPrep {
 			data:     b.Data,
 			startPos: slices.Clone(b.StartPos),
 			blocks:   b.NBlocks(),
-			matches:  lzss.Precompute(b.Data, b.StartPos),
 		}
 		db.spBytes = make([]byte, len(b.StartPos)*4)
 		sha1x.PutStartPos(db.spBytes, b.StartPos)
-		for k := 0; k < b.NBlocks(); k++ {
-			lo, hi := b.Block(k)
-			if seen[b.Hashes[k]] {
+		sink.first, sink.lens = sink.first[:0], make([]int, b.NBlocks())
+		for _, h := range b.Hashes {
+			sink.first = append(sink.first, !seen[h])
+			seen[h] = true
+		}
+		// newDevices builds every Fig. 5 device from this spec.
+		db.matches.Fill(0, b.Data, b.StartPos, gpu.TitanXPSpec().WarpSize, &sink)
+		for k, first := range sink.first {
+			if !first {
 				db.writtenBytes += 2 // a dup record
 				continue
 			}
-			seen[b.Hashes[k]] = true
+			lo, hi := b.Block(k)
 			db.uniqueBlocks++
 			db.uniqueBytes += int64(hi - lo)
-			comp := lzss.AppendEncode(nil, b.Data, lo, hi, db.matches.Len, db.matches.Off)
-			w := len(comp)
-			if w >= hi-lo {
-				w = hi - lo // stored raw
-			}
-			db.writtenBytes += int64(w) + 4
+			db.writtenBytes += int64(min(sink.lens[k], hi-lo)) + 4 // raw when it does not shrink
 		}
 		pr.Batches = append(pr.Batches, db)
 	})
 	return pr
+}
+
+// firstLens is the BlockSink NewDedupPrep fills through: it encodes each
+// first sighting (first[k]) into its lane's scratch arena and keeps only
+// the encoding's length.
+type firstLens struct {
+	first []bool
+	lens  []int
+}
+
+func (s *firstLens) EncodeLane(_, k0, k1 int, enc func(dst []byte, k int, keep bool) []byte) {
+	var arena []byte
+	for k := k0; k < k1; k++ {
+		arena = enc(arena[:0], k, s.first[k])
+		s.lens[k] = len(arena)
+	}
 }
 
 // DedupVariant selects one Fig. 5 configuration.
@@ -279,6 +296,10 @@ func (dp *DedupPrep) RunGPU(cal Calibration, v DedupVariant) des.Time {
 	// Stage 4: LZSS FindMatch on GPU, reusing the device-resident batch.
 	sim.Spawn("compress", func(p *des.Proc) {
 		spec := lzss.FastKernel()
+		// The no-batch launches' input, one block at a time: each launch is
+		// waited on before the next block is filled.
+		var block lzss.Matches
+		blockStarts := []int32{0}
 		for {
 			st, ok := checked.Get(p)
 			if !ok {
@@ -293,12 +314,13 @@ func (dp *DedupPrep) RunGPU(cal Calibration, v DedupVariant) des.Time {
 				hMl := hostBuf(int64(n * 4))
 				hMo := hostBuf(int64(n * 4))
 				st.q.launch(p, spec, gpu.Grid1D(n, 128),
-					st.dData.raw, n, st.dSp.raw, b.blocks, dMl.raw, dMo.raw, b.matches)
+					st.dData.raw, n, st.dSp.raw, b.blocks, dMl.raw, dMo.raw, &b.matches)
 				st.q.copyD2H(p, hMl, dMl, int64(n*4))
 				st.q.copyD2H(p, hMo, dMo, int64(n*4))
 			} else {
 				// The pre-optimization version: one kernel (and one pair
-				// of transfers) per block.
+				// of transfers) per block, reading only the first entry,
+				// 0, of the batch's startPos slab.
 				for k := 0; k < b.blocks; k++ {
 					lo := int(b.startPos[k])
 					hi := n
@@ -310,12 +332,9 @@ func (dp *DedupPrep) RunGPU(cal Calibration, v DedupVariant) des.Time {
 					dMo := a.malloc(p, st.dev, int64(bl*4))
 					hMl := hostBuf(int64(bl * 4))
 					hMo := hostBuf(int64(bl * 4))
-					blockMatches := &lzss.Matches{
-						Len: b.matches.Len[4*lo : 4*hi],
-						Off: b.matches.Off[4*lo : 4*hi],
-					}
+					block.Fill(1, b.data[lo:hi], blockStarts, devs[st.dev].Spec.WarpSize, nil)
 					st.q.launch(p, spec, gpu.Grid1D(bl, 128),
-						st.dData.raw, bl, st.dSp.raw, 1, dMl.raw, dMo.raw, blockMatches)
+						st.dData.raw, bl, st.dSp.raw, 1, dMl.raw, dMo.raw, &block)
 					st.q.copyD2H(p, hMl, dMl, int64(bl*4))
 					st.q.copyD2H(p, hMo, dMo, int64(bl*4))
 					st.wait = st.q.record(p)

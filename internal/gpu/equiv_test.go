@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,6 +94,16 @@ func lzCase(name string, ks *gpu.KernelSpec, matches func([]byte, []int32) *lzss
 	}}
 }
 
+// filled makes the fast kernel's last argument: Fill's result for warps of
+// warp lanes.
+func filled(warp int) func([]byte, []int32) *lzss.Matches {
+	return func(in []byte, sp []int32) *lzss.Matches {
+		m := new(lzss.Matches)
+		m.Fill(0, in, sp, warp, nil)
+		return m
+	}
+}
+
 func equivCases() []equivCase {
 	const dim = 1100 // ≥ 1024 threads per row: row launches fan out too
 	p := mandel.Params{Dim: dim, Niter: 48, InitA: -2.0, InitB: -1.25, Range: 2.5}
@@ -133,7 +144,8 @@ func equivCases() []equivCase {
 			return sha1x.Kernel.Bind(seeded(t, dev, shaN, 6), startPosBuf(t, dev, shaStarts), len(shaStarts), shaN, out), []*gpu.Buf{out}
 		}},
 		lzCase("lzss.BruteKernel", lzss.BruteKernel(), nil),
-		lzCase("lzss.FastKernel", lzss.FastKernel(), lzss.Precompute),
+		// Filled for 1-lane warps, so every geometry's runs are whole warps.
+		lzCase("lzss.FastKernel", lzss.FastKernel(), filled(1)),
 		{"diag.VecAddKernel", 2500, func(t *testing.T, dev *gpu.Device) (*gpu.Kernel, []*gpu.Buf) {
 			c := malloc(t, dev, 2500)
 			return diag.VecAddKernel.Bind(seeded(t, dev, 2500, 7), seeded(t, dev, 2500, 8), c, 2500), []*gpu.Buf{c}
@@ -364,27 +376,67 @@ func TestExecutorEquivalenceCatchesMutants(t *testing.T) {
 	}
 }
 
-// TestFilledFastKernel is the served GPU path's launch: the fast kernel over
-// Fill's warp-exact matches on Grid1D(x, 128). Through the executor it must
-// equal the thread-by-thread reference, and it must cost exactly what the
-// same launch over Precompute's all-positions matches costs.
+// TestFilledFastKernel covers the fast kernel's two launch shapes over
+// Fill's matches for the device's warp width, on Grid1D(x, 128): the
+// batched launch, over a batch and its block starts (the served path's and
+// Fig. 5's), and the no-batch launch, Fig. 5's pre-optimization version,
+// over one block's own Fill with starts {0}, launched with startPosSize 1 so
+// it reads only the first entry of the whole batch's slab; the block's
+// length is a multiple of neither 32 nor 128. Through the executor each must
+// equal the thread-by-thread reference, and cost what the all-positions
+// lengths charge its lanes.
 func TestFilledFastKernel(t *testing.T) {
-	filled := lzCase("lzss.FastKernel/Fill", lzss.FastKernel(), func(in []byte, sp []int32) *lzss.Matches {
-		m := new(lzss.Matches)
-		m.Fill(0, in, sp, gpu.TitanXPSpec().WarpSize, nil)
-		return m
-	})
-	pre := lzCase("lzss.FastKernel", lzss.FastKernel(), lzss.Precompute)
-	g := gpu.Grid1D(lzN, 128)
-	if d := launchBoth(t, filled, g, nil); d != "" {
-		t.Error(d)
-	}
-	launch := func(c equivCase) gpu.LaunchResult {
+	warp := gpu.TitanXPSpec().WarpSize
+	data := seeded(t, gpu.NewDevice(des.New(), gpu.TitanXPSpec(), 0), lzN, 5).Bytes()
+	lzStarts := blockStarts(lzN, 9)
+	const blockLo, blockN = 200, 1001
+	noBatch := equivCase{"no batch", blockN, func(t *testing.T, dev *gpu.Device) (*gpu.Kernel, []*gpu.Buf) {
+		in := seeded(t, dev, lzN, 5)
+		ml, mo := malloc(t, dev, blockN*4), malloc(t, dev, blockN*4)
+		m := filled(warp)(in.Bytes()[blockLo:blockLo+blockN], []int32{0})
+		return lzss.FastKernel().Bind(in, blockN, startPosBuf(t, dev, lzStarts), 1, ml, mo, m), []*gpu.Buf{ml, mo}
+	}}
+	launch := func(c equivCase, ref gpu.ThreadFunc) gpu.LaunchResult {
 		dev := gpu.NewDevice(des.New(), gpu.TitanXPSpec(), 0)
 		k, _ := c.build(t, dev)
-		return execute(t, dev, k, g)
+		if ref != nil {
+			k.Func, k.Warp = ref, nil
+		}
+		return execute(t, dev, k, gpu.Grid1D(c.x, 128))
 	}
-	if got, want := launch(filled), launch(pre); got != want {
-		t.Errorf("over Fill's matches %+v, over Precompute's %+v", got, want)
+	for _, s := range []struct {
+		c      equivCase
+		in     []byte
+		starts []int32
+	}{
+		{lzCase("batch", lzss.FastKernel(), filled(warp)), data, lzStarts},
+		{noBatch, data[blockLo : blockLo+blockN], []int32{0}},
+	} {
+		t.Run(s.c.name, func(t *testing.T) {
+			if d := launchBoth(t, s.c, gpu.Grid1D(s.c.x, 128), nil); d != "" {
+				t.Error(d)
+			}
+			if got, want := launch(s.c, nil), launch(s.c, allPositions(s.in, s.starts)); got != want {
+				t.Errorf("launch %+v, all-positions reference %+v", got, want)
+			}
+		})
+	}
+}
+
+// allPositions is the fast kernel's cost model thread by thread, each lane
+// charged its all-positions length as lzss.FindMatches finds it in the
+// blocks starts cuts in: what a launch over in whose startPos slab reads as
+// starts costs.
+func allPositions(in []byte, starts []int32) gpu.ThreadFunc {
+	lens, offs := make([]int32, len(in)), make([]int32, len(in))
+	lzss.FindMatches(in, starts, lens, offs)
+	return func(t gpu.Thread) int64 {
+		i := t.GlobalX()
+		if i >= len(in) {
+			return gpu.ExitCost
+		}
+		k, _ := slices.BinarySearch(starts, int32(i+1)) // the block after i's
+		span := min(i-int(starts[k-1]), lzss.WindowSize)
+		return 2*int64(len(starts)) + 3*int64(span) + 4*int64(lens[i]) + 10
 	}
 }

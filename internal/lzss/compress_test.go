@@ -2,6 +2,7 @@ package lzss
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -16,6 +17,50 @@ func refCompress(block []byte) []byte {
 	mo := make([]int32, len(block))
 	FindMatchesRef(block, []int32{0}, ml, mo)
 	return EncodeFromMatches(block, 0, len(block), ml, mo)
+}
+
+// AppendEncode is the greedy encoder the fused walks (AppendCompress, Fill)
+// must reproduce: it encodes the block [lo, hi) of the batch from the
+// per-position matches (batch-absolute indices), laid out as the FindMatch
+// kernel leaves them: matchLen and matchOff are little-endian int32 arrays,
+// decoded only where a token starts. The encoded block — a uvarint of the
+// uncompressed length, then the token stream — is appended to dst and the
+// extended slice returned.
+func AppendEncode(dst []byte, input []byte, lo, hi int, matchLen, matchOff []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(hi-lo))
+
+	nflags, flagPos := 0, 0
+	for i := lo; i < hi; {
+		if nflags == 0 {
+			flagPos = len(dst)
+			dst = append(dst, 0)
+		}
+		if l := leInt32(matchLen, i); l >= MinMatch {
+			dst[flagPos] |= 1 << nflags
+			v := uint16(leInt32(matchOff, i)-1)<<4 | uint16(l-MinMatch)
+			dst = append(dst, byte(v>>8), byte(v))
+			i += l
+		} else {
+			dst = append(dst, input[i])
+			i++
+		}
+		nflags = (nflags + 1) & 7
+	}
+	return dst
+}
+
+// EncodeFromMatches is AppendEncode for match arrays in host form, as
+// FindMatches and FindMatchesRef write them: it lays the block's
+// entries out the way the kernel would and returns a fresh encoding.
+func EncodeFromMatches(input []byte, lo, hi int, matchLen, matchOff []int32) []byte {
+	n := hi - lo
+	le := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(le[4*i:], uint32(matchLen[lo+i]))
+		binary.LittleEndian.PutUint32(le[4*(n+i):], uint32(matchOff[lo+i]))
+	}
+	dst := make([]byte, 0, n/2+16+binary.MaxVarintLen64)
+	return AppendEncode(dst, input[lo:hi], 0, n, le[:4*n], le[4*n:])
 }
 
 // checkCompressEquivalence asserts m.AppendCompress(block) appends exactly

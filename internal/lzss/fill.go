@@ -27,14 +27,15 @@ import (
 //
 // A launch that reads a startPos slab other than the real starts — the
 // all-zero slab behind a failed upload — is charged from the all-positions
-// arrays instead, computed at most once per Fill on first need. So every
-// launch over the result costs what the same launch over Precompute's does.
+// lengths instead, computed at most once per Fill on first need. So every
+// launch over the result costs what its threads' all-positions lengths
+// charge them.
 //
 // The result depends only on the batch, its block starts and warp, never on
 // the lane count. warp must be in 1..64. The batch must not change while a
 // launch over the result runs. Launches over the result must cover whole
-// warps (FastKernel panics otherwise); Precompute serves launches of any
-// geometry.
+// warps (FastKernel panics otherwise); a fill for 1-lane warps serves
+// launches of any geometry.
 func (m *Matches) Fill(lanes int, batch []byte, startPos []int32, warp int, out BlockSink) {
 	mt := matcherPool.Get()
 	m.fill(mt, lanes, batch, startPos, warp, out)
@@ -54,7 +55,7 @@ func (m *Matches) fill(mt *Matcher, lanes int, batch []byte, startPos []int32, w
 	if cap(m.warps) < nw {
 		m.warps = make([]warpCost, nw)
 	}
-	m.Len, m.Off, m.warps, m.warp = nil, nil, m.warps[:nw], warp
+	m.warps, m.warp = m.warps[:nw], warp
 	m.batch, m.starts = batch, append(m.starts[:0], startPos...)
 	m.exact, m.searches, m.matches = nil, fillSearches{}, m.matches[:0]
 	f := fillPool.Get()

@@ -265,8 +265,8 @@ func encodeStarts(startPos []int32, n int) []byte {
 }
 
 // FuzzFillEquivalence searches for a batch on which Fill breaks its
-// contract against FindMatchesPar (checkFill), or a launch over its arrays
-// costs other than one over Precompute's on some startPos slab
+// contract against FindMatchesPar (checkFill), or a launch over its result
+// costs other than its per-thread body on some startPos slab
 // (checkFilledLaunches). Block lengths come from lens, cycled; an empty lens
 // is one block.
 func FuzzFillEquivalence(f *testing.F) {

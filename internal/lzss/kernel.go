@@ -18,7 +18,7 @@ import (
 //	args[3] int       startPosSize
 //	args[4] *gpu.Buf  matchesLength — int32 LE out
 //	args[5] *gpu.Buf  matchesOffset — int32 LE out
-//	args[6] *Matches  (fast kernel only) host-precomputed results
+//	args[6] *Matches  (fast kernel only) Fill's host-computed result
 //
 // Cost accounting: the paper's kernel walks the startPos array linearly to
 // locate its block, then scans up to WindowSize candidates. We charge
@@ -97,48 +97,27 @@ func BruteKernel() *gpu.KernelSpec {
 	}
 }
 
-// Matches carries host-computed matches into the fast kernel. Precompute
-// fills Len and Off, the all-positions arrays in the layout the kernel
-// leaves on the device: entry i is a little-endian int32 at bytes
-// [4i, 4i+4), so a launch copies them a warp at a time. Fill leaves them nil
-// and keeps its compact result instead: the match tokens and one record per
-// warp. The zero value is ready for Fill; one Matches refilled per batch
-// keeps its scratch.
+// Matches carries Fill's host-computed result into the fast kernel: the
+// match tokens and one record per warp. The zero value is ready for Fill;
+// one Matches refilled per batch keeps its scratch.
 type Matches struct {
-	Len []byte
-	Off []byte
 	// searches counts the chain searches of the last Fill.
 	searches fillSearches
-	// warp is the warp width Fill filled for; 0 (Precompute) means Len and
-	// Off hold every position. The rest is Fill's too: the batch and block
-	// starts it filled, one record per warp, the match tokens in position
-	// order, and the all-positions Len a launch over a slab other than
-	// starts is charged from (exactLen).
+	// The warp width, batch and block starts Fill filled for, one record
+	// per warp, the match tokens in position order, and the all-positions
+	// lengths a launch over a slab other than starts is charged from
+	// (exactLen).
 	warp    int
 	batch   []byte
 	starts  []int32
 	warps   []warpCost
 	matches []match
 	mu      sync.Mutex
-	exact   []byte
+	exact   []int32
 	// launches numbers the launches bound over the result; slab caches
 	// whether the current one reads starts: its number << 2 | 1 if it
 	// does, | 2 if not (realSlab).
 	launches, slab atomic.Uint64
-}
-
-// Precompute returns the all-positions matches of the batch — what the
-// brute-force device scan would produce, and FindMatchesPar does — for
-// launches of any geometry.
-func Precompute(batch []byte, startPos []int32) *Matches {
-	ml, mo := make([]int32, len(batch)), make([]int32, len(batch))
-	FindMatchesPar(0, batch, startPos, ml, mo)
-	m := &Matches{Len: make([]byte, 4*len(batch)), Off: make([]byte, 4*len(batch))}
-	for i := range ml {
-		putInt32(m.Len, i, ml[i])
-		putInt32(m.Off, i, mo[i])
-	}
-	return m
 }
 
 // putInt32 stores v as entry i of a little-endian int32 array. The
@@ -164,15 +143,17 @@ func (m *Matches) put(ml, mo []byte, i0, i1 int) {
 	}
 }
 
-// exactLen returns Precompute's Len for the batch and starts Fill last
-// filled, computing it on the first call after the Fill. Only a launch that
-// reads a startPos slab other than the real starts, and the per-thread body,
-// call it; the lanes of a launch may call it concurrently.
-func (m *Matches) exactLen() []byte {
+// exactLen returns the all-positions match lengths — what the brute-force
+// device scan finds, and FindMatchesPar — of the batch and starts Fill last
+// filled, computing them on the first call after the Fill. Only a launch
+// that reads a startPos slab other than the real starts, and the per-thread
+// body, call it; the lanes of a launch may call it concurrently.
+func (m *Matches) exactLen() []int32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.exact == nil {
-		m.exact = Precompute(m.batch, m.starts).Len
+		m.exact = make([]int32, len(m.batch))
+		FindMatchesPar(0, m.batch, m.starts, m.exact, make([]int32, len(m.batch)))
 	}
 	return m.exact
 }
@@ -218,23 +199,19 @@ func (m *Matches) realSlab(id uint64, sp []byte, n int) bool {
 }
 
 // worst returns the largest 3·span + 4·Len a lane of [i0, i1) is charged,
-// spans measured from the block starts the kernel reads in sp. Over Fill's
-// result each warp whose blocks are the real ones — every warp, when the
-// slab is Fill's starts (real) — is charged its record; a run with any
-// other warp is charged from the all-positions arrays, as over
-// Precompute's.
+// spans measured from the block starts the kernel reads in sp. Each warp
+// whose blocks are the real ones — every warp, when the slab is Fill's
+// starts (real) — is charged its record; a run with any other warp is
+// charged from the all-positions lengths.
 func (m *Matches) worst(sp []byte, n, size, i0, i1 int, real bool) int64 {
 	var cost int32
-	if m.warp > 0 && real {
+	if real {
 		for j := i0; j < i1; j += m.warp {
 			cost = max(cost, m.warps[j/m.warp].cost)
 		}
 		return int64(cost)
 	}
 	k := blockOf(sp, n, i0)
-	if m.warp == 0 {
-		return scan(sp, n, k, i0, i1, m.Len)
-	}
 	for j, kj := i0, k; j < i1; j += m.warp {
 		if j > i0 {
 			kj = blockOf(sp, n, j)
@@ -253,7 +230,7 @@ func (m *Matches) worst(sp []byte, n, size, i0, i1 int, real bool) int64 {
 // lookup for the run, then block by block, because a run usually sits inside
 // one block and inside a block the span only depends on the distance from
 // its start.
-func scan(sp []byte, n, k, i0, i1 int, lens []byte) int64 {
+func scan(sp []byte, n, k, i0, i1 int, lens []int32) int64 {
 	var worst int64
 	for i := i0; i < i1; k++ {
 		lo, end := leInt32(sp, k), i1
@@ -261,7 +238,7 @@ func scan(sp []byte, n, k, i0, i1 int, lens []byte) int64 {
 			end = min(end, leInt32(sp, k+1))
 		}
 		for ; i < end; i++ {
-			worst = max(worst, 3*int64(min(i-lo, WindowSize))+4*int64(leInt32(lens, i)))
+			worst = max(worst, 3*int64(min(i-lo, WindowSize))+4*int64(lens[i]))
 		}
 	}
 	return worst
@@ -274,15 +251,14 @@ func leInt32(buf []byte, i int) int {
 }
 
 // FastKernel returns the device function used by the experiment harness and
-// the served GPU path: functionally it writes the host-computed matches into
-// the device buffers, while its cost model charges the window scan the
-// brute-force kernel performs — so virtual timing matches BruteKernel without
-// paying its host-side execution cost at megabyte scale. Over Precompute's
-// arrays every byte it writes is BruteKernel's. Over Fill's result it writes
-// BruteKernel's bytes at every greedy token start and 0 elsewhere, charges
-// every warp what BruteKernel's lengths charge it, and panics on a run of
-// threads that is not whole warps of the filled width. The equivalence of
-// results and the cost band are covered by tests.
+// the served GPU path: functionally it writes Fill's matches into the device
+// buffers, while its cost model charges the window scan the brute-force
+// kernel performs — so virtual timing matches BruteKernel without paying its
+// host-side execution cost at megabyte scale. It writes BruteKernel's bytes
+// at every greedy token start and 0 elsewhere, charges every warp what
+// BruteKernel's lengths charge it, and panics on a run of threads that is
+// not whole warps of the filled width. The equivalence of results and the
+// cost band are covered by tests.
 //
 // Body defines it per thread, charging a lane its all-positions length.
 // Launches run Warp, which does the same work a warp at a time — arguments
@@ -309,20 +285,13 @@ func FastKernel() *gpu.KernelSpec {
 			if i >= sizeInput {
 				return gpu.ExitCost
 			}
-			lens := pre.Len
-			if pre.warp > 0 {
-				pre.put(mlBuf, moBuf, i, i+1)
-				lens = pre.exactLen()
-			} else {
-				copy(mlBuf[i*4:i*4+4], pre.Len[i*4:])
-				copy(moBuf[i*4:i*4+4], pre.Off[i*4:])
-			}
+			pre.put(mlBuf, moBuf, i, i+1)
 			// Cost: block lookup + window-span scan + extension estimate.
 			// The charged cost is the paper's linear startPos walk; the
 			// host-side lookup itself binary-searches for speed.
 			lo := leInt32(spBuf, blockOf(spBuf, startPosSize, i))
 			span := int64(min(i-lo, WindowSize))
-			return 2*int64(startPosSize) + 3*span + 4*int64(leInt32(lens, i)) + 10
+			return 2*int64(startPosSize) + 3*span + 4*int64(pre.exactLen()[i]) + 10
 		},
 		Warp: func(args []any) gpu.WarpFunc {
 			sizeInput := args[1].(int)
@@ -338,17 +307,11 @@ func FastKernel() *gpu.KernelSpec {
 				if i0 >= i1 {
 					return gpu.ExitCost
 				}
-				real := false
-				if pre.warp > 0 {
-					if i0%pre.warp != 0 || (w.N%pre.warp != 0 && i0+w.N < sizeInput) {
-						panic(fmt.Sprintf("lzss: FastKernel warp [%d, %d) is not whole %d-lane warps, the width its matches were filled for", i0, i0+w.N, pre.warp))
-					}
-					pre.put(mlBuf, moBuf, i0, i1)
-					real = pre.realSlab(id, spBuf, startPosSize)
-				} else {
-					copy(mlBuf[i0*4:i1*4], pre.Len[i0*4:i1*4])
-					copy(moBuf[i0*4:i1*4], pre.Off[i0*4:i1*4])
+				if i0%pre.warp != 0 || (w.N%pre.warp != 0 && i0+w.N < sizeInput) {
+					panic(fmt.Sprintf("lzss: FastKernel warp [%d, %d) is not whole %d-lane warps, the width its matches were filled for", i0, i0+w.N, pre.warp))
 				}
+				pre.put(mlBuf, moBuf, i0, i1)
+				real := pre.realSlab(id, spBuf, startPosSize)
 				// Threads past sizeInput cost ExitCost, below any in-range
 				// thread's fixed part.
 				return 2*int64(startPosSize) + pre.worst(spBuf, startPosSize, sizeInput, i0, i1, real) + 10

@@ -8,10 +8,10 @@
 //     longest match strictly inside that position's block and within the
 //     sliding window — this is the work the paper offloads to the GPU as a
 //     single FindMatchKernel call per batch (Listing 3);
-//   - AppendEncode then performs the cheap sequential
-//     entropy step on the CPU, exactly as the paper does ("In CPU, we used
-//     the result of the kernel function to run the compression on each
-//     block"), jumping over every match it emits.
+//   - a greedy encoder then performs the cheap sequential entropy step on
+//     the CPU, exactly as the paper does ("In CPU, we used the result of the
+//     kernel function to run the compression on each block"), jumping over
+//     every match it emits.
 //
 // Match semantics: a match for position i is a source range [c, c+L) with
 // c in the same block, i-c <= WindowSize, c+L <= i (no self-overlap, as in
@@ -25,7 +25,8 @@
 // brute-force work a real GPU would do; and the host encoder
 // (*Matcher).AppendCompress, which every CPU compress path runs: the same
 // chains, searched only where the greedy encoder starts a token, so no match
-// is computed only to be jumped over.
+// is computed only to be jumped over, and its output is the greedy encoding
+// of FindMatches's result byte for byte.
 //
 // Every walk reads its block's chains from one tight pass before it
 // ((*Matcher).link): each position's trigram is hashed, linked to its
@@ -38,9 +39,8 @@
 // first sightings' encodings (the archive, so nothing re-encodes from the
 // downloaded arrays), the match tokens (a launch leaves them at token starts
 // and 0 elsewhere), and one exact charge per warp (what virtual time reads),
-// with the all-positions arrays behind a launch on any other startPos slab,
-// such as the all-zero one behind a failed upload. Precompute keeps the
-// all-positions arrays for launches of any geometry.
+// with the all-positions lengths behind a launch on any other startPos slab,
+// such as the all-zero one behind a failed upload.
 package lzss
 
 import (
@@ -308,50 +308,6 @@ func checkStarts(input []byte, startPos []int32) {
 	}
 }
 
-// AppendEncode greedily encodes the block [lo, hi) of the batch from the
-// per-position matches (batch-absolute indices), reading them where the
-// FindMatch kernel leaves them: matchLen and matchOff are little-endian int32
-// arrays, as downloaded from the device, decoded only where a token starts.
-// The encoded block — a uvarint of the uncompressed length, then the token
-// stream — is appended to dst and the extended slice returned, so a batch
-// grows one arena instead of allocating per block.
-func AppendEncode(dst []byte, input []byte, lo, hi int, matchLen, matchOff []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(hi-lo))
-
-	nflags, flagPos := 0, 0
-	for i := lo; i < hi; {
-		if nflags == 0 {
-			flagPos = len(dst)
-			dst = append(dst, 0)
-		}
-		if l := leInt32(matchLen, i); l >= MinMatch {
-			dst[flagPos] |= 1 << nflags
-			v := uint16(leInt32(matchOff, i)-1)<<4 | uint16(l-MinMatch)
-			dst = append(dst, byte(v>>8), byte(v))
-			i += l
-		} else {
-			dst = append(dst, input[i])
-			i++
-		}
-		nflags = (nflags + 1) & 7
-	}
-	return dst
-}
-
-// EncodeFromMatches is AppendEncode for match arrays still in host form, as
-// the experiment harness and the tests hold them: it lays the block's
-// entries out the way the kernel would and returns a fresh encoding.
-func EncodeFromMatches(input []byte, lo, hi int, matchLen, matchOff []int32) []byte {
-	n := hi - lo
-	le := make([]byte, 8*n)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(le[4*i:], uint32(matchLen[lo+i]))
-		binary.LittleEndian.PutUint32(le[4*(n+i):], uint32(matchOff[lo+i]))
-	}
-	dst := make([]byte, 0, n/2+16+binary.MaxVarintLen64)
-	return AppendEncode(dst, input[lo:hi], 0, n, le[:4*n], le[4*n:])
-}
-
 // Compress encodes a single standalone block.
 func Compress(block []byte) []byte {
 	m := matcherPool.Get()
@@ -367,7 +323,7 @@ const groupBytes = 1 + 2*8
 // AppendCompress encodes a single standalone block, appending to dst; with a
 // recycled dst it does not allocate. One greedy walk over the block's chains
 // (link), searched only where a token starts, so the output is
-// byte-identical to FindMatches + AppendEncode. A group's flag byte is
+// byte-identical to the greedy encoding of FindMatches's result. A group's flag byte is
 // written once, as 0, when the group opens, with room for the whole group,
 // and each match ORs in its bit.
 func (m *Matcher) AppendCompress(dst []byte, block []byte) []byte {
@@ -405,7 +361,7 @@ func (m *Matcher) AppendCompress(dst []byte, block []byte) []byte {
 // ErrCorrupt is returned by Decompress for malformed input.
 var ErrCorrupt = errors.New("lzss: corrupt input")
 
-// Decompress decodes a block produced by Compress/EncodeFromMatches.
+// Decompress decodes a block produced by Compress or AppendCompress.
 func Decompress(comp []byte) ([]byte, error) {
 	n, used := binary.Uvarint(comp)
 	if used <= 0 {

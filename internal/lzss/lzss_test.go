@@ -190,22 +190,22 @@ func TestBruteKernelMatchesRef(t *testing.T) {
 	}
 }
 
-// TestFastKernelMatchesBrute launches the fast kernel over Precompute's
-// matches, which must leave the brute-force kernel's bytes at every position,
-// and over Fill's, which must leave them at every greedy token start — all
-// the encoder reads — and cost exactly what the Precompute launch costs on
-// every startPos slab (checkFilledLaunches), here and over the fill table.
+// TestFastKernelMatchesBrute launches the fast kernel over Fill's matches,
+// which must leave the brute-force kernel's bytes at every greedy token
+// start — all the encoder reads — and charge every lane from the brute-force
+// kernel's lengths (exactLen); checkFilledLaunches then holds the warp body
+// to the per-thread body's cost on every startPos slab, here and over the
+// fill table.
 func TestFastKernelMatchesBrute(t *testing.T) {
 	data := textLike(6_000, 10)
 	startPos := []int32{0, 1_000, 4_096}
 	bruteLen, bruteOff := runKernel(t, BruteKernel(), data, startPos, nil)
-	preLen, preOff := runKernel(t, FastKernel(), data, startPos, Precompute(data, startPos))
 	var filled Matches
 	filled.Fill(0, data, startPos, gpu.TitanXPSpec().WarpSize, nil)
 	fillLen, fillOff := runKernel(t, FastKernel(), data, startPos, &filled)
-	for i := range data {
-		if preLen[i] != bruteLen[i] || preOff[i] != bruteOff[i] {
-			t.Fatalf("pos %d: fast=(%d,%d) brute=(%d,%d)", i, preLen[i], preOff[i], bruteLen[i], bruteOff[i])
+	for i, l := range filled.exactLen() {
+		if l != bruteLen[i] {
+			t.Fatalf("pos %d: charged length %d, brute %d", i, l, bruteLen[i])
 		}
 	}
 	for k := range startPos {
@@ -223,16 +223,18 @@ func TestFastKernelMatchesBrute(t *testing.T) {
 	}
 }
 
-// checkFilledLaunches launches the fast kernel over Fill's and over
-// Precompute's matches of the batch on each startPos slab a launch may read
-// — the real starts; the all-zero slab behind a failed upload; and neither,
-// every other interior start dropped, so some warps see their real blocks
-// and the rest do not — and requires equal launch results.
+// checkFilledLaunches launches the fast kernel over Fill's matches of the
+// batch on each startPos slab a launch may read — the real starts; the
+// all-zero slab behind a failed upload; and neither, every other interior
+// start dropped, so some warps see their real blocks and the rest do not —
+// through its warp body and through its per-thread body, which charges each
+// lane its all-positions length, and requires equal launch results.
 func checkFilledLaunches(t *testing.T, data []byte, startPos []int32) {
 	t.Helper()
 	var filled Matches
 	filled.Fill(0, data, startPos, gpu.TitanXPSpec().WarpSize, nil)
-	pre := Precompute(data, startPos)
+	perThread := FastKernel()
+	perThread.Warp = nil
 	var neither []int32
 	for k, s := range startPos {
 		if k%2 == 0 {
@@ -243,10 +245,10 @@ func checkFilledLaunches(t *testing.T, data []byte, startPos []int32) {
 		name string
 		sp   []int32
 	}{{"real", startPos}, {"zero", make([]int32, len(startPos))}, {"neither", neither}} {
-		_, _, _, fillRes := execKernel(t, FastKernel(), data, slab.sp, &filled)
-		_, _, _, preRes := execKernel(t, FastKernel(), data, slab.sp, pre)
-		if fillRes != preRes {
-			t.Fatalf("%s startPos: launch over Fill's matches %+v, over Precompute's %+v", slab.name, fillRes, preRes)
+		_, _, _, got := execKernel(t, FastKernel(), data, slab.sp, &filled)
+		_, _, _, want := execKernel(t, perThread, data, slab.sp, &filled)
+		if got != want {
+			t.Fatalf("%s startPos: warp body %+v, per-thread body %+v", slab.name, got, want)
 		}
 	}
 }
@@ -288,7 +290,9 @@ func TestFastKernelCostNearBrute(t *testing.T) {
 	// kernel's measured cycles on text-like data.
 	data := textLike(4_096, 11)
 	startPos := []int32{0, 2_048}
-	fast := kernelTime(t, FastKernel(), data, startPos, Precompute(data, startPos))
+	var filled Matches
+	filled.Fill(0, data, startPos, gpu.TitanXPSpec().WarpSize, nil)
+	fast := kernelTime(t, FastKernel(), data, startPos, &filled)
 	brute := kernelTime(t, BruteKernel(), data, startPos, nil)
 	lo, hi := brute/3, brute*3
 	if fast < lo || fast > hi {

@@ -391,6 +391,11 @@ func ReadRaw(r io.Reader, maxPayload int) ([]byte, error) {
 	if _, err := io.ReadFull(r, raw[prefixLen:]); err != nil {
 		return nil, fmt.Errorf("%w: truncated frame: %v", ErrFrame, err)
 	}
+	// The check above left room for a deadline extension; with the type
+	// byte known the cap is exact, as in Reader.Next.
+	if pl := int(n) - hdrLen(raw[prefixLen]&flagDeadline != 0); pl > maxPayload {
+		return nil, fmt.Errorf("%w: payload %d exceeds cap %d", ErrTooLarge, pl, maxPayload)
+	}
 	return raw, nil
 }
 

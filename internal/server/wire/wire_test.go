@@ -356,4 +356,17 @@ func TestReadRaw(t *testing.T) {
 	if _, err := ReadRaw(bytes.NewReader(hostile), 1<<10); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("hostile length: %v, want ErrTooLarge", err)
 	}
+	// The cap is exact, as Reader.Next holds it: the room the length check
+	// leaves for a deadline extension lets no larger payload through, and a
+	// deadline-flagged frame at the cap passes.
+	for _, n := range []int{1025, 1032} {
+		raw := Append(nil, Frame{Type: TStore, Payload: make([]byte, n)})
+		if _, err := ReadRaw(bytes.NewReader(raw), 1<<10); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%d-byte payload under a 1024-byte cap: %v, want ErrTooLarge", n, err)
+		}
+	}
+	atCap := Append(nil, Frame{Type: TStore, Deadline: time.Second, Payload: make([]byte, 1<<10)})
+	if _, err := ReadRaw(bytes.NewReader(atCap), 1<<10); err != nil {
+		t.Errorf("deadline-flagged frame at the cap: %v", err)
+	}
 }
