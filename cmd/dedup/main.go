@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"time"
 
-	"streamgpu/internal/core"
 	"streamgpu/internal/dedup"
 	"streamgpu/internal/fault"
 	"streamgpu/internal/telemetry"
@@ -32,9 +31,9 @@ func main() {
 	compress := flag.Bool("c", false, "compress")
 	decompress := flag.Bool("d", false, "restore")
 	graph := flag.Bool("graph", false, "print the pipeline's activity graph and exit")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "replicas of the hash+compress stage")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "replicas of the hash and compress stages")
 	batch := flag.Int("batch", dedup.DefaultBatchSize, "fragmentation batch size in bytes")
-	seq := flag.Bool("seq", false, "use the sequential reference implementation")
+	seq := flag.Bool("seq", false, "compress with the sequential reference implementation")
 	gpuRT := flag.Bool("gpu", false, "compress on the simulated GPU (hash + match kernels)")
 	timeout := flag.Duration("timeout", 0, "cancel a parallel compress after this long (0 = no limit)")
 	faultSeed := flag.Int64("fault-seed", 0, "gpu: fault injector seed")
@@ -46,10 +45,7 @@ func main() {
 	flag.Parse()
 
 	if *graph {
-		ts := core.NewToStream().
-			Stage(func(any, func(any)) {}, core.Replicate(*workers), core.Name("hash+compress")).
-			Stage(func(any, func(any)) {}, core.Name("reorder+write"))
-		fmt.Println(ts.Graph())
+		fmt.Println(dedup.Graph(dedup.Options{Workers: *workers}))
 		return
 	}
 	if *compress == *decompress {
@@ -115,11 +111,7 @@ func main() {
 		}
 		return
 	}
-	if *seq {
-		check(dedup.Restore(bytes.NewReader(in), outF))
-	} else {
-		check(dedup.RestoreParallel(bytes.NewReader(in), outF, *workers))
-	}
+	check(dedup.Restore(bytes.NewReader(in), outF))
 	fmt.Printf("restored %s in %v\n", args[1], time.Since(start))
 }
 

@@ -94,26 +94,42 @@ func hostTime(min time.Duration, fn func()) float64 {
 	return elapsed.Seconds() / float64(ops)
 }
 
-// hostAllocs returns the mean heap allocations per call of fn over iters
-// calls, measured on the calling goroutine via the runtime's malloc counter.
+// hostAllocs returns the heap allocations per call of fn, counted over
+// windows of iters consecutive calls. The runtime's malloc counter is
+// process-wide, so a window also counts what the runtime allocates for
+// itself meanwhile (scavenger timers, sudogs, new goroutines), and on a
+// loaded host that lands in one window now and then. Such noise only adds,
+// so hostAllocs counts windows until two in a row read the same and returns
+// that count: fn's own allocations, on every call or on every other call
+// (iters is even), read the same in every window. If no two windows in a row
+// agree, it returns the mean over all of them, which hides nothing.
 func hostAllocs(iters int, fn func()) float64 {
+	const maxWindows = 8
 	fn() // steady state: warm free lists before counting
 	runtime.GC()
 	// The GC just swept the sync.Pool-backed free lists; run once more so the
-	// refill allocations land outside the counted window. Eviction is a GC
+	// refill allocations land outside the counted windows. Eviction is a GC
 	// policy cost, not a per-op cost, and counting it would make the
 	// zero-alloc pins flap with collector timing.
 	fn()
-	// A collection inside the window would sweep the pools again, so the
+	// A collection inside a window would sweep the pools again, so the
 	// collector stays off while it counts.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < iters; i++ {
-		fn()
+	var prev, total uint64
+	for w := 0; w < maxWindows; w++ {
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < iters; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&m1)
+		n := m1.Mallocs - m0.Mallocs
+		if w > 0 && n == prev {
+			return float64(n) / float64(iters)
+		}
+		prev, total = n, total+n
 	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / float64(iters)
+	return float64(total) / float64(maxWindows*iters)
 }
 
 // RunHost executes the host-throughput suite and returns the report.

@@ -344,17 +344,13 @@ func (n *Node) handleConn(conn net.Conn) {
 	defer n.untrack(conn)
 	br := bufio.NewReaderSize(conn, 1<<16)
 	for {
-		raw, err := wire.ReadRaw(br, n.srv.MaxPayload())
-		if err != nil {
-			return
-		}
-		f, _, err := wire.Decode(raw)
+		f, raw, err := wire.ReadRaw(br, n.srv.MaxPayload())
 		if err != nil {
 			return
 		}
 		switch f.Type {
 		case wire.TGossip, wire.TStore:
-			n.servePeer(conn, br, raw, f)
+			n.servePeer(conn, br, f)
 			return
 		case wire.TData:
 			owner := n.ring.Load().OwnerTenant(f.Tenant)
@@ -408,7 +404,7 @@ func (rc *replayConn) Read(p []byte) (int, error) {
 // servePeer is the node→node RPC loop: each request frame (TGossip or
 // TStore) gets one response frame of the same type and sequence number on
 // the same connection.
-func (n *Node) servePeer(conn net.Conn, br *bufio.Reader, raw []byte, f wire.Frame) {
+func (n *Node) servePeer(conn net.Conn, br *bufio.Reader, f wire.Frame) {
 	for {
 		if !n.faultCheck(fault.Kernel) {
 			return
@@ -428,11 +424,7 @@ func (n *Node) servePeer(conn net.Conn, br *bufio.Reader, raw []byte, f wire.Fra
 			return
 		}
 		var err error
-		raw, err = wire.ReadRaw(br, n.srv.MaxPayload())
-		if err != nil {
-			return
-		}
-		if f, _, err = wire.Decode(raw); err != nil {
+		if f, _, err = wire.ReadRaw(br, n.srv.MaxPayload()); err != nil {
 			return
 		}
 	}
@@ -598,8 +590,8 @@ func newPeerPool(dialTimeout time.Duration) *peerPool {
 }
 
 // rpc sends one request frame of type typ to addr and returns the response
-// payload (copied; the read buffer is reused). Any error tears the cached
-// connection down so the next call redials.
+// payload, which aliases the response frame ReadRaw allocated. Any error
+// tears the cached connection down so the next call redials.
 func (pp *peerPool) rpc(addr string, typ wire.Type, payload []byte, timeout time.Duration) ([]byte, error) {
 	pp.mu.Lock()
 	if pp.closed {
@@ -633,16 +625,15 @@ func (pp *peerPool) rpc(addr string, typ wire.Type, payload []byte, timeout time
 	if _, err := p.conn.Write(out); err != nil {
 		return fail(err)
 	}
-	raw, err := wire.ReadRaw(p.br, 0)
+	f, _, err := wire.ReadRaw(p.br, 0)
 	if err != nil {
 		return fail(err)
 	}
-	f, _, err := wire.Decode(raw)
-	if err != nil || f.Type != typ || f.Seq != p.seq {
+	if f.Type != typ || f.Seq != p.seq {
 		return fail(fmt.Errorf("cluster: bad rpc response from %s", addr))
 	}
 	p.conn.SetDeadline(time.Time{})
-	return append([]byte(nil), f.Payload...), nil
+	return f.Payload, nil
 }
 
 // closeAll severs every cached peer connection and refuses new RPCs

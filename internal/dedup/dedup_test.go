@@ -177,6 +177,7 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 		"wrong magic": []byte("NOTANARCHIVE"),
 		"bad tag":     append(append([]byte{}, magic...), 'X', 0),
 		"fwd ref":     append(append([]byte{}, magic...), 'D', 5),
+		"bad block":   append(append([]byte{}, magic...), 'U', 3, 9, 9, 9),
 	}
 	for name, data := range cases {
 		var out bytes.Buffer
@@ -319,34 +320,12 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-func TestRestoreParallelMatchesSerial(t *testing.T) {
-	input := sample(3 << 20)
-	var arch bytes.Buffer
-	if _, err := CompressSPar(input, &arch, Options{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		var out bytes.Buffer
-		if err := RestoreParallel(bytes.NewReader(arch.Bytes()), &out, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(out.Bytes(), input) {
-			t.Fatalf("workers=%d: parallel restore mismatch", workers)
-		}
-	}
-}
-
-func TestRestoreParallelRejectsGarbage(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"empty":       {},
-		"wrong magic": []byte("NOTANARCHIVE"),
-		"bad tag":     append(append([]byte{}, magic...), 'X', 0),
-		"fwd ref":     append(append([]byte{}, magic...), 'D', 5),
-		"bad block":   append(append([]byte{}, magic...), 'U', 3, 9, 9, 9),
-	} {
-		var out bytes.Buffer
-		if err := RestoreParallel(bytes.NewReader(data), &out, 4); err == nil {
-			t.Errorf("%s: RestoreParallel should fail", name)
-		}
+// TestGraph: dedup -graph prints the pipeline CompressSPar runs, the paper's
+// five Dedup stages, under the stage names file_spar's per-layer rows read
+// (hash and compress as the process stages, reorder+write as the sink).
+func TestGraph(t *testing.T) {
+	const want = "ToStream → hash ×3 → dedup → compress ×3 → reorder+write"
+	if got := Graph(Options{Workers: 3}).String(); got != want {
+		t.Errorf("Graph = %q, want %q", got, want)
 	}
 }

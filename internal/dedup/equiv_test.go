@@ -50,24 +50,6 @@ func checkArchives(t *testing.T, input, ref []byte, cases []archiveCase) {
 	}
 }
 
-// TestSeqLanesArchiveIdentical covers CompressSeq with lane-parallel
-// compression, including the forced single-lane setting.
-func TestSeqLanesArchiveIdentical(t *testing.T) {
-	input, ref := equivInput(t)
-	seq := func(lanes int) func(*bytes.Buffer) error {
-		return func(w *bytes.Buffer) error {
-			_, err := CompressSeq(input, w, Options{BatchSize: equivBatch, Lanes: lanes})
-			return err
-		}
-	}
-	checkArchives(t, input, ref, []archiveCase{
-		{"lanes=-1", seq(-1)},
-		{"lanes=2", seq(2)},
-		{"lanes=4", seq(4)},
-		{"lanes=8", seq(8)},
-	})
-}
-
 // TestSParLanesMatchesSeqOutput covers the SPar pipeline with explicit lane
 // counts.
 func TestSParLanesMatchesSeqOutput(t *testing.T) {
@@ -98,7 +80,9 @@ func TestProcessorLanesArchiveIdentical(t *testing.T) {
 	}
 	checkArchives(t, input, ref, []archiveCase{
 		{"lanes=1", processor(1)},
+		{"lanes=2", processor(2)},
 		{"lanes=4", processor(4)},
+		{"lanes=8", processor(8)},
 	})
 }
 

@@ -25,33 +25,37 @@ func fuzzArchive(t interface{ Fatal(...any) }, chunks ...[]byte) []byte {
 	return buf.Bytes()
 }
 
-// FuzzRestore throws arbitrary bytes at both restore implementations. The
-// contracts: neither panics, neither over-allocates from hostile length
-// fields (the fuzzer's own OOM detection backstops this), both agree on
-// accept/reject, and on success they produce identical output.
+// FuzzRestore throws arbitrary bytes at Restore. The contracts: it never
+// panics, never over-allocates from hostile length fields (the fuzzer's own
+// OOM detection backstops this), and whatever it restores round-trips: the
+// output compressed with CompressSeq restores to itself.
 func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SGDD1\x00"))
 	f.Add([]byte("SGDD1\x00R\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01few"))
 	f.Add(fuzzArchive(f, []byte("hello hello hello hello"), []byte("hello hello hello hello"), bytes.Repeat([]byte("ab"), 400)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var seq bytes.Buffer
-		seqErr := Restore(bytes.NewReader(data), &seq)
-		var par bytes.Buffer
-		parErr := RestoreParallel(bytes.NewReader(data), &par, 2)
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("restore disagreement: seq err %v, parallel err %v", seqErr, parErr)
+		var out bytes.Buffer
+		if Restore(bytes.NewReader(data), &out) != nil {
+			return
 		}
-		if seqErr == nil && !bytes.Equal(seq.Bytes(), par.Bytes()) {
-			t.Fatalf("restore outputs differ: %d vs %d bytes", seq.Len(), par.Len())
+		var arch, again bytes.Buffer
+		if _, err := CompressSeq(out.Bytes(), &arch, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := Restore(&arch, &again); err != nil {
+			t.Fatalf("restore of the re-compressed output: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatalf("round trip: %d bytes restored to %d", out.Len(), again.Len())
 		}
 	})
 }
 
 // TestRestoreHostileLengthBoundedAlloc crafts a tiny archive whose record
-// declares a multi-gigabyte payload and checks the restore path reports a
-// truncation error after allocating only a stream-proportional amount —
-// the regression the capped incremental reader fixed.
+// declares a multi-gigabyte payload and checks Restore reports a truncation
+// error after allocating only a stream-proportional amount — the regression
+// the capped incremental reader fixed.
 func TestRestoreHostileLengthBoundedAlloc(t *testing.T) {
 	hostile := []byte("SGDD1\x00")
 	hostile = append(hostile, recRaw)
@@ -59,20 +63,15 @@ func TestRestoreHostileLengthBoundedAlloc(t *testing.T) {
 	hostile = append(hostile, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
 	hostile = append(hostile, "only a few bytes follow"...)
 
-	for name, restore := range map[string]func(io.Reader, io.Writer) error{
-		"Restore":         Restore,
-		"RestoreParallel": func(r io.Reader, w io.Writer) error { return RestoreParallel(r, w, 2) },
-	} {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		err := restore(bytes.NewReader(hostile), io.Discard)
-		runtime.ReadMemStats(&m1)
-		if !errors.Is(err, ErrFormat) {
-			t.Errorf("%s: err = %v, want ErrFormat", name, err)
-		}
-		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 8<<20 {
-			t.Errorf("%s: allocated %d bytes handling a %d-byte hostile archive", name, grew, len(hostile))
-		}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := Restore(bytes.NewReader(hostile), io.Discard)
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrFormat) {
+		t.Errorf("err = %v, want ErrFormat", err)
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 8<<20 {
+		t.Errorf("allocated %d bytes handling a %d-byte hostile archive", grew, len(hostile))
 	}
 }

@@ -13,14 +13,14 @@ import (
 type Options struct {
 	// BatchSize is the fragmentation size (default 1 MB).
 	BatchSize int
-	// Workers replicates the hash+compress stage (the paper uses 19).
+	// Workers replicates the hash and compress stages (the paper uses 19).
 	Workers int
 	// Lanes is the intra-batch parallelism of the compress stage: each
 	// batch's blocks are split into up to Lanes byte-balanced ranges
 	// compressed concurrently (lzss.RunLanes), bit-exact to the sequential
-	// encoder. 0 derives the count from GOMAXPROCS (lzss.DefaultLanes) on
-	// the parallel paths; CompressSeq stays the single-threaded reference
-	// unless Lanes > 1 is set explicitly. Negative forces one lane.
+	// encoder. 0 derives the count from GOMAXPROCS (lzss.DefaultLanes);
+	// negative forces one lane. CompressSeq, the single-threaded reference,
+	// ignores it.
 	Lanes int
 	// Metrics, when set, instruments the run: the SPar pipeline surfaces
 	// per-stage counters, service histograms and queue gauges labelled
@@ -59,15 +59,8 @@ func (o Options) lanes() int {
 
 // CompressSeq is the single-threaded reference implementation: fragment,
 // hash, write — one batch at a time, with the Writer compressing every first
-// sighting inline. With Lanes > 1 it is the sequential batch loop over a
-// CPU Processor instead, so each batch's compression fans out across lanes
-// (CompressFirsts); the archive bytes are identical either way because the
-// Writer makes the authoritative stream-order dedup decision and per-block
-// encoding is deterministic.
+// sighting inline.
 func CompressSeq(input []byte, w io.Writer, opt Options) (Stats, error) {
-	if opt.Lanes > 1 {
-		return compressBatches(input, w, opt.batchSize(), NewProcessor(GPUOptions{Options: opt}, false))
-	}
 	dw := NewWriter(w)
 	var err error
 	FragmentInto(input, opt.batchSize(), func(b *Batch) {
@@ -160,10 +153,23 @@ func CompressSPar(input []byte, w io.Writer, opt Options) (Stats, error) {
 // context error is returned).
 func CompressSParContext(ctx context.Context, input []byte, w io.Writer, opt Options) (Stats, error) {
 	dw := NewWriter(w)
-	store := NewStore()
-	lanes := opt.lanes()
+	err := sparStream(opt, NewStore(), dw).RunContext(ctx, func(emit func(any)) {
+		FragmentInto(input, opt.batchSize(), func(b *Batch) { emit(b) })
+	})
+	if err == nil {
+		err = dw.Close()
+	}
+	return dw.Stats(), err
+}
 
-	ts := core.NewToStream(core.Input("input", "batchSize"),
+// Graph is the activity graph of the pipeline CompressSPar runs with opt.
+func Graph(opt Options) core.Graph { return sparStream(opt, nil, nil).Graph() }
+
+// sparStream builds CompressSPar's ToStream region: batches from the source
+// are marked against store and written to dw.
+func sparStream(opt Options, store *Store, dw *Writer) *core.ToStream {
+	lanes := opt.lanes()
+	return core.NewToStream(core.Input("input", "batchSize"),
 		core.Telemetry(opt.Metrics, "dedup"), core.Trace(opt.Trace)).
 		Stage(func(item any, emit func(any)) {
 			b := item.(*Batch)
@@ -187,12 +193,4 @@ func CompressSParContext(ctx context.Context, input []byte, w io.Writer, opt Opt
 			b.Release()
 			return err
 		}, core.Name("reorder+write"), core.Input("batch"))
-
-	err := ts.RunContext(ctx, func(emit func(any)) {
-		FragmentInto(input, opt.batchSize(), func(b *Batch) { emit(b) })
-	})
-	if err == nil {
-		err = dw.Close()
-	}
-	return dw.Stats(), err
 }

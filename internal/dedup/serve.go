@@ -38,7 +38,7 @@ func (dw *Writer) Flush() error {
 // Processor turns one pooled batch into a fully prepared batch (hashes,
 // dedup hints, compressed firsts) for an ordered writer downstream. Each
 // server pipeline replica owns one, and the sequential batch loop behind
-// CompressGPU and CompressSeq (Lanes > 1) runs one. The CPU path reuses a
+// CompressGPU runs one. The CPU path reuses a
 // private lzss.Matcher across batches; the GPU path offloads the SHA-1 and
 // match-finding kernels to a simulated device with per-batch fault
 // injection, retry, and CPU degradation. Either way the downstream Writer

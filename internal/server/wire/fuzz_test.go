@@ -22,10 +22,11 @@ func rawDeadlineFrame(deadline uint64, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// FuzzFrameDecode feeds arbitrary bytes to both decoders. The contracts:
-// neither panics; a successful Decode re-encodes to exactly the consumed
-// bytes; Reader.Next errors are always io.EOF or ErrFrame-wrapped; and the
-// two decoders agree on the frames they extract.
+// FuzzFrameDecode feeds arbitrary bytes to Decode, Reader.Next and ReadRaw.
+// The contracts: none panics; a successful Decode re-encodes to exactly the
+// consumed bytes; Reader.Next and ReadRaw errors are always io.EOF or
+// ErrFrame-wrapped; and the stream readers yield the frames Decode extracts,
+// ReadRaw with each frame's exact bytes.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -69,30 +70,49 @@ func FuzzFrameDecode(f *testing.F) {
 			rest = rest[n:]
 		}
 
-		// Stream decoder over the same bytes must yield the same frames.
+		// The stream readers over the same bytes must yield the same frames.
 		rd := NewReader(bytes.NewReader(data), DefaultMaxPayload)
-		var fromReader []Frame
-		for {
-			fr, err := rd.Next()
-			if err != nil {
-				if err != io.EOF && !errors.Is(err, ErrFrame) {
-					t.Fatalf("Reader error %v is neither io.EOF nor ErrFrame", err)
+		checkStream(t, "Reader", fromDecode, func() (Frame, error) { return rd.Next() })
+		br := bytes.NewReader(data)
+		off := 0
+		checkStream(t, "ReadRaw", fromDecode, func() (Frame, error) {
+			fr, raw, err := ReadRaw(br, DefaultMaxPayload)
+			if err == nil {
+				if !bytes.Equal(raw, data[off:off+len(raw)]) {
+					t.Fatalf("ReadRaw bytes at offset %d differ from the input", off)
 				}
-				break
+				off += len(raw)
 			}
-			fr.Payload = append([]byte(nil), fr.Payload...)
-			fromReader = append(fromReader, fr)
-		}
-		if len(fromReader) < len(fromDecode) {
-			t.Fatalf("Reader decoded %d frames, Decode %d", len(fromReader), len(fromDecode))
-		}
-		for i, fr := range fromDecode {
-			got := fromReader[i]
-			if got.Type != fr.Type || got.Svc != fr.Svc || got.Tenant != fr.Tenant || got.Seq != fr.Seq || got.Deadline != fr.Deadline || !bytes.Equal(got.Payload, fr.Payload) {
-				t.Fatalf("frame %d: Reader %+v != Decode %+v", i, got, fr)
-			}
-		}
+			return fr, err
+		})
 	})
+}
+
+// checkStream drains next until it fails and checks the error is io.EOF or
+// ErrFrame-wrapped, and that the frames read are want.
+func checkStream(t *testing.T, name string, want []Frame, next func() (Frame, error)) {
+	t.Helper()
+	var got []Frame
+	for {
+		fr, err := next()
+		if err != nil {
+			if err != io.EOF && !errors.Is(err, ErrFrame) {
+				t.Fatalf("%s error %v is neither io.EOF nor ErrFrame", name, err)
+			}
+			break
+		}
+		fr.Payload = append([]byte(nil), fr.Payload...)
+		got = append(got, fr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s decoded %d frames, Decode %d", name, len(got), len(want))
+	}
+	for i, fr := range want {
+		g := got[i]
+		if g.Type != fr.Type || g.Svc != fr.Svc || g.Tenant != fr.Tenant || g.Seq != fr.Seq || g.Deadline != fr.Deadline || !bytes.Equal(g.Payload, fr.Payload) {
+			t.Fatalf("frame %d: %s %+v != Decode %+v", i, name, g, fr)
+		}
+	}
 }
 
 // FuzzFrameRoundTrip encodes arbitrary frame fields and checks both decode

@@ -362,41 +362,61 @@ func Decode(b []byte) (Frame, int, error) {
 	return f, prefixLen + int(n), nil
 }
 
-// ReadRaw reads one complete frame — length prefix included — from r without
-// decoding it, enforcing the payload cap before allocating (<= 0 selects
-// DefaultMaxPayload). The cluster router uses it to inspect and then replay or
-// forward a frame byte-for-byte: the returned slice decodes with Decode and
-// writes back out verbatim. io.EOF is returned verbatim at a clean frame
+// ReadRaw reads one complete frame from r, enforcing the payload cap before
+// allocating (<= 0 selects DefaultMaxPayload), and returns it decoded beside
+// its raw bytes, length prefix included. The cluster router uses it to
+// inspect and then replay or forward a frame byte-for-byte: the raw slice
+// writes back out verbatim, and the frame's payload aliases it. Each call
+// allocates a fresh slice. io.EOF is returned verbatim at a clean frame
 // boundary.
-func ReadRaw(r io.Reader, maxPayload int) ([]byte, error) {
+func ReadRaw(r io.Reader, maxPayload int) (Frame, []byte, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var pfx [prefixLen]byte
-	if _, err := io.ReadFull(r, pfx[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: truncated length prefix: %v", ErrFrame, err)
+	return readFrame(r, nil, maxPayload)
+}
+
+// readFrame is the one stream read path behind ReadRaw and Reader.Next. It
+// reads the length prefix into buf, checks the declared length against the
+// cap before anything is allocated, reads the rest of the frame with one
+// io.ReadFull into buf (reallocated when its capacity is short), and decodes
+// it with Decode. The length check leaves room for a deadline extension;
+// with the type byte known the payload cap is exact. It returns the frame
+// and buf holding the raw frame bytes.
+func readFrame(r io.Reader, buf []byte, maxPayload int) (Frame, []byte, error) {
+	if cap(buf) < prefixLen {
+		buf = make([]byte, prefixLen)
 	}
-	n := binary.BigEndian.Uint32(pfx[:])
+	buf = buf[:prefixLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			return Frame{}, buf, io.EOF
+		}
+		return Frame{}, buf, fmt.Errorf("%w: truncated length prefix: %v", ErrFrame, err)
+	}
+	n := binary.BigEndian.Uint32(buf)
 	if n < headerLen {
-		return nil, fmt.Errorf("%w: declared length %d below header size", ErrFrame, n)
+		return Frame{}, buf, fmt.Errorf("%w: declared length %d below header size", ErrFrame, n)
 	}
 	if int64(n)-headerLen > int64(maxPayload)+extLen {
-		return nil, fmt.Errorf("%w: payload %d exceeds cap %d", ErrTooLarge, n-headerLen, maxPayload)
+		return Frame{}, buf, fmt.Errorf("%w: payload %d exceeds cap %d", ErrTooLarge, n-headerLen, maxPayload)
 	}
-	raw := make([]byte, prefixLen+int(n))
-	copy(raw, pfx[:])
-	if _, err := io.ReadFull(r, raw[prefixLen:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated frame: %v", ErrFrame, err)
+	size := prefixLen + int(n)
+	if cap(buf) < size {
+		buf = append(make([]byte, 0, size), buf...)
 	}
-	// The check above left room for a deadline extension; with the type
-	// byte known the cap is exact, as in Reader.Next.
-	if pl := int(n) - hdrLen(raw[prefixLen]&flagDeadline != 0); pl > maxPayload {
-		return nil, fmt.Errorf("%w: payload %d exceeds cap %d", ErrTooLarge, pl, maxPayload)
+	buf = buf[:size]
+	if _, err := io.ReadFull(r, buf[prefixLen:]); err != nil {
+		return Frame{}, buf, fmt.Errorf("%w: truncated frame: %v", ErrFrame, err)
 	}
-	return raw, nil
+	f, _, err := Decode(buf)
+	if err != nil {
+		return Frame{}, buf, err
+	}
+	if len(f.Payload) > maxPayload {
+		return Frame{}, buf, fmt.Errorf("%w: payload %d exceeds cap %d", ErrTooLarge, len(f.Payload), maxPayload)
+	}
+	return f, buf, nil
 }
 
 // Writer serializes frames onto an io.Writer. Not safe for concurrent use;
@@ -430,9 +450,6 @@ type Reader struct {
 	r   *bufio.Reader
 	max int
 	buf []byte
-	// pfx is the header scratch: a local array would escape through
-	// io.ReadFull and cost one allocation per frame.
-	pfx [prefixLen + headerLen + extLen]byte
 }
 
 // NewReader wraps r with the given payload cap (<= 0 selects
@@ -464,50 +481,7 @@ func (fr *Reader) Buffered() int { return fr.r.Buffered() }
 // Next reads one frame. io.EOF is returned verbatim at a clean frame
 // boundary; a partial frame returns an ErrFrame-wrapped error.
 func (fr *Reader) Next() (Frame, error) {
-	pfx := fr.pfx[:]
-	if _, err := io.ReadFull(fr.r, pfx[:prefixLen]); err != nil {
-		if err == io.EOF {
-			return Frame{}, io.EOF
-		}
-		return Frame{}, fmt.Errorf("%w: truncated length prefix: %v", ErrFrame, err)
-	}
-	n := binary.BigEndian.Uint32(pfx)
-	if n < headerLen {
-		return Frame{}, fmt.Errorf("%w: declared length %d below header size", ErrFrame, n)
-	}
-	// The cap check uses the v1 header size: a deadline-flagged frame's 8
-	// extension bytes count against the cap slack, which is harmless.
-	if int64(n)-headerLen > int64(fr.max)+extLen {
-		return Frame{}, fmt.Errorf("%w: payload %d exceeds cap %d", ErrTooLarge, n-headerLen, fr.max)
-	}
-	if _, err := io.ReadFull(fr.r, pfx[prefixLen:prefixLen+headerLen]); err != nil {
-		return Frame{}, fmt.Errorf("%w: truncated header: %v", ErrFrame, err)
-	}
-	hl := hdrLen(pfx[4]&flagDeadline != 0)
-	if int(n) < hl {
-		return Frame{}, fmt.Errorf("%w: declared length %d below extended header size %d", ErrFrame, n, hl)
-	}
-	if hl > headerLen {
-		if _, err := io.ReadFull(fr.r, pfx[prefixLen+headerLen:prefixLen+hl]); err != nil {
-			return Frame{}, fmt.Errorf("%w: truncated deadline extension: %v", ErrFrame, err)
-		}
-	}
-	f, hl, err := decodeHeader(pfx[prefixLen : prefixLen+hl])
-	if err != nil {
-		return Frame{}, err
-	}
-	if pl := int(n) - hl; pl > 0 {
-		if pl > fr.max {
-			return Frame{}, fmt.Errorf("%w: payload %d exceeds cap %d", ErrTooLarge, pl, fr.max)
-		}
-		if cap(fr.buf) < pl {
-			fr.buf = make([]byte, pl)
-		}
-		fr.buf = fr.buf[:pl]
-		if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-			return Frame{}, fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
-		}
-		f.Payload = fr.buf
-	}
-	return f, nil
+	f, buf, err := readFrame(fr.r, fr.buf, fr.max)
+	fr.buf = buf
+	return f, err
 }

@@ -317,7 +317,7 @@ func TestReadRaw(t *testing.T) {
 	stream := Append(Append(nil, a), b)
 	r := bytes.NewReader(stream)
 
-	rawA, err := ReadRaw(r, 0)
+	_, rawA, err := ReadRaw(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestReadRaw(t *testing.T) {
 	if gotA.Type != TData || !bytes.Equal(gotA.Payload, a.Payload) {
 		t.Fatalf("decoded %+v", gotA)
 	}
-	rawB, err := ReadRaw(r, 0)
+	_, rawB, err := ReadRaw(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,21 +339,21 @@ func TestReadRaw(t *testing.T) {
 		t.Fatalf("second frame: %+v err=%v", gotB, err)
 	}
 	// Clean boundary → io.EOF verbatim.
-	if _, err := ReadRaw(r, 0); err != io.EOF {
+	if _, _, err := ReadRaw(r, 0); err != io.EOF {
 		t.Fatalf("at stream end: %v, want io.EOF", err)
 	}
 	// Mid-frame truncation is a framing error, not EOF.
 	tr := bytes.NewReader(stream[:len(stream)-3])
-	if _, err := ReadRaw(tr, 0); err != nil {
+	if _, _, err := ReadRaw(tr, 0); err != nil {
 		t.Fatalf("first frame of truncated stream: %v", err)
 	}
-	if _, err := ReadRaw(tr, 0); err == nil || err == io.EOF || !errors.Is(err, ErrFrame) {
+	if _, _, err := ReadRaw(tr, 0); err == nil || err == io.EOF || !errors.Is(err, ErrFrame) {
 		t.Fatalf("truncated frame: %v, want ErrFrame", err)
 	}
 	// A hostile length never allocates past the cap.
 	hostile := make([]byte, 4)
 	binary.BigEndian.PutUint32(hostile, 1<<31)
-	if _, err := ReadRaw(bytes.NewReader(hostile), 1<<10); !errors.Is(err, ErrTooLarge) {
+	if _, _, err := ReadRaw(bytes.NewReader(hostile), 1<<10); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("hostile length: %v, want ErrTooLarge", err)
 	}
 	// The cap is exact, as Reader.Next holds it: the room the length check
@@ -361,12 +361,12 @@ func TestReadRaw(t *testing.T) {
 	// deadline-flagged frame at the cap passes.
 	for _, n := range []int{1025, 1032} {
 		raw := Append(nil, Frame{Type: TStore, Payload: make([]byte, n)})
-		if _, err := ReadRaw(bytes.NewReader(raw), 1<<10); !errors.Is(err, ErrTooLarge) {
+		if _, _, err := ReadRaw(bytes.NewReader(raw), 1<<10); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%d-byte payload under a 1024-byte cap: %v, want ErrTooLarge", n, err)
 		}
 	}
 	atCap := Append(nil, Frame{Type: TStore, Deadline: time.Second, Payload: make([]byte, 1<<10)})
-	if _, err := ReadRaw(bytes.NewReader(atCap), 1<<10); err != nil {
+	if _, _, err := ReadRaw(bytes.NewReader(atCap), 1<<10); err != nil {
 		t.Errorf("deadline-flagged frame at the cap: %v", err)
 	}
 }
