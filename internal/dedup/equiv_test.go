@@ -50,6 +50,25 @@ func checkArchives(t *testing.T, input, ref []byte, cases []archiveCase) {
 	}
 }
 
+// TestSeqLanesArchiveIdentical covers CompressSeq with a lane count set,
+// including the forced single-lane setting: the reference path compresses
+// inline and ignores Lanes, so every setting writes the reference archive.
+func TestSeqLanesArchiveIdentical(t *testing.T) {
+	input, ref := equivInput(t)
+	seq := func(lanes int) func(*bytes.Buffer) error {
+		return func(w *bytes.Buffer) error {
+			_, err := CompressSeq(input, w, Options{BatchSize: equivBatch, Lanes: lanes})
+			return err
+		}
+	}
+	checkArchives(t, input, ref, []archiveCase{
+		{"lanes=-1", seq(-1)},
+		{"lanes=2", seq(2)},
+		{"lanes=4", seq(4)},
+		{"lanes=8", seq(8)},
+	})
+}
+
 // TestSParLanesMatchesSeqOutput covers the SPar pipeline with explicit lane
 // counts.
 func TestSParLanesMatchesSeqOutput(t *testing.T) {
