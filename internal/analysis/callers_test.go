@@ -66,8 +66,6 @@ var unreferencedAllowed = map[string]string{
 	"streamgpu/internal/stats.(Sample).Min":              "the stats tests check the sample summary through it",
 	"streamgpu/internal/stats.(Sample).Max":              "the stats tests check the sample summary through it",
 	"streamgpu/internal/stats.(Table).Find":              "the row lookup the stats tests and the bench shape tests read figures through",
-	"streamgpu/internal/tbb.(Scheduler).Go":              "the tbb tests drive the work-stealing scheduler with raw tasks through it",
-	"streamgpu/internal/tbb.(Worker).Spawn":              "the tbb tests spawn child tasks with it",
 	"streamgpu/internal/telemetry.(Gauge).Set":           "the telemetry tests set a gauge directly with it",
 	"streamgpu/internal/telemetry.(Span).Child":          "the telemetry tests nest spans with it",
 

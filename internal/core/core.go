@@ -37,31 +37,6 @@ type StageFunc func(item any, emit func(any))
 // exceptional.
 type StageFuncErr func(item any, emit func(any)) error
 
-// Worker is a stateful stage replica. Each replica gets its own Worker
-// instance (created by the stage's factory), so per-replica state — GPU
-// streams, cl_kernel objects, scratch buffers — needs no locking.
-type Worker interface {
-	// Init runs once on the replica's thread before the first item
-	// (allocate GPU streams / kernel objects here, as §IV-A requires).
-	Init() error
-	// Process handles one stream item.
-	Process(item any, emit func(any))
-	// End runs after the last item.
-	End()
-}
-
-// FnWorker adapts a stateless StageFunc to Worker.
-type FnWorker StageFunc
-
-// Init implements Worker.
-func (FnWorker) Init() error { return nil }
-
-// Process implements Worker.
-func (f FnWorker) Process(item any, emit func(any)) { f(item, emit) }
-
-// End implements Worker.
-func (FnWorker) End() {}
-
 // StageDef is one annotated Stage.
 type StageDef struct {
 	Name      string
@@ -69,10 +44,8 @@ type StageDef struct {
 	Inputs    []string
 	Outputs   []string
 	Offload   bool
-	make      func() Worker
-	// makeNode, when set, overrides make with a direct ff.Node factory
-	// (used by StageErr, whose bodies return errors through the runtime).
-	makeNode func() ff.Node
+	// body builds one replica's stage body; Run calls it once per replica.
+	body func() StageFuncErr
 }
 
 // Option configures a ToStream region or a Stage (the auxiliary
@@ -159,25 +132,37 @@ func NewToStream(opts ...Option) *ToStream {
 	}
 }
 
-// Stage appends a stage with a stateless body. Use StageWorkers for
-// stateful replicas.
+// Stage appends a stage with a stateless body, shared by every replica.
+// Use StageWorkers for stateful replicas.
 func (t *ToStream) Stage(fn StageFunc, opts ...Option) *ToStream {
-	return t.StageWorkers(func() Worker { return FnWorker(fn) }, opts...)
+	body := noErr(fn)
+	return t.addStage(func() StageFuncErr { return body }, opts)
 }
 
-// StageWorkers appends a stage whose replicas are created by factory —
-// one Worker per replica, each with its own Init/End lifecycle.
-func (t *ToStream) StageWorkers(factory func() Worker, opts ...Option) *ToStream {
-	return t.addStage(factory, nil, opts)
+// StageWorkers appends a stage whose replicas each get their own body:
+// Run calls factory once per replica, so state the returned closure
+// captures belongs to that replica alone and needs no locking. That is
+// where §IV-A's per-thread objects (kernel objects, matchers, scratch
+// buffers) are built.
+func (t *ToStream) StageWorkers(factory func() StageFunc, opts ...Option) *ToStream {
+	return t.addStage(func() StageFuncErr { return noErr(factory()) }, opts)
 }
 
 // StageErr appends a stage with a fallible body: when fn returns a non-nil
 // error the stream is canceled and the error surfaces from Run.
 func (t *ToStream) StageErr(fn StageFuncErr, opts ...Option) *ToStream {
-	return t.addStage(nil, func() ff.Node { return &errStageNode{fn: fn} }, opts)
+	return t.addStage(func() StageFuncErr { return fn }, opts)
 }
 
-func (t *ToStream) addStage(factory func() Worker, makeNode func() ff.Node, opts []Option) *ToStream {
+// noErr lifts an infallible body to the runtime's one body type.
+func noErr(fn StageFunc) StageFuncErr {
+	return func(item any, emit func(any)) error {
+		fn(item, emit)
+		return nil
+	}
+}
+
+func (t *ToStream) addStage(body func() StageFuncErr, opts []Option) *ToStream {
 	var o options
 	o.replicate = 1
 	for _, op := range opts {
@@ -195,8 +180,7 @@ func (t *ToStream) addStage(factory func() Worker, makeNode func() ff.Node, opts
 		Inputs:    o.inputs,
 		Outputs:   o.outputs,
 		Offload:   o.offload,
-		make:      factory,
-		makeNode:  makeNode,
+		body:      body,
 	})
 	return t
 }
@@ -274,28 +258,19 @@ func (g Graph) String() string {
 	return b.String()
 }
 
-// workerNode adapts a core.Worker to an ff.Node.
-type workerNode struct {
-	ff.NodeBase
-	w Worker
-}
-
-func (n *workerNode) Init() error { return n.w.Init() }
-func (n *workerNode) End()        { n.w.End() }
-func (n *workerNode) Svc(task any) any {
-	n.w.Process(task, n.SendOut)
-	return ff.GoOn
-}
-
-// errStageNode adapts a StageFuncErr to an ff.Node: a non-nil error return
+// stageNode runs one replica's body as an ff.Node: a non-nil error return
 // value is handed to the runtime, which records it and cancels the stream.
-type errStageNode struct {
+type stageNode struct {
 	ff.NodeBase
-	fn StageFuncErr
+	fn   StageFuncErr
+	emit func(any) // n.SendOut, bound once rather than per item
 }
 
-func (n *errStageNode) Svc(task any) any {
-	if err := n.fn(task, n.SendOut); err != nil {
+func (n *stageNode) Svc(task any) any {
+	if n.emit == nil {
+		n.emit = n.SendOut
+	}
+	if err := n.fn(task, n.emit); err != nil {
 		return err
 	}
 	return ff.GoOn
@@ -353,17 +328,13 @@ func (t *ToStream) RunContext(ctx context.Context, source func(emit func(any))) 
 	stages := make([]any, 0, len(t.stages)+1)
 	stages = append(stages, src)
 	for _, s := range t.stages {
-		mk := func() ff.Node { return &workerNode{w: s.make()} }
-		if s.makeNode != nil {
-			mk = s.makeNode
-		}
 		if s.Replicate == 1 {
-			stages = append(stages, mk())
+			stages = append(stages, &stageNode{fn: s.body()})
 			continue
 		}
 		workers := make([]ff.Node, s.Replicate)
 		for i := range workers {
-			workers[i] = mk()
+			workers[i] = &stageNode{fn: s.body()}
 		}
 		stages = append(stages, ff.NewFarm(workers))
 	}

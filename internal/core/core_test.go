@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,27 +79,18 @@ func TestReplicatedStageUnorderedCompletes(t *testing.T) {
 	}
 }
 
-// statefulWorker counts its own lifecycle; replicas must not share state.
-type statefulWorker struct {
-	inits *atomic.Int32
-	ends  *atomic.Int32
-	local int
-}
-
-func (w *statefulWorker) Init() error { w.inits.Add(1); return nil }
-func (w *statefulWorker) End()        { w.ends.Add(1) }
-func (w *statefulWorker) Process(item any, emit func(any)) {
-	w.local++ // per-replica state: no locking needed
-	emit(item)
-}
-
 func TestWorkerPerReplicaLifecycle(t *testing.T) {
-	var inits, ends atomic.Int32
-	var made atomic.Int32
+	// The factory runs once per replica, and each replica's closure keeps
+	// its own count without locking: the items are split across them.
+	var counts []*int
 	ts := NewToStream().
-		StageWorkers(func() Worker {
-			made.Add(1)
-			return &statefulWorker{inits: &inits, ends: &ends}
+		StageWorkers(func() StageFunc {
+			n := new(int)
+			counts = append(counts, n)
+			return func(item any, emit func(any)) {
+				*n++
+				emit(item)
+			}
 		}, Replicate(5)).
 		Stage(func(any, func(any)) {})
 	err := ts.Run(func(emit func(any)) {
@@ -111,27 +101,14 @@ func TestWorkerPerReplicaLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if made.Load() != 5 {
-		t.Errorf("factory called %d times, want 5 (one per replica)", made.Load())
+	if len(counts) != 5 {
+		t.Fatalf("factory called %d times, want 5 (one per replica)", len(counts))
 	}
-	if inits.Load() != 5 || ends.Load() != 5 {
-		t.Errorf("inits=%d ends=%d, want 5,5", inits.Load(), ends.Load())
-	}
-}
-
-type failInit struct{}
-
-func (failInit) Init() error            { return errors.New("no device") }
-func (failInit) End()                   {}
-func (failInit) Process(any, func(any)) {}
-
-func TestWorkerInitFailure(t *testing.T) {
-	ts := NewToStream().
-		StageWorkers(func() Worker { return failInit{} }).
-		Stage(func(any, func(any)) {})
-	err := ts.Run(func(emit func(any)) { emit(1) })
-	if err == nil {
-		t.Fatal("worker Init error should surface from Run")
+	for r, n := range counts {
+		// The farm deals round-robin, so every replica gets 50/5 items.
+		if *n != 10 {
+			t.Errorf("replica %d processed %d items, want 10", r, *n)
+		}
 	}
 }
 

@@ -57,22 +57,6 @@ func TestStagePanicRecovered(t *testing.T) {
 	}
 }
 
-func TestWorkerInitErrorAbortsRun(t *testing.T) {
-	boom := errors.New("no accelerator")
-	ts := NewToStream().
-		StageWorkers(func() Worker { return failingWorker{err: boom} }, Replicate(2))
-	err := ts.Run(func(emit func(any)) { emit(1) })
-	if !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want wrapped %v", err, boom)
-	}
-}
-
-type failingWorker struct{ err error }
-
-func (w failingWorker) Init() error            { return w.err }
-func (w failingWorker) Process(any, func(any)) {}
-func (w failingWorker) End()                   {}
-
 func TestRunContextCancelStopsSource(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen atomic.Int64

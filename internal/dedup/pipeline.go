@@ -115,28 +115,6 @@ func writeBatch(b *Batch, dw *Writer) error {
 	return nil
 }
 
-// compressWorker is a stateful compress-stage replica: each replica owns an
-// lzss.Matcher whose hash-chain tables are reused across batches without
-// locking; lanes > 1 additionally fans each batch out across pooled lane
-// matchers (CompressFirsts).
-type compressWorker struct {
-	m     *lzss.Matcher
-	lanes int
-}
-
-// Init implements core.Worker.
-func (w *compressWorker) Init() error { w.m = lzss.NewMatcher(); return nil }
-
-// End implements core.Worker.
-func (w *compressWorker) End() {}
-
-// Process implements core.Worker.
-func (w *compressWorker) Process(item any, emit func(any)) {
-	b := item.(*Batch)
-	b.CompressFirsts(w.m, w.lanes)
-	emit(b)
-}
-
 // CompressSPar runs the paper's CPU-only Dedup: a SPar ToStream region with
 // five stages — fragmentation (source, pooled batches), replicated hash,
 // serial dedup-mark, replicated compress (per-replica Matcher state, arena
@@ -182,8 +160,17 @@ func sparStream(opt Options, store *Store, dw *Writer) *core.ToStream {
 			b.markFirsts(store)
 			emit(b)
 		}, core.Name("dedup"), core.Input("hashes"), core.Output("firsts")).
-		StageWorkers(func() core.Worker { return &compressWorker{lanes: lanes} },
-			core.Replicate(opt.workers()),
+		StageWorkers(func() core.StageFunc {
+			// Each replica owns a Matcher whose hash-chain tables are
+			// reused across batches without locking; lanes > 1 also fans
+			// each batch out across pooled lane matchers.
+			m := lzss.NewMatcher()
+			return func(item any, emit func(any)) {
+				b := item.(*Batch)
+				b.CompressFirsts(m, lanes)
+				emit(b)
+			}
+		}, core.Replicate(opt.workers()),
 			core.Name("compress"), core.Input("firsts"), core.Output("batch")).
 		StageErr(func(item any, emit func(any)) error {
 			// A write failure flows through the runtime's error channel:

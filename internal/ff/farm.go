@@ -129,21 +129,6 @@ func (f *Farm) runWorker(pl *Pipeline, tm *stageTelem, i int, wq, cq *SPSC[any])
 	if on, ok := w.(OutNode); ok {
 		on.setOut(func(v any) { outs = append(outs, v) })
 	}
-	if !initSafe(pl, w, where) {
-		tm.errored()
-		cq.Push(EOS)
-		tm.dropped(drain(wq))
-		return
-	}
-	// finish runs End, forwards what it emitted and ends this worker's
-	// entries.
-	finish := func() {
-		endSafe(pl, w, where)
-		if len(outs) > 0 {
-			cq.Push(pack(outs))
-		}
-		cq.Push(EOS)
-	}
 	var burst [burstCap]any
 	for {
 		got := wq.TryPopN(burst[:])
@@ -155,11 +140,11 @@ func (f *Farm) runWorker(pl *Pipeline, tm *stageTelem, i int, wq, cq *SPSC[any])
 			t := burst[j]
 			burst[j] = nil
 			if t == EOS {
-				finish()
+				cq.Push(EOS)
 				return
 			}
 			if pl.Canceled() {
-				finish()
+				cq.Push(EOS)
 				tm.dropped(1 + drainBurst(wq, burst[j+1:got]))
 				return
 			}
@@ -175,7 +160,7 @@ func (f *Farm) runWorker(pl *Pipeline, tm *stageTelem, i int, wq, cq *SPSC[any])
 				if !ok {
 					tm.errored()
 				}
-				finish()
+				cq.Push(EOS)
 				tm.dropped(drainBurst(wq, burst[j+1:got]))
 				return
 			}

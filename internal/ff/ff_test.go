@@ -1,7 +1,6 @@
 package ff
 
 import (
-	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -184,43 +183,6 @@ func TestSendOutMultipleOutputs(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatalf("out = %v, want %v", out, want)
 		}
-	}
-}
-
-// initFail fails at svc_init.
-type initFail struct{}
-
-func (initFail) Svc(task any) any { return task }
-func (initFail) Init() error      { return errors.New("boom") }
-
-func TestInitErrorPropagates(t *testing.T) {
-	p := NewPipeline(
-		SliceSource([]int{1, 2, 3}),
-		initFail{},
-		Sink(func(any) {}),
-	)
-	if err := p.Run(); err == nil {
-		t.Fatal("init failure should surface from Run")
-	}
-}
-
-// lifecycle records Init/End calls.
-type lifecycle struct {
-	inits, ends atomic.Int32
-}
-
-func (l *lifecycle) Svc(task any) any { return task }
-func (l *lifecycle) Init() error      { l.inits.Add(1); return nil }
-func (l *lifecycle) End()             { l.ends.Add(1) }
-
-func TestInitEndCalledOnce(t *testing.T) {
-	lc := &lifecycle{}
-	p := NewPipeline(SliceSource([]int{1}), lc, Sink(func(any) {}))
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if lc.inits.Load() != 1 || lc.ends.Load() != 1 {
-		t.Errorf("inits=%d ends=%d, want 1,1", lc.inits.Load(), lc.ends.Load())
 	}
 }
 
@@ -568,73 +530,4 @@ func BenchmarkSPSCPingPong(b *testing.B) {
 		q.Push(i)
 	}
 	<-done
-}
-
-func TestNestedPipeline(t *testing.T) {
-	// pipe( source, pipe( +1, *2 ), sink ) — FastFlow pipelines compose.
-	inner := NewPipeline(
-		F(func(task any) any { return task.(int) + 1 }),
-		F(func(task any) any { return task.(int) * 2 }),
-	)
-	var out []int
-	outer := NewPipeline(
-		SliceSource([]int{1, 2, 3}),
-		inner,
-		Sink(func(task any) { out = append(out, task.(int)) }),
-	)
-	if err := outer.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{4, 6, 8}
-	if len(out) != 3 {
-		t.Fatalf("out = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestNestedPipelineWithFarm(t *testing.T) {
-	// A nested pipeline containing a farm, composed inside an outer
-	// pipeline.
-	workers := make([]Node, 3)
-	for i := range workers {
-		workers[i] = F(func(task any) any { return task.(int) * 10 })
-	}
-	inner := NewPipeline(
-		F(func(task any) any { return task.(int) + 1 }),
-		NewFarm(workers),
-	)
-	var out []int
-	outer := NewPipeline(
-		SliceSource([]int{0, 1, 2, 3, 4}),
-		inner,
-		Sink(func(task any) { out = append(out, task.(int)) }),
-	)
-	if err := outer.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != (i+1)*10 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, (i+1)*10)
-		}
-	}
-}
-
-func TestNestedPipelineAsSource(t *testing.T) {
-	// A nested pipeline whose first stage is a source.
-	var out []int
-	inner := NewPipeline(
-		SliceSource([]int{5, 6}),
-		F(func(task any) any { return task.(int) * 3 }),
-	)
-	outer := NewPipeline(inner, Sink(func(task any) { out = append(out, task.(int)) }))
-	if err := outer.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0] != 15 || out[1] != 18 {
-		t.Fatalf("out = %v", out)
-	}
 }

@@ -14,7 +14,8 @@ var (
 )
 
 // Node is the FastFlow ff_node analogue: a stream transformer owning one
-// thread of execution.
+// thread of execution. It has no svc_init/svc_end hooks: state a node keeps
+// across items is built with the node, and one node serves one thread.
 //
 // For the first node of a pipeline (the source), Svc is called with a nil
 // input until it returns EOS. For every other node, Svc is called once per
@@ -29,18 +30,6 @@ type Node interface {
 	// Run. A panic inside Svc is recovered and treated the same way, so a
 	// broken stage never crashes the process.
 	Svc(task any) any
-}
-
-// Initializer is implemented by nodes needing per-thread setup before the
-// first Svc call (svc_init). Returning an error aborts the run.
-type Initializer interface {
-	Init() error
-}
-
-// Finalizer is implemented by nodes needing teardown after the last Svc
-// call (svc_end).
-type Finalizer interface {
-	End()
 }
 
 // OutNode is implemented by nodes that emit multiple outputs per input via

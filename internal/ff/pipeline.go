@@ -45,56 +45,25 @@ type Pipeline struct {
 	errs  []error
 }
 
-// NewPipeline builds a pipeline from stages. Each stage must be a Node, a
-// *Farm, or a nested *Pipeline (FastFlow pipelines compose); anything else
-// panics at construction (fail fast, as the FastFlow templates do at
-// compile time).
+// NewPipeline builds a pipeline from stages. Each stage must be a Node or a
+// *Farm; anything else panics at construction (fail fast, as the FastFlow
+// templates do at compile time).
 func NewPipeline(stages ...any) *Pipeline {
 	p := &Pipeline{queueCap: defaultQueueCap}
 	for i, s := range stages {
 		switch v := s.(type) {
 		case *Farm:
 			p.stages = append(p.stages, v)
-		case *Pipeline:
-			p.stages = append(p.stages, v)
 		case Node:
 			p.stages = append(p.stages, &nodeStage{node: v})
 		default:
-			panic(fmt.Sprintf("ff: pipeline stage %d is %T, want Node, *Farm or *Pipeline", i, s))
+			panic(fmt.Sprintf("ff: pipeline stage %d is %T, want Node or *Farm", i, s))
 		}
 	}
 	if len(p.stages) == 0 {
 		panic("ff: empty pipeline")
 	}
 	return p
-}
-
-// start wires this pipeline as a stage of an enclosing pipeline: its first
-// stage consumes the outer input, its last feeds the outer output, and
-// internal queues connect the rest. Errors propagate to the outer pipeline.
-// The outer stage's telemetry is ignored: a nested pipeline observes through
-// its own SetTelemetry configuration, so its stages keep their own names.
-func (p *Pipeline) start(outer *Pipeline, _ *stageTelem, in, out *SPSC[any], wg *sync.WaitGroup) {
-	n := len(p.stages)
-	queues := make([]*SPSC[any], n-1)
-	cap := p.queueCap
-	if cap == 0 {
-		cap = outer.queueCap
-	}
-	for i := range queues {
-		queues[i] = NewSPSC[any](cap, false)
-	}
-	p.registerQueueGauges(queues)
-	for i, s := range p.stages {
-		sin, sout := in, out
-		if i > 0 {
-			sin = queues[i-1]
-		}
-		if i < n-1 {
-			sout = queues[i]
-		}
-		s.start(outer, p.newStageTelem(i), sin, sout, wg)
-	}
 }
 
 // SetQueueCap sets the capacity of inter-stage queues (default 512).
@@ -217,44 +186,9 @@ func svcSafe(pl *Pipeline, n Node, task any, where string) (r any, ok bool) {
 	return r, true
 }
 
-// initSafe runs the node's Init (if any) with panic containment. It reports
-// whether servicing may proceed.
-func initSafe(pl *Pipeline, n Node, where string) (ok bool) {
-	init, isInit := n.(Initializer)
-	if !isInit {
-		return true
-	}
-	defer func() {
-		if pv := recover(); pv != nil {
-			pl.fail(fmt.Errorf("ff: %s: init panic: %v\n%s", where, pv, debug.Stack()))
-			ok = false
-		}
-	}()
-	if err := init.Init(); err != nil {
-		pl.fail(fmt.Errorf("ff: %s: init: %w", where, err))
-		return false
-	}
-	return true
-}
-
-// endSafe runs the node's End (if any) with panic containment.
-func endSafe(pl *Pipeline, n Node, where string) {
-	fin, isFin := n.(Finalizer)
-	if !isFin {
-		return
-	}
-	defer func() {
-		if pv := recover(); pv != nil {
-			pl.fail(fmt.Errorf("ff: %s: end panic: %v\n%s", where, pv, debug.Stack()))
-		}
-	}()
-	fin.End()
-}
-
-// runNode is a single-node pipeline stage's service loop: init,
-// consume/produce until EOS (or failure/cancellation),
-// finalize, propagate EOS. tm (nil when telemetry is off) observes items
-// in/out, service time, drops and errors.
+// runNode is a single-node pipeline stage's service loop: consume/produce
+// until EOS (or failure/cancellation), then propagate EOS. tm (nil when
+// telemetry is off) observes items in/out, service time, drops and errors.
 func runNode(pl *Pipeline, tm *stageTelem, n Node, in, out *SPSC[any]) {
 	where := fmt.Sprintf("node %T", n)
 	send := func(v any) {
@@ -269,16 +203,6 @@ func runNode(pl *Pipeline, tm *stageTelem, n Node, in, out *SPSC[any]) {
 	}
 	if on, ok := n.(OutNode); ok {
 		on.setOut(send)
-	}
-	if !initSafe(pl, n, where) {
-		tm.errored()
-		if in != nil {
-			tm.dropped(drain(in))
-		}
-		if out != nil {
-			out.Push(EOS)
-		}
-		return
 	}
 	if in == nil {
 		// Source: svc(nil) until EOS or the stream is aborted.
@@ -339,7 +263,6 @@ func runNode(pl *Pipeline, tm *stageTelem, n Node, in, out *SPSC[any]) {
 			}
 		}
 	}
-	endSafe(pl, n, where)
 	if out != nil {
 		out.Push(EOS)
 	}

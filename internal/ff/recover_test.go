@@ -9,44 +9,6 @@ import (
 	"time"
 )
 
-// failInit is a node whose Init always fails.
-type failInit struct {
-	err error
-}
-
-func (f failInit) Init() error      { return f.err }
-func (f failInit) Svc(task any) any { return task }
-
-func TestInitializerErrorAbortsRun(t *testing.T) {
-	boom := errors.New("no device")
-	var emitted atomic.Int64
-	i := 0
-	src := Source(func() (any, bool) {
-		if i >= 1_000_000 {
-			return nil, false
-		}
-		i++
-		emitted.Add(1)
-		return i, true
-	})
-	err := NewPipeline(src, failInit{err: boom}, Sink(func(any) {})).Run()
-	if !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want wrapped %v", err, boom)
-	}
-	if n := emitted.Load(); n >= 1_000_000 {
-		t.Errorf("source ran to completion (%d items) despite init failure", n)
-	}
-}
-
-func TestFarmWorkerInitErrorAborts(t *testing.T) {
-	boom := errors.New("worker init failed")
-	workers := []Node{failInit{err: boom}, F(func(task any) any { return task })}
-	err := NewPipeline(SliceSource(seq(100)), NewFarm(workers), Sink(func(any) {})).Run()
-	if !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want wrapped %v", err, boom)
-	}
-}
-
 func TestSvcPanicReported(t *testing.T) {
 	i := 0
 	src := Source(func() (any, bool) {
@@ -104,36 +66,50 @@ func TestSvcErrorValueCancelsStream(t *testing.T) {
 }
 
 func TestFarmWorkerMidStreamEOSDrains(t *testing.T) {
-	// One worker terminates the stream after a few items; the farm must
-	// drain and complete without deadlock, with no error.
-	var processed atomic.Int64
-	workers := make([]Node, 3)
-	for w := range workers {
-		w := w
-		n := 0
-		workers[w] = F(func(task any) any {
-			n++
-			if w == 0 && n > 5 {
-				return EOS
+	// Worker 0 stops early: by an EOS return, or by an error, mid-stream or
+	// on its very first input, before it has answered anything. The farm
+	// must drain and complete without deadlock, and only an error surfaces.
+	boom := errors.New("bad first item")
+	cases := []struct {
+		name  string
+		after int // inputs worker 0 answers before it stops
+		stop  any // what it returns instead
+	}{
+		{"eos_mid_stream", 5, EOS},
+		{"eos_first_input", 0, EOS},
+		{"error_first_input", 0, boom},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var processed atomic.Int64
+			workers := make([]Node, 3)
+			for w := range workers {
+				n := 0
+				workers[w] = F(func(task any) any {
+					n++
+					if w == 0 && n > tc.after {
+						return tc.stop
+					}
+					processed.Add(1)
+					return task
+				})
 			}
-			processed.Add(1)
-			return task
+			done := make(chan error, 1)
+			go func() {
+				done <- NewPipeline(SliceSource(seq(10000)), NewFarm(workers), Sink(func(any) {})).Run()
+			}()
+			select {
+			case err := <-done:
+				if want, _ := tc.stop.(error); !errors.Is(err, want) {
+					t.Fatalf("Run = %v, want %v", err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("farm deadlocked after worker 0 stopped early")
+			}
+			if tc.stop == EOS && processed.Load() == 0 {
+				t.Error("no items processed")
+			}
 		})
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- NewPipeline(SliceSource(seq(10000)), NewFarm(workers), Sink(func(any) {})).Run()
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Run = %v, want nil", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("farm deadlocked after mid-stream EOS from a worker")
-	}
-	if processed.Load() == 0 {
-		t.Error("no items processed")
 	}
 }
 
@@ -199,22 +175,6 @@ func TestPipelineCancelStopsEndlessSource(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Cancel did not stop the endless source")
-	}
-}
-
-func TestNestedPipelinePanicReported(t *testing.T) {
-	inner := NewPipeline(
-		F(func(task any) any { return task.(int) * 2 }),
-		F(func(task any) any {
-			if task.(int) == 8 {
-				panic("inner stage exploded")
-			}
-			return task
-		}),
-	)
-	err := NewPipeline(SliceSource(seq(100)), inner, Sink(func(any) {})).Run()
-	if err == nil || !strings.Contains(err.Error(), "inner stage exploded") {
-		t.Fatalf("Run = %v, want inner panic error", err)
 	}
 }
 

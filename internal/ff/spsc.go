@@ -1,6 +1,7 @@
 // Package ff is a FastFlow-style stream-parallel runtime: pipelines and
 // farms of nodes running on dedicated goroutines, connected by bounded
-// lock-free queues.
+// lock-free queues. A pipeline's stages are nodes and farms; those two
+// shapes are all the programs here compose, so pipelines do not nest.
 //
 // The architecture follows FastFlow's building-block model [Aldinucci et
 // al.]: every node owns a thread of execution; pipeline stages are joined

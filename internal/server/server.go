@@ -451,15 +451,15 @@ func (s *Server) startPipelines() {
 	}
 
 	dedupTS := core.NewToStream(core.Telemetry(s.cfg.Metrics, "serve-dedup")).
-		StageWorkers(func() core.Worker {
+		StageWorkers(func() core.StageFunc {
 			// Each replica hashes, dedup-marks and compresses batches on
 			// its own Processor, against the batch's session store.
 			p := dedup.NewProcessor(gopt, useGPU)
-			return core.FnWorker(func(item any, emit func(any)) {
+			return func(item any, emit func(any)) {
 				j := item.(*job)
 				p.Process(j.batch, j.sess.store)
 				emit(j)
-			})
+			}
 		}, core.Replicate(s.cfg.workers()), core.Name("process")).
 		Stage(s.dedupSink, core.Name("write+respond"))
 

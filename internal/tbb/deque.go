@@ -1,8 +1,7 @@
 // Package tbb is a Threading-Building-Blocks-style task runtime: a
 // work-stealing scheduler (Chase–Lev deques, one per worker), task groups,
-// and a token-throttled Pipeline with serial-in-order, serial-out-of-order
-// and parallel filters — the abstractions the paper uses
-// for its TBB implementations, including the max_number_of_live_tokens knob
+// and a token-throttled Pipeline with serial-in-order and parallel filters
+// — the abstractions the paper uses for its TBB implementations, including the max_number_of_live_tokens knob
 // it had to tune (38 tokens CPU-only, 50 with GPUs).
 package tbb
 

@@ -1,7 +1,6 @@
 package tbb
 
 import (
-	"fmt"
 	"sync"
 
 	"streamgpu/internal/telemetry"
@@ -15,24 +14,18 @@ const (
 	// (tbb::filter::parallel) — the mode the paper uses for Mandelbrot's
 	// compute stage.
 	Parallel Mode = iota
-	// Serial filters process one item at a time in arrival order
-	// (serial_out_of_order).
-	Serial
 	// SerialInOrder filters process one item at a time in the order items
 	// entered the pipeline (serial_in_order) — display/write stages.
 	SerialInOrder
 )
 
+// String names the mode as tbb does. Every mode but Parallel runs as
+// serial_in_order.
 func (m Mode) String() string {
-	switch m {
-	case Parallel:
+	if m == Parallel {
 		return "parallel"
-	case Serial:
-		return "serial_out_of_order"
-	case SerialInOrder:
-		return "serial_in_order"
 	}
-	return fmt.Sprintf("Mode(%d)", int(m))
+	return "serial_in_order"
 }
 
 // Filter is one pipeline stage. The first filter of a pipeline is the input
@@ -57,15 +50,13 @@ type item struct {
 	val any
 }
 
-// serialState serializes a non-parallel filter and (for in-order mode)
-// enforces sequence order. Items that cannot run park here; the finishing
-// item wakes the next eligible one.
+// serialState runs a serial-in-order filter's items in sequence order. Only
+// the item numbered next may enter, so it runs alone; the others park here
+// and the finishing item wakes its successor.
 type serialState struct {
 	mu      sync.Mutex
-	busy    bool
-	next    uint64           // in-order: next sequence to admit
-	pending map[uint64]*item // in-order: parked items by seq
-	queue   []*item          // out-of-order: parked items FIFO
+	next    uint64           // the one sequence number that may enter
+	pending map[uint64]*item // parked items by seq
 }
 
 // Pipeline is a tbb::pipeline: a chain of filters executed over a bounded
@@ -77,8 +68,8 @@ type Pipeline struct {
 	telName string
 }
 
-// NewPipeline builds a pipeline. The first filter must be Serial or
-// SerialInOrder (it is the stream source).
+// NewPipeline builds a pipeline. The first filter must be SerialInOrder (it
+// is the stream source).
 func NewPipeline(filters ...*Filter) *Pipeline {
 	if len(filters) < 2 {
 		panic("tbb: pipeline needs an input filter and at least one more")
@@ -132,7 +123,7 @@ func (p *Pipeline) Run(s *Scheduler, maxTokens int) {
 }
 
 // process advances an item through the filter chain until it completes or
-// parks at a busy/out-of-turn serial filter.
+// parks at a serial filter that is not yet at its sequence number.
 func (p *Pipeline) process(w *Worker, g *Group, it *item, tokens chan struct{}) {
 	for it.idx < len(p.filters) {
 		f := p.filters[it.idx]
@@ -143,37 +134,22 @@ func (p *Pipeline) process(w *Worker, g *Group, it *item, tokens chan struct{}) 
 		}
 		st := &f.st
 		st.mu.Lock()
-		if st.busy || (f.mode == SerialInOrder && it.seq != st.next) {
-			// Park; the current occupant (or the preceding sequence) will
-			// reschedule us.
-			if f.mode == SerialInOrder {
-				st.pending[it.seq] = it
-			} else {
-				st.queue = append(st.queue, it)
-			}
+		if it.seq != st.next {
+			// Park; the preceding sequence will reschedule us.
+			st.pending[it.seq] = it
 			st.mu.Unlock()
 			return
 		}
-		st.busy = true
 		st.mu.Unlock()
 
 		it.val = p.applyFilter(f, it.idx, it.val)
 
 		st.mu.Lock()
-		st.busy = false
-		var wake *item
-		if f.mode == SerialInOrder {
-			st.next++
-			if nxt, ok := st.pending[st.next]; ok {
-				delete(st.pending, st.next)
-				wake = nxt
-			}
-		} else if len(st.queue) > 0 {
-			wake = st.queue[0]
-			st.queue = st.queue[1:]
-		}
+		st.next++
+		wake, ok := st.pending[st.next]
+		delete(st.pending, st.next)
 		st.mu.Unlock()
-		if wake != nil {
+		if ok {
 			g.SpawnIn(w, func(w *Worker) {
 				p.process(w, g, wake, tokens)
 			})

@@ -7,9 +7,9 @@ import (
 )
 
 // TestSchedulerStealStress hammers the scheduler from several external
-// producers at once while every task spawns a child into its worker's local
-// deque, so owner pops and thief steals race continuously on the Chase–Lev
-// slots. The assertion is exactness — every task runs exactly once; under
+// producers at once (Group.Go) while every task spawns a child into its
+// worker's local deque (Group.SpawnIn), so owner pops and thief steals race
+// continuously on the Chase–Lev slots. The assertion is exactness — every task runs exactly once; under
 // `go test -race` the same run also proves the deque and scheduler atomics
 // publish task closures safely (the tbb runtime sat outside the original
 // race-enabled package set).
@@ -20,20 +20,21 @@ func TestSchedulerStealStress(t *testing.T) {
 	defer s.Shutdown()
 	var executed atomic.Int64
 	var wg sync.WaitGroup
+	g := s.NewGroup()
 	for i := 0; i < producers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perProducer; j++ {
-				s.Go(func(w *Worker) {
+				g.Go(func(w *Worker) {
 					executed.Add(1)
-					w.Spawn(func(*Worker) { executed.Add(1) })
+					g.SpawnIn(w, func(*Worker) { executed.Add(1) })
 				})
 			}
 		}()
 	}
 	wg.Wait()
-	s.Quiesce()
+	g.Wait()
 	if got, want := executed.Load(), int64(2*producers*perProducer); got != want {
 		t.Errorf("executed %d tasks, want %d (lost or duplicated under stealing)", got, want)
 	}
@@ -54,7 +55,7 @@ func TestPipelineStressUnderContention(t *testing.T) {
 			defer wg.Done()
 			next := 0
 			var sum atomic.Int64
-			src := NewFilter(Serial, func(item any) any {
+			src := NewFilter(SerialInOrder, func(item any) any {
 				if next >= items {
 					return nil
 				}
@@ -64,7 +65,7 @@ func TestPipelineStressUnderContention(t *testing.T) {
 			mid := NewFilter(Parallel, func(item any) any {
 				return item.(int) * 2
 			})
-			sink := NewFilter(Serial, func(item any) any {
+			sink := NewFilter(SerialInOrder, func(item any) any {
 				sum.Add(int64(item.(int)))
 				return nil
 			})

@@ -22,8 +22,8 @@ type Scheduler struct {
 }
 
 // Worker is one scheduler thread. Tasks receive their executing Worker and
-// may Spawn children into its local deque (depth-first execution, as TBB's
-// scheduler does for cache locality).
+// may spawn children into its local deque with Group.SpawnIn (depth-first
+// execution, as TBB's scheduler does for cache locality).
 type Worker struct {
 	id  int
 	s   *Scheduler
@@ -51,9 +51,6 @@ func NewScheduler(n int) *Scheduler {
 	return s
 }
 
-// Go submits a task from outside the pool.
-func (s *Scheduler) Go(t Task) { s.submit(taskCell{fn: t}) }
-
 func (s *Scheduler) submit(c taskCell) {
 	if s.closed.Load() {
 		panic("tbb: Go after Shutdown")
@@ -62,10 +59,8 @@ func (s *Scheduler) submit(c taskCell) {
 	s.inbox <- c
 }
 
-// Spawn pushes a child task into the worker's local deque; if it is full
-// the task overflows into the shared inbox.
-func (w *Worker) Spawn(t Task) { w.spawn(taskCell{fn: t}) }
-
+// spawn pushes a task into the worker's local deque; if it is full the task
+// overflows into the shared inbox.
 func (w *Worker) spawn(c taskCell) {
 	w.s.pending.Add(1)
 	if !w.dq.pushBottom(c) {
@@ -94,6 +89,10 @@ func (w *Worker) run(c taskCell) {
 // with graduated backoff when idle.
 func (w *Worker) loop() {
 	defer w.s.wg.Done()
+	// One ticker bounds every idle wait, so an idle worker allocates no
+	// timer per round.
+	tick := time.NewTicker(100 * time.Microsecond)
+	defer tick.Stop()
 	idle := 0
 	for {
 		if t, ok := w.dq.popBottom(); ok {
@@ -125,7 +124,7 @@ func (w *Worker) loop() {
 				idle = 0
 			case <-w.s.quit:
 				return
-			case <-time.After(100 * time.Microsecond):
+			case <-tick.C:
 			}
 		}
 	}

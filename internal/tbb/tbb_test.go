@@ -1,11 +1,14 @@
 package tbb
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"streamgpu/internal/pool"
 )
 
 func TestDequeLIFOOwner(t *testing.T) {
@@ -164,6 +167,25 @@ func TestSpawnFromWorker(t *testing.T) {
 	}
 }
 
+// TestIdleWorkersDoNotAllocate pins the idle wait to the worker's one
+// ticker: four idle workers made about 5 300 allocations in 500 ms when
+// each wait built its own timer.
+func TestIdleWorkersDoNotAllocate(t *testing.T) {
+	if pool.RaceEnabled {
+		t.Skip("allocation counting is unreliable under -race")
+	}
+	s := NewScheduler(4)
+	defer s.Shutdown()
+	time.Sleep(10 * time.Millisecond) // past the yield rounds, into the timed waits
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	time.Sleep(500 * time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= 100 {
+		t.Errorf("4 idle workers made %d allocations in 500 ms, want < 100", n)
+	}
+}
+
 func TestPipelineTransforms(t *testing.T) {
 	s := NewScheduler(4)
 	defer s.Shutdown()
@@ -198,14 +220,17 @@ func TestPipelineTransforms(t *testing.T) {
 	}
 }
 
-func TestPipelineSerialOutOfOrderExclusive(t *testing.T) {
+// TestPipelineSerialInOrderExclusive shows a serial-in-order filter runs one
+// item at a time with no busy flag: only the item numbered next may enter,
+// and next moves only when that item leaves.
+func TestPipelineSerialInOrderExclusive(t *testing.T) {
 	s := NewScheduler(8)
 	defer s.Shutdown()
 	const n = 300
 	i := 0
 	var inside, maxInside, count int32
 	p := NewPipeline(
-		NewFilter(Serial, func(any) any {
+		NewFilter(SerialInOrder, func(any) any {
 			if i >= n {
 				return nil
 			}
@@ -213,7 +238,7 @@ func TestPipelineSerialOutOfOrderExclusive(t *testing.T) {
 			return i
 		}),
 		NewFilter(Parallel, func(v any) any { return v }),
-		NewFilter(Serial, func(v any) any {
+		NewFilter(SerialInOrder, func(v any) any {
 			in := atomic.AddInt32(&inside, 1)
 			for {
 				m := atomic.LoadInt32(&maxInside)
@@ -221,6 +246,7 @@ func TestPipelineSerialOutOfOrderExclusive(t *testing.T) {
 					break
 				}
 			}
+			runtime.Gosched() // widen the window an overlapping item would need
 			atomic.AddInt32(&count, 1)
 			atomic.AddInt32(&inside, -1)
 			return v
@@ -242,7 +268,7 @@ func TestPipelineTokenCapLimitsInFlight(t *testing.T) {
 	i := 0
 	var inFlight, maxInFlight int32
 	p := NewPipeline(
-		NewFilter(Serial, func(any) any {
+		NewFilter(SerialInOrder, func(any) any {
 			if i >= n {
 				return nil
 			}
@@ -261,7 +287,7 @@ func TestPipelineTokenCapLimitsInFlight(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			return v
 		}),
-		NewFilter(Serial, func(v any) any {
+		NewFilter(SerialInOrder, func(v any) any {
 			atomic.AddInt32(&inFlight, -1)
 			return v
 		}),
@@ -280,7 +306,7 @@ func TestPipelineParallelInputPanics(t *testing.T) {
 	}()
 	NewPipeline(
 		NewFilter(Parallel, func(any) any { return nil }),
-		NewFilter(Serial, func(v any) any { return v }),
+		NewFilter(SerialInOrder, func(v any) any { return v }),
 	)
 }
 
@@ -290,11 +316,11 @@ func TestPipelineTooShortPanics(t *testing.T) {
 			t.Fatal("single-filter pipeline should panic")
 		}
 	}()
-	NewPipeline(NewFilter(Serial, func(any) any { return nil }))
+	NewPipeline(NewFilter(SerialInOrder, func(any) any { return nil }))
 }
 
 func TestModeString(t *testing.T) {
-	if Parallel.String() != "parallel" || Serial.String() != "serial_out_of_order" || SerialInOrder.String() != "serial_in_order" {
+	if Parallel.String() != "parallel" || SerialInOrder.String() != "serial_in_order" {
 		t.Error("mode strings wrong")
 	}
 }
@@ -356,7 +382,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	n := b.N
 	i := 0
 	p := NewPipeline(
-		NewFilter(Serial, func(any) any {
+		NewFilter(SerialInOrder, func(any) any {
 			if i >= n {
 				return nil
 			}
@@ -364,7 +390,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			return i
 		}),
 		NewFilter(Parallel, func(v any) any { return v }),
-		NewFilter(Serial, func(v any) any { return v }),
+		NewFilter(SerialInOrder, func(v any) any { return v }),
 	)
 	b.ResetTimer()
 	p.Run(s, 32)

@@ -13,14 +13,14 @@ import (
 type schedTelem struct {
 	tasks    *telemetry.Counter // tasks executed
 	steals   *telemetry.Counter // successful steals
-	overflow *telemetry.Counter // Spawn fallbacks into the shared inbox
+	overflow *telemetry.Counter // spawn fallbacks into the shared inbox
 }
 
 // SetTelemetry attaches a metrics registry to the scheduler:
 //
 //	tbb_tasks_total           tasks executed by the pool
 //	tbb_steals_total          successful deque steals
-//	tbb_spawn_overflow_total  Spawns that overflowed a full deque into the inbox
+//	tbb_spawn_overflow_total  spawns that overflowed a full deque into the inbox
 //	tbb_inbox_depth           shared inbox occupancy (gauge)
 //	tbb_tasks_pending         submitted-but-unfinished tasks (gauge)
 //	tbb_worker_deque_depth    per-worker deque occupancy (gauge, {worker})
